@@ -51,7 +51,7 @@ from .coupling import (
     UMAP,
     CouplingProblem,
 )
-from .optim import MinimizeResult, OptimizerConfig, minimize
+from .optim import Evaluation, MinimizeResult, OptimizerConfig, minimize
 from .spectral import (
     EigenmapsResult,
     PrecisionCouplingProblem,
@@ -72,8 +72,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AffinityMatrix", "CcpcaConfig", "ContractViolationError",
     "CouplingProblem", "DataError", "Dataset", "DegenerateRowError",
-    "DivergenceError", "EigenmapsResult", "GAUSSIAN", "GraphCouplingError",
-    "KernelMatrix", "LARGEVIS", "METHOD_KINDS", "MinimizeResult",
+    "DivergenceError", "EigenmapsResult", "Evaluation", "GAUSSIAN",
+    "GraphCouplingError", "KernelMatrix", "LARGEVIS", "METHOD_KINDS", "MinimizeResult",
     "NeighborhoodScore", "NumericalError", "OptimizerConfig",
     "ParameterError", "Partition", "PrecisionCouplingProblem", "RunResult",
     "RunSpec", "SNE", "STUDENT", "SymEigResult", "TSNE", "UMAP",

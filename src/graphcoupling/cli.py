@@ -19,17 +19,12 @@ import sys
 import numpy as np
 import yaml
 
-from .ccpca import CcpcaConfig, ccpca
 from .dataio import load_csv, load_embedding, save_embedding
 from .diagnostics import run_diagnostics
 from .errors import DataError, GraphCouplingError, ParameterError
 from .evaluation import evaluate_embedding
-from .kernels import GAUSSIAN, calibrate_bandwidths, kernel_from_sq_dists
-from .linalg import pairwise_sq_dists
 from .optim import OptimizerConfig
-from .pipeline import RunSpec, default_eval_ks, run
-from .posterior import posterior_expectation
-from .spectral import laplacian_eigenmaps, pca
+from .pipeline import RunSpec, default_eval_ks, initial_embedding, prepare_input, run
 from .svgplot import render_svg_scatter
 
 OUT_DIR_ENV = "GRAPHCOUPLING_OUT_DIR"
@@ -211,28 +206,20 @@ def cmd_init(args, config) -> int:
     out = _out_dir(args, config)
     dim = int(_resolve(args, config, "dim", 2))
     method = _resolve(args, config, "method", "pca")
-    seed = int(_resolve(args, config, "seed", 0))
-    if method == "pca":
-        Z = pca(X, dim)
-    elif method == "le":
-        D = pairwise_sq_dists(X)
-        tau = calibrate_bandwidths(D, float(_resolve(args, config, "perplexity", 30.0)))
-        K = kernel_from_sq_dists(D, GAUSSIAN, tau)
-        result = laplacian_eigenmaps(posterior_expectation(K, "D"), dim)
-        if result.degenerate:
-            print(f"warning: affinity graph has {result.n_components} connected "
-                  "components; between-component layout is arbitrary", file=sys.stderr)
-        Z = result.coords
-    elif method == "ccpca":
-        D = pairwise_sq_dists(X)
-        tau = calibrate_bandwidths(D, float(_resolve(args, config, "perplexity", 30.0)))
-        K = kernel_from_sq_dists(D, GAUSSIAN, tau)
-        cfg = CcpcaConfig(samples=int(_resolve(args, config, "samples", 100)),
-                          prior=_resolve(args, config, "prior", "D"),
-                          q=dim, seed=seed)
-        Z = ccpca(X, K, cfg)
-    else:
+    if method not in ("pca", "le", "ccpca"):
         raise ParameterError(f"unknown init method {method!r}; use pca, le or ccpca")
+    spec = RunSpec(init=method, q=dim,
+                   perplexity=float(_resolve(args, config, "perplexity", 30.0)),
+                   ccpca_samples=int(_resolve(args, config, "samples", 100)),
+                   ccpca_prior=_resolve(args, config, "prior", "D"),
+                   seed=int(_resolve(args, config, "seed", 0))).validate()
+    # PCA needs no affinity; the others use the one fit would build.
+    affinity, kernel = ((None, None) if method == "pca"
+                        else prepare_input(X, spec.method, spec.perplexity))
+    Z, degenerate = initial_embedding(X, spec, affinity, kernel)
+    if degenerate:
+        print("warning: affinity graph has several connected components; "
+              "between-component layout is arbitrary", file=sys.stderr)
     emb_path = os.path.join(out, "init.csv")
     save_embedding(emb_path, Z, dataset.labels, dataset.label_names)
     if dim == 2:

@@ -14,12 +14,18 @@ The symmetrized input is used with its natural total mass 2n; pass
 ``classic_scale=True`` to divide it by 2n for parity with common t-SNE
 implementations (this rescales the attraction term, not the minimizers).
 
+Early exaggeration by a factor alpha reweights the input affinity's
+terms and is a scalar argument of :meth:`CouplingProblem.evaluate`, not
+a second problem.  For ``sne`` and ``tsne`` it scales attraction and the
+normalizer weight alike, so the exaggerated objective and gradient are
+exactly alpha times the plain ones: early exaggeration acts as a larger
+step size.  For ``largevis`` and ``umap`` it scales attraction only.
+
 Losses are reported in nats.  A loss of +inf is a sentinel for an
 embedding that the method cannot score (collapsed latent mass), not an
-error; gradients require a finite loss.
+error; its gradient is None.
 """
 
-import copy
 import math
 
 import numpy as np
@@ -27,6 +33,7 @@ import numpy as np
 from .errors import ContractViolationError, ParameterError
 from .kernels import GAUSSIAN, STUDENT, check_kind, log_kernel
 from .linalg import as_float_matrix, pairwise_sq_dists
+from .optim import Evaluation
 from .posterior import (
     ROW,
     SYMMETRIZED_ROW,
@@ -94,28 +101,17 @@ class CouplingProblem:
         self.method = method
         self.P = P
         self.latent_kernel = check_kind(latent_kernel or DEFAULT_LATENT_KERNEL[method])
+        # For the symmetrized methods each undirected edge carries half of
+        # P + P^T per direction.
+        self._edge_scale = 0.5 if method in (TSNE, LARGEVIS) else 1.0
 
     @property
     def n(self) -> int:
         return self.P.shape[0]
 
-    def with_input_scaled(self, factor: float) -> "CouplingProblem":
-        """Copy of the problem with the input affinity multiplied by ``factor``."""
-        if not (math.isfinite(factor) and factor > 0.0):
-            raise ParameterError(f"scale factor must be positive, got {factor}")
-        clone = copy.copy(self)
-        clone.P = self.P * factor
-        return clone
-
     def expected_graph(self) -> np.ndarray:
-        """Mean latent graph the coupling pulls toward; drives attraction.
-
-        For the symmetrized methods each undirected edge carries half of
-        P + P^T per direction, hence the division by two.
-        """
-        if self.method in (TSNE, LARGEVIS):
-            return self.P / 2.0
-        return self.P.copy()
+        """Mean latent graph the coupling pulls toward; drives attraction."""
+        return self.P * self._edge_scale
 
     def _check_z(self, Z) -> np.ndarray:
         Z = as_float_matrix(Z, "Z")
@@ -124,46 +120,76 @@ class CouplingProblem:
                 f"Z has {Z.shape[0]} rows but the affinity is {self.n}x{self.n}")
         return Z
 
-    def _terms(self, Z):
-        """(attraction, repulsion); their float sum is the loss."""
+    def _pass(self, Z, exaggeration: float):
+        """(attraction, repulsion, objective, gradient) from one pass over D.
+
+        The split is of the plain loss; the objective and its gradient
+        (None if infinite) are at ``exaggeration``.  The chain factor
+        G = dObjective/dD folds in the kernel derivative: -K^2 per unit
+        of squared distance for the Student kernel, -K/2 for the Gaussian.
+        """
+        if not (math.isfinite(exaggeration) and exaggeration > 0.0):
+            raise ParameterError(f"exaggeration must be positive, got {exaggeration}")
         Z = self._check_z(Z)
-        n = self.n
-        E = self.expected_graph()
         D = pairwise_sq_dists(Z)
         if not np.isfinite(D).all():
             # Squared distances overflowed; the configuration is out of
             # range, not invalid, so score it with the infinite sentinel.
-            return math.inf, math.inf
+            return math.inf, math.inf, math.inf, None
+        # Each n x n temporary is dropped once used, so at most three are
+        # alive at a time.
         logK = log_kernel(D, self.latent_kernel)
-        attraction = float(-(E * logK).sum())
-        off = ~np.eye(n, dtype=bool)
-        masked = np.where(off, logK, -np.inf)
-        if self.method == SNE:
-            peaks = masked.max(axis=1)
-            if not np.isfinite(peaks).all():
-                return attraction, math.inf
-            log_rowsum = peaks + np.log(np.exp(masked - peaks[:, None]).sum(axis=1))
-            repulsion = float((self.P.sum(axis=1) * log_rowsum).sum())
-        elif self.method == TSNE:
-            peak = masked.max()
-            if not np.isfinite(peak):
-                return attraction, math.inf
-            log_total = peak + np.log(np.exp(masked - peak).sum())
-            repulsion = float(self.P.sum() / 2.0 * log_total)
+        del D
+        attraction = float(-(self.P * logK).sum()) * self._edge_scale
+        np.fill_diagonal(logK, -np.inf)  # self-pairs carry no latent mass
+        normalized = self.method in (SNE, TSNE)
+        if normalized:
+            axis = 1 if self.method == SNE else None
+            peak = logK.max(axis=axis, keepdims=True)
+            if not np.isfinite(peak).all():
+                return attraction, math.inf, math.inf, None
+            # Largest entry 1 per normalizer, so this cannot overflow even
+            # when the normalizer itself underflows.
+            R = np.exp(logK - peak)
+            total = R.sum(axis=axis, keepdims=True)
+            weight = self.P.sum(axis=axis, keepdims=True) * self._edge_scale
+            repulsion = float((weight * (peak + np.log(total))).sum())
+            R *= weight * (exaggeration / total)
+            K = np.exp(logK, out=logK) if self.latent_kernel == STUDENT else None
         else:
             # Both edgewise methods reduce to the same ordered-pair form:
             # the (1 - P)-weighted and P-weighted log(1 + K) terms merge.
-            K = np.exp(logK)
-            np.fill_diagonal(K, 0.0)
-            repulsion = float(np.log1p(K)[off].sum())
+            K = np.exp(logK, out=logK)
+            repulsion = float(np.log1p(K).sum())
+            R = 1.0 + K
+            np.divide(K, R, out=R)
+        del logK
         if not math.isfinite(repulsion):
-            return attraction, math.inf
-        return attraction, repulsion
+            return attraction, math.inf, math.inf, None
+        objective = exaggeration * attraction + (
+            exaggeration * repulsion if normalized else repulsion)
+        # R now holds the latent expected graph the repulsion pushes toward.
+        G = self.P * (exaggeration * self._edge_scale)
+        G -= R
+        del R
+        if self.latent_kernel == GAUSSIAN:
+            G *= 0.5
+        else:
+            G *= K
+        del K
+        F = G + G.T
+        del G
+        grad = 2.0 * (F.sum(axis=1)[:, None] * Z - F @ Z)
+        return attraction, repulsion, objective, grad
+
+    def evaluate(self, Z, exaggeration: float = 1.0) -> Evaluation:
+        """Loss, objective at ``exaggeration`` and its gradient, in one pass."""
+        attraction, repulsion, objective, grad = self._pass(Z, exaggeration)
+        return Evaluation(attraction + repulsion, objective, grad)
 
     def loss(self, Z) -> float:
         """Cross-entropy loss of the embedding, +inf if unscorable."""
-        attraction, repulsion = self._terms(Z)
-        return attraction + repulsion
+        return self.evaluate(Z).loss
 
     def attraction_repulsion(self, Z):
         """Split of the loss into attraction and repulsion.
@@ -173,41 +199,8 @@ class CouplingProblem:
         the exact float summands of :meth:`loss`, so their sum
         reproduces it bit for bit.
         """
-        return self._terms(Z)
+        return self._pass(Z, 1.0)[:2]
 
     def grad(self, Z) -> np.ndarray:
-        """Gradient of the loss with respect to Z.
-
-        Requires a finite loss at Z.  Computed through the shared chain
-        factor G = dLoss/dD with the kernel derivative folded in
-        analytically: the Student kernel contributes -K^2 and the
-        Gaussian -K/2 per unit of squared distance.
-        """
-        Z = self._check_z(Z)
-        n = self.n
-        E = self.expected_graph()
-        D = pairwise_sq_dists(Z)
-        logK = log_kernel(D, self.latent_kernel)
-        K = np.exp(logK)
-        np.fill_diagonal(K, 0.0)
-        off = ~np.eye(n, dtype=bool)
-        if self.method == SNE:
-            masked = np.where(off, logK, -np.inf)
-            peaks = masked.max(axis=1)
-            log_rowsum = peaks + np.log(np.exp(masked - peaks[:, None]).sum(axis=1))
-            # exp of (logK - log normalizer) <= 1, so this cannot overflow
-            # even when the normalizer itself underflows
-            rho = self.P.sum(axis=1)[:, None] * np.exp(masked - log_rowsum[:, None])
-        elif self.method == TSNE:
-            masked = np.where(off, logK, -np.inf)
-            peak = masked.max()
-            log_total = peak + np.log(np.exp(masked - peak).sum())
-            rho = (self.P.sum() / 2.0) * np.exp(masked - log_total)
-        else:
-            rho = K / (1.0 + K)
-        if self.latent_kernel == GAUSSIAN:
-            G = (E - rho) / 2.0
-        else:
-            G = (E - rho) * K
-        F = G + G.T
-        return 2.0 * (F.sum(axis=1)[:, None] * Z - F @ Z)
+        """Gradient of the loss with respect to Z; None if the loss is infinite."""
+        return self.evaluate(Z).grad

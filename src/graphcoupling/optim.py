@@ -6,9 +6,11 @@ per-coordinate gain factors driven by sign agreement between the
 gradient and the velocity, optional early exaggeration of the input
 affinity, and step halving when a step would make the loss infinite.
 
-Any object with ``loss(Z) -> float`` and ``grad(Z) -> array`` methods can
-be minimized; early exaggeration additionally needs
-``with_input_scaled(factor)``.
+Any object with an ``evaluate(Z, exaggeration) -> Evaluation`` method can
+be minimized.  One call returns the plain loss, the objective at the
+exaggeration factor and that objective's gradient; the problem decides
+how the factor applies, and rejects factors it has no form for.  Each
+optimizer step evaluates its candidate exactly once.
 """
 
 from dataclasses import dataclass
@@ -51,70 +53,67 @@ class OptimizerConfig:
         return self
 
 
+class Evaluation(NamedTuple):
+    loss: float                   # plain objective at Z
+    objective: float              # objective at the requested exaggeration
+    grad: Optional[np.ndarray]    # gradient of ``objective``; None if it is infinite
+
+
 class MinimizeResult(NamedTuple):
     Z: np.ndarray          # lowest-loss iterate observed, under the plain objective
-    history: np.ndarray    # loss per iteration, under the objective active then
+    history: np.ndarray    # objective per iteration, under the exaggeration active then
+    loss: float            # plain loss of Z
 
 
 TraceSink = Callable[[int, float, float], None]
-
-
-def _acceptable(problem, candidate: np.ndarray) -> bool:
-    """A step is acceptable when the iterate and its loss are finite."""
-    if not np.isfinite(candidate).all():
-        return False
-    return bool(np.isfinite(problem.loss(candidate)))
 
 
 def minimize(problem, Z0, config: OptimizerConfig = None,
              trace: Optional[TraceSink] = None) -> MinimizeResult:
     """Minimize a coupling-style problem starting from Z0.
 
-    ``history[t]`` records the loss of the iterate entering iteration t
-    under the objective active at that iteration, so switching off early
-    exaggeration shows up as a discontinuity.  The returned Z is the
-    best iterate measured by the unexaggerated objective, which makes it
-    monotone in hindsight regardless of transient loss increases.
+    ``history[t]`` records the objective of the iterate entering
+    iteration t under the exaggeration active at that iteration, so
+    switching off early exaggeration shows up as a discontinuity.  Each
+    candidate step is evaluated once, under the factor of the iteration
+    it enters; that evaluation decides whether the step is accepted and
+    supplies the next value and gradient.  The returned Z is the best
+    iterate measured by the plain loss, which makes it monotone in
+    hindsight regardless of transient loss increases.
 
     Raises
     ------
     ParameterError
-        If the loss at Z0 is not finite.
+        If the objective at Z0 is not finite.
     DivergenceError
-        If an iterate turns non-finite, or step halving cannot restore a
-        finite loss within ``config.max_halvings`` halvings.
+        If a gradient turns non-finite, or step halving cannot restore a
+        finite objective within ``config.max_halvings`` halvings.
     """
     cfg = (config or OptimizerConfig()).validate()
-    Z = as_float_matrix(Z0, "Z0").copy()
-    base_loss = problem.loss(Z)
-    if not np.isfinite(base_loss):
-        raise ParameterError("initialization has non-finite loss")
     exaggerate = bool(cfg.early_exaggeration) and cfg.exaggeration_iters > 0
-    boosted = problem.with_input_scaled(cfg.exaggeration_factor) if exaggerate else None
 
-    best_Z = Z.copy()
-    best_loss = base_loss
+    def factor(t: int) -> float:
+        return cfg.exaggeration_factor if exaggerate and t < cfg.exaggeration_iters else 1.0
+
+    # Later iterates are fresh arrays, never modified in place, so the
+    # best one is kept without copying.
+    Z = as_float_matrix(Z0, "Z0").copy()
+    current = problem.evaluate(Z, factor(0))
+    if not np.isfinite(current.objective):
+        raise ParameterError("initialization has non-finite loss")
+    best_Z, best_loss = Z, current.loss
     velocity = np.zeros_like(Z)
     gains = np.ones_like(Z)
     history = []
 
     for t in range(cfg.iterations):
-        active = boosted if (exaggerate and t < cfg.exaggeration_iters) else problem
-        loss_t = active.loss(Z)
-        if np.isnan(loss_t):
-            raise DivergenceError(f"loss is NaN at iteration {t}")
-        history.append(loss_t)
-        true_t = problem.loss(Z) if active is not problem else loss_t
-        if true_t < best_loss:
-            best_loss = true_t
-            best_Z = Z.copy()
-
-        g = active.grad(Z)
+        history.append(current.objective)
+        g = current.grad
         if not np.isfinite(g).all():
             raise DivergenceError(f"gradient is non-finite at iteration {t}")
         grad_norm = float(np.abs(g).max()) if g.size else 0.0
         if trace is not None:
-            trace(t, loss_t, grad_norm)
+            trace(t, current.objective, grad_norm)
         if grad_norm < cfg.grad_tol:
             break
 
@@ -126,7 +125,11 @@ def minimize(problem, Z0, config: OptimizerConfig = None,
 
         candidate = Z + velocity
         halvings = 0
-        while not _acceptable(active, candidate):
+        while True:
+            if np.isfinite(candidate).all():
+                current = problem.evaluate(candidate, factor(t + 1))
+                if np.isfinite(current.objective):
+                    break
             halvings += 1
             if halvings > cfg.max_halvings:
                 raise DivergenceError(
@@ -134,9 +137,7 @@ def minimize(problem, Z0, config: OptimizerConfig = None,
             velocity = velocity / 2.0
             candidate = Z + velocity
         Z = candidate
+        if current.loss < best_loss:
+            best_Z, best_loss = Z, current.loss
 
-    final_loss = problem.loss(Z)
-    if not np.isnan(final_loss) and final_loss < best_loss:
-        best_loss = final_loss
-        best_Z = Z.copy()
-    return MinimizeResult(best_Z, np.asarray(history, dtype=np.float64))
+    return MinimizeResult(best_Z, np.asarray(history, dtype=np.float64), best_loss)

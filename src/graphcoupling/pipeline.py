@@ -96,7 +96,11 @@ def rescale_init(Z: np.ndarray, n: int) -> np.ndarray:
 
 def initial_embedding(X, spec: RunSpec, affinity: AffinityMatrix,
                       kernel: KernelMatrix):
-    """Starting coordinates for a run; (Z0, degenerate-components flag)."""
+    """Starting coordinates for a run; (Z0, degenerate-components flag).
+
+    Spectral coordinates come at their natural scale; :func:`run`
+    shrinks them with :func:`rescale_init`.
+    """
     X = as_float_matrix(X, "X")
     n = X.shape[0]
     state = np.random.SeedSequence(spec.seed).generate_state(2)
@@ -104,13 +108,13 @@ def initial_embedding(X, spec: RunSpec, affinity: AffinityMatrix,
         rng = np.random.default_rng(int(state[0]))
         return INIT_SCALE * rng.standard_normal((n, spec.q)), False
     if spec.init == "pca":
-        return rescale_init(pca(X, spec.q), n), False
+        return pca(X, spec.q), False
     if spec.init == "le":
         result = laplacian_eigenmaps(affinity, spec.q)
-        return rescale_init(result.coords, n), result.degenerate
+        return result.coords, result.degenerate
     cfg = CcpcaConfig(samples=spec.ccpca_samples, prior=spec.ccpca_prior,
                       q=spec.q, seed=int(state[1]))
-    return rescale_init(ccpca(X, kernel, cfg), n), False
+    return ccpca(X, kernel, cfg), False
 
 
 def default_eval_ks(n: int) -> tuple:
@@ -131,6 +135,8 @@ def run(X, spec: RunSpec = None) -> RunResult:
 
     t0 = time.perf_counter()
     Z0, degenerate = initial_embedding(X, spec, affinity, kernel)
+    if spec.init != "random":
+        Z0 = rescale_init(Z0, n)
     init_s = time.perf_counter() - t0
 
     latent_kernel = spec.latent_kernel or DEFAULT_LATENT_KERNEL[spec.method]
@@ -174,7 +180,7 @@ def run(X, spec: RunSpec = None) -> RunResult:
         "input": {"rows": int(n), "cols": int(p)},
         "results": {
             "initial_loss": float(result.history[0]) if result.history.size else None,
-            "final_loss": float(problem.loss(result.Z)),
+            "final_loss": float(result.loss),
             "iterations_run": int(result.history.size),
             "init_degenerate": bool(degenerate),
             "scores": [{"k": s.k, "q": s.q, "r": s.r} for s in scores],

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import NumericalError, ParameterError
 from .graph import components_from_support, weighted_laplacian
 from .linalg import as_float_matrix, center_columns, sym_eig
+from .optim import Evaluation
 from .posterior import AffinityMatrix
 
 
@@ -99,20 +100,30 @@ class PrecisionCouplingProblem:
         n = X.shape[0]
         self.B = np.eye(n) + X @ X.T
 
-    def loss(self, Z) -> float:
+    def evaluate(self, Z, exaggeration: float = 1.0) -> Evaluation:
+        """Objective and gradient, sharing one solve against B.
+
+        The objective has no exaggerated form, so any factor but 1 is rejected.
+        """
+        if exaggeration != 1.0:
+            raise ParameterError(
+                f"the precision coupling has no exaggerated form, got factor {exaggeration}")
         Z = as_float_matrix(Z, "Z")
         n, q = Z.shape
         sign, logdet = np.linalg.slogdet(np.eye(q) + Z.T @ Z)
         if sign <= 0:
             raise NumericalError("latent Gram determinant is not positive")
-        trace = float((Z * np.linalg.solve(self.B, Z)).sum())
-        return trace - self.gamma * float(logdet)
+        BinvZ = np.linalg.solve(self.B, Z)
+        loss = float((Z * BinvZ).sum()) - self.gamma * float(logdet)
+        latent = np.eye(n) + Z @ Z.T
+        grad = 2.0 * BinvZ - 2.0 * self.gamma * np.linalg.solve(latent, Z)
+        return Evaluation(loss, loss, grad)
+
+    def loss(self, Z) -> float:
+        return self.evaluate(Z).loss
 
     def grad(self, Z) -> np.ndarray:
-        Z = as_float_matrix(Z, "Z")
-        n = Z.shape[0]
-        latent = np.eye(n) + Z @ Z.T
-        return 2.0 * np.linalg.solve(self.B, Z) - 2.0 * self.gamma * np.linalg.solve(latent, Z)
+        return self.evaluate(Z).grad
 
 
 def precision_coupling_objective(Z, X, gamma: float = 1.0) -> float:

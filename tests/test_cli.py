@@ -4,7 +4,7 @@ import pytest
 import yaml
 
 from graphcoupling.cli import OUT_DIR_ENV, load_config, main
-from graphcoupling.dataio import load_embedding, save_embedding
+from graphcoupling.dataio import load_csv, load_embedding, save_embedding
 from graphcoupling.errors import ParameterError
 
 
@@ -212,6 +212,42 @@ class TestInit:
             assert main(args) == 0
             outs.append((out / "init.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_le_matches_row_affinity_eigenmaps(self, blob_csv, tmp_path):
+        # init builds fit's symmetrized affinity; eigenmaps symmetrizes its
+        # input, so this is a rescaling of the row affinity's Laplacian
+        from graphcoupling.spectral import laplacian_eigenmaps
+        from graphcoupling.posterior import posterior_expectation
+        from graphcoupling.pipeline import prepare_input
+
+        out = tmp_path / "le"
+        args = ["init", "--input", str(blob_csv), "--label", "cls",
+                "--out-dir", str(out), "--method", "le", "--perplexity", "8"]
+        assert main(args) == 0
+        X = load_csv(blob_csv, label="cls").X
+        _, K = prepare_input(X, "tsne", 8.0)
+        row = laplacian_eigenmaps(posterior_expectation(K, "D"), 2).coords
+        npt.assert_allclose(load_embedding(out / "init.csv").X, row, atol=1e-10)
+
+    def test_ccpca_writes_what_fit_starts_from(self, blob_csv, tmp_path):
+        from graphcoupling.pipeline import RunSpec, initial_embedding, prepare_input
+
+        out = tmp_path / "cc"
+        args = ["init", "--input", str(blob_csv), "--label", "cls",
+                "--out-dir", str(out), "--method", "ccpca",
+                "--samples", "20", "--perplexity", "8", "--seed", "5"]
+        assert main(args) == 0
+        X = load_csv(blob_csv, label="cls").X
+        spec = RunSpec(init="ccpca", ccpca_samples=20, perplexity=8.0, seed=5)
+        Z0, _ = initial_embedding(X, spec, *prepare_input(X, spec.method, 8.0))
+        npt.assert_array_equal(load_embedding(out / "init.csv").X, Z0)
+
+    def test_config_random_method_exits_2(self, blob_csv, tmp_path):
+        cfg = tmp_path / "init.cfg"
+        cfg.write_text("method = random\n", encoding="utf-8")
+        args = ["init", "--input", str(blob_csv), "--label", "cls",
+                "--out-dir", str(tmp_path / "r"), "--config", str(cfg)]
+        assert main(args) == 2
 
     def test_unknown_method_exits_2(self, blob_csv, tmp_path):
         with pytest.raises(SystemExit) as err:

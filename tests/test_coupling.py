@@ -15,6 +15,7 @@ from graphcoupling.graph import weighted_laplacian
 from graphcoupling.kernels import kernel_matrix, log_kernel
 from graphcoupling.linalg import pairwise_sq_dists
 from graphcoupling.posterior import AffinityMatrix, posterior_expectation
+from graphcoupling.spectral import PrecisionCouplingProblem
 
 
 def _affinity(K, method):
@@ -46,6 +47,19 @@ def equilateral(n=4, q=2, scale=1.0):
     X = np.eye(n)
     X = X - X.mean(axis=0)
     return X * scale
+
+
+def finite_difference(f, Z, h=1e-6):
+    """Central differences of a scalar function of Z."""
+    g = np.zeros_like(Z)
+    for i in range(Z.shape[0]):
+        for j in range(Z.shape[1]):
+            Zp = Z.copy()
+            Zp[i, j] += h
+            Zm = Z.copy()
+            Zm[i, j] -= h
+            g[i, j] = (f(Zp) - f(Zm)) / (2.0 * h)
+    return g
 
 
 def attraction(prob, Z):
@@ -190,6 +204,8 @@ class TestDecomposition:
                 Z = np.random.default_rng(100 + trial).normal(size=(9, 2))
                 # bit-exact: both sides are computed from the same terms
                 assert attraction(prob, Z) + repulsion(prob, Z) == prob.loss(Z)
+                plain = prob.evaluate(Z)
+                assert plain.objective == plain.loss == prob.loss(Z)
 
     def test_gaussian_attraction_is_laplacian_quadratic_form(self):
         # For a Gaussian latent kernel, -sum E_ij log K_ij equals the
@@ -236,17 +252,6 @@ class TestLowerBound:
 
 
 class TestGradient:
-    def finite_difference(self, prob, Z, h=1e-6):
-        g = np.zeros_like(Z)
-        for i in range(Z.shape[0]):
-            for j in range(Z.shape[1]):
-                Zp = Z.copy()
-                Zp[i, j] += h
-                Zm = Z.copy()
-                Zm[i, j] -= h
-                g[i, j] = (prob.loss(Zp) - prob.loss(Zm)) / (2.0 * h)
-        return g
-
     def test_matches_finite_differences_all_methods(self):
         rng = np.random.default_rng(12)
         X = rng.normal(size=(7, 3))
@@ -257,7 +262,7 @@ class TestGradient:
                 prob = CouplingProblem(method, P, latent_kernel=latent)
                 Z = np.random.default_rng(13).normal(size=(7, 2))
                 g = prob.grad(Z)
-                fd = self.finite_difference(prob, Z)
+                fd = finite_difference(prob.loss, Z)
                 npt.assert_allclose(g, fd, rtol=2e-5, atol=1e-8)
 
     def test_gradient_sums_to_zero(self):
@@ -294,38 +299,63 @@ class TestGradient:
         npt.assert_allclose(classic, raw / P.values.sum(), rtol=1e-12)
 
 
-class TestScaling:
-    def test_with_input_scaled_is_linear_in_attraction(self):
-        rng = np.random.default_rng(17)
-        X = rng.normal(size=(6, 3))
-        Z = rng.normal(size=(6, 2))
-        P = _affinity(kernel_matrix(X, "gaussian"), TSNE)
-        prob = CouplingProblem(TSNE, P)
-        boosted = prob.with_input_scaled(12.0)
-        npt.assert_allclose(attraction(boosted, Z),
-                            12.0 * attraction(prob, Z), rtol=1e-12)
-        assert boosted.method == prob.method
-        assert boosted.latent_kernel == prob.latent_kernel
-        # original is untouched
-        npt.assert_array_equal(P.values, prob.P)
+def exaggeration_case(method):
+    rng = np.random.default_rng(17)
+    X = rng.normal(size=(6, 3))
+    Z = rng.normal(size=(6, 2))
+    return CouplingProblem(method, _affinity(kernel_matrix(X, "gaussian"), method)), Z
 
-    def test_scale_must_be_positive(self):
+
+class TestExaggeration:
+    @pytest.mark.parametrize("method", [SNE, TSNE])
+    def test_normalized_methods_scale_whole_objective(self, method):
+        # Exaggeration scales attraction and the normalizer weight alike.
+        prob, Z = exaggeration_case(method)
+        plain = prob.evaluate(Z)
+        boosted = prob.evaluate(Z, 12.0)
+        assert boosted.loss == plain.loss
+        npt.assert_allclose(boosted.objective, 12.0 * plain.loss, rtol=1e-12)
+        npt.assert_allclose(boosted.grad, 12.0 * plain.grad, rtol=1e-12)
+
+    @pytest.mark.parametrize("method", [LARGEVIS, UMAP])
+    def test_edgewise_methods_scale_attraction_only(self, method):
+        prob, Z = exaggeration_case(method)
+        att, rep = prob.attraction_repulsion(Z)
+        boosted = prob.evaluate(Z, 4.0)
+        assert boosted.loss == prob.loss(Z)
+        npt.assert_allclose(boosted.objective, 4.0 * att + rep, rtol=1e-12)
+        fd = finite_difference(lambda W: prob.evaluate(W, 4.0).objective, Z)
+        npt.assert_allclose(boosted.grad, fd, rtol=2e-5, atol=1e-8)
+
+    def test_factor_must_be_positive(self):
         prob = CouplingProblem(TSNE, uniform_affinity(TSNE, 4))
+        for factor in (0.0, -1.0, np.inf):
+            with pytest.raises(ParameterError):
+                prob.evaluate(equilateral(4), factor)
+
+    def test_precision_coupling_has_no_exaggerated_form(self):
+        rng = np.random.default_rng(20)
+        prob = PrecisionCouplingProblem(rng.normal(size=(5, 3)))
+        Z = rng.normal(size=(5, 2))
+        assert prob.evaluate(Z, 1.0).loss == prob.loss(Z)
         with pytest.raises(ParameterError):
-            prob.with_input_scaled(0.0)
+            prob.evaluate(Z, 12.0)
 
 
 class TestNonFinite:
-    def test_overflowing_embedding_scores_infinite(self):
+    @pytest.mark.parametrize("method", METHOD_KINDS)
+    def test_overflowing_embedding_scores_infinite(self, method):
         # Finite coordinates whose squared distances overflow are out of
         # range, not invalid: the loss is the +inf sentinel the optimizer
         # uses to trigger step halving, and the split stays consistent.
-        prob = CouplingProblem(TSNE, uniform_affinity(TSNE, 4))
+        prob = CouplingProblem(method, uniform_affinity(method, 4))
         Z = np.full((4, 2), 1e200)
         Z[0] = -1e200
         assert prob.loss(Z) == np.inf
         att, rep = prob.attraction_repulsion(Z)
         assert att + rep == prob.loss(Z)
+        assert prob.evaluate(Z, 12.0).objective == np.inf
+        assert prob.grad(Z) is None
 
     def test_nan_embedding_raises(self):
         prob = CouplingProblem(TSNE, uniform_affinity(TSNE, 4))

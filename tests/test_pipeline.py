@@ -17,6 +17,7 @@ from graphcoupling.pipeline import (
     rescale_init,
     run,
 )
+from graphcoupling.spectral import pca
 
 FAST_OPT = OptimizerConfig(iterations=60, momentum_switch=30,
                            exaggeration_iters=30)
@@ -82,13 +83,17 @@ class TestInitialization:
         assert (Z0 != 0.0).all()
 
     def test_spectral_inits_hit_exact_peak_scale(self):
+        # initial_embedding returns spectral coordinates at their natural
+        # scale; run shrinks them with rescale_init
         X = blob_data(4)
         P, K = prepare_input(X, "tsne", 10.0)
         for init in ("pca", "le", "ccpca"):
             spec = RunSpec(init=init, seed=2)
             Z0, _ = initial_embedding(X, spec, P, K)
-            npt.assert_allclose(np.abs(Z0).max(),
+            npt.assert_allclose(np.abs(rescale_init(Z0, 40)).max(),
                                 INIT_SCALE * np.sqrt(40.0), rtol=1e-12)
+        pca_Z0, _ = initial_embedding(X, RunSpec(init="pca"), P, K)
+        npt.assert_array_equal(pca_Z0, pca(X, 2))
 
     def test_rescale_preserves_direction(self):
         Z = np.array([[3.0, 0.0], [0.0, -6.0]])
