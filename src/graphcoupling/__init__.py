@@ -16,7 +16,7 @@ from .errors import (
     NumericalError,
     ParameterError,
 )
-from .linalg import SymEigResult, center_columns, pairwise_sq_dists, sym_eig
+from .linalg import SymEigResult, center_columns, leading_signs, pairwise_sq_dists, sym_eig
 from .kernels import (
     GAUSSIAN,
     STUDENT,
@@ -27,8 +27,10 @@ from .kernels import (
     log_kernel,
 )
 from .graph import (
+    EdgeList,
     Partition,
     cc_projector,
+    components_from_edges,
     connected_components,
     laplacian,
     log_mrf_density,
@@ -38,6 +40,7 @@ from .graph import (
 )
 from .posterior import (
     AffinityMatrix,
+    PosteriorSampler,
     posterior_expectation,
     sample_posterior_graph,
     symmetrize_row_affinity,
@@ -72,15 +75,17 @@ __version__ = "0.1.0"
 __all__ = [
     "AffinityMatrix", "CcpcaConfig", "ContractViolationError",
     "CouplingProblem", "DataError", "Dataset", "DegenerateRowError",
-    "DivergenceError", "EigenmapsResult", "Evaluation", "GAUSSIAN",
+    "DivergenceError", "EdgeList", "EigenmapsResult", "Evaluation", "GAUSSIAN",
     "GraphCouplingError", "KernelMatrix", "LARGEVIS", "METHOD_KINDS", "MinimizeResult",
     "NeighborhoodScore", "NumericalError", "OptimizerConfig",
-    "ParameterError", "Partition", "PrecisionCouplingProblem", "RunResult",
+    "ParameterError", "Partition", "PosteriorSampler", "PrecisionCouplingProblem",
+    "RunResult",
     "RunSpec", "SNE", "STUDENT", "SymEigResult", "TSNE", "UMAP",
     "averaged_projector", "calibrate_bandwidths", "cc_projector",
-    "ccpca", "center_columns", "connected_components", "evaluate_embedding",
+    "ccpca", "center_columns", "components_from_edges", "connected_components",
+    "evaluate_embedding",
     "initial_embedding", "kary_agreement", "kernel_from_sq_dists",
-    "kernel_matrix", "laplacian", "laplacian_eigenmaps", "load_csv",
+    "kernel_matrix", "laplacian", "laplacian_eigenmaps", "leading_signs", "load_csv",
     "load_embedding", "log_kernel", "log_mrf_density", "minimize",
     "pairwise_sq_dists", "pca", "posterior_expectation",
     "precision_coupling_closed_form", "precision_coupling_gradient",

@@ -6,6 +6,7 @@ the same input bytes always produce the same output bytes.
 Functions
 ---------
 sym_eig            full symmetric eigendecomposition, eigenvalues descending
+leading_signs      the sign convention shared by eigenvectors and PCA scores
 center_columns     subtract the column mean from every column
 pairwise_sq_dists  squared Euclidean distance matrix
 """
@@ -18,6 +19,12 @@ from .errors import ContractViolationError, NumericalError
 
 #: Relative asymmetry tolerated by sym_eig before the input is rejected.
 SYMMETRY_RTOL = 1e-10
+
+#: Entries of a column whose magnitude lies within this relative distance
+#: of the column's largest tie for the sign rule of :func:`leading_signs`.
+#: Far above the roundoff of the eigen and SVD solvers, far below any
+#: magnitude gap that real data produce.
+SIGN_TIE_RTOL = 1e-10
 
 
 class SymEigResult(NamedTuple):
@@ -38,10 +45,9 @@ def as_float_matrix(a, name: str = "array") -> np.ndarray:
 def sym_eig(A) -> SymEigResult:
     """Eigendecomposition of a symmetric matrix.
 
-    Eigenvalues are returned in descending order.  Each eigenvector is
-    normalized so that its largest-magnitude component is positive, ties
-    broken by the lowest index, which fixes the sign freedom and makes
-    repeated calls bit-reproducible.
+    Eigenvalues are returned in descending order.  Each eigenvector's
+    sign is fixed by :func:`leading_signs`, which makes repeated calls
+    bit-reproducible.
 
     Raises
     ------
@@ -63,13 +69,24 @@ def sym_eig(A) -> SymEigResult:
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from None
     # eigh returns ascending order; flip to descending.
-    w = w[::-1].copy()
-    V = V[:, ::-1].copy()
-    for k in range(n):
-        lead = int(np.argmax(np.abs(V[:, k])))
-        if V[lead, k] < 0.0:
-            V[:, k] = -V[:, k]
-    return SymEigResult(w, V)
+    V = V[:, ::-1]
+    return SymEigResult(w[::-1].copy(), V * leading_signs(V))
+
+
+def leading_signs(V) -> np.ndarray:
+    """Per-column signs (+1.0 or -1.0) that make each column's largest entry positive.
+
+    Magnitudes within ``SIGN_TIE_RTOL`` of a column's largest count as
+    ties, and the tie goes to the lowest index, so two solvers that agree
+    up to roundoff pick the same sign.  An all-zero column gets +1.  Only
+    column reductions and boolean masks are formed, no float copy of V.
+    """
+    V = np.asarray(V, dtype=np.float64)
+    if V.size == 0:
+        return np.ones(V.shape[1], dtype=np.float64)
+    peak = (1.0 - SIGN_TIE_RTOL) * np.maximum(V.max(axis=0), -V.min(axis=0))
+    lead = np.argmax((V >= peak) | (V <= -peak), axis=0)
+    return np.where(V[lead, np.arange(V.shape[1])] < 0.0, -1.0, 1.0)
 
 
 def center_columns(X) -> np.ndarray:

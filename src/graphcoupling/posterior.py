@@ -10,7 +10,9 @@ single letter:
 In the large-graph limit every posterior is driven by the elementwise
 product pi * K of prior weights and kernel values.  Expectations are
 packaged as :class:`AffinityMatrix` values tagged with how they are
-normalized, and exact posterior samples are latent graphs.
+normalized.  Exact posterior samples are drawn by a
+:class:`PosteriorSampler`, which validates the kernel and builds its
+prior's table once and then returns each latent graph as an edge list.
 """
 
 from dataclasses import dataclass, replace
@@ -18,6 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ContractViolationError, DegenerateRowError, ParameterError
+from .graph import EdgeList
 from .kernels import KernelMatrix
 from .linalg import as_float_matrix
 
@@ -99,43 +102,84 @@ def posterior_expectation(K, prior: str, pi=None) -> AffinityMatrix:
     return AffinityMatrix(G / total, prior, GLOBAL)
 
 
+class PosteriorSampler:
+    """Exact sampler of the limiting posterior of one prior and kernel.
+
+    Construction validates K and pi and builds the prior's table once:
+    edge probabilities for B, the row CDF for D, the off-diagonal cell
+    probabilities for E.  Each :meth:`draw` takes all of its randomness
+    from ``rng`` and costs O(n log n) for D, one pass over the table for
+    B and E.
+    """
+
+    def __init__(self, K, prior: str, pi=None):
+        check_prior(prior)
+        G = _weighted_kernel(K, pi)
+        n = G.shape[0]
+        self.prior = prior
+        self.n = n
+        if prior == "B":
+            self._table = G / (1.0 + G)
+        elif prior == "D":
+            rows = G.sum(axis=1)
+            dead = np.nonzero(rows == 0.0)[0]
+            if dead.size:
+                raise DegenerateRowError(
+                    f"row {int(dead[0])} has no admissible edge under the D prior")
+            cdf = np.cumsum(G / rows[:, None], axis=1)
+            cdf /= cdf[:, -1:]
+            self._table = cdf
+        else:
+            total = G.sum()
+            if total == 0.0:
+                raise DegenerateRowError("no admissible edge under the E prior")
+            p = G[~np.eye(n, dtype=bool)] / total
+            self._table = p / p.sum()
+
+    def draw(self, rng: np.random.Generator) -> EdgeList:
+        """One latent graph, in the same random stream as every earlier draw.
+
+        At most one edge per row for D, exactly n edges in total for E,
+        and independent 0/1 entries for B; never a diagonal edge.
+        """
+        n = self.n
+        if self.prior == "B":
+            rows, cols = np.nonzero(rng.random((n, n)) < self._table)
+            return EdgeList(n, rows, cols, np.ones(rows.shape[0], dtype=np.int64))
+        if self.prior == "D":
+            # u in (0, 1] and the first CDF entry >= u is the strict-comparison
+            # count (cdf < u).sum(), so a zero-probability cell, the diagonal
+            # in particular, is never selected.  Rows are monotone, so a
+            # bisection over all rows at once finds it.
+            u = 1.0 - rng.random(n)
+            rows = np.arange(n, dtype=np.int64)
+            lo = np.zeros(n, dtype=np.int64)
+            hi = np.full(n, n - 1, dtype=np.int64)
+            for _ in range((n - 1).bit_length()):
+                mid = (lo + hi) // 2
+                below = self._table[rows, mid] < u
+                lo = np.where(below, mid + 1, lo)
+                hi = np.where(below, hi, mid)
+            return EdgeList(n, rows, hi, np.ones(n, dtype=np.int64))
+        counts = rng.multinomial(n, self._table)
+        cells = np.nonzero(counts)[0]
+        # Cell c of the row-major off-diagonal order lies in row c // (n - 1)
+        # and skips that row's diagonal.
+        rows = cells // (n - 1)
+        cols = cells % (n - 1)
+        cols += cols >= rows
+        return EdgeList(n, rows, cols, counts[cells].astype(np.int64))
+
+
 def sample_posterior_graph(K, prior: str, rng: np.random.Generator, pi=None) -> np.ndarray:
     """Draw one latent graph from the limiting posterior.
 
     Returns an int64 matrix in the latent graph space: zero diagonal, at
     most one edge per row for D, exactly n edges in total for E, and
-    independent 0/1 entries for B.  All randomness comes from ``rng``.
+    independent 0/1 entries for B.  All randomness comes from ``rng``;
+    it is the dense form of :meth:`PosteriorSampler.draw`.
     """
-    check_prior(prior)
-    G = _weighted_kernel(K, pi)
-    n = G.shape[0]
-    if prior == "B":
-        p = G / (1.0 + G)
-        return (rng.random((n, n)) < p).astype(np.int64)
-    if prior == "D":
-        rows = G.sum(axis=1)
-        dead = np.nonzero(rows == 0.0)[0]
-        if dead.size:
-            raise DegenerateRowError(
-                f"row {int(dead[0])} has no admissible edge under the D prior")
-        cdf = np.cumsum(G / rows[:, None], axis=1)
-        cdf /= cdf[:, -1:]
-        # u in (0, 1] with a strict comparison never selects a
-        # zero-probability cell, the diagonal in particular.
-        u = 1.0 - rng.random((n, 1))
-        idx = (cdf < u).sum(axis=1)
-        W = np.zeros((n, n), dtype=np.int64)
-        W[np.arange(n), idx] = 1
-        return W
-    total = G.sum()
-    if total == 0.0:
-        raise DegenerateRowError("no admissible edge under the E prior")
-    off = ~np.eye(n, dtype=bool)
-    p = G[off] / total
-    counts = rng.multinomial(n, p / p.sum())
-    W = np.zeros((n, n), dtype=np.int64)
-    W[off] = counts
-    return W
+    return PosteriorSampler(K, prior, pi).draw(rng).dense()
 
 
 def symmetrize_row_affinity(P: AffinityMatrix) -> AffinityMatrix:

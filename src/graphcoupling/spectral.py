@@ -1,10 +1,10 @@
 """Spectral embeddings and the precision-coupled matrix-normal objective.
 
-``pca`` goes through the centered Gram matrix so only an n x n
-eigenproblem is ever formed.  ``laplacian_eigenmaps`` embeds with the
-low-frequency eigenvectors of a weighted graph Laplacian, skipping the
-null space structurally (one direction per connected component) instead
-of thresholding eigenvalues.
+``pca`` takes a thin SVD of the centered n x p data, so no n x n
+matrix is formed.  ``laplacian_eigenmaps`` embeds with the low-frequency
+eigenvectors of a weighted graph Laplacian, skipping the null space
+structurally (one direction per connected component) instead of
+thresholding eigenvalues.
 
 The precision-coupling objective scores a latent matrix Z against the
 observed Gram precision (I + X X^T)^{-1}:
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import NumericalError, ParameterError
 from .graph import components_from_support, weighted_laplacian
-from .linalg import as_float_matrix, center_columns, sym_eig
+from .linalg import as_float_matrix, center_columns, leading_signs, sym_eig
 from .optim import Evaluation
 from .posterior import AffinityMatrix
 
@@ -30,18 +30,23 @@ from .posterior import AffinityMatrix
 def pca(X, q: int) -> np.ndarray:
     """First q principal-component scores of the centered rows of X.
 
-    Computed from the eigendecomposition of the centered Gram matrix;
-    column k is scaled to norm sqrt(lambda_k), so pairwise distances of
-    the full decomposition are preserved when q is the full rank.
+    Computed from a thin SVD of the centered n x p data: column k is the
+    k-th left singular vector, signed by :func:`leading_signs` as
+    :func:`sym_eig` signs the eigenvectors of the centered Gram matrix,
+    and scaled to norm sqrt(lambda_k), the k-th singular value.  Pairwise
+    distances of the full decomposition are preserved when q is the full
+    rank.
     """
     X = as_float_matrix(X, "X")
     n, p = X.shape
     if not (1 <= q <= min(n, p)):
         raise ParameterError(f"q must lie in [1, min(n, p)={min(n, p)}], got {q}")
-    Xc = center_columns(X)
-    w, V = sym_eig(Xc @ Xc.T)
-    scale = np.sqrt(np.clip(w[:q], 0.0, None))
-    return V[:, :q] * scale[None, :]
+    try:
+        U, s, _ = np.linalg.svd(center_columns(X), full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"singular value decomposition failed: {exc}") from None
+    U = U[:, :q]
+    return U * (leading_signs(U) * s[:q])[None, :]
 
 
 class EigenmapsResult(NamedTuple):

@@ -3,11 +3,11 @@ import numpy.testing as npt
 import pytest
 
 from graphcoupling.ccpca import CcpcaConfig, averaged_projector, ccpca
-from graphcoupling.errors import ParameterError
-from graphcoupling.graph import cc_projector, connected_components
+from graphcoupling.errors import ContractViolationError, ParameterError
+from graphcoupling.graph import cc_projector, components_from_edges, connected_components
 from graphcoupling.kernels import calibrate_bandwidths, kernel_from_sq_dists
 from graphcoupling.linalg import pairwise_sq_dists
-from graphcoupling.posterior import sample_posterior_graph
+from graphcoupling.posterior import PosteriorSampler, sample_posterior_graph
 from graphcoupling.spectral import pca
 
 
@@ -78,13 +78,35 @@ class TestAveragedProjector:
 
 
 class TestCcpca:
-    def test_is_pca_of_projected_data(self):
+    @pytest.mark.parametrize("prior", ["B", "D", "E"])
+    def test_is_pca_of_projected_data(self, prior):
         X = np.random.default_rng(5).normal(size=(9, 4))
         K = gaussian_kernel(X, 4.0)
-        cfg = CcpcaConfig(samples=15, q=2, seed=3)
+        cfg = CcpcaConfig(samples=15, prior=prior, q=2, seed=3)
         Z = ccpca(X, K, cfg)
         M = averaged_projector(K, cfg)
-        npt.assert_array_equal(Z, pca(M @ X, 2))
+        # the mean of component means sums in another order than M @ X
+        npt.assert_allclose(Z, pca(M @ X, 2), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("prior", ["B", "D", "E"])
+    def test_sample_edges_are_the_dense_samples(self, prior):
+        K = gaussian_kernel(np.random.default_rng(8).normal(size=(12, 3)), 4.0)
+        cfg = CcpcaConfig(samples=10, prior=prior, seed=4)
+        sampler = PosteriorSampler(K, prior)
+        for index in range(cfg.samples):
+            edges = sampler.draw(cfg.sample_rng(index))
+            W = sample_posterior_graph(K, prior, np.random.default_rng([cfg.seed, index]))
+            rows, cols = np.nonzero(W)
+            npt.assert_array_equal(edges.rows, rows)
+            npt.assert_array_equal(edges.cols, cols)
+            npt.assert_array_equal(edges.counts, W[rows, cols])
+            parts = components_from_edges(edges.n, edges.rows, edges.cols)
+            npt.assert_array_equal(parts.assignment, connected_components(W).assignment)
+
+    def test_rejects_row_mismatch(self):
+        X = np.random.default_rng(9).normal(size=(8, 3))
+        with pytest.raises(ContractViolationError):
+            ccpca(X[:7], gaussian_kernel(X, 3.0), CcpcaConfig(samples=2))
 
     def test_blocks_map_to_two_far_groups(self):
         X = two_blobs(seed=6, separation=60.0)

@@ -2,9 +2,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from graphcoupling import evaluation
 from graphcoupling.errors import ContractViolationError, ParameterError
 from graphcoupling.evaluation import (
     NeighborhoodScore,
+    _neighbor_masks,
     evaluate_embedding,
     kary_agreement,
     neighbor_indices,
@@ -45,6 +47,48 @@ class TestNeighborIndices:
         D = pairwise_sq_dists(X)
         nn = neighbor_indices(D, 1)
         npt.assert_array_equal(nn[:, 0], [1, 0, 0])
+
+
+def grid_points(rng, n, dims):
+    """Points on a small integer grid: many exact distance ties and duplicates."""
+    return rng.integers(0, 4, size=(n, dims)).astype(np.float64)
+
+
+def oracle_masks(D, ks):
+    n = D.shape[0]
+    masks = []
+    for k in ks:
+        mask = np.zeros((n, n), dtype=bool)
+        mask[np.arange(n)[:, None], neighbor_indices(D, k)] = True
+        masks.append(mask)
+    return masks
+
+
+class TestPartitionedNeighborSets:
+    @pytest.mark.parametrize("block_cells", [1, 100, evaluation.NEIGHBOR_BLOCK_CELLS])
+    def test_grid_ties_match_neighbor_indices(self, monkeypatch, block_cells):
+        monkeypatch.setattr(evaluation, "NEIGHBOR_BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng(10)
+        for trial in range(40):
+            n = int(rng.integers(4, 70))
+            D = pairwise_sq_dists(grid_points(rng, n, 1 + trial % 3))
+            # k = 1, k = n - 2 and several ks in one call
+            ks = sorted({1, n - 2, *rng.integers(1, n - 1, size=3).tolist()})
+            got = _neighbor_masks(D.copy(), ks)
+            for k, mask, expected in zip(ks, got, oracle_masks(D, ks)):
+                npt.assert_array_equal(mask, expected, err_msg=f"n={n} k={k}")
+
+    def test_scores_match_oracle_sets_on_grids(self):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            n = int(rng.integers(5, 60))
+            X = grid_points(rng, n, 2)
+            Z = grid_points(rng, n, 1)
+            ks = sorted({1, n // 4 or 1, n // 2, n - 2})
+            scores = evaluate_embedding(X, Z, ks)
+            for score, mx, mz in zip(scores, oracle_masks(pairwise_sq_dists(X), ks),
+                                     oracle_masks(pairwise_sq_dists(Z), ks)):
+                assert score.q == float((mx & mz).sum()) / (score.k * n)
 
 
 class TestKaryAgreement:

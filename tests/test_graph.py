@@ -1,10 +1,16 @@
+from collections import deque
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from graphcoupling import graph
 from graphcoupling.errors import ContractViolationError
 from graphcoupling.graph import (
+    EdgeList,
     cc_projector,
+    components_from_edges,
+    components_from_support,
     connected_components,
     laplacian,
     log_mrf_density,
@@ -18,6 +24,38 @@ def random_latent_graph(rng, n):
     W = rng.integers(0, n + 1, size=(n, n))
     np.fill_diagonal(W, 0)
     return W
+
+
+def bfs_components(n, rows, cols):
+    """Reference labeling: breadth-first search from the smallest unvisited node."""
+    neighbors = [[] for _ in range(n)]
+    for a, b in zip(rows.tolist(), cols.tolist()):
+        neighbors[a].append(b)
+        neighbors[b].append(a)
+    assignment = np.full(n, -1, dtype=np.int64)
+    sizes = []
+    for start in range(n):
+        if assignment[start] >= 0:
+            continue
+        assignment[start] = len(sizes)
+        queue, count = deque([start]), 0
+        while queue:
+            node = queue.popleft()
+            count += 1
+            for nb in neighbors[node]:
+                if assignment[nb] < 0:
+                    assignment[nb] = len(sizes)
+                    queue.append(nb)
+        sizes.append(count)
+    return assignment, np.asarray(sizes, dtype=np.int64)
+
+
+def assert_matches_bfs(n, rows, cols):
+    parts = components_from_edges(n, rows, cols)
+    assignment, sizes = bfs_components(n, np.asarray(rows), np.asarray(cols))
+    npt.assert_array_equal(parts.assignment, assignment)
+    npt.assert_array_equal(parts.sizes, sizes)
+    assert parts.assignment.dtype == parts.sizes.dtype == np.int64
 
 
 class TestValidation:
@@ -118,6 +156,78 @@ class TestComponents:
             assert parts.sizes.sum() == n
 
 
+class TestComponentsFromEdges:
+    def test_random_graphs_match_bfs(self):
+        rng = np.random.default_rng(40)
+        for _ in range(60):
+            n = int(rng.integers(1, 80))
+            m = int(rng.integers(0, 2 * n))
+            assert_matches_bfs(n, rng.integers(0, n, size=m), rng.integers(0, n, size=m))
+
+    def test_one_edge_per_node_matches_bfs(self):
+        # the shape of a D-prior sample: n edges, many small trees
+        rng = np.random.default_rng(41)
+        for n in (2, 10, 300):
+            assert_matches_bfs(n, np.arange(n), rng.integers(0, n, size=n))
+
+    def test_isolated_nodes(self):
+        assert_matches_bfs(6, np.array([4]), np.array([1]))
+        assert_matches_bfs(5, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        assert_matches_bfs(0, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+
+    def test_self_loops_and_repeats_change_nothing(self):
+        assert_matches_bfs(4, np.array([2, 2, 3, 3]), np.array([2, 3, 2, 3]))
+
+    @pytest.mark.parametrize("order", ["forward", "reversed", "shuffled"])
+    def test_long_path(self, order):
+        # worst case for label propagation: information travels n - 1 hops
+        n = 2000
+        nodes = np.arange(n)
+        if order == "reversed":
+            nodes = nodes[::-1].copy()
+        elif order == "shuffled":
+            nodes = np.random.default_rng(42).permutation(n)
+        parts = components_from_edges(n, nodes[:-1], nodes[1:])
+        npt.assert_array_equal(parts.assignment, np.zeros(n, dtype=np.int64))
+        npt.assert_array_equal(parts.sizes, [n])
+        assert_matches_bfs(n, nodes[:-1], nodes[1:])
+
+    def test_support_and_latent_graph_entry_points_agree(self):
+        rng = np.random.default_rng(43)
+        for _ in range(10):
+            n = int(rng.integers(2, 30))
+            W = rng.integers(0, 2, size=(n, n)) * (rng.random((n, n)) < 0.08)
+            np.fill_diagonal(W, 0)
+            rows, cols = np.nonzero(W)
+            assignment, sizes = bfs_components(n, rows, cols)
+            for parts in (connected_components(W), components_from_support((W + W.T) > 0)):
+                npt.assert_array_equal(parts.assignment, assignment)
+                npt.assert_array_equal(parts.sizes, sizes)
+
+    @pytest.mark.parametrize("block_cells", [1, 50, graph.SUPPORT_BLOCK_CELLS])
+    def test_support_read_in_blocks_matches_bfs(self, monkeypatch, block_cells):
+        monkeypatch.setattr(graph, "SUPPORT_BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng(45)
+        supports = []
+        for _ in range(12):
+            n = int(rng.integers(1, 40))
+            S = rng.random((n, n)) < rng.uniform(0.0, 0.15)
+            supports.append(S | S.T)
+        path = np.zeros((300, 300), dtype=bool)
+        nodes = rng.permutation(300)
+        path[nodes[:-1], nodes[1:]] = path[nodes[1:], nodes[:-1]] = True
+        for S in supports + [path]:
+            assignment, sizes = bfs_components(S.shape[0], *np.nonzero(S))
+            parts = components_from_support(S)
+            npt.assert_array_equal(parts.assignment, assignment)
+            npt.assert_array_equal(parts.sizes, sizes)
+
+    def test_edge_list_dense_round_trip(self):
+        W = random_latent_graph(np.random.default_rng(44), 7)
+        rows, cols = np.nonzero(W)
+        npt.assert_array_equal(EdgeList(7, rows, cols, W[rows, cols]).dense(), W)
+
+
 class TestProjector:
     def test_matches_indicator_construction(self):
         rng = np.random.default_rng(5)
@@ -156,6 +266,19 @@ class TestSplit:
             for r in range(parts.n_components):
                 npt.assert_allclose(X_C[parts.assignment == r].sum(axis=0),
                                     0.0, atol=1e-10)
+
+    def test_means_equal_per_component_loop(self):
+        rng = np.random.default_rng(9)
+        for _ in range(10):
+            n = int(rng.integers(3, 40))
+            sparse = random_latent_graph(rng, n) * (rng.random((n, n)) < 0.05)
+            parts = connected_components(sparse)
+            X = rng.normal(size=(n, 4)) * 1e3
+            means = np.array([X[parts.assignment == r].mean(axis=0)
+                              for r in range(parts.n_components)])
+            X_M, X_C = split_mean_centered(X, parts)
+            npt.assert_array_equal(X_M, means[parts.assignment])
+            npt.assert_array_equal(X_C, X - means[parts.assignment])
 
     def test_matches_projector_product(self):
         rng = np.random.default_rng(8)

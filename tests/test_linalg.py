@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from graphcoupling.errors import ContractViolationError
-from graphcoupling.linalg import center_columns, pairwise_sq_dists, sym_eig
+from graphcoupling.linalg import center_columns, leading_signs, pairwise_sq_dists, sym_eig
 
 
 class TestSymEig:
@@ -61,6 +61,20 @@ class TestSymEig:
         A = np.array([[1.0, 0.5], [0.5 + 1e-13, 1.0]])
         w, _ = sym_eig(A)
         npt.assert_allclose(w, [1.5, 0.5], atol=1e-9)
+
+
+class TestLeadingSigns:
+    def test_roundoff_ties_go_to_lowest_index(self):
+        big = np.nextafter(np.nextafter(3.0, 4.0), 4.0)  # 3 plus two units of roundoff
+        V = np.array([[3.0, -2.0, 0.0, 1.0],
+                      [-big, 2.0, 0.0, -5.0],
+                      [0.0, 0.0, 0.0, 1.0]])
+        npt.assert_array_equal(leading_signs(V), [1.0, -1.0, 1.0, -1.0])
+
+    def test_matches_argmax_rule_without_ties(self):
+        V = np.random.default_rng(4).normal(size=(9, 6))
+        lead = np.argmax(np.abs(V), axis=0)
+        npt.assert_array_equal(leading_signs(V), np.sign(V[lead, np.arange(6)]))
 
 
 class TestCenterColumns:

@@ -11,6 +11,7 @@ from graphcoupling.graph import validate_latent_graph
 from graphcoupling.kernels import kernel_matrix
 from graphcoupling.posterior import (
     AffinityMatrix,
+    PosteriorSampler,
     posterior_expectation,
     sample_posterior_graph,
     symmetrize_row_affinity,
@@ -21,6 +22,26 @@ from graphcoupling.posterior import (
 def example_kernel(seed=0, n=6):
     rng = np.random.default_rng(seed)
     return kernel_matrix(rng.normal(size=(n, 2)), "gaussian")
+
+
+def dense_reference_sample(K, prior, rng):
+    """The dense sampler the edge-list one replaced, kept as its oracle."""
+    G = np.asarray(getattr(K, "values", K), dtype=np.float64)
+    n = G.shape[0]
+    if prior == "B":
+        return (rng.random((n, n)) < G / (1.0 + G)).astype(np.int64)
+    if prior == "D":
+        cdf = np.cumsum(G / G.sum(axis=1)[:, None], axis=1)
+        cdf /= cdf[:, -1:]
+        idx = (cdf < 1.0 - rng.random((n, 1))).sum(axis=1)
+        W = np.zeros((n, n), dtype=np.int64)
+        W[np.arange(n), idx] = 1
+        return W
+    off = ~np.eye(n, dtype=bool)
+    p = G[off] / G.sum()
+    W = np.zeros((n, n), dtype=np.int64)
+    W[off] = rng.multinomial(n, p / p.sum())
+    return W
 
 
 class TestExpectations:
@@ -126,6 +147,33 @@ class TestSampling:
             W1 = sample_posterior_graph(K, prior, np.random.default_rng(11))
             W2 = sample_posterior_graph(K, prior, np.random.default_rng(11))
             npt.assert_array_equal(W1, W2)
+
+    @pytest.mark.parametrize("prior", ["B", "D", "E"])
+    def test_same_stream_as_dense_reference(self, prior):
+        # a tie-free kernel, a kernel with exact zeros (far pairs underflow),
+        # and n = 2, where every D row has a single admissible cell
+        rng = np.random.default_rng(12)
+        X_far = np.vstack([rng.normal(size=(6, 2)), rng.normal(size=(6, 2)) + 60.0])
+        for K in (example_kernel(12, n=40), kernel_matrix(X_far, "gaussian"),
+                  example_kernel(13, n=2)):
+            sampler = PosteriorSampler(K, prior)
+            for seed in range(8):
+                edges = sampler.draw(np.random.default_rng([seed, 3]))
+                W = dense_reference_sample(K, prior, np.random.default_rng([seed, 3]))
+                rows, cols = np.nonzero(W)
+                npt.assert_array_equal(edges.rows, rows)
+                npt.assert_array_equal(edges.cols, cols)
+                npt.assert_array_equal(edges.counts, W[rows, cols])
+                npt.assert_array_equal(
+                    sample_posterior_graph(K, prior, np.random.default_rng([seed, 3])), W)
+
+    def test_sampler_validates_once_at_construction(self):
+        with pytest.raises(ContractViolationError):
+            PosteriorSampler(np.ones((3, 3)), "D")
+        with pytest.raises(DegenerateRowError):
+            PosteriorSampler(np.zeros((3, 3)), "D")
+        with pytest.raises(ParameterError):
+            PosteriorSampler(example_kernel(), "Q")
 
     def test_frequencies_match_expectations(self):
         K = example_kernel(10, n=5)
