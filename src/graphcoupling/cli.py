@@ -13,21 +13,42 @@ failure.
 
 import argparse
 import hashlib
+import inspect
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 import yaml
 
 from .dataio import load_csv, load_embedding, save_embedding
+from .coupling import METHOD_KINDS
 from .diagnostics import run_diagnostics
 from .errors import DataError, GraphCouplingError, ParameterError
 from .evaluation import evaluate_embedding
+from .kernels import KERNEL_KINDS
 from .optim import OptimizerConfig
-from .pipeline import RunSpec, default_eval_ks, initial_embedding, prepare_input, run
+from .pipeline import (INIT_KINDS, SPECTRAL_INIT_KINDS, RunSpec, default_eval_ks,
+                       initial_embedding, prepare_input, run)
+from .posterior import PRIOR_KINDS
 from .svgplot import render_svg_scatter
 
 OUT_DIR_ENV = "GRAPHCOUPLING_OUT_DIR"
+
+#: The :class:`RunSpec` field each option of ``fit`` and ``init`` sets;
+#: ``init`` reads its ``method`` as the initialization.
+FIT_FIELDS = {"method": "method", "init": "init", "dim": "q", "perplexity": "perplexity",
+              "latent_kernel": "latent_kernel", "classic_scale": "classic_scale",
+              "samples": "ccpca_samples", "prior": "ccpca_prior", "seed": "seed"}
+INIT_FIELDS = {"method": "init", "dim": "q", "perplexity": "perplexity",
+               "samples": "ccpca_samples", "prior": "ccpca_prior", "seed": "seed"}
+#: The :class:`OptimizerConfig` field each option of ``fit`` sets.
+OPTIMIZER_FIELDS = {"iterations": "iterations", "learning_rate": "learning_rate",
+                    "exaggeration": "early_exaggeration"}
+
+#: Defaults quoted in the help text, read from their owners.
+_SPEC = RunSpec()
+_DIAGNOSE = inspect.signature(run_diagnostics).parameters
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
@@ -77,22 +98,32 @@ def load_config(path) -> dict:
     return config
 
 
-def _resolve(args, config, name, default):
+def _resolve(args, config, name, default=None):
     value = getattr(args, name, None)
     if value is None:
         value = config.get(name)
     return default if value is None else value
 
 
+def _chosen(args, config, fields) -> dict:
+    """{field: value} of the options in ``fields`` set by flag or config."""
+    values = {name: _resolve(args, config, option) for option, name in fields.items()}
+    return {name: value for name, value in values.items() if value is not None}
+
+
+def _run_spec(args, config, fields, optimizer_fields=None) -> RunSpec:
+    """The run the user asked for; every option left unset keeps its default."""
+    optimizer = OptimizerConfig(**_chosen(args, config, optimizer_fields or {}))
+    return RunSpec(**_chosen(args, config, fields), optimizer=optimizer)
+
+
 def _check_threads(threads) -> None:
-    # Caps worker pools; every pipeline here is single-threaded one-shot
-    # numpy, so the setting can never change results.
+    # Validated only: nothing reads it, so it can never change results.
     if threads is not None and threads < 1:
         raise ParameterError(f"threads must be at least 1, got {threads}")
 
 
 def _load_dataset(args, config):
-    path = args.input
     delimiter = _resolve(args, config, "delimiter", ",")
     header = not _resolve(args, config, "no_header", False)
     label = _resolve(args, config, "label", None)
@@ -102,13 +133,11 @@ def _load_dataset(args, config):
         except ValueError:
             raise ParameterError(
                 "label must be a column index when the file has no header") from None
-    return load_csv(path, delimiter=delimiter, header=header, label=label)
+    return load_csv(args.input, delimiter=delimiter, header=header, label=label)
 
 
 def _out_dir(args, config) -> str:
-    out = _resolve(args, config, "out_dir", None)
-    if out is None:
-        out = os.environ.get(OUT_DIR_ENV, ".")
+    out = _resolve(args, config, "out_dir", os.environ.get(OUT_DIR_ENV, "."))
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -135,56 +164,43 @@ def _parse_k(tokens, n: int):
         except (ValueError, ZeroDivisionError):
             raise ParameterError(
                 f"cannot parse neighborhood size {token!r}; use an integer or n/4") from None
-    clipped = sorted({min(max(1, k), n - 2) for k in ks})
-    return clipped
+    return sorted({min(max(1, k), n - 2) for k in ks})
+
+
+def _save(out, stem, Z, dataset) -> dict:
+    """Write ``stem``.csv, and ``stem``.svg for a 2-D Z; returns the file names."""
+    names = {"embedding": f"{stem}.csv"}
+    save_embedding(os.path.join(out, names["embedding"]), Z,
+                   dataset.labels, dataset.label_names)
+    if Z.shape[1] == 2:
+        names["figure"] = f"{stem}.svg"
+        render_svg_scatter(os.path.join(out, names["figure"]), Z,
+                           dataset.labels, dataset.label_names)
+    return names
 
 
 def cmd_fit(args, config) -> int:
     dataset = _load_dataset(args, config)
     n = dataset.X.shape[0]
-    _check_threads(_resolve(args, config, "threads", None))
+    _check_threads(_resolve(args, config, "threads"))
     out = _out_dir(args, config)
     repeat = int(_resolve(args, config, "repeat", 1))
     if repeat < 1:
         raise ParameterError("repeat must be at least 1")
-    base_seed = int(_resolve(args, config, "seed", 0))
-    dim = int(_resolve(args, config, "dim", 2))
-    opt = OptimizerConfig(
-        iterations=int(_resolve(args, config, "iterations", 1000)),
-        learning_rate=float(_resolve(args, config, "learning_rate", 200.0)),
-        early_exaggeration=_resolve(args, config, "exaggeration", None),
-    )
+    base = _run_spec(args, config, FIT_FIELDS, OPTIMIZER_FIELDS)
     ks = _parse_k(args.k, n)
+    if ks:
+        base = replace(base, eval_ks=tuple(ks))
     collected = {}
     for index in range(repeat):
-        spec = RunSpec(
-            method=_resolve(args, config, "method", "tsne"),
-            init=_resolve(args, config, "init", "pca"),
-            q=dim,
-            perplexity=float(_resolve(args, config, "perplexity", 30.0)),
-            latent_kernel=_resolve(args, config, "latent_kernel", None),
-            classic_scale=bool(_resolve(args, config, "classic_scale", False)),
-            ccpca_samples=int(_resolve(args, config, "samples", 100)),
-            ccpca_prior=_resolve(args, config, "prior", "D"),
-            seed=base_seed + index,
-            optimizer=opt,
-            eval_ks=tuple(ks) if ks else None,
-        )
+        spec = replace(base, seed=base.seed + index)
         result = run(dataset.X, spec)
         suffix = "" if repeat == 1 else f"-{index:02d}"
-        emb_name = f"embedding{suffix}.csv"
         man_name = f"manifest{suffix}.yaml"
-        save_embedding(os.path.join(out, emb_name), result.Z,
-                       dataset.labels, dataset.label_names)
-        artifacts = {"embedding": emb_name, "manifest": man_name}
-        if dim == 2:
-            fig_name = f"embedding{suffix}.svg"
-            render_svg_scatter(os.path.join(out, fig_name), result.Z,
-                               dataset.labels, dataset.label_names)
-            artifacts["figure"] = fig_name
+        artifacts = _save(out, f"embedding{suffix}", result.Z, dataset)
         result.manifest["input"]["path"] = str(args.input)
         result.manifest["input"]["sha256"] = _sha256(args.input)
-        result.manifest["artifacts"] = artifacts
+        result.manifest["artifacts"] = {**artifacts, "manifest": man_name}
         with open(os.path.join(out, man_name), "w", encoding="utf-8") as handle:
             yaml.safe_dump(result.manifest, handle, sort_keys=True)
         summary = "  ".join(f"r@{s.k}={s.r:.4f}" for s in result.scores)
@@ -202,30 +218,23 @@ def cmd_fit(args, config) -> int:
 def cmd_init(args, config) -> int:
     dataset = _load_dataset(args, config)
     X = dataset.X
-    _check_threads(_resolve(args, config, "threads", None))
+    _check_threads(_resolve(args, config, "threads"))
     out = _out_dir(args, config)
-    dim = int(_resolve(args, config, "dim", 2))
-    method = _resolve(args, config, "method", "pca")
-    if method not in ("pca", "le", "ccpca"):
-        raise ParameterError(f"unknown init method {method!r}; use pca, le or ccpca")
-    spec = RunSpec(init=method, q=dim,
-                   perplexity=float(_resolve(args, config, "perplexity", 30.0)),
-                   ccpca_samples=int(_resolve(args, config, "samples", 100)),
-                   ccpca_prior=_resolve(args, config, "prior", "D"),
-                   seed=int(_resolve(args, config, "seed", 0))).validate()
+    spec = _run_spec(args, config, INIT_FIELDS)
+    if spec.init not in SPECTRAL_INIT_KINDS:
+        *others, last = SPECTRAL_INIT_KINDS
+        raise ParameterError(f"unknown init method {spec.init!r}; "
+                             f"use {', '.join(others)} or {last}")
+    spec.validate()
     # PCA needs no affinity; the others use the one fit would build.
-    affinity, kernel = ((None, None) if method == "pca"
+    affinity, kernel = ((None, None) if spec.init == "pca"
                         else prepare_input(X, spec.method, spec.perplexity))
     Z, degenerate = initial_embedding(X, spec, affinity, kernel)
     if degenerate:
         print("warning: affinity graph has several connected components; "
               "between-component layout is arbitrary", file=sys.stderr)
-    emb_path = os.path.join(out, "init.csv")
-    save_embedding(emb_path, Z, dataset.labels, dataset.label_names)
-    if dim == 2:
-        render_svg_scatter(os.path.join(out, "init.svg"), Z,
-                           dataset.labels, dataset.label_names)
-    print(f"wrote {emb_path}")
+    names = _save(out, "init", Z, dataset)
+    print(f"wrote {os.path.join(out, names['embedding'])}")
     return 0
 
 
@@ -255,9 +264,9 @@ def cmd_plot(args, config) -> int:
 
 
 def cmd_diagnose(args, config) -> int:
-    seed = int(_resolve(args, config, "seed", 0))
-    samples = args.samples if args.samples is not None else 20000
-    results = run_diagnostics(seed=seed, samples=int(samples))
+    # Only the flag sets the draws: a config file's ``samples`` sizes ccPCA.
+    results = run_diagnostics(**_chosen(args, config, {"seed": "seed"}),
+                              **_chosen(args, {}, {"samples": "samples"}))
     failed = 0
     for check in results:
         status = "PASS" if check.passed else "FAIL"
@@ -269,22 +278,33 @@ def cmd_diagnose(args, config) -> int:
     return 0
 
 
-def _add_data_options(parser, with_label=True):
+def _add_data_options(parser):
     parser.add_argument("--input", required=True, help="delimited data file")
     parser.add_argument("--delimiter", help="field delimiter (default ',')")
     parser.add_argument("--no-header", action="store_true", default=None,
                         help="treat the first line as data, not column names")
-    if with_label:
-        parser.add_argument("--label", help="label column name or index")
+    parser.add_argument("--label", help="label column name or index")
 
 
 def _add_common_options(parser):
     parser.add_argument("--config", help="flat key = value options file")
     parser.add_argument("--out-dir",
                         help=f"output directory (or ${OUT_DIR_ENV}, default '.')")
-    parser.add_argument("--seed", type=int, help="master random seed (default 0)")
+    parser.add_argument("--seed", type=int, help=f"master random seed (default {_SPEC.seed})")
     parser.add_argument("--threads", type=int,
-                        help="cap on worker threads; never changes results")
+                        help="accepted and checked to be at least 1; has no effect")
+
+
+def _add_run_options(parser, methods, method_help):
+    """The :class:`RunSpec` options that ``fit`` and ``init`` share."""
+    parser.add_argument("--method", choices=methods, help=method_help)
+    parser.add_argument("--dim", type=int, help=f"embedding dimension (default {_SPEC.q})")
+    parser.add_argument("--perplexity", type=float,
+                        help=f"bandwidth calibration target (default {_SPEC.perplexity:g})")
+    parser.add_argument("--samples", type=int,
+                        help=f"posterior samples for ccpca (default {_SPEC.ccpca_samples})")
+    parser.add_argument("--prior", choices=PRIOR_KINDS,
+                        help=f"prior for ccpca (default {_SPEC.ccpca_prior})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -297,28 +317,23 @@ def build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", help="embed a dataset end to end")
     _add_data_options(fit)
     _add_common_options(fit)
-    fit.add_argument("--method", choices=("sne", "tsne", "largevis", "umap"),
-                     help="coupling method (default tsne)")
-    fit.add_argument("--init", choices=("random", "pca", "le", "ccpca"),
-                     help="initialization (default pca)")
-    fit.add_argument("--dim", type=int, help="embedding dimension (default 2)")
-    fit.add_argument("--perplexity", type=float,
-                     help="bandwidth calibration target (default 30)")
-    fit.add_argument("--latent-kernel", choices=("gaussian", "student"),
+    _add_run_options(fit, METHOD_KINDS, f"coupling method (default {_SPEC.method})")
+    fit.add_argument("--init", choices=INIT_KINDS,
+                     help=f"initialization (default {_SPEC.init})")
+    fit.add_argument("--latent-kernel", choices=KERNEL_KINDS,
                      help="latent kernel (default per method)")
     fit.add_argument("--classic-scale", action="store_true", default=None,
-                     help="divide the symmetrized affinity by 2n")
-    fit.add_argument("--iterations", type=int, help="descent iterations (default 1000)")
-    fit.add_argument("--learning-rate", type=float, help="step size (default 200)")
+                     help="divide the symmetrized affinity by 2n; this scales tsne's "
+                          "loss and gradient by 1/(2n) and largevis's attraction only")
+    fit.add_argument("--iterations", type=int,
+                     help=f"descent iterations (default {_SPEC.optimizer.iterations})")
+    fit.add_argument("--learning-rate", type=float,
+                     help=f"step size (default {_SPEC.optimizer.learning_rate:g})")
     exag = fit.add_mutually_exclusive_group()
     exag.add_argument("--exaggeration", dest="exaggeration", action="store_true",
                       default=None, help="force early exaggeration on")
     exag.add_argument("--no-exaggeration", dest="exaggeration", action="store_false",
                       default=None, help="force early exaggeration off")
-    fit.add_argument("--samples", type=int,
-                     help="posterior samples for ccpca init (default 100)")
-    fit.add_argument("--prior", choices=("B", "D", "E"),
-                     help="prior for ccpca init (default D)")
     fit.add_argument("--repeat", type=int,
                      help="repeat with consecutive seeds and report spread")
     fit.add_argument("--k", action="append",
@@ -328,13 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
     init = sub.add_parser("init", help="write a spectral initialization only")
     _add_data_options(init)
     _add_common_options(init)
-    init.add_argument("--method", choices=("pca", "le", "ccpca"),
-                      help="initialization method (default pca)")
-    init.add_argument("--dim", type=int, help="embedding dimension (default 2)")
-    init.add_argument("--perplexity", type=float,
-                      help="bandwidth calibration target (default 30)")
-    init.add_argument("--samples", type=int, help="posterior samples (default 100)")
-    init.add_argument("--prior", choices=("B", "D", "E"), help="ccpca prior (default D)")
+    _add_run_options(init, SPECTRAL_INIT_KINDS,
+                     f"initialization method (default {_SPEC.init})")
     init.set_defaults(func=cmd_init)
 
     ev = sub.add_parser("eval", help="score an embedding against its dataset")
@@ -352,9 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
     plot.set_defaults(func=cmd_plot)
 
     diag = sub.add_parser("diagnose", help="run internal consistency checks")
-    diag.add_argument("--seed", type=int, help="random seed (default 0)")
-    diag.add_argument("--samples", type=int,
-                      help="posterior sampling draws (default 20000)")
+    diag.add_argument("--seed", type=int,
+                      help=f"random seed (default {_DIAGNOSE['seed'].default})")
+    diag.add_argument("--samples", type=int, help="posterior sampling draws "
+                      f"(default {_DIAGNOSE['samples'].default})")
     diag.add_argument("--config", help="flat key = value options file")
     diag.set_defaults(func=cmd_diagnose)
     return parser

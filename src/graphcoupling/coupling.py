@@ -5,14 +5,18 @@ affinity induced by an embedding Z through a Bernoulli or multinomial
 cross entropy.  With the right input normalization these reproduce the
 classical neighbor-embedding objectives:
 
-``sne``       row-normalized P against row-normalized latent Q
-``tsne``      symmetrized P + P^T against globally normalized latent Q
-``largevis``  symmetrized P + P^T against edgewise K / (1 + K)
-``umap``      thresholded-OR probabilities against edgewise K / (1 + K)
+``sne``       D-prior (row) posterior P against row-normalized latent Q
+``tsne``      symmetrized D-prior P + P^T against globally normalized latent Q
+``largevis``  symmetrized D-prior P + P^T against edgewise K / (1 + K)
+``umap``      OR of B-prior edge probabilities against edgewise K / (1 + K)
 
-The symmetrized input is used with its natural total mass 2n; pass
+:func:`input_affinity` builds each P from the data kernel.  The
+symmetrized input is used with its natural total mass 2n; pass
 ``classic_scale=True`` to divide it by 2n for parity with common t-SNE
-implementations (this rescales the attraction term, not the minimizers).
+implementations.  For ``tsne`` this scales the loss and its gradient by
+exactly 1/(2n): the minimizers stay, but a fixed learning rate takes 2n
+times smaller steps.  For ``largevis`` it shrinks attraction only, which
+moves the minimizers.
 
 Early exaggeration by a factor alpha reweights the input affinity's
 terms and is a scalar argument of :meth:`CouplingProblem.evaluate`, not
@@ -39,6 +43,9 @@ from .posterior import (
     SYMMETRIZED_ROW,
     THRESHOLDED_BERNOULLI,
     AffinityMatrix,
+    posterior_expectation,
+    symmetrize_row_affinity,
+    umap_threshold_prob,
 )
 
 SNE = "sne"
@@ -47,7 +54,7 @@ LARGEVIS = "largevis"
 UMAP = "umap"
 METHOD_KINDS = (SNE, TSNE, LARGEVIS, UMAP)
 
-#: Input normalization each method requires.
+#: Input normalization each method requires, checked by :class:`CouplingProblem`.
 REQUIRED_NORMALIZATION = {
     SNE: ROW,
     TSNE: SYMMETRIZED_ROW,
@@ -68,6 +75,15 @@ def check_method(method: str) -> str:
     if method not in METHOD_KINDS:
         raise ParameterError(f"unknown method {method!r}, expected one of {METHOD_KINDS}")
     return method
+
+
+def input_affinity(K, method: str) -> AffinityMatrix:
+    """The input affinity P of a method from the data kernel K (see the module doc)."""
+    check_method(method)
+    if method == UMAP:
+        return umap_threshold_prob(posterior_expectation(K, "B"))
+    row = posterior_expectation(K, "D")
+    return row if method == SNE else symmetrize_row_affinity(row)
 
 
 class CouplingProblem:

@@ -12,11 +12,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coupling import METHOD_KINDS, CouplingProblem
+from .coupling import METHOD_KINDS, CouplingProblem, input_affinity
 from .graph import connected_components, laplacian, log_mrf_density
 from .kernels import kernel_matrix
-from .posterior import posterior_expectation, sample_posterior_graph, \
-    symmetrize_row_affinity, umap_threshold_prob
+from .posterior import PRIOR_KINDS, PosteriorSampler, posterior_expectation
 
 
 class DiagnosticResult(NamedTuple):
@@ -65,7 +64,7 @@ def _posterior_frequencies(rng, samples: int) -> DiagnosticResult:
     K = kernel_matrix(X, "gaussian")
     worst = 0.0
     off = ~np.eye(n, dtype=bool)
-    for prior in ("B", "D", "E"):
+    for prior in PRIOR_KINDS:
         p = posterior_expectation(K, prior).values
         if prior == "E":
             # one sample is multinomial(n, p): cell variance n p (1 - p)
@@ -74,8 +73,9 @@ def _posterior_frequencies(rng, samples: int) -> DiagnosticResult:
             expect, var = p, p * (1.0 - p)
         counts = np.zeros((n, n))
         sub = np.random.default_rng(rng.integers(2 ** 32))
+        sampler = PosteriorSampler(K, prior)
         for _ in range(samples):
-            counts += sample_posterior_graph(K, prior, sub)
+            counts += sampler.draw(sub).dense()
         freq = counts / samples
         se = np.sqrt(np.maximum(var, 1e-12) / samples)
         z = (np.abs(freq - expect) / se)[off]
@@ -88,17 +88,10 @@ def _decomposition_identity(rng) -> DiagnosticResult:
     n = 8
     X = rng.normal(size=(n, 3))
     K = kernel_matrix(X, "gaussian")
-    row = posterior_expectation(K, "D")
-    affinities = {
-        "sne": row,
-        "tsne": symmetrize_row_affinity(row),
-        "largevis": symmetrize_row_affinity(row),
-        "umap": umap_threshold_prob(posterior_expectation(K, "B")),
-    }
     Z = rng.normal(size=(n, 2))
     exact = True
     for method in METHOD_KINDS:
-        problem = CouplingProblem(method, affinities[method])
+        problem = CouplingProblem(method, input_affinity(K, method))
         att, rep = problem.attraction_repulsion(Z)
         exact = exact and (att + rep == problem.loss(Z))
     return DiagnosticResult("loss-decomposition-identity", exact,
@@ -109,8 +102,7 @@ def _gradient_check(rng) -> DiagnosticResult:
     n = 6
     X = rng.normal(size=(n, 3))
     K = kernel_matrix(X, "gaussian")
-    row = posterior_expectation(K, "D")
-    problem = CouplingProblem("tsne", symmetrize_row_affinity(row))
+    problem = CouplingProblem("tsne", input_affinity(K, "tsne"))
     Z = rng.normal(size=(n, 2))
     g = problem.grad(Z)
     eps = 1e-6

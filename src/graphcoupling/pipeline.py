@@ -13,21 +13,18 @@ from typing import Optional
 import numpy as np
 
 from .ccpca import CcpcaConfig, ccpca
-from .coupling import DEFAULT_LATENT_KERNEL, CouplingProblem, check_method
+from .coupling import CouplingProblem, check_method, input_affinity
 from .errors import ParameterError
 from .kernels import GAUSSIAN, KernelMatrix, calibrate_bandwidths, kernel_from_sq_dists
 from .linalg import as_float_matrix, pairwise_sq_dists
 from .optim import MinimizeResult, OptimizerConfig, minimize
 from .evaluation import evaluate_embedding
-from .posterior import (
-    AffinityMatrix,
-    posterior_expectation,
-    symmetrize_row_affinity,
-    umap_threshold_prob,
-)
+from .posterior import AffinityMatrix
 from .spectral import laplacian_eigenmaps, pca
 
-INIT_KINDS = ("random", "pca", "le", "ccpca")
+#: Initializations computed from the data alone; ``init`` writes any of them.
+SPECTRAL_INIT_KINDS = ("pca", "le", "ccpca")
+INIT_KINDS = ("random",) + SPECTRAL_INIT_KINDS
 
 #: Scale of the initial embedding: random coordinates are standard
 #: normal times this, spectral initializations are rescaled so their
@@ -71,19 +68,14 @@ def prepare_input(X, method: str, perplexity: float):
 
     All methods share one perplexity-calibrated Gaussian kernel; the
     edgewise route reuses those bandwidths rather than calibrating a
-    separate connectivity target.
+    separate connectivity target.  :func:`coupling.input_affinity` turns
+    the kernel into the method's affinity.
     """
     check_method(method)
     D = pairwise_sq_dists(X)
     tau = calibrate_bandwidths(D, perplexity)
     K = kernel_from_sq_dists(D, GAUSSIAN, tau)
-    if method == "sne":
-        P = posterior_expectation(K, "D")
-    elif method in ("tsne", "largevis"):
-        P = symmetrize_row_affinity(posterior_expectation(K, "D"))
-    else:
-        P = umap_threshold_prob(posterior_expectation(K, "B"))
-    return P, K
+    return input_affinity(K, method), K
 
 
 def rescale_init(Z: np.ndarray, n: int) -> np.ndarray:
@@ -139,8 +131,7 @@ def run(X, spec: RunSpec = None) -> RunResult:
         Z0 = rescale_init(Z0, n)
     init_s = time.perf_counter() - t0
 
-    latent_kernel = spec.latent_kernel or DEFAULT_LATENT_KERNEL[spec.method]
-    problem = CouplingProblem(spec.method, affinity, latent_kernel,
+    problem = CouplingProblem(spec.method, affinity, spec.latent_kernel,
                               classic_scale=spec.classic_scale)
     opt = spec.optimizer
     if opt.early_exaggeration is None:
@@ -161,7 +152,7 @@ def run(X, spec: RunSpec = None) -> RunResult:
             "init": spec.init,
             "q": spec.q,
             "perplexity": float(spec.perplexity),
-            "latent_kernel": latent_kernel,
+            "latent_kernel": problem.latent_kernel,
             "classic_scale": bool(spec.classic_scale),
             "seed": int(spec.seed),
             "ccpca": {"samples": int(spec.ccpca_samples),

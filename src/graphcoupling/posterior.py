@@ -55,7 +55,7 @@ def check_prior(prior: str) -> str:
 
 
 def _weighted_kernel(K, pi) -> np.ndarray:
-    """Validate inputs and return pi * K with a zero diagonal."""
+    """Validate inputs and return pi * K, or K's own array when pi is None."""
     values = K.values if isinstance(K, KernelMatrix) else K
     V = as_float_matrix(values, "K")
     n, m = V.shape
@@ -66,7 +66,7 @@ def _weighted_kernel(K, pi) -> np.ndarray:
     if n and float(V.min()) < 0.0:
         raise ContractViolationError("kernel values must be nonnegative")
     if pi is None:
-        return V.copy()
+        return V
     P = as_float_matrix(pi, "pi")
     if P.shape != V.shape:
         raise ContractViolationError(f"pi must have shape {V.shape}, got {P.shape}")
@@ -105,36 +105,25 @@ def posterior_expectation(K, prior: str, pi=None) -> AffinityMatrix:
 class PosteriorSampler:
     """Exact sampler of the limiting posterior of one prior and kernel.
 
-    Construction validates K and pi and builds the prior's table once:
-    edge probabilities for B, the row CDF for D, the off-diagonal cell
-    probabilities for E.  Each :meth:`draw` takes all of its randomness
-    from ``rng`` and costs O(n log n) for D, one pass over the table for
-    B and E.
+    Construction builds the prior's table once from
+    :func:`posterior_expectation`, which validates K and pi: its edge
+    probabilities for B, their row CDF for D, and its off-diagonal cells
+    renormalized to 1 for E.  Each :meth:`draw` takes all of its
+    randomness from ``rng`` and costs O(n log n) for D, one pass over the
+    table for B and E.
     """
 
     def __init__(self, K, prior: str, pi=None):
-        check_prior(prior)
-        G = _weighted_kernel(K, pi)
-        n = G.shape[0]
+        P = posterior_expectation(K, prior, pi).values
         self.prior = prior
-        self.n = n
-        if prior == "B":
-            self._table = G / (1.0 + G)
-        elif prior == "D":
-            rows = G.sum(axis=1)
-            dead = np.nonzero(rows == 0.0)[0]
-            if dead.size:
-                raise DegenerateRowError(
-                    f"row {int(dead[0])} has no admissible edge under the D prior")
-            cdf = np.cumsum(G / rows[:, None], axis=1)
-            cdf /= cdf[:, -1:]
-            self._table = cdf
-        else:
-            total = G.sum()
-            if total == 0.0:
-                raise DegenerateRowError("no admissible edge under the E prior")
-            p = G[~np.eye(n, dtype=bool)] / total
-            self._table = p / p.sum()
+        self.n = n = P.shape[0]
+        if prior == "D":
+            np.cumsum(P, axis=1, out=P)
+            P /= P[:, -1:].copy()  # an overlapping view would copy all of P
+        elif prior == "E":
+            P = P[~np.eye(n, dtype=bool)]
+            P /= P.sum()
+        self._table = P
 
     def draw(self, rng: np.random.Generator) -> EdgeList:
         """One latent graph, in the same random stream as every earlier draw.
@@ -185,8 +174,8 @@ def sample_posterior_graph(K, prior: str, rng: np.random.Generator, pi=None) -> 
 def symmetrize_row_affinity(P: AffinityMatrix) -> AffinityMatrix:
     """P + P^T of a row-normalized affinity; total mass becomes 2n.
 
-    Kept unnormalized on purpose: dividing by 2n only rescales the
-    attraction term of the couplings built from it.
+    Kept unnormalized on purpose; ``classic_scale`` of
+    :class:`coupling.CouplingProblem` divides it by 2n.
     """
     if P.normalization != ROW:
         raise ContractViolationError(

@@ -1,11 +1,18 @@
+import argparse
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 import yaml
 
-from graphcoupling.cli import OUT_DIR_ENV, load_config, main
+from graphcoupling.cli import OUT_DIR_ENV, build_parser, load_config, main
+from graphcoupling.coupling import METHOD_KINDS
 from graphcoupling.dataio import load_csv, load_embedding, save_embedding
 from graphcoupling.errors import ParameterError
+from graphcoupling.kernels import KERNEL_KINDS
+from graphcoupling.pipeline import (INIT_KINDS, SPECTRAL_INIT_KINDS, RunSpec,
+                                    initial_embedding, run)
+from graphcoupling.posterior import PRIOR_KINDS
 
 
 @pytest.fixture
@@ -253,6 +260,49 @@ class TestInit:
         with pytest.raises(SystemExit) as err:
             main(["init", "--input", str(blob_csv), "--method", "random"])
         assert err.value.code == 2
+
+
+class TestDefaults:
+    """Every unset option takes the library's default and choices."""
+
+    @pytest.fixture
+    def plain_csv(self, tmp_path):
+        X = np.random.default_rng(4).normal(size=(30, 3))
+        path = tmp_path / "plain.csv"
+        path.write_text(
+            "a,b,c\n" + "\n".join(",".join(format(v, ".17g") for v in row)
+                                  for row in X) + "\n", encoding="utf-8")
+        return path
+
+    def test_fit_run_block_is_runspec_default(self, plain_csv, tmp_path):
+        out = tmp_path / "fit"
+        args = ["fit", "--input", str(plain_csv), "--out-dir", str(out),
+                "--perplexity", "8"]
+        assert main(args) == 0
+        manifest = yaml.safe_load((out / "manifest.yaml").read_text())
+        expected = run(load_csv(plain_csv).X, RunSpec(perplexity=8.0)).manifest
+        assert manifest["run"] == expected["run"]
+
+    def test_init_without_method_is_runspec_default(self, plain_csv, tmp_path):
+        out = tmp_path / "init"
+        assert main(["init", "--input", str(plain_csv), "--out-dir", str(out)]) == 0
+        Z0, _ = initial_embedding(load_csv(plain_csv).X, RunSpec(), None, None)
+        npt.assert_array_equal(load_embedding(out / "init.csv").X, Z0)
+
+    def test_parser_choices_are_library_kinds(self):
+        sub = next(action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+
+        def choices(command, dest):
+            return next(action.choices for action in sub.choices[command]._actions
+                        if action.dest == dest)
+
+        assert choices("fit", "method") == METHOD_KINDS
+        assert choices("fit", "init") == INIT_KINDS
+        assert choices("fit", "latent_kernel") == KERNEL_KINDS
+        assert choices("fit", "prior") == PRIOR_KINDS
+        assert choices("init", "method") == SPECTRAL_INIT_KINDS
+        assert choices("init", "prior") == PRIOR_KINDS
 
 
 class TestEval:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -10,6 +12,7 @@ from graphcoupling.errors import (
 from graphcoupling.graph import validate_latent_graph
 from graphcoupling.kernels import kernel_matrix
 from graphcoupling.posterior import (
+    PRIOR_KINDS,
     AffinityMatrix,
     PosteriorSampler,
     posterior_expectation,
@@ -17,6 +20,13 @@ from graphcoupling.posterior import (
     symmetrize_row_affinity,
     umap_threshold_prob,
 )
+
+
+#: Both build a prior's normalization of K, so both must reject the same
+#: inputs with the same error.
+ENTRY_POINTS = pytest.mark.parametrize(
+    "entry", [posterior_expectation, PosteriorSampler],
+    ids=["posterior_expectation", "PosteriorSampler"])
 
 
 def example_kernel(seed=0, n=6):
@@ -96,12 +106,17 @@ class TestExpectations:
         assert P.values[0, 1] == 0.0
         npt.assert_allclose(P.values.sum(axis=1), 1.0, rtol=1e-12)
 
-    def test_degenerate_row_named(self):
+    @ENTRY_POINTS
+    def test_degenerate_row_named(self, entry):
         K = example_kernel()
         pi = np.ones(K.values.shape)
         pi[2, :] = 0.0
-        with pytest.raises(DegenerateRowError, match="row 2"):
-            posterior_expectation(K, "D", pi)
+        with pytest.raises(DegenerateRowError,
+                           match="^row 2 has no admissible edge under the D prior$"):
+            entry(K, "D", pi)
+        with pytest.raises(DegenerateRowError,
+                           match="^no admissible edge under the E prior$"):
+            entry(np.zeros((3, 3)), "E")
 
     def test_unknown_prior(self):
         with pytest.raises(ParameterError):
@@ -167,13 +182,32 @@ class TestSampling:
                 npt.assert_array_equal(
                     sample_posterior_graph(K, prior, np.random.default_rng([seed, 3])), W)
 
-    def test_sampler_validates_once_at_construction(self):
-        with pytest.raises(ContractViolationError):
-            PosteriorSampler(np.ones((3, 3)), "D")
-        with pytest.raises(DegenerateRowError):
-            PosteriorSampler(np.zeros((3, 3)), "D")
-        with pytest.raises(ParameterError):
-            PosteriorSampler(example_kernel(), "Q")
+    @ENTRY_POINTS
+    def test_sampler_validates_once_at_construction(self, entry):
+        negative = np.array([[0.0, -1.0], [1.0, 0.0]])
+        cases = [
+            (np.ones((3, 3)), "D", ContractViolationError,
+             "kernel matrix must have a zero diagonal"),
+            (negative, "B", ContractViolationError, "kernel values must be nonnegative"),
+            (np.zeros((3, 3)), "D", DegenerateRowError,
+             "row 0 has no admissible edge under the D prior"),
+            (np.zeros((3, 3)), "E", DegenerateRowError,
+             "no admissible edge under the E prior"),
+            (example_kernel(), "Q", ParameterError, "unknown prior 'Q'"),
+        ]
+        for K, prior, error, message in cases:
+            with pytest.raises(error, match="^" + re.escape(message)):
+                entry(K, prior)
+
+    @pytest.mark.parametrize("prior", PRIOR_KINDS)
+    def test_caller_kernel_left_unchanged(self, prior):
+        # without pi both read the caller's own array
+        K = example_kernel(15)
+        before = K.values.copy()
+        for kernel in (K, K.values):
+            posterior_expectation(kernel, prior)
+            PosteriorSampler(kernel, prior).draw(np.random.default_rng(0))
+        npt.assert_array_equal(K.values, before)
 
     def test_frequencies_match_expectations(self):
         K = example_kernel(10, n=5)
