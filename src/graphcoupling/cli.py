@@ -279,6 +279,7 @@ def cmd_diagnose(args, config) -> int:
 
 
 def _add_data_options(parser):
+    parser.add_argument("--config", help="flat key = value options file")
     parser.add_argument("--input", required=True, help="delimited data file")
     parser.add_argument("--delimiter", help="field delimiter (default ',')")
     parser.add_argument("--no-header", action="store_true", default=None,
@@ -286,17 +287,13 @@ def _add_data_options(parser):
     parser.add_argument("--label", help="label column name or index")
 
 
-def _add_common_options(parser):
-    parser.add_argument("--config", help="flat key = value options file")
+def _add_run_options(parser, methods, method_help):
+    """The options that ``fit`` and ``init`` share: output, threads, :class:`RunSpec`."""
     parser.add_argument("--out-dir",
                         help=f"output directory (or ${OUT_DIR_ENV}, default '.')")
-    parser.add_argument("--seed", type=int, help=f"master random seed (default {_SPEC.seed})")
     parser.add_argument("--threads", type=int,
                         help="accepted and checked to be at least 1; has no effect")
-
-
-def _add_run_options(parser, methods, method_help):
-    """The :class:`RunSpec` options that ``fit`` and ``init`` share."""
+    parser.add_argument("--seed", type=int, help=f"master random seed (default {_SPEC.seed})")
     parser.add_argument("--method", choices=methods, help=method_help)
     parser.add_argument("--dim", type=int, help=f"embedding dimension (default {_SPEC.q})")
     parser.add_argument("--perplexity", type=float,
@@ -316,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     fit = sub.add_parser("fit", help="embed a dataset end to end")
     _add_data_options(fit)
-    _add_common_options(fit)
     _add_run_options(fit, METHOD_KINDS, f"coupling method (default {_SPEC.method})")
     fit.add_argument("--init", choices=INIT_KINDS,
                      help=f"initialization (default {_SPEC.init})")
@@ -342,14 +338,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     init = sub.add_parser("init", help="write a spectral initialization only")
     _add_data_options(init)
-    _add_common_options(init)
     _add_run_options(init, SPECTRAL_INIT_KINDS,
                      f"initialization method (default {_SPEC.init})")
     init.set_defaults(func=cmd_init)
 
     ev = sub.add_parser("eval", help="score an embedding against its dataset")
     _add_data_options(ev)
-    _add_common_options(ev)
     ev.add_argument("--embedding", required=True, help="embedding file from fit or init")
     ev.add_argument("--k", action="append",
                     help="neighborhood size; integer or n/4 style; repeatable")
@@ -358,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     plot = sub.add_parser("plot", help="render an embedding file as SVG")
     plot.add_argument("--embedding", required=True, help="embedding file")
     plot.add_argument("--out", help="output SVG path (default alongside input)")
-    plot.add_argument("--config", help="flat key = value options file")
     plot.set_defaults(func=cmd_plot)
 
     diag = sub.add_parser("diagnose", help="run internal consistency checks")

@@ -20,12 +20,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import linalg
 from .errors import ContractViolationError, ParameterError
 from .linalg import as_float_matrix, pairwise_sq_dists
-
-#: Distance cells :func:`evaluate_embedding` partitions per block of rows;
-#: bounds its temporaries.
-NEIGHBOR_BLOCK_CELLS = 1 << 16
 
 
 class NeighborhoodScore(NamedTuple):
@@ -62,7 +59,7 @@ def _neighbor_masks(D: np.ndarray, ks) -> list:
     n = D.shape[0]
     np.fill_diagonal(D, -1.0)
     masks = [np.empty((n, n), dtype=bool) for _ in ks]
-    step = max(1, NEIGHBOR_BLOCK_CELLS // max(n, 1))
+    step = max(1, linalg.ROW_BLOCK_CELLS // max(n, 1))
     for lo in range(0, n, step):
         block = D[lo:lo + step]
         thresholds = np.partition(block, ks, axis=1)[:, ks]

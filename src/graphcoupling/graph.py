@@ -12,13 +12,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import linalg
 from .errors import ContractViolationError
 from .kernels import log_kernel
 from .linalg import as_float_matrix, pairwise_sq_dists
-
-#: Adjacency cells :func:`components_from_support` reads per block; bounds
-#: the edges it holds at once.
-SUPPORT_BLOCK_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -154,7 +151,7 @@ def components_from_support(adjacent: np.ndarray) -> Partition:
     n = adjacent.shape[0]
     nodes = np.arange(n, dtype=np.int64)
     roots = nodes
-    step = max(1, SUPPORT_BLOCK_CELLS // max(n, 1))
+    step = max(1, linalg.ROW_BLOCK_CELLS // max(n, 1))
     for lo in range(0, n, step):
         rows, cols = np.nonzero(adjacent[lo:lo + step])
         roots = _component_roots(n, np.concatenate([nodes, rows + lo]),

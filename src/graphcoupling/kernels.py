@@ -15,6 +15,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import linalg
 from .errors import ContractViolationError, DegenerateRowError, ParameterError
 from .linalg import as_float_matrix, pairwise_sq_dists
 
@@ -24,7 +25,7 @@ KERNEL_KINDS = (GAUSSIAN, STUDENT)
 
 #: Entropy tolerance, in bits, for bandwidth calibration.
 ENTROPY_TOL = 1e-5
-#: Iteration cap shared by bracket expansion and bisection.
+#: Calibration evaluates each row's entropy at most 2 * MAX_BISECT_ITERS times.
 MAX_BISECT_ITERS = 64
 
 
@@ -92,26 +93,21 @@ def kernel_matrix(X, kind: str, bandwidths=None) -> KernelMatrix:
     return kernel_from_sq_dists(pairwise_sq_dists(X), kind, bandwidths)
 
 
-def _row_entropy_bits(neg_half_d: np.ndarray, tau: float) -> float:
-    """Shannon entropy, in bits, of p_j proportional to exp(-d_j / (2 tau^2))."""
-    logits = neg_half_d / (tau * tau)
-    logits = logits - logits.max()
-    w = np.exp(logits)
-    s = w.sum()
-    p = w / s
-    nz = p > 0.0
-    return float(-(p[nz] * np.log2(p[nz])).sum())
-
-
 def calibrate_bandwidths(D, perplexity: float) -> np.ndarray:
     """Per-row Gaussian bandwidths matching a target perplexity.
 
     For each row i, finds tau_i such that the Shannon entropy of the
     conditional neighbor distribution p_{j|i} proportional to
     exp(-D_ij / (2 tau_i^2)) equals log2(perplexity) within
-    ``ENTROPY_TOL`` bits.  Solved by bisection with geometric bracket
-    expansion; both phases are capped at ``MAX_BISECT_ITERS`` steps and
-    the midpoint of the final bracket is returned if the cap is hit.
+    ``ENTROPY_TOL`` bits.  Every row follows one rule from tau = 1 and
+    the bracket lo = 0, hi = inf: a row within ``ENTROPY_TOL`` of the
+    target stops at that tau; otherwise an entropy below the target sets
+    lo = tau, one at or above it sets hi = tau, and the next tau is 2 lo
+    while hi is infinite, else (lo + hi) / 2.  So tau doubles or halves
+    until the target is bracketed, then bisects.  A row still running
+    after 2 * ``MAX_BISECT_ITERS`` evaluations gets the next tau of the
+    rule.  Rows are solved together, ``linalg.ROW_BLOCK_CELLS``
+    distances at a time; no tau depends on the blocking.
 
     Raises
     ------
@@ -129,39 +125,44 @@ def calibrate_bandwidths(D, perplexity: float) -> np.ndarray:
         raise ParameterError(
             f"perplexity must lie in [1, {n - 1}] for n={n}, got {perplexity}")
     target = float(np.log2(perplexity))
-    off = ~np.eye(n, dtype=bool)
-    tau = np.ones(n, dtype=np.float64)
-    for i in range(n):
-        d = D[i, off[i]]
-        if not d.any():
+    tau = np.empty(n, dtype=np.float64)
+    step = max(1, linalg.ROW_BLOCK_CELLS // n)
+    for start in range(0, n, step):
+        block = D[start:start + step]
+        rows = np.arange(start, start + block.shape[0])
+        # The block's off-diagonal distances, n - 1 per row.
+        d = block[np.arange(n) != rows[:, None]].reshape(rows.size, n - 1)
+        dead = np.flatnonzero(~d.any(axis=1))
+        if dead.size:
             raise DegenerateRowError(
-                f"row {i} is at distance zero from every other row")
-        neg_half_d = -d / 2.0
-        lo = hi = 1.0
-        h = _row_entropy_bits(neg_half_d, 1.0)
-        if abs(h - target) <= ENTROPY_TOL:
-            continue
-        if h < target:
-            for _ in range(MAX_BISECT_ITERS):
-                hi *= 2.0
-                if _row_entropy_bits(neg_half_d, hi) >= target:
-                    break
-            lo = hi / 2.0
-        else:
-            for _ in range(MAX_BISECT_ITERS):
-                lo /= 2.0
-                if _row_entropy_bits(neg_half_d, lo) <= target:
-                    break
-            hi = lo * 2.0
-        mid = (lo + hi) / 2.0
-        for _ in range(MAX_BISECT_ITERS):
-            mid = (lo + hi) / 2.0
-            h = _row_entropy_bits(neg_half_d, mid)
-            if abs(h - target) <= ENTROPY_TOL:
-                break
-            if h < target:
-                lo = mid
-            else:
-                hi = mid
-        tau[i] = mid
+                f"row {rows[dead[0]]} is at distance zero from every other row")
+        tau[rows] = _calibrate_rows(-d / 2.0, target)
+    return tau
+
+
+def _calibrate_rows(neg_half_d: np.ndarray, target: float) -> np.ndarray:
+    """The bandwidth rule of :func:`calibrate_bandwidths` on a block of rows."""
+    tau = np.empty(neg_half_d.shape[0], dtype=np.float64)
+    live = np.arange(tau.size)
+    t, lo, hi = np.ones(tau.size), np.zeros(tau.size), np.full(tau.size, np.inf)
+    for _ in range(2 * MAX_BISECT_ITERS):
+        # Entropy in bits of p = w / s with w = exp(l), from shifted logits l.
+        logits = neg_half_d / (t * t)[:, None]
+        logits -= logits.max(axis=1, keepdims=True)
+        w = np.exp(logits)
+        s = w.sum(axis=1)
+        h = (np.log(s) - (w * logits).sum(axis=1) / s) / np.log(2.0)
+        done = np.abs(h - target) <= ENTROPY_TOL
+        if done.any():
+            tau[live[done]] = t[done]
+            keep = ~done
+            live, t, lo, hi, h, neg_half_d = (
+                a[keep] for a in (live, t, lo, hi, h, neg_half_d))
+            if not live.size:
+                return tau
+        below = h < target
+        lo = np.where(below, t, lo)
+        hi = np.where(below, hi, t)
+        t = np.where(np.isinf(hi), 2.0 * lo, (lo + hi) / 2.0)
+    tau[live] = t
     return tau

@@ -26,6 +26,11 @@ SYMMETRY_RTOL = 1e-10
 #: magnitude gap that real data produce.
 SIGN_TIE_RTOL = 1e-10
 
+#: Matrix cells each blocked row loop (calibration, the component
+#: support, the neighbor sets) handles at once; bounds its temporaries.
+#: Read at call time.
+ROW_BLOCK_CELLS = 1 << 16
+
 
 class SymEigResult(NamedTuple):
     eigenvalues: np.ndarray   # shape (n,), descending

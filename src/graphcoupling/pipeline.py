@@ -127,6 +127,7 @@ def run(X, spec: RunSpec = None) -> RunResult:
 
     t0 = time.perf_counter()
     Z0, degenerate = initial_embedding(X, spec, affinity, kernel)
+    del kernel  # n x n, read only by ccPCA
     if spec.init != "random":
         Z0 = rescale_init(Z0, n)
     init_s = time.perf_counter() - t0
@@ -140,6 +141,9 @@ def run(X, spec: RunSpec = None) -> RunResult:
     t0 = time.perf_counter()
     result: MinimizeResult = minimize(problem, Z0, opt)
     optimize_s = time.perf_counter() - t0
+    # Scoring builds two n x n distance matrices; free the input side first.
+    latent_kernel = problem.latent_kernel
+    del problem, affinity
 
     t0 = time.perf_counter()
     ks = spec.eval_ks or default_eval_ks(n)
@@ -152,7 +156,7 @@ def run(X, spec: RunSpec = None) -> RunResult:
             "init": spec.init,
             "q": spec.q,
             "perplexity": float(spec.perplexity),
-            "latent_kernel": problem.latent_kernel,
+            "latent_kernel": latent_kernel,
             "classic_scale": bool(spec.classic_scale),
             "seed": int(spec.seed),
             "ccpca": {"samples": int(spec.ccpca_samples),

@@ -323,6 +323,17 @@ class TestEval:
         assert out[1] == "3,1.000000,1.000000"
         assert out[2] == "7,1.000000,1.000000"
 
+    @pytest.mark.parametrize("option, value", [("--threads", "0"), ("--seed", "1"),
+                                               ("--out-dir", None)])
+    def test_options_it_never_reads_are_usage_errors(self, tmp_path, capsys, option, value):
+        emb = tmp_path / "e.csv"
+        save_embedding(emb, np.zeros((4, 2)))
+        value = value or str(tmp_path / "out")
+        with pytest.raises(SystemExit) as err:
+            main(["eval", "--input", str(emb), "--embedding", str(emb), option, value])
+        assert err.value.code == 2
+        assert not (tmp_path / "out").exists()
+
     def test_row_mismatch_exits_3(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
         data.write_text("a\n1\n2\n3\n", encoding="utf-8")
@@ -350,6 +361,14 @@ class TestPlot:
         target.parent.mkdir()
         assert main(["plot", "--embedding", str(emb), "--out", str(target)]) == 0
         assert target.exists()
+
+
+    def test_config_is_a_usage_error(self, tmp_path, capsys):
+        emb = tmp_path / "e.csv"
+        save_embedding(emb, np.zeros((3, 2)))
+        with pytest.raises(SystemExit) as err:
+            main(["plot", "--embedding", str(emb), "--config", "x"])
+        assert err.value.code == 2
 
 
 class TestDiagnose:

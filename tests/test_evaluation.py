@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from graphcoupling import evaluation
+from graphcoupling import linalg
 from graphcoupling.errors import ContractViolationError, ParameterError
 from graphcoupling.evaluation import (
     NeighborhoodScore,
@@ -65,9 +65,9 @@ def oracle_masks(D, ks):
 
 
 class TestPartitionedNeighborSets:
-    @pytest.mark.parametrize("block_cells", [1, 100, evaluation.NEIGHBOR_BLOCK_CELLS])
+    @pytest.mark.parametrize("block_cells", [1, 100, linalg.ROW_BLOCK_CELLS])
     def test_grid_ties_match_neighbor_indices(self, monkeypatch, block_cells):
-        monkeypatch.setattr(evaluation, "NEIGHBOR_BLOCK_CELLS", block_cells)
+        monkeypatch.setattr(linalg, "ROW_BLOCK_CELLS", block_cells)
         rng = np.random.default_rng(10)
         for trial in range(40):
             n = int(rng.integers(4, 70))

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from graphcoupling import linalg
 from graphcoupling.errors import (
     ContractViolationError,
     DegenerateRowError,
@@ -9,6 +12,7 @@ from graphcoupling.errors import (
 )
 from graphcoupling.kernels import (
     ENTROPY_TOL,
+    MAX_BISECT_ITERS,
     calibrate_bandwidths,
     kernel_from_sq_dists,
     kernel_matrix,
@@ -23,6 +27,39 @@ def row_entropy_bits(d_row, tau):
     p = p / p.sum()
     p = p[p > 0]
     return float(-(p * np.log2(p)).sum())
+
+
+def reference_tau(d_row, target):
+    """The calibration rule run on one row with the reference entropy."""
+    tau, lo, hi = 1.0, 0.0, np.inf
+    for _ in range(2 * MAX_BISECT_ITERS):
+        h = row_entropy_bits(d_row, tau)
+        if abs(h - target) <= ENTROPY_TOL:
+            return tau
+        if h < target:
+            lo = tau
+        else:
+            hi = tau
+        tau = 2.0 * lo if hi == np.inf else (lo + hi) / 2.0
+    return tau
+
+
+def assert_hits_target_entropy(X):
+    D = pairwise_sq_dists(X)
+    n = D.shape[0]
+    for perplexity in (5.0, 15.0, 29.0):
+        tau = calibrate_bandwidths(D, perplexity)
+        assert (tau > 0.0).all()
+        target = np.log2(perplexity)
+        off = ~np.eye(n, dtype=bool)
+        for i in range(n):
+            h = row_entropy_bits(D[i, off[i]], tau[i])
+            assert abs(h - target) <= ENTROPY_TOL
+
+
+def off_diagonal_rows(D):
+    n = D.shape[0]
+    return D[~np.eye(n, dtype=bool)].reshape(n, n - 1)
 
 
 class TestKernelValues:
@@ -82,17 +119,12 @@ class TestKernelValues:
 
 class TestCalibration:
     def test_hits_target_entropy(self):
-        rng = np.random.default_rng(3)
-        X = rng.normal(size=(30, 4))
-        D = pairwise_sq_dists(X)
-        for perplexity in (5.0, 15.0, 29.0):
-            tau = calibrate_bandwidths(D, perplexity)
-            assert (tau > 0.0).all()
-            target = np.log2(perplexity)
-            off = ~np.eye(30, dtype=bool)
-            for i in range(30):
-                h = row_entropy_bits(D[i, off[i]], tau[i])
-                assert abs(h - target) <= ENTROPY_TOL
+        assert_hits_target_entropy(np.random.default_rng(3).normal(size=(30, 4)))
+
+    @pytest.mark.parametrize("scale, offset", [(1e-3, 0.0), (1e3, 0.0), (1.0, 1e4)])
+    def test_hits_target_entropy_at_any_scale(self, scale, offset):
+        X = np.random.default_rng(3).normal(size=(30, 4)) * scale + offset
+        assert_hits_target_entropy(X)
 
     def test_matches_independent_solver(self):
         # Line with an outlier, spaced so no row has tied nearest neighbors:
@@ -146,3 +178,51 @@ class TestCalibration:
         X = np.zeros((4, 2))
         with pytest.raises(DegenerateRowError, match="row 0"):
             calibrate_bandwidths(pairwise_sq_dists(X), 2.0)
+
+    def test_follows_the_one_rule_row_by_row(self):
+        rng = np.random.default_rng(5)
+        for n, perplexity in ((12, 3.0), (40, 10.0), (60, 45.0)):
+            D = pairwise_sq_dists(rng.normal(size=(n, 3)) * rng.uniform(0.1, 10.0))
+            tau = calibrate_bandwidths(D, perplexity)
+            expected = [reference_tau(d, np.log2(perplexity)) for d in off_diagonal_rows(D)]
+            npt.assert_array_equal(tau, expected)
+
+    def test_stops_at_a_doubling_within_tolerance(self):
+        D = pairwise_sq_dists([[0.0], [1.0], [3.0]])
+        perplexity = 2.0 ** row_entropy_bits(D[0, 1:], 2.0)
+        assert calibrate_bandwidths(D, perplexity)[0] == 2.0
+
+    def test_block_layout_never_changes_tau(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        centers = rng.normal(size=(5, 6)) * 6.0
+        X = centers[rng.integers(0, 5, size=300)] + rng.normal(size=(300, 6))
+        D = pairwise_sq_dists(X)
+        taus = []
+        for block_cells in (1, 7 * 300, linalg.ROW_BLOCK_CELLS):
+            monkeypatch.setattr(linalg, "ROW_BLOCK_CELLS", block_cells)
+            taus.append(calibrate_bandwidths(D, 20.0))
+        assert linalg.ROW_BLOCK_CELLS < 300 * 300
+        npt.assert_array_equal(taus[1], taus[0])
+        npt.assert_array_equal(taus[2], taus[0])
+
+    @pytest.mark.parametrize("block_cells", [1, 4 * 40, None])
+    def test_dead_row_in_a_later_block_named(self, monkeypatch, block_cells):
+        if block_cells is not None:
+            monkeypatch.setattr(linalg, "ROW_BLOCK_CELLS", block_cells)
+        D = pairwise_sq_dists(np.random.default_rng(7).normal(size=(40, 2)))
+        D[25, :] = D[:, 25] = D[31, :] = D[:, 31] = 0.0
+        with pytest.raises(DegenerateRowError, match="row 25 "):
+            calibrate_bandwidths(D, 5.0)
+
+    def test_unreachable_target_stays_finite(self):
+        # Entropy reaches log2(n - 1) only as tau grows without bound
+        # unless every neighbor is equidistant.
+        rng = np.random.default_rng(8)
+        sets = [rng.normal(size=(30, 3)), np.array([[0.0], [1.0], [2.3], [3.7], [10.0]]),
+                rng.normal(size=(50, 2)) * 1e3]
+        for X in sets:
+            D = pairwise_sq_dists(X)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                tau = calibrate_bandwidths(D, X.shape[0] - 1.0)
+            assert np.isfinite(tau).all() and (tau > 0.0).all()

@@ -1,10 +1,13 @@
 import copy
+import weakref
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from graphcoupling import pipeline
 from graphcoupling.errors import ParameterError
+from graphcoupling.evaluation import evaluate_embedding
 from graphcoupling.kernels import calibrate_bandwidths, kernel_from_sq_dists
 from graphcoupling.linalg import pairwise_sq_dists
 from graphcoupling.optim import OptimizerConfig
@@ -184,8 +187,6 @@ class TestRun:
     def test_scores_reproducible_from_artifacts(self):
         # evaluation is a pure function of (X, Z): recomputing from the
         # returned embedding reproduces the manifest scores exactly
-        from graphcoupling.evaluation import evaluate_embedding
-
         X = blob_data(11, n=28)
         result = run(X, RunSpec(seed=5, perplexity=9.0, optimizer=FAST_OPT))
         again = evaluate_embedding(X, result.Z, [s.k for s in result.scores])
@@ -213,3 +214,27 @@ class TestRun:
                                         ccpca_samples=10))
                 assert np.isfinite(result.Z).all()
                 assert result.Z.shape == (24, 2)
+
+    @pytest.mark.parametrize("method, init", [("tsne", "ccpca"), ("umap", "le"),
+                                              ("sne", "random"), ("largevis", "pca")])
+    def test_input_side_freed_before_scoring(self, monkeypatch, method, init):
+        # The n x n affinity and kernel must be gone when scoring builds
+        # its own n x n distance matrices.
+        refs, scored = [], []
+
+        def prepare_and_watch(*args):
+            affinity, kernel = prepare_input(*args)
+            refs.extend(weakref.ref(m.values) for m in (affinity, kernel))
+            return affinity, kernel
+
+        def evaluate_when_freed(*args):
+            scored.append(all(ref() is None for ref in refs))
+            return evaluate_embedding(*args)
+
+        monkeypatch.setattr(pipeline, "prepare_input", prepare_and_watch)
+        monkeypatch.setattr(pipeline, "evaluate_embedding", evaluate_when_freed)
+        tiny = OptimizerConfig(iterations=12, momentum_switch=6, exaggeration_iters=6)
+        run(blob_data(14, n=24), RunSpec(method=method, init=init, seed=1, perplexity=8.0,
+                                         optimizer=tiny, ccpca_samples=5))
+        assert len(refs) == 2
+        assert scored == [True]
