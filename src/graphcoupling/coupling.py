@@ -25,6 +25,12 @@ normalizer weight alike, so the exaggerated objective and gradient are
 exactly alpha times the plain ones: early exaggeration acts as a larger
 step size.  For ``largevis`` and ``umap`` it scales attraction only.
 
+Each loss splits into attraction, -sum P_ij log K_ij over the input
+graph, and repulsion, which reads P only through its prior: the row sums
+for ``sne``, the total mass for ``tsne``, and nothing for ``largevis``
+and ``umap``.  One pass over row blocks of the embedding computes both
+with their gradient; no n x n array is formed.
+
 Losses are reported in nats.  A loss of +inf is a sentinel for an
 embedding that the method cannot score (collapsed latent mass), not an
 error; its gradient is None.
@@ -36,7 +42,7 @@ import numpy as np
 
 from .errors import ContractViolationError, ParameterError
 from .kernels import GAUSSIAN, STUDENT, check_kind, log_kernel
-from .linalg import as_float_matrix, pairwise_sq_dists
+from .linalg import as_float_matrix, pairwise_sq_dists, row_blocks
 from .optim import Evaluation
 from .posterior import (
     ROW,
@@ -84,6 +90,16 @@ def input_affinity(K, method: str) -> AffinityMatrix:
         return umap_threshold_prob(posterior_expectation(K, "B"))
     row = posterior_expectation(K, "D")
     return row if method == SNE else symmetrize_row_affinity(row)
+
+
+def _add_pair_gradient(grad, G, Z, rows) -> None:
+    """Add the gradient of pair weights G of the rows ``rows`` to grad.
+
+    Row i of the block gets sum_j G_ij (z_i - z_j); every row j gets
+    sum_i G_ij (z_j - z_i), its share as the other end of each pair.
+    """
+    grad[rows] += G.sum(axis=1)[:, None] * Z[rows] - G @ Z
+    grad += G.sum(axis=0)[:, None] * Z - G.T @ Z[rows]
 
 
 class CouplingProblem:
@@ -137,65 +153,91 @@ class CouplingProblem:
         return Z
 
     def _pass(self, Z, exaggeration: float):
-        """(attraction, repulsion, objective, gradient) from one pass over D.
+        """(attraction, repulsion, objective, gradient) from one pass over row blocks.
 
         The split is of the plain loss; the objective and its gradient
-        (None if infinite) are at ``exaggeration``.  The chain factor
-        G = dObjective/dD folds in the kernel derivative: -K^2 per unit
-        of squared distance for the Student kernel, -K/2 for the Gaussian.
+        (None if infinite) are at ``exaggeration``.  Each block of rows
+        gets its squared distances D to every point, then log K.  The
+        pair weights G = dObjective/dD fold in the kernel derivative:
+        -K^2 per unit of squared distance for the Student kernel, -K/2
+        for the Gaussian.  Each block's G enters the gradient of its rows
+        and, through the symmetry of D, of its columns.  The tsne
+        normalizer is complete only after the last block, so its
+        repulsive pair weights are summed unscaled and divided by it at
+        the end.
         """
         if not (math.isfinite(exaggeration) and exaggeration > 0.0):
             raise ParameterError(f"exaggeration must be positive, got {exaggeration}")
         Z = self._check_z(Z)
-        D = pairwise_sq_dists(Z)
-        if not np.isfinite(D).all():
-            # Squared distances overflowed; the configuration is out of
-            # range, not invalid, so score it with the infinite sentinel.
-            return math.inf, math.inf, math.inf, None
-        # Each n x n temporary is dropped once used, so at most three are
-        # alive at a time.
-        logK = log_kernel(D, self.latent_kernel)
-        del D
-        attraction = float(-(self.P * logK).sum()) * self._edge_scale
-        np.fill_diagonal(logK, -np.inf)  # self-pairs carry no latent mass
+        n = self.n
         normalized = self.method in (SNE, TSNE)
-        if normalized:
-            axis = 1 if self.method == SNE else None
-            peak = logK.max(axis=axis, keepdims=True)
-            if not np.isfinite(peak).all():
-                return attraction, math.inf, math.inf, None
-            # Largest entry 1 per normalizer, so this cannot overflow even
-            # when the normalizer itself underflows.
-            R = np.exp(logK - peak)
-            total = R.sum(axis=axis, keepdims=True)
-            weight = self.P.sum(axis=axis, keepdims=True) * self._edge_scale
-            repulsion = float((weight * (peak + np.log(total))).sum())
-            R *= weight * (exaggeration / total)
-            K = np.exp(logK, out=logK) if self.latent_kernel == STUDENT else None
-        else:
-            # Both edgewise methods reduce to the same ordered-pair form:
-            # the (1 - P)-weighted and P-weighted log(1 + K) terms merge.
-            K = np.exp(logK, out=logK)
-            repulsion = float(np.log1p(K).sum())
-            R = 1.0 + K
-            np.divide(K, R, out=R)
-        del logK
+        if normalized and n < 2:
+            return 0.0, math.inf, math.inf, None  # a lone point has no normalizer
+        student = self.latent_kernel == STUDENT
+        pull = exaggeration * self._edge_scale
+        attraction = repulsion = 0.0
+        grad = np.zeros_like(Z)
+        # tsne: the global normalizer as a sum of exp(log K - peak), and the
+        # gradient of those terms.  The Student K lies in (0, 1], so only
+        # the Gaussian needs a running peak to keep the sum from underflowing.
+        total, peak, push = 0.0, (0.0 if student else -math.inf), np.zeros_like(Z)
+        for rows in row_blocks(n):
+            D = pairwise_sq_dists(Z, rows)
+            if not np.isfinite(D).all():
+                # Squared distances overflowed; the configuration is out of
+                # range, not invalid, so score it with the infinite sentinel.
+                return math.inf, math.inf, math.inf, None
+            logK = log_kernel(D, self.latent_kernel)
+            del D
+            P = self.P[rows]
+            attraction -= float((P * logK).sum())
+            # Self-pairs carry no latent mass.
+            logK[np.arange(logK.shape[0]), np.arange(n)[rows]] = -np.inf
+            K = np.exp(logK) if student or not normalized else None
+            G = P * pull
+            if self.method == SNE:
+                # Each row's normalizer is complete within the block; the
+                # shift by its peak keeps exp from underflowing to 0 / 0.
+                top = logK.max(axis=1, keepdims=True)
+                R = np.exp(logK - top)
+                row_total = R.sum(axis=1, keepdims=True)
+                weight = P.sum(axis=1, keepdims=True) * self._edge_scale
+                repulsion += float((weight * (top + np.log(row_total))).sum())
+                R *= weight * (exaggeration / row_total)
+                G -= R
+            elif self.method == TSNE:
+                if student:
+                    R = K
+                else:
+                    top = float(logK.max())
+                    if top > peak:
+                        shrink = math.exp(peak - top)
+                        total, peak = total * shrink, top
+                        push *= shrink
+                    R = np.exp(logK - peak)
+                total += float(R.sum())
+                _add_pair_gradient(push, R * K if student else R, Z, rows)
+            else:
+                # Both edgewise methods reduce to the same ordered-pair form:
+                # the (1 - P)-weighted and P-weighted log(1 + K) terms merge.
+                repulsion += float(np.log1p(K).sum())
+                G -= K / (1.0 + K)
+            if student:
+                G *= K
+            _add_pair_gradient(grad, G, Z, rows)
+        attraction *= self._edge_scale
+        if self.method == TSNE:
+            # Repulsion reads only the total mass of P.
+            weight = float(self.P.sum()) * self._edge_scale
+            repulsion = weight * (peak + math.log(total))
+            grad -= push * (exaggeration * weight / total)
         if not math.isfinite(repulsion):
             return attraction, math.inf, math.inf, None
         objective = exaggeration * attraction + (
             exaggeration * repulsion if normalized else repulsion)
-        # R now holds the latent expected graph the repulsion pushes toward.
-        G = self.P * (exaggeration * self._edge_scale)
-        G -= R
-        del R
-        if self.latent_kernel == GAUSSIAN:
-            G *= 0.5
-        else:
-            G *= K
-        del K
-        F = G + G.T
-        del G
-        grad = 2.0 * (F.sum(axis=1)[:, None] * Z - F @ Z)
+        # dD/dz_i is 2 (z_i - z_j); the Gaussian's factor 1/2 cancels it.
+        if student:
+            grad *= 2.0
         return attraction, repulsion, objective, grad
 
     def evaluate(self, Z, exaggeration: float = 1.0) -> Evaluation:

@@ -9,20 +9,20 @@ embedding-space neighbors.  The adjusted score
 rescales it so a random embedding scores 0 in expectation and a perfect
 one scores 1, making values comparable across k and n.
 
-:func:`evaluate_embedding` builds each space's distance matrix once and
-finds the neighbor sets of every k from one ``np.partition`` of each
-block of its rows, with no full sort.  :func:`neighbor_indices` ranks
-by a full stable argsort and is kept as the oracle the tests compare
-those sets against.
+:func:`evaluate_embedding` walks the rows of both spaces one block at a
+time: each block's distances to every point, one ``np.partition`` per
+space for the neighbor sets of every k, and the count of neighbors the
+two sets share.  No full sort and no n x n array is formed.
+:func:`neighbor_indices` ranks a whole distance matrix by a stable
+argsort and is kept as the oracle the tests compare those sets against.
 """
 
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import linalg
 from .errors import ContractViolationError, ParameterError
-from .linalg import as_float_matrix, pairwise_sq_dists
+from .linalg import as_float_matrix, pairwise_sq_dists, row_blocks
 
 
 class NeighborhoodScore(NamedTuple):
@@ -46,36 +46,32 @@ def neighbor_indices(D: np.ndarray, k: int) -> np.ndarray:
     return order[:, 1:k + 1]
 
 
-def _neighbor_masks(D: np.ndarray, ks) -> list:
-    """Boolean k-nearest-neighbor sets per row of D, one per k in ``ks``.
+def _neighbor_sets(D: np.ndarray, rows: slice, ks) -> list:
+    """Boolean k-nearest-neighbor sets of a block of rows, one per k in ``ks``.
 
-    The same sets as :func:`neighbor_indices`.  With the diagonal forced
-    below every distance, the first k + 1 entries of a row's stable
-    ranking are the entries below its (k+1)-th smallest value t, then
-    the lowest-indexed entries equal to t; the diagonal is dropped from
-    them.  Rows are partitioned a block at a time, so the temporaries
-    stay O(block * n).  Overwrites D.
+    ``D`` holds the squared distances from the points ``rows`` to every
+    point.  The same sets as :func:`neighbor_indices`: with each point's
+    own entry forced below every distance, the first k + 1 entries of a
+    row's stable ranking are the entries below its (k+1)-th smallest
+    value t, then the lowest-indexed entries equal to t; the point itself
+    is dropped from them.  Overwrites D.
     """
-    n = D.shape[0]
-    np.fill_diagonal(D, -1.0)
-    masks = [np.empty((n, n), dtype=bool) for _ in ks]
-    step = max(1, linalg.ROW_BLOCK_CELLS // max(n, 1))
-    for lo in range(0, n, step):
-        block = D[lo:lo + step]
-        thresholds = np.partition(block, ks, axis=1)[:, ks]
-        for mask, k, t in zip(masks, ks, thresholds.T):
-            t = t[:, None]
-            chosen = block <= t
-            # Rows with more than k + 1 entries <= t keep the lowest-indexed ties.
-            over = np.nonzero(chosen.sum(axis=1) > k + 1)[0]
-            if over.size:
-                sub, t_sub = block[over], t[over]
-                below, tied = sub < t_sub, sub == t_sub
-                room = k + 1 - below.sum(axis=1)
-                chosen[over] = below | (tied & (np.cumsum(tied, axis=1) <= room[:, None]))
-            mask[lo:lo + step] = chosen
-    for mask in masks:
-        np.fill_diagonal(mask, False)
+    own = (np.arange(D.shape[0]), np.arange(D.shape[1])[rows])
+    D[own] = -1.0
+    thresholds = np.partition(D, ks, axis=1)[:, ks]
+    masks = []
+    for k, t in zip(ks, thresholds.T):
+        t = t[:, None]
+        chosen = D <= t
+        # Rows with more than k + 1 entries <= t keep the lowest-indexed ties.
+        over = np.nonzero(chosen.sum(axis=1) > k + 1)[0]
+        if over.size:
+            sub, t_sub = D[over], t[over]
+            below, tied = sub < t_sub, sub == t_sub
+            room = k + 1 - below.sum(axis=1)
+            chosen[over] = below | (tied & (np.cumsum(tied, axis=1) <= room[:, None]))
+        chosen[own] = False
+        masks.append(chosen)
     return masks
 
 
@@ -93,11 +89,14 @@ def evaluate_embedding(X, Z, ks: Sequence[int]) -> list:
             raise ParameterError(f"k must lie in [1, n - 2 = {n - 2}], got {k}")
     if not ks:
         return []
-    in_x = _neighbor_masks(pairwise_sq_dists(X), ks)
-    in_z = _neighbor_masks(pairwise_sq_dists(Z), ks)
+    shared = np.zeros(len(ks), dtype=np.int64)
+    for rows in row_blocks(n):
+        in_x = _neighbor_sets(pairwise_sq_dists(X, rows), rows, ks)
+        in_z = _neighbor_sets(pairwise_sq_dists(Z, rows), rows, ks)
+        shared += [np.count_nonzero(mx & mz) for mx, mz in zip(in_x, in_z)]
     scores = []
-    for k, mask_x, mask_z in zip(ks, in_x, in_z):
-        q = float((mask_x & mask_z).sum()) / (k * n)
+    for k, hits in zip(ks, shared):
+        q = float(hits) / (k * n)
         r = ((n - 1) * q - k) / (n - 1 - k)
         scores.append(NeighborhoodScore(k, q, float(r)))
     return scores

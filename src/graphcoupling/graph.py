@@ -12,10 +12,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import linalg
 from .errors import ContractViolationError
 from .kernels import log_kernel
-from .linalg import as_float_matrix, pairwise_sq_dists
+from .linalg import as_float_matrix, pairwise_sq_dists, row_blocks
 
 
 @dataclass(frozen=True)
@@ -151,10 +150,9 @@ def components_from_support(adjacent: np.ndarray) -> Partition:
     n = adjacent.shape[0]
     nodes = np.arange(n, dtype=np.int64)
     roots = nodes
-    step = max(1, linalg.ROW_BLOCK_CELLS // max(n, 1))
-    for lo in range(0, n, step):
-        rows, cols = np.nonzero(adjacent[lo:lo + step])
-        roots = _component_roots(n, np.concatenate([nodes, rows + lo]),
+    for block in row_blocks(n):
+        rows, cols = np.nonzero(adjacent[block])
+        roots = _component_roots(n, np.concatenate([nodes, rows + block.start]),
                                  np.concatenate([roots, cols]))
     return _partition_from_roots(roots)
 

@@ -15,9 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import linalg
 from .errors import ContractViolationError, DegenerateRowError, ParameterError
-from .linalg import as_float_matrix, pairwise_sq_dists
+from .linalg import as_float_matrix, pairwise_sq_dists, row_blocks
 
 GAUSSIAN = "gaussian"
 STUDENT = "student"
@@ -46,11 +45,15 @@ def check_kind(kind: str) -> str:
 
 def _check_sq_dists(D) -> np.ndarray:
     D = as_float_matrix(D, "D")
-    n, m = D.shape
-    if n != m:
-        raise ContractViolationError(f"distance matrix must be square, got {D.shape}")
-    if n and float(D.min()) < 0.0:
+    if D.size and float(D.min()) < 0.0:
         raise ContractViolationError("distance matrix has negative entries")
+    return D
+
+
+def _check_square(D) -> np.ndarray:
+    D = _check_sq_dists(D)
+    if D.shape[0] != D.shape[1]:
+        raise ContractViolationError(f"distance matrix must be square, got {D.shape}")
     return D
 
 
@@ -67,11 +70,13 @@ def _scaled(D: np.ndarray, bandwidths) -> np.ndarray:
 
 
 def log_kernel(D, kind: str, bandwidths=None) -> np.ndarray:
-    """Elementwise log k(.) evaluated on a squared-distance matrix.
+    """Elementwise log k(.) evaluated on squared distances.
 
-    The diagonal comes out as log k(0) = 0; callers that want the zero-
-    diagonal convention of :func:`kernel_matrix` must mask it themselves.
-    Stable for large distances: no intermediate exponentials are formed.
+    ``D`` may be a block of rows of a distance matrix, with ``bandwidths``
+    for those rows.  A row's distance to itself comes out as log k(0) = 0;
+    callers that want the zero-diagonal convention of
+    :func:`kernel_matrix` must mask it themselves.  Stable for large
+    distances: no intermediate exponentials are formed.
     """
     check_kind(kind)
     S = _scaled(_check_sq_dists(D), bandwidths)
@@ -82,7 +87,7 @@ def log_kernel(D, kind: str, bandwidths=None) -> np.ndarray:
 
 def kernel_from_sq_dists(D, kind: str, bandwidths=None) -> KernelMatrix:
     """Kernel matrix from a precomputed squared-distance matrix."""
-    values = np.exp(log_kernel(D, kind, bandwidths))
+    values = np.exp(log_kernel(_check_square(D), kind, bandwidths))
     np.fill_diagonal(values, 0.0)
     tau = None if bandwidths is None else np.asarray(bandwidths, dtype=np.float64).copy()
     return KernelMatrix(values, kind, tau)
@@ -106,8 +111,8 @@ def calibrate_bandwidths(D, perplexity: float) -> np.ndarray:
     while hi is infinite, else (lo + hi) / 2.  So tau doubles or halves
     until the target is bracketed, then bisects.  A row still running
     after 2 * ``MAX_BISECT_ITERS`` evaluations gets the next tau of the
-    rule.  Rows are solved together, ``linalg.ROW_BLOCK_CELLS``
-    distances at a time; no tau depends on the blocking.
+    rule.  Rows are solved together, one :func:`linalg.row_blocks` block
+    at a time; no tau depends on the blocking.
 
     Raises
     ------
@@ -117,7 +122,7 @@ def calibrate_bandwidths(D, perplexity: float) -> np.ndarray:
         If some row is at distance zero from every other row, which
         makes its neighbor distribution independent of tau.
     """
-    D = _check_sq_dists(D)
+    D = _check_square(D)
     n = D.shape[0]
     if n < 2:
         raise ParameterError("calibration needs at least two rows")
@@ -126,12 +131,10 @@ def calibrate_bandwidths(D, perplexity: float) -> np.ndarray:
             f"perplexity must lie in [1, {n - 1}] for n={n}, got {perplexity}")
     target = float(np.log2(perplexity))
     tau = np.empty(n, dtype=np.float64)
-    step = max(1, linalg.ROW_BLOCK_CELLS // n)
-    for start in range(0, n, step):
-        block = D[start:start + step]
-        rows = np.arange(start, start + block.shape[0])
+    for block in row_blocks(n):
+        rows = np.arange(block.start, block.stop)
         # The block's off-diagonal distances, n - 1 per row.
-        d = block[np.arange(n) != rows[:, None]].reshape(rows.size, n - 1)
+        d = D[block][np.arange(n) != rows[:, None]].reshape(rows.size, n - 1)
         dead = np.flatnonzero(~d.any(axis=1))
         if dead.size:
             raise DegenerateRowError(

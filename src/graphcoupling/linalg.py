@@ -1,14 +1,18 @@
-"""Dense linear-algebra primitives used throughout the package.
+"""Linear-algebra primitives used throughout the package.
 
 All routines operate on float64 row-major arrays and are deterministic:
-the same input bytes always produce the same output bytes.
+the same input bytes always produce the same output bytes.  Loops that
+would otherwise form an n x n matrix walk :func:`row_blocks` and get
+each block's distances from :func:`pairwise_sq_dists`, the one distance
+routine.
 
 Functions
 ---------
 sym_eig            full symmetric eigendecomposition, eigenvalues descending
 leading_signs      the sign convention shared by eigenvectors and PCA scores
 center_columns     subtract the column mean from every column
-pairwise_sq_dists  squared Euclidean distance matrix
+row_blocks         row slices of at most ``ROW_BLOCK_CELLS`` matrix cells each
+pairwise_sq_dists  squared Euclidean distances from a block of rows to every row
 """
 
 from typing import NamedTuple
@@ -27,9 +31,14 @@ SYMMETRY_RTOL = 1e-10
 SIGN_TIE_RTOL = 1e-10
 
 #: Matrix cells each blocked row loop (calibration, the component
-#: support, the neighbor sets) handles at once; bounds its temporaries.
-#: Read at call time.
+#: support, the coupling pass, the neighbor sets) handles at once; bounds
+#: its temporaries.  Read at call time.
 ROW_BLOCK_CELLS = 1 << 16
+
+#: Data with at most this many columns get their distances from direct
+#: coordinate differences, which cannot cancel; wider data use the Gram
+#: expansion.
+DIRECT_DIFFERENCE_COLS = 3
 
 
 class SymEigResult(NamedTuple):
@@ -100,24 +109,52 @@ def center_columns(X) -> np.ndarray:
     return X - X.mean(axis=0, keepdims=True)
 
 
-def pairwise_sq_dists(X) -> np.ndarray:
-    """Matrix of squared Euclidean distances between the rows of ``X``.
+def row_blocks(n: int):
+    """Consecutive row slices covering ``range(n)``, ``ROW_BLOCK_CELLS // n`` rows each.
 
-    The result is exactly symmetric with an exactly zero diagonal and no
-    negative entries.  Columns are centered before the Gram expansion, so
-    adding a constant row vector to every row leaves the result unchanged
-    up to roundoff.
+    Every block has at least one row, so its n-column temporaries stay
+    near ``ROW_BLOCK_CELLS`` cells.
     """
-    Xc = center_columns(X)
-    # Coordinates near the float range overflow the Gram expansion; the
-    # resulting inf/nan entries are reported as inf so callers can treat
-    # the configuration as out of range rather than invalid.
+    step = max(1, ROW_BLOCK_CELLS // max(n, 1))
+    for lo in range(0, n, step):
+        yield slice(lo, min(lo + step, n))
+
+
+def pairwise_sq_dists(X, rows=slice(None)) -> np.ndarray:
+    """Squared Euclidean distances from the rows ``X[rows]`` to every row of ``X``.
+
+    Entries are nonnegative and each row's distance to itself is exactly
+    zero.  Up to ``DIRECT_DIFFERENCE_COLS`` columns the distances are
+    sums of squared coordinate differences: exactly symmetric, with no
+    cancellation however far the points lie from the origin.  Wider data
+    use the Gram expansion of the column-centered rows, so adding a
+    constant row vector to every row leaves the result unchanged up to
+    roundoff; over all rows its result is made exactly symmetric.
+    Distances too large for a float are +inf, so callers can treat the
+    configuration as out of range rather than invalid.
+    """
+    X = as_float_matrix(X, "X")
+    n, p = X.shape
+    block = X[rows]
+    if p <= DIRECT_DIFFERENCE_COLS:
+        D = np.zeros((block.shape[0], n))
+        with np.errstate(over="ignore"):
+            for c in range(p):
+                diff = block[:, c, None] - X[:, c]
+                diff *= diff
+                D += diff
+        return D
+    Xc = X - X.mean(axis=0, keepdims=True)
     with np.errstate(over="ignore", invalid="ignore"):
-        G = Xc @ Xc.T
-        sq = np.diag(G).copy()
-        D = sq[:, None] + sq[None, :] - 2.0 * G
-        D = (D + D.T) / 2.0
+        if rows == slice(None):
+            G = Xc @ Xc.T
+            sq = np.diag(G).copy()
+            D = sq[:, None] + sq[None, :] - 2.0 * G
+            D = (D + D.T) / 2.0
+        else:
+            sq = np.einsum("ij,ij->i", Xc, Xc)
+            D = sq[rows, None] + sq - 2.0 * (Xc[rows] @ Xc.T)
     D[np.isnan(D)] = np.inf
     np.clip(D, 0.0, None, out=D)
-    np.fill_diagonal(D, 0.0)
+    D[np.arange(D.shape[0]), np.arange(n)[rows]] = 0.0
     return D

@@ -110,6 +110,9 @@ def initial_embedding(X, spec: RunSpec, affinity: AffinityMatrix,
 
 
 def default_eval_ks(n: int) -> tuple:
+    """K = n // 4 and n // 2, clipped to [1, n - 2]; none when n < 3, where no K is valid."""
+    if n < 3:
+        return ()
     ks = sorted({max(1, min(n - 2, n // 4)), max(1, min(n - 2, n // 2))})
     return tuple(ks)
 
@@ -141,7 +144,7 @@ def run(X, spec: RunSpec = None) -> RunResult:
     t0 = time.perf_counter()
     result: MinimizeResult = minimize(problem, Z0, opt)
     optimize_s = time.perf_counter() - t0
-    # Scoring builds two n x n distance matrices; free the input side first.
+    # Free the n x n input side before scoring.
     latent_kernel = problem.latent_kernel
     del problem, affinity
 

@@ -96,6 +96,17 @@ class TestFit:
         assert ds.X.shape == (30, 2)
         assert ds.label_names == ["a", "b"]
 
+    def test_two_rows_fit_without_scores(self, tmp_path):
+        # R(K) has no valid K below three rows; the fit itself still runs.
+        data = tmp_path / "two.csv"
+        data.write_text("f1,f2\n0,0\n1,2\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["fit", "--input", str(data), "--out-dir", str(out),
+                     "--perplexity", "1", "--iterations", "5"]) == 0
+        assert load_embedding(out / "embedding.csv").X.shape == (2, 2)
+        manifest = yaml.safe_load((out / "manifest.yaml").read_text())
+        assert manifest["results"]["scores"] == []
+
     def test_threads_setting_never_changes_bytes(self, blob_csv, tmp_path):
         outs = []
         for threads in ("1", "4"):

@@ -1,21 +1,99 @@
+import math
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from graphcoupling import linalg
 from graphcoupling.coupling import (
     LARGEVIS,
     METHOD_KINDS,
     SNE,
     TSNE,
     UMAP,
+    REQUIRED_NORMALIZATION,
     CouplingProblem,
+    input_affinity,
 )
 from graphcoupling.errors import ContractViolationError, ParameterError
 from graphcoupling.graph import weighted_laplacian
-from graphcoupling.kernels import kernel_matrix, log_kernel
+from graphcoupling.kernels import (
+    GAUSSIAN,
+    STUDENT,
+    calibrate_bandwidths,
+    kernel_from_sq_dists,
+    kernel_matrix,
+    log_kernel,
+)
 from graphcoupling.linalg import pairwise_sq_dists
 from graphcoupling.posterior import AffinityMatrix, posterior_expectation
 from graphcoupling.spectral import PrecisionCouplingProblem
+
+
+def dense_pass(self, Z, exaggeration: float):
+    """(attraction, repulsion, objective, gradient) from one pass over D.
+
+    The dense n x n form of ``CouplingProblem._pass``, kept as its oracle.
+
+    The split is of the plain loss; the objective and its gradient
+    (None if infinite) are at ``exaggeration``.  The chain factor
+    G = dObjective/dD folds in the kernel derivative: -K^2 per unit
+    of squared distance for the Student kernel, -K/2 for the Gaussian.
+    """
+    if not (math.isfinite(exaggeration) and exaggeration > 0.0):
+        raise ParameterError(f"exaggeration must be positive, got {exaggeration}")
+    Z = self._check_z(Z)
+    D = pairwise_sq_dists(Z)
+    if not np.isfinite(D).all():
+        # Squared distances overflowed; the configuration is out of
+        # range, not invalid, so score it with the infinite sentinel.
+        return math.inf, math.inf, math.inf, None
+    # Each n x n temporary is dropped once used, so at most three are
+    # alive at a time.
+    logK = log_kernel(D, self.latent_kernel)
+    del D
+    attraction = float(-(self.P * logK).sum()) * self._edge_scale
+    np.fill_diagonal(logK, -np.inf)  # self-pairs carry no latent mass
+    normalized = self.method in (SNE, TSNE)
+    if normalized:
+        axis = 1 if self.method == SNE else None
+        peak = logK.max(axis=axis, keepdims=True)
+        if not np.isfinite(peak).all():
+            return attraction, math.inf, math.inf, None
+        # Largest entry 1 per normalizer, so this cannot overflow even
+        # when the normalizer itself underflows.
+        R = np.exp(logK - peak)
+        total = R.sum(axis=axis, keepdims=True)
+        weight = self.P.sum(axis=axis, keepdims=True) * self._edge_scale
+        repulsion = float((weight * (peak + np.log(total))).sum())
+        R *= weight * (exaggeration / total)
+        K = np.exp(logK, out=logK) if self.latent_kernel == STUDENT else None
+    else:
+        # Both edgewise methods reduce to the same ordered-pair form:
+        # the (1 - P)-weighted and P-weighted log(1 + K) terms merge.
+        K = np.exp(logK, out=logK)
+        repulsion = float(np.log1p(K).sum())
+        R = 1.0 + K
+        np.divide(K, R, out=R)
+    del logK
+    if not math.isfinite(repulsion):
+        return attraction, math.inf, math.inf, None
+    objective = exaggeration * attraction + (
+        exaggeration * repulsion if normalized else repulsion)
+    # R now holds the latent expected graph the repulsion pushes toward.
+    G = self.P * (exaggeration * self._edge_scale)
+    G -= R
+    del R
+    if self.latent_kernel == GAUSSIAN:
+        G *= 0.5
+    else:
+        G *= K
+    del K
+    F = G + G.T
+    del G
+    grad = 2.0 * (F.sum(axis=1)[:, None] * Z - F @ Z)
+    return attraction, repulsion, objective, grad
 
 
 def _affinity(K, method):
@@ -368,3 +446,70 @@ class TestNonFinite:
         prob = CouplingProblem(TSNE, uniform_affinity(TSNE, 4))
         with pytest.raises(ContractViolationError):
             prob.loss(np.zeros((5, 2)))
+
+
+def tagged_affinity(method, V):
+    """V under the prior and normalization tags the method requires."""
+    return AffinityMatrix(V, "B" if method == UMAP else "D", REQUIRED_NORMALIZATION[method])
+
+
+def calibrated_problem(method, latent, n, seed):
+    X = np.random.default_rng(seed).normal(size=(n, 5))
+    D = pairwise_sq_dists(X)
+    K = kernel_from_sq_dists(D, GAUSSIAN, calibrate_bandwidths(D, 8.0))
+    return CouplingProblem(method, input_affinity(K, method), latent)
+
+
+class TestBlockedPass:
+    N = 30
+
+    @pytest.mark.parametrize("block_cells", [1, 7 * N, linalg.ROW_BLOCK_CELLS],
+                             indirect=True)
+    @pytest.mark.parametrize("method", METHOD_KINDS)
+    def test_matches_dense_oracle(self, method, block_cells):
+        for latent in (GAUSSIAN, STUDENT):
+            prob = calibrated_problem(method, latent, self.N, 21)
+            # Scale 400 makes every Gaussian normalizer underflow.
+            for scale in (1.0, 400.0):
+                Z = scale * np.random.default_rng(22).normal(size=(self.N, 2))
+                for factor in (1.0, 12.0):
+                    att, rep, obj, grad = prob._pass(Z, factor)
+                    dense = dense_pass(prob, Z, factor)
+                    case = f"{latent} scale={scale} factor={factor}"
+                    for got, want in zip((att, rep, obj), dense[:3]):
+                        npt.assert_allclose(got, want, rtol=1e-12, err_msg=case)
+                    ev = prob.evaluate(Z, factor)
+                    assert ev.loss == att + rep, case
+                    err = np.abs(grad - dense[3]).max() / np.abs(dense[3]).max()
+                    assert err <= 1e-10, case
+
+    @pytest.mark.parametrize("method", METHOD_KINDS)
+    def test_lone_point_and_overflow_match_dense_oracle(self, method, block_cells):
+        prob = CouplingProblem(method, uniform_affinity(method, 4))
+        Z = np.full((4, 2), 1e200)
+        Z[2] = -1e200
+        assert prob._pass(Z, 1.0) == dense_pass(prob, Z, 1.0)
+        lone = CouplingProblem(method, tagged_affinity(method, np.zeros((1, 1))))
+        got, want = lone._pass(np.zeros((1, 2)), 1.0), dense_pass(lone, np.zeros((1, 2)), 1.0)
+        assert got[:3] == want[:3]
+        if want[3] is None:
+            assert got[3] is None
+        else:
+            npt.assert_array_equal(got[3], want[3])
+
+    def test_no_n_by_n_temporary(self):
+        n = 2000
+        rng = np.random.default_rng(23)
+        P = rng.random((n, n))
+        P = (P + P.T) / n
+        np.fill_diagonal(P, 0.0)
+        Z = rng.normal(size=(n, 2))
+        for method in METHOD_KINDS:
+            prob = CouplingProblem(method, tagged_affinity(method, P))
+            tracemalloc.start()
+            try:
+                prob.evaluate(Z, 12.0 if method in (SNE, TSNE) else 1.0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 10e6, f"{method}: {peak / 1e6:.1f} MB"

@@ -1,17 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from graphcoupling import linalg
 from graphcoupling.errors import ContractViolationError, ParameterError
 from graphcoupling.evaluation import (
     NeighborhoodScore,
-    _neighbor_masks,
+    _neighbor_sets,
     evaluate_embedding,
     kary_agreement,
     neighbor_indices,
 )
-from graphcoupling.linalg import pairwise_sq_dists
+from graphcoupling.linalg import pairwise_sq_dists, row_blocks
 
 
 def brute_force_neighbors(X, k):
@@ -65,18 +66,38 @@ def oracle_masks(D, ks):
 
 
 class TestPartitionedNeighborSets:
-    @pytest.mark.parametrize("block_cells", [1, 100, linalg.ROW_BLOCK_CELLS])
-    def test_grid_ties_match_neighbor_indices(self, monkeypatch, block_cells):
-        monkeypatch.setattr(linalg, "ROW_BLOCK_CELLS", block_cells)
+    def test_grid_ties_match_neighbor_indices(self, block_cells):
         rng = np.random.default_rng(10)
         for trial in range(40):
             n = int(rng.integers(4, 70))
             D = pairwise_sq_dists(grid_points(rng, n, 1 + trial % 3))
             # k = 1, k = n - 2 and several ks in one call
             ks = sorted({1, n - 2, *rng.integers(1, n - 1, size=3).tolist()})
-            got = _neighbor_masks(D.copy(), ks)
+            blocks = [_neighbor_sets(D[rows].copy(), rows, ks) for rows in row_blocks(n)]
+            got = [np.vstack(masks) for masks in zip(*blocks)]
             for k, mask, expected in zip(ks, got, oracle_masks(D, ks)):
                 npt.assert_array_equal(mask, expected, err_msg=f"n={n} k={k}")
+
+    def test_scores_match_oracle_sets_in_any_block_layout(self, block_cells):
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(150, 5)) + 300.0
+        Z = grid_points(rng, 150, 2)
+        ks = [1, 37, 75, 148]
+        scores = evaluate_embedding(X, Z, ks)
+        for score, mx, mz in zip(scores, oracle_masks(pairwise_sq_dists(X), ks),
+                                 oracle_masks(pairwise_sq_dists(Z), ks)):
+            assert score.q == float((mx & mz).sum()) / (score.k * 150)
+
+    def test_no_n_by_n_temporary(self):
+        rng = np.random.default_rng(13)
+        X, Z = rng.normal(size=(2000, 50)), rng.normal(size=(2000, 2))
+        tracemalloc.start()
+        try:
+            evaluate_embedding(X, Z, [500, 1000])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10e6, f"{peak / 1e6:.1f} MB"
 
     def test_scores_match_oracle_sets_on_grids(self):
         rng = np.random.default_rng(11)

@@ -204,9 +204,9 @@ class TestComponentsFromEdges:
                 npt.assert_array_equal(parts.assignment, assignment)
                 npt.assert_array_equal(parts.sizes, sizes)
 
-    @pytest.mark.parametrize("block_cells", [1, 50, 1 << 17, linalg.ROW_BLOCK_CELLS])
-    def test_support_read_in_blocks_matches_bfs(self, monkeypatch, block_cells):
-        monkeypatch.setattr(linalg, "ROW_BLOCK_CELLS", block_cells)
+    @pytest.mark.parametrize("block_cells", [1, 50, 1 << 17, linalg.ROW_BLOCK_CELLS],
+                             indirect=True)
+    def test_support_read_in_blocks_matches_bfs(self, block_cells):
         rng = np.random.default_rng(45)
         supports = []
         for _ in range(12):

@@ -192,23 +192,19 @@ class TestCalibration:
         perplexity = 2.0 ** row_entropy_bits(D[0, 1:], 2.0)
         assert calibrate_bandwidths(D, perplexity)[0] == 2.0
 
-    def test_block_layout_never_changes_tau(self, monkeypatch):
+    @pytest.mark.parametrize("block_cells", [1, 7 * 300, linalg.ROW_BLOCK_CELLS],
+                             indirect=True)
+    def test_block_layout_never_changes_tau(self, block_cells):
         rng = np.random.default_rng(6)
         centers = rng.normal(size=(5, 6)) * 6.0
         X = centers[rng.integers(0, 5, size=300)] + rng.normal(size=(300, 6))
         D = pairwise_sq_dists(X)
-        taus = []
-        for block_cells in (1, 7 * 300, linalg.ROW_BLOCK_CELLS):
-            monkeypatch.setattr(linalg, "ROW_BLOCK_CELLS", block_cells)
-            taus.append(calibrate_bandwidths(D, 20.0))
-        assert linalg.ROW_BLOCK_CELLS < 300 * 300
-        npt.assert_array_equal(taus[1], taus[0])
-        npt.assert_array_equal(taus[2], taus[0])
+        expected = [reference_tau(d, np.log2(20.0)) for d in off_diagonal_rows(D)]
+        npt.assert_array_equal(calibrate_bandwidths(D, 20.0), expected)
 
-    @pytest.mark.parametrize("block_cells", [1, 4 * 40, None])
-    def test_dead_row_in_a_later_block_named(self, monkeypatch, block_cells):
-        if block_cells is not None:
-            monkeypatch.setattr(linalg, "ROW_BLOCK_CELLS", block_cells)
+    @pytest.mark.parametrize("block_cells", [1, 4 * 40, linalg.ROW_BLOCK_CELLS],
+                             indirect=True)
+    def test_dead_row_in_a_later_block_named(self, block_cells):
         D = pairwise_sq_dists(np.random.default_rng(7).normal(size=(40, 2)))
         D[25, :] = D[:, 25] = D[31, :] = D[:, 31] = 0.0
         with pytest.raises(DegenerateRowError, match="row 25 "):

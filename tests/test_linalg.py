@@ -3,7 +3,13 @@ import numpy.testing as npt
 import pytest
 
 from graphcoupling.errors import ContractViolationError
-from graphcoupling.linalg import center_columns, leading_signs, pairwise_sq_dists, sym_eig
+from graphcoupling.linalg import (
+    center_columns,
+    leading_signs,
+    pairwise_sq_dists,
+    row_blocks,
+    sym_eig,
+)
 
 
 class TestSymEig:
@@ -121,3 +127,40 @@ class TestPairwiseSqDists:
         X = rng.normal(size=(6, 4))
         direct = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
         npt.assert_allclose(pairwise_sq_dists(X), direct, atol=1e-12)
+
+    def test_offset_pair_does_not_cancel(self):
+        # Gram expansion at |x| ~ 1e4 loses the 1e-10 squared distance.
+        X = np.array([[1e4, 1e4], [1e4 + 1e-5, 1e4], [0.0, 0.0]])
+        exact = (X[1, 0] - X[0, 0]) ** 2
+        npt.assert_allclose(pairwise_sq_dists(X)[0, 1], exact, rtol=1e-6)
+        npt.assert_allclose(pairwise_sq_dists(X, slice(0, 1))[0, 1], exact, rtol=1e-6)
+
+    @pytest.mark.parametrize("cols", [1, 2, 3, 5])
+    def test_row_blocks_assemble_the_full_matrix(self, block_cells, cols):
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(40, cols)) + rng.uniform(-50.0, 50.0, size=cols)
+        X[11] = X[29]
+        full = pairwise_sq_dists(X)
+        D = np.vstack([pairwise_sq_dists(X, rows) for rows in row_blocks(40)])
+        assert D.min() >= 0.0 and D[11, 29] == D[29, 11] == 0.0
+        npt.assert_array_equal(np.diag(D), np.zeros(40))
+        if cols <= 3:
+            npt.assert_array_equal(D, full)
+        else:
+            npt.assert_allclose(D, full, rtol=1e-12, atol=1e-10)
+
+    def test_overflow_is_infinite(self):
+        for cols in (2, 5):
+            X = np.zeros((3, cols))
+            X[0], X[1] = 1e200, -1e200
+            assert pairwise_sq_dists(X)[0, 1] == np.inf
+            assert pairwise_sq_dists(X, slice(1, 3))[0, 0] == np.inf
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("n", [0, 1, 7, 300])
+    def test_consecutive_blocks_cover_the_rows(self, block_cells, n):
+        blocks = list(row_blocks(n))
+        step = max(1, block_cells // max(n, 1))
+        assert [b.start for b in blocks] == list(range(0, n, step))
+        assert [b.stop for b in blocks] == [min(lo + step, n) for lo in range(0, n, step)]

@@ -5,7 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from graphcoupling import pipeline
+from graphcoupling import linalg, pipeline
 from graphcoupling.errors import ParameterError
 from graphcoupling.evaluation import evaluate_embedding
 from graphcoupling.kernels import calibrate_bandwidths, kernel_from_sq_dists
@@ -133,6 +133,8 @@ class TestDefaultKs:
         assert default_eval_ks(4) == (1, 2)
         assert default_eval_ks(5) == (1, 2)
         assert default_eval_ks(3) == (1,)
+        # No K lies in [1, n - 2] below three rows.
+        assert default_eval_ks(2) == ()
 
 
 class TestRun:
@@ -215,11 +217,23 @@ class TestRun:
                 assert np.isfinite(result.Z).all()
                 assert result.Z.shape == (24, 2)
 
+    @pytest.mark.parametrize("method", ["sne", "tsne", "largevis", "umap"])
+    def test_row_blocks_match_a_single_block(self, monkeypatch, method):
+        # At n = 300 the default budget splits every pass into two blocks.
+        X = blob_data(15, n=300, p=5)
+        assert linalg.ROW_BLOCK_CELLS < 300 * 300
+        spec = RunSpec(method=method, perplexity=20.0, seed=2,
+                       optimizer=OptimizerConfig(iterations=20))
+        blocked = run(X, spec)
+        monkeypatch.setattr(linalg, "ROW_BLOCK_CELLS", 300 * 300)
+        single = run(X, spec)
+        assert np.abs(blocked.Z - single.Z).max() <= 1e-12 * np.abs(single.Z).max()
+        assert blocked.scores == single.scores
+
     @pytest.mark.parametrize("method, init", [("tsne", "ccpca"), ("umap", "le"),
                                               ("sne", "random"), ("largevis", "pca")])
     def test_input_side_freed_before_scoring(self, monkeypatch, method, init):
-        # The n x n affinity and kernel must be gone when scoring builds
-        # its own n x n distance matrices.
+        # The n x n affinity and kernel must be gone before scoring.
         refs, scored = [], []
 
         def prepare_and_watch(*args):
