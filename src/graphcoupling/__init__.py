@@ -21,8 +21,7 @@ from .kernels import (
     GAUSSIAN,
     STUDENT,
     KernelMatrix,
-    calibrate_bandwidths,
-    kernel_from_sq_dists,
+    calibrated_kernel,
     kernel_matrix,
     log_kernel,
 )
@@ -81,11 +80,11 @@ __all__ = [
     "ParameterError", "Partition", "PosteriorSampler", "PrecisionCouplingProblem",
     "RunResult",
     "RunSpec", "SNE", "STUDENT", "SymEigResult", "TSNE", "UMAP",
-    "averaged_projector", "calibrate_bandwidths", "cc_projector",
+    "averaged_projector", "calibrated_kernel", "cc_projector",
     "ccpca", "center_columns", "components_from_edges", "connected_components",
     "evaluate_embedding",
-    "initial_embedding", "kary_agreement", "kernel_from_sq_dists",
-    "kernel_matrix", "laplacian", "laplacian_eigenmaps", "leading_signs", "load_csv",
+    "initial_embedding", "kary_agreement", "kernel_matrix", "laplacian",
+    "laplacian_eigenmaps", "leading_signs", "load_csv",
     "load_embedding", "log_kernel", "log_mrf_density", "minimize",
     "pairwise_sq_dists", "pca", "posterior_expectation",
     "precision_coupling_closed_form", "precision_coupling_gradient",

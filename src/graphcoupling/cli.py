@@ -74,8 +74,11 @@ CONFIG_CASTS = {
 }
 
 
-def load_config(path) -> dict:
-    """Read a flat key = value file; '#' starts a comment."""
+def load_config(path, args=None) -> dict:
+    """Read a flat key = value file; '#' starts a comment.
+
+    Given a command's parsed ``args``, each key must name one of its options.
+    """
     if path is None:
         return {}
     try:
@@ -92,8 +95,9 @@ def load_config(path) -> dict:
             raise ParameterError(f"{path} line {lineno}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
-        if key not in CONFIG_CASTS:
-            raise ParameterError(f"{path} line {lineno}: unknown option {key!r}")
+        if key not in CONFIG_CASTS or not (args is None or hasattr(args, key)):
+            where = "" if args is None else f" for {args.command}"
+            raise ParameterError(f"{path} line {lineno}: unknown option {key!r}{where}")
         config[key] = CONFIG_CASTS[key](value)
     return config
 
@@ -164,7 +168,7 @@ def _parse_k(tokens, n: int):
         except (ValueError, ZeroDivisionError):
             raise ParameterError(
                 f"cannot parse neighborhood size {token!r}; use an integer or n/4") from None
-    return sorted({min(max(1, k), n - 2) for k in ks})
+    return sorted({max(1, min(k, n - 2)) for k in ks})
 
 
 def _save(out, stem, Z, dataset) -> dict:
@@ -264,9 +268,7 @@ def cmd_plot(args, config) -> int:
 
 
 def cmd_diagnose(args, config) -> int:
-    # Only the flag sets the draws: a config file's ``samples`` sizes ccPCA.
-    results = run_diagnostics(**_chosen(args, config, {"seed": "seed"}),
-                              **_chosen(args, {}, {"samples": "samples"}))
+    results = run_diagnostics(**_chosen(args, config, {"seed": "seed", "samples": "samples"}))
     failed = 0
     for check in results:
         status = "PASS" if check.passed else "FAIL"
@@ -368,7 +370,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = load_config(getattr(args, "config", None))
+        config = load_config(getattr(args, "config", None), args)
         return args.func(args, config)
     except GraphCouplingError as error:
         print(f"error: {error}", file=sys.stderr)

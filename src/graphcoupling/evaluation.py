@@ -75,6 +75,15 @@ def _neighbor_sets(D: np.ndarray, rows: slice, ks) -> list:
     return masks
 
 
+def check_ks(ks: Sequence[int], n: int) -> list:
+    """The distinct neighborhood sizes ``ks`` ascending; each must lie in [1, n - 2]."""
+    ks = sorted(set(int(k) for k in ks))
+    for k in ks:
+        if not (1 <= k <= n - 2):
+            raise ParameterError(f"k must lie in [1, n - 2 = {n - 2}], got {k}")
+    return ks
+
+
 def evaluate_embedding(X, Z, ks: Sequence[int]) -> list:
     """Agreement scores at several neighborhood sizes, ascending in k."""
     X = as_float_matrix(X, "X")
@@ -83,10 +92,7 @@ def evaluate_embedding(X, Z, ks: Sequence[int]) -> list:
     if Z.shape[0] != n:
         raise ContractViolationError(
             f"X and Z must have the same number of rows, got {n} and {Z.shape[0]}")
-    ks = sorted(set(int(k) for k in ks))
-    for k in ks:
-        if not (1 <= k <= n - 2):
-            raise ParameterError(f"k must lie in [1, n - 2 = {n - 2}], got {k}")
+    ks = check_ks(ks, n)
     if not ks:
         return []
     shared = np.zeros(len(ks), dtype=np.int64)

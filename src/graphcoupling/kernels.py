@@ -8,6 +8,9 @@ Two kernel families are supported, identified by string:
 A kernel matrix holds K_ij = k((X_i - X_j) / tau_i) with row-specific
 bandwidths tau_i > 0 and a zero diagonal by convention.  With unequal
 bandwidths K is intentionally not symmetric.
+
+:func:`calibrated_kernel` builds every fit's input kernel and its
+bandwidths in one walk over row blocks of squared distances.
 """
 
 from dataclasses import dataclass
@@ -50,25 +53,6 @@ def _check_sq_dists(D) -> np.ndarray:
     return D
 
 
-def _check_square(D) -> np.ndarray:
-    D = _check_sq_dists(D)
-    if D.shape[0] != D.shape[1]:
-        raise ContractViolationError(f"distance matrix must be square, got {D.shape}")
-    return D
-
-
-def _scaled(D: np.ndarray, bandwidths) -> np.ndarray:
-    if bandwidths is None:
-        return D
-    tau = np.asarray(bandwidths, dtype=np.float64)
-    if tau.shape != (D.shape[0],):
-        raise ContractViolationError(
-            f"bandwidths must have shape ({D.shape[0]},), got {tau.shape}")
-    if not (np.isfinite(tau).all() and (tau > 0.0).all()):
-        raise ContractViolationError("bandwidths must be finite and positive")
-    return D / (tau * tau)[:, None]
-
-
 def log_kernel(D, kind: str, bandwidths=None) -> np.ndarray:
     """Elementwise log k(.) evaluated on squared distances.
 
@@ -79,27 +63,30 @@ def log_kernel(D, kind: str, bandwidths=None) -> np.ndarray:
     distances: no intermediate exponentials are formed.
     """
     check_kind(kind)
-    S = _scaled(_check_sq_dists(D), bandwidths)
+    S = _check_sq_dists(D)
+    if bandwidths is not None:
+        tau = np.asarray(bandwidths, dtype=np.float64)
+        if tau.shape != (S.shape[0],):
+            raise ContractViolationError(
+                f"bandwidths must have shape ({S.shape[0]},), got {tau.shape}")
+        if not (np.isfinite(tau).all() and (tau > 0.0).all()):
+            raise ContractViolationError("bandwidths must be finite and positive")
+        S = S / (tau * tau)[:, None]
     if kind == GAUSSIAN:
         return -S / 2.0
     return -np.log1p(S)
 
 
-def kernel_from_sq_dists(D, kind: str, bandwidths=None) -> KernelMatrix:
-    """Kernel matrix from a precomputed squared-distance matrix."""
-    values = np.exp(log_kernel(_check_square(D), kind, bandwidths))
+def kernel_matrix(X, kind: str, bandwidths=None) -> KernelMatrix:
+    """Kernel matrix K_ij = k((X_i - X_j) / tau_i) over the rows of ``X``."""
+    values = np.exp(log_kernel(pairwise_sq_dists(X), kind, bandwidths))
     np.fill_diagonal(values, 0.0)
     tau = None if bandwidths is None else np.asarray(bandwidths, dtype=np.float64).copy()
     return KernelMatrix(values, kind, tau)
 
 
-def kernel_matrix(X, kind: str, bandwidths=None) -> KernelMatrix:
-    """Kernel matrix K_ij = k((X_i - X_j) / tau_i) over the rows of ``X``."""
-    return kernel_from_sq_dists(pairwise_sq_dists(X), kind, bandwidths)
-
-
-def calibrate_bandwidths(D, perplexity: float) -> np.ndarray:
-    """Per-row Gaussian bandwidths matching a target perplexity.
+def calibrated_kernel(D, perplexity: float) -> KernelMatrix:
+    """The Gaussian kernel of squared distances ``D`` at a target perplexity.
 
     For each row i, finds tau_i such that the Shannon entropy of the
     conditional neighbor distribution p_{j|i} proportional to
@@ -112,7 +99,8 @@ def calibrate_bandwidths(D, perplexity: float) -> np.ndarray:
     until the target is bracketed, then bisects.  A row still running
     after 2 * ``MAX_BISECT_ITERS`` evaluations gets the next tau of the
     rule.  Rows are solved together, one :func:`linalg.row_blocks` block
-    at a time; no tau depends on the blocking.
+    at a time; no tau depends on the blocking.  The result, with tau in
+    ``bandwidths``, equals ``kernel_matrix(X, GAUSSIAN, tau)`` for the X of ``D``.
 
     Raises
     ------
@@ -122,8 +110,10 @@ def calibrate_bandwidths(D, perplexity: float) -> np.ndarray:
         If some row is at distance zero from every other row, which
         makes its neighbor distribution independent of tau.
     """
-    D = _check_square(D)
+    D = _check_sq_dists(D)
     n = D.shape[0]
+    if D.shape != (n, n):
+        raise ContractViolationError(f"distance matrix must be square, got {D.shape}")
     if n < 2:
         raise ParameterError("calibration needs at least two rows")
     if not (1.0 <= perplexity <= n - 1):
@@ -131,6 +121,7 @@ def calibrate_bandwidths(D, perplexity: float) -> np.ndarray:
             f"perplexity must lie in [1, {n - 1}] for n={n}, got {perplexity}")
     target = float(np.log2(perplexity))
     tau = np.empty(n, dtype=np.float64)
+    values = np.empty((n, n))
     for block in row_blocks(n):
         rows = np.arange(block.start, block.stop)
         # The block's off-diagonal distances, n - 1 per row.
@@ -139,12 +130,14 @@ def calibrate_bandwidths(D, perplexity: float) -> np.ndarray:
         if dead.size:
             raise DegenerateRowError(
                 f"row {rows[dead[0]]} is at distance zero from every other row")
-        tau[rows] = _calibrate_rows(-d / 2.0, target)
-    return tau
+        tau[block] = _calibrate_rows(-d / 2.0, target)
+        values[block] = np.exp(log_kernel(D[block], GAUSSIAN, tau[block]))
+        values[rows, rows] = 0.0
+    return KernelMatrix(values, GAUSSIAN, tau)
 
 
 def _calibrate_rows(neg_half_d: np.ndarray, target: float) -> np.ndarray:
-    """The bandwidth rule of :func:`calibrate_bandwidths` on a block of rows."""
+    """The bandwidth rule of :func:`calibrated_kernel` on a block of rows."""
     tau = np.empty(neg_half_d.shape[0], dtype=np.float64)
     live = np.arange(tau.size)
     t, lo, hi = np.ones(tau.size), np.zeros(tau.size), np.full(tau.size, np.inf)

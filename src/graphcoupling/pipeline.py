@@ -15,10 +15,10 @@ import numpy as np
 from .ccpca import CcpcaConfig, ccpca
 from .coupling import CouplingProblem, check_method, input_affinity
 from .errors import ParameterError
-from .kernels import GAUSSIAN, KernelMatrix, calibrate_bandwidths, kernel_from_sq_dists
+from .kernels import KernelMatrix, calibrated_kernel
 from .linalg import as_float_matrix, pairwise_sq_dists
 from .optim import MinimizeResult, OptimizerConfig, minimize
-from .evaluation import evaluate_embedding
+from .evaluation import check_ks, evaluate_embedding
 from .posterior import AffinityMatrix
 from .spectral import laplacian_eigenmaps, pca
 
@@ -66,15 +66,13 @@ class RunResult:
 def prepare_input(X, method: str, perplexity: float):
     """Input-side affinity for a method, plus the calibrated kernel.
 
-    All methods share one perplexity-calibrated Gaussian kernel; the
-    edgewise route reuses those bandwidths rather than calibrating a
+    All methods share one kernel from :func:`kernels.calibrated_kernel`;
+    the edgewise route reuses its bandwidths rather than calibrating a
     separate connectivity target.  :func:`coupling.input_affinity` turns
-    the kernel into the method's affinity.
+    it into the method's affinity once the squared distances are freed.
     """
     check_method(method)
-    D = pairwise_sq_dists(X)
-    tau = calibrate_bandwidths(D, perplexity)
-    K = kernel_from_sq_dists(D, GAUSSIAN, tau)
+    K = calibrated_kernel(pairwise_sq_dists(X), perplexity)
     return input_affinity(K, method), K
 
 
@@ -122,15 +120,18 @@ def run(X, spec: RunSpec = None) -> RunResult:
     spec = (spec or RunSpec()).validate()
     X = as_float_matrix(X, "X")
     n, p = X.shape
+    ks = check_ks(spec.eval_ks or default_eval_ks(n), n)
     total0 = time.perf_counter()
 
     t0 = time.perf_counter()
     affinity, kernel = prepare_input(X, spec.method, spec.perplexity)
     prepare_s = time.perf_counter() - t0
+    if spec.init != "ccpca":
+        kernel = None  # n x n, read only by ccPCA: gone before any other init
 
     t0 = time.perf_counter()
     Z0, degenerate = initial_embedding(X, spec, affinity, kernel)
-    del kernel  # n x n, read only by ccPCA
+    del kernel
     if spec.init != "random":
         Z0 = rescale_init(Z0, n)
     init_s = time.perf_counter() - t0
@@ -149,7 +150,6 @@ def run(X, spec: RunSpec = None) -> RunResult:
     del problem, affinity
 
     t0 = time.perf_counter()
-    ks = spec.eval_ks or default_eval_ks(n)
     scores = evaluate_embedding(X, result.Z, ks)
     evaluate_s = time.perf_counter() - t0
 

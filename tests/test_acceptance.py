@@ -10,6 +10,7 @@ import time
 import numpy as np
 import yaml
 
+from graphcoupling import kernels
 from graphcoupling.ccpca import CcpcaConfig, averaged_projector, ccpca
 from graphcoupling.cli import main as cli_main
 from graphcoupling.coupling import CouplingProblem
@@ -19,11 +20,7 @@ from graphcoupling.graph import (
     log_mrf_density,
     weighted_laplacian,
 )
-from graphcoupling.kernels import (
-    calibrate_bandwidths,
-    kernel_from_sq_dists,
-    kernel_matrix,
-)
+from graphcoupling.kernels import kernel_matrix
 from graphcoupling.linalg import pairwise_sq_dists
 from graphcoupling.optim import OptimizerConfig, minimize
 from graphcoupling.pipeline import RunSpec, run
@@ -53,8 +50,7 @@ def random_latent_graph(rng, n):
 
 
 def calibrated_kernel(X, perplexity):
-    D = pairwise_sq_dists(X)
-    return kernel_from_sq_dists(D, "gaussian", calibrate_bandwidths(D, perplexity))
+    return kernels.calibrated_kernel(pairwise_sq_dists(X), perplexity)
 
 
 def method_affinity(K, method):
@@ -344,8 +340,7 @@ class TestAcceptance:
         D = pairwise_sq_dists(X)
         means = []
         for perplexity in (5, 15, 30, 60):
-            K = kernel_from_sq_dists(
-                D, "gaussian", calibrate_bandwidths(D, float(perplexity)))
+            K = kernels.calibrated_kernel(D, float(perplexity))
             counts = [
                 connected_components(
                     sample_posterior_graph(

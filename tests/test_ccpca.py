@@ -5,15 +5,14 @@ import pytest
 from graphcoupling.ccpca import CcpcaConfig, averaged_projector, ccpca
 from graphcoupling.errors import ContractViolationError, ParameterError
 from graphcoupling.graph import cc_projector, components_from_edges, connected_components
-from graphcoupling.kernels import calibrate_bandwidths, kernel_from_sq_dists
+from graphcoupling.kernels import calibrated_kernel
 from graphcoupling.linalg import pairwise_sq_dists
 from graphcoupling.posterior import PosteriorSampler, sample_posterior_graph
 from graphcoupling.spectral import pca
 
 
 def gaussian_kernel(X, perplexity):
-    D = pairwise_sq_dists(X)
-    return kernel_from_sq_dists(D, "gaussian", calibrate_bandwidths(D, perplexity))
+    return calibrated_kernel(pairwise_sq_dists(X), perplexity)
 
 
 def two_blobs(seed=0, per_block=8, separation=40.0):

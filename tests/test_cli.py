@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 import yaml
 
+from graphcoupling import cli, pipeline
 from graphcoupling.cli import OUT_DIR_ENV, build_parser, load_config, main
 from graphcoupling.coupling import METHOD_KINDS
 from graphcoupling.dataio import load_csv, load_embedding, save_embedding
@@ -74,6 +75,30 @@ class TestConfigFile:
         with pytest.raises(ParameterError, match="boolean"):
             load_config(cfg)
 
+    @pytest.mark.parametrize("line", ["threads = 0", "seed = 5", "out_dir = DIR"])
+    def test_eval_rejects_keys_of_other_commands(self, tmp_path, capsys, line):
+        emb = tmp_path / "e.csv"
+        save_embedding(emb, np.zeros((4, 2)))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("delimiter = ,\n" + line.replace("DIR", str(tmp_path / "out")) + "\n",
+                       encoding="utf-8")
+        assert main(["eval", "--input", str(emb), "--embedding", str(emb),
+                     "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "line 2" in err and line.split()[0] in err
+        assert not (tmp_path / "out").exists()
+
+    def test_diagnose_reads_its_options_from_config(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "run_diagnostics", lambda **kw: seen.append(kw) or [])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 7\nsamples = 123\n", encoding="utf-8")
+        assert main(["diagnose", "--config", str(cfg)]) == 0
+        assert main(["diagnose", "--config", str(cfg), "--samples", "9"]) == 0
+        assert seen == [{"seed": 7, "samples": 123}, {"seed": 7, "samples": 9}]
+        cfg.write_text("method = tsne\n", encoding="utf-8")
+        assert main(["diagnose", "--config", str(cfg)]) == 2
+
 
 class TestFit:
     def test_writes_all_artifacts(self, blob_csv, tmp_path, capsys):
@@ -106,6 +131,16 @@ class TestFit:
         assert load_embedding(out / "embedding.csv").X.shape == (2, 2)
         manifest = yaml.safe_load((out / "manifest.yaml").read_text())
         assert manifest["results"]["scores"] == []
+
+    def test_bad_k_rejected_before_fitting(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(pipeline, "prepare_input", lambda *args: calls.append(args))
+        data = tmp_path / "two.csv"
+        data.write_text("f1,f2\n0,0\n1,2\n", encoding="utf-8")
+        assert main(["fit", "--input", str(data), "--out-dir", str(tmp_path / "out"),
+                     "--perplexity", "1", "--k", "1"]) == 2
+        assert "got 1" in capsys.readouterr().err
+        assert calls == []
 
     def test_threads_setting_never_changes_bytes(self, blob_csv, tmp_path):
         outs = []

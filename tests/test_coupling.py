@@ -21,8 +21,7 @@ from graphcoupling.graph import weighted_laplacian
 from graphcoupling.kernels import (
     GAUSSIAN,
     STUDENT,
-    calibrate_bandwidths,
-    kernel_from_sq_dists,
+    calibrated_kernel,
     kernel_matrix,
     log_kernel,
 )
@@ -455,8 +454,7 @@ def tagged_affinity(method, V):
 
 def calibrated_problem(method, latent, n, seed):
     X = np.random.default_rng(seed).normal(size=(n, 5))
-    D = pairwise_sq_dists(X)
-    K = kernel_from_sq_dists(D, GAUSSIAN, calibrate_bandwidths(D, 8.0))
+    K = calibrated_kernel(pairwise_sq_dists(X), 8.0)
     return CouplingProblem(method, input_affinity(K, method), latent)
 
 

@@ -13,8 +13,8 @@ from graphcoupling.errors import (
 from graphcoupling.kernels import (
     ENTROPY_TOL,
     MAX_BISECT_ITERS,
-    calibrate_bandwidths,
-    kernel_from_sq_dists,
+    GAUSSIAN,
+    calibrated_kernel,
     kernel_matrix,
     log_kernel,
 )
@@ -48,7 +48,7 @@ def assert_hits_target_entropy(X):
     D = pairwise_sq_dists(X)
     n = D.shape[0]
     for perplexity in (5.0, 15.0, 29.0):
-        tau = calibrate_bandwidths(D, perplexity)
+        tau = calibrated_kernel(D, perplexity).bandwidths
         assert (tau > 0.0).all()
         target = np.log2(perplexity)
         off = ~np.eye(n, dtype=bool)
@@ -94,7 +94,7 @@ class TestKernelValues:
         D = pairwise_sq_dists(X)
         tau = rng.uniform(0.5, 2.0, size=5)
         for kind in ("gaussian", "student"):
-            K = kernel_from_sq_dists(D, kind, tau).values
+            K = kernel_matrix(X, kind, tau).values
             L = log_kernel(D, kind, tau)
             off = ~np.eye(5, dtype=bool)
             npt.assert_allclose(np.log(K[off]), L[off], rtol=1e-12)
@@ -117,6 +117,18 @@ class TestKernelValues:
             kernel_matrix([[0.0], [1.0]], "gaussian", [1.0])
 
 
+class TestCalibratedKernel:
+    def test_equals_kernel_matrix_at_its_bandwidths(self, block_cells):
+        rng = np.random.default_rng(9)
+        for n, p, perplexity in ((40, 2, 8.0), (150, 6, 20.0)):
+            X = rng.normal(size=(n, p)) * rng.uniform(0.1, 10.0)
+            K = calibrated_kernel(pairwise_sq_dists(X), perplexity)
+            oracle = kernel_matrix(X, GAUSSIAN, K.bandwidths)
+            assert K.kind == GAUSSIAN
+            assert K.values.tobytes() == oracle.values.tobytes()
+            npt.assert_array_equal(K.bandwidths, oracle.bandwidths)
+
+
 class TestCalibration:
     def test_hits_target_entropy(self):
         assert_hits_target_entropy(np.random.default_rng(3).normal(size=(30, 4)))
@@ -133,7 +145,7 @@ class TestCalibration:
         # Solve each row independently by long bisection and compare.
         X = np.array([[0.0], [1.0], [2.3], [3.7], [10.0]])
         D = pairwise_sq_dists(X)
-        tau = calibrate_bandwidths(D, 2.5)
+        tau = calibrated_kernel(D, 2.5).bandwidths
         target = np.log2(2.5)
         off = ~np.eye(5, dtype=bool)
         for i in range(5):
@@ -151,46 +163,46 @@ class TestCalibration:
         rng = np.random.default_rng(4)
         X = rng.normal(size=(20, 3))
         D = pairwise_sq_dists(X)
-        low = calibrate_bandwidths(D, 5.0)
-        high = calibrate_bandwidths(D, 15.0)
+        low = calibrated_kernel(D, 5.0).bandwidths
+        high = calibrated_kernel(D, 15.0).bandwidths
         assert (high >= low - 1e-9).all()
 
     def test_two_points(self):
         # A single neighbor has zero entropy for every bandwidth; the
         # bracket never moves and the initial midpoint comes back.
         D = pairwise_sq_dists([[0.0], [3.0]])
-        npt.assert_array_equal(calibrate_bandwidths(D, 1.0), [1.0, 1.0])
+        npt.assert_array_equal(calibrated_kernel(D, 1.0).bandwidths, [1.0, 1.0])
 
     def test_equidistant_rows(self):
         # Equilateral triangle: entropy is exactly 1 bit regardless of tau.
         X = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]])
         D = pairwise_sq_dists(X)
-        npt.assert_array_equal(calibrate_bandwidths(D, 2.0), np.ones(3))
+        npt.assert_array_equal(calibrated_kernel(D, 2.0).bandwidths, np.ones(3))
 
     def test_perplexity_range(self):
         D = pairwise_sq_dists(np.arange(6.0)[:, None])
         with pytest.raises(ParameterError):
-            calibrate_bandwidths(D, 0.5)
+            calibrated_kernel(D, 0.5)
         with pytest.raises(ParameterError):
-            calibrate_bandwidths(D, 6.0)
+            calibrated_kernel(D, 6.0)
 
     def test_degenerate_row(self):
         X = np.zeros((4, 2))
         with pytest.raises(DegenerateRowError, match="row 0"):
-            calibrate_bandwidths(pairwise_sq_dists(X), 2.0)
+            calibrated_kernel(pairwise_sq_dists(X), 2.0)
 
     def test_follows_the_one_rule_row_by_row(self):
         rng = np.random.default_rng(5)
         for n, perplexity in ((12, 3.0), (40, 10.0), (60, 45.0)):
             D = pairwise_sq_dists(rng.normal(size=(n, 3)) * rng.uniform(0.1, 10.0))
-            tau = calibrate_bandwidths(D, perplexity)
+            tau = calibrated_kernel(D, perplexity).bandwidths
             expected = [reference_tau(d, np.log2(perplexity)) for d in off_diagonal_rows(D)]
             npt.assert_array_equal(tau, expected)
 
     def test_stops_at_a_doubling_within_tolerance(self):
         D = pairwise_sq_dists([[0.0], [1.0], [3.0]])
         perplexity = 2.0 ** row_entropy_bits(D[0, 1:], 2.0)
-        assert calibrate_bandwidths(D, perplexity)[0] == 2.0
+        assert calibrated_kernel(D, perplexity).bandwidths[0] == 2.0
 
     @pytest.mark.parametrize("block_cells", [1, 7 * 300, linalg.ROW_BLOCK_CELLS],
                              indirect=True)
@@ -200,7 +212,7 @@ class TestCalibration:
         X = centers[rng.integers(0, 5, size=300)] + rng.normal(size=(300, 6))
         D = pairwise_sq_dists(X)
         expected = [reference_tau(d, np.log2(20.0)) for d in off_diagonal_rows(D)]
-        npt.assert_array_equal(calibrate_bandwidths(D, 20.0), expected)
+        npt.assert_array_equal(calibrated_kernel(D, 20.0).bandwidths, expected)
 
     @pytest.mark.parametrize("block_cells", [1, 4 * 40, linalg.ROW_BLOCK_CELLS],
                              indirect=True)
@@ -208,7 +220,7 @@ class TestCalibration:
         D = pairwise_sq_dists(np.random.default_rng(7).normal(size=(40, 2)))
         D[25, :] = D[:, 25] = D[31, :] = D[:, 31] = 0.0
         with pytest.raises(DegenerateRowError, match="row 25 "):
-            calibrate_bandwidths(D, 5.0)
+            calibrated_kernel(D, 5.0)
 
     def test_unreachable_target_stays_finite(self):
         # Entropy reaches log2(n - 1) only as tau grows without bound
@@ -220,5 +232,5 @@ class TestCalibration:
             D = pairwise_sq_dists(X)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                tau = calibrate_bandwidths(D, X.shape[0] - 1.0)
+                tau = calibrated_kernel(D, X.shape[0] - 1.0).bandwidths
             assert np.isfinite(tau).all() and (tau > 0.0).all()

@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from graphcoupling import linalg, pipeline
 from graphcoupling.errors import ParameterError
 from graphcoupling.evaluation import evaluate_embedding
-from graphcoupling.kernels import calibrate_bandwidths, kernel_from_sq_dists
+from graphcoupling.kernels import GAUSSIAN, calibrated_kernel, kernel_matrix
 from graphcoupling.linalg import pairwise_sq_dists
 from graphcoupling.optim import OptimizerConfig
 from graphcoupling.pipeline import (
@@ -66,11 +67,24 @@ class TestPrepareInput:
         _, K_sne = prepare_input(X, "sne", 6.0)
         _, K_umap = prepare_input(X, "umap", 6.0)
         assert K_sne.values.tobytes() == K_umap.values.tobytes()
-        D = pairwise_sq_dists(X)
-        tau = calibrate_bandwidths(D, 6.0)
+        tau = calibrated_kernel(pairwise_sq_dists(X), 6.0).bandwidths
         npt.assert_array_equal(K_sne.bandwidths, tau)
-        npt.assert_array_equal(K_sne.values,
-                               kernel_from_sq_dists(D, "gaussian", tau).values)
+        npt.assert_array_equal(K_sne.values, kernel_matrix(X, GAUSSIAN, tau).values)
+
+    @pytest.mark.parametrize("method, bound", [("tsne", 3.5), ("largevis", 3.5),
+                                               ("umap", 4.5)])
+    def test_peak_memory_in_n_by_n_arrays(self, method, bound):
+        # The distances are freed before the affinity is built: the peak
+        # is the kernel plus the affinity's own temporaries.
+        n = 600
+        X = np.random.default_rng(16).normal(size=(n, 50))
+        tracemalloc.start()
+        try:
+            prepare_input(X, method, 30.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / (n * n * 8) <= bound
 
 
 class TestInitialization:
@@ -230,25 +244,39 @@ class TestRun:
         assert np.abs(blocked.Z - single.Z).max() <= 1e-12 * np.abs(single.Z).max()
         assert blocked.scores == single.scores
 
+    def test_bad_eval_k_rejected_before_prepare(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(pipeline, "prepare_input", lambda *args: calls.append(args))
+        with pytest.raises(ParameterError, match="got 400"):
+            run(blob_data(16, n=300), RunSpec(eval_ks=(400,)))
+        assert calls == []
+
     @pytest.mark.parametrize("method, init", [("tsne", "ccpca"), ("umap", "le"),
                                               ("sne", "random"), ("largevis", "pca")])
     def test_input_side_freed_before_scoring(self, monkeypatch, method, init):
-        # The n x n affinity and kernel must be gone before scoring.
-        refs, scored = [], []
+        # The n x n affinity and kernel must be gone before scoring, and the
+        # kernel before any initialization but ccPCA, the one that reads it.
+        refs, scored, kernel_at_init = [], [], []
 
         def prepare_and_watch(*args):
             affinity, kernel = prepare_input(*args)
             refs.extend(weakref.ref(m.values) for m in (affinity, kernel))
             return affinity, kernel
 
+        def init_and_watch(*args):
+            kernel_at_init.append(refs[1]() is not None)
+            return initial_embedding(*args)
+
         def evaluate_when_freed(*args):
             scored.append(all(ref() is None for ref in refs))
             return evaluate_embedding(*args)
 
         monkeypatch.setattr(pipeline, "prepare_input", prepare_and_watch)
+        monkeypatch.setattr(pipeline, "initial_embedding", init_and_watch)
         monkeypatch.setattr(pipeline, "evaluate_embedding", evaluate_when_freed)
         tiny = OptimizerConfig(iterations=12, momentum_switch=6, exaggeration_iters=6)
         run(blob_data(14, n=24), RunSpec(method=method, init=init, seed=1, perplexity=8.0,
                                          optimizer=tiny, ccpca_samples=5))
         assert len(refs) == 2
+        assert kernel_at_init == [init == "ccpca"]
         assert scored == [True]
