@@ -28,8 +28,12 @@ step size.  For ``largevis`` and ``umap`` it scales attraction only.
 Each loss splits into attraction, -sum P_ij log K_ij over the input
 graph, and repulsion, which reads P only through its prior: the row sums
 for ``sne``, the total mass for ``tsne``, and nothing for ``largevis``
-and ``umap``.  One pass over row blocks of the embedding computes both
-with their gradient; no n x n array is formed.
+and ``umap``.  One pass over tiles of the embedding's pairs computes
+both with their gradient; no n x n array is formed.  For ``tsne``,
+``largevis`` and ``umap`` the input P (required exactly symmetric) and
+the latent kernel are symmetric, so the pass visits each unordered pair
+once, in the upper triangle, and doubles the sums.  ``sne`` normalizes
+each row, so its tiles are whole rows.
 
 Losses are reported in nats.  A loss of +inf is a sentinel for an
 embedding that the method cannot score (collapsed latent mass), not an
@@ -41,8 +45,8 @@ import math
 import numpy as np
 
 from .errors import ContractViolationError, ParameterError
-from .kernels import GAUSSIAN, STUDENT, check_kind, log_kernel
-from .linalg import as_float_matrix, pairwise_sq_dists, row_blocks
+from .kernels import GAUSSIAN, STUDENT, check_kind
+from .linalg import as_float_matrix, block_sq_dists, row_blocks
 from .optim import Evaluation
 from .posterior import (
     ROW,
@@ -92,14 +96,28 @@ def input_affinity(K, method: str) -> AffinityMatrix:
     return row if method == SNE else symmetrize_row_affinity(row)
 
 
-def _add_pair_gradient(grad, G, Z, rows) -> None:
-    """Add the gradient of pair weights G of the rows ``rows`` to grad.
+def _add_pair_gradient(grad, G, Z, rows, cols) -> None:
+    """Add the gradient of the pair weights G of the tile ``rows`` x ``cols`` to grad.
 
-    Row i of the block gets sum_j G_ij (z_i - z_j); every row j gets
+    Row i of the tile gets sum_j G_ij (z_i - z_j); every column j gets
     sum_i G_ij (z_j - z_i), its share as the other end of each pair.
     """
-    grad[rows] += G.sum(axis=1)[:, None] * Z[rows] - G @ Z
-    grad += G.sum(axis=0)[:, None] * Z - G.T @ Z[rows]
+    grad[rows] += G.sum(axis=1)[:, None] * Z[rows] - G @ Z[cols]
+    grad[cols] += G.sum(axis=0)[:, None] * Z[cols] - G.T @ Z[rows]
+
+
+def _check_symmetric(P) -> None:
+    """Raise unless P equals its transpose exactly.
+
+    Compares each upper-triangle block of rows with the matching columns,
+    so no n x n temporary is formed.
+    """
+    for rows in row_blocks(P.shape[0], upper=True):
+        lo = rows.start
+        if (P[rows, lo:] != P[lo:, rows].T).any():
+            raise ContractViolationError(
+                "a symmetrized-row or thresholded-bernoulli affinity must be "
+                "exactly symmetric")
 
 
 class CouplingProblem:
@@ -125,6 +143,11 @@ class CouplingProblem:
                 and float(P.max()) > 1.0):
             raise ContractViolationError(
                 "thresholded-bernoulli affinity entries must lie in [0, 1]")
+        # Every normalization but sne's row one is symmetric, and the pass
+        # reads only its upper triangle.
+        self._upper = required != ROW
+        if self._upper:
+            _check_symmetric(P)
         if classic_scale:
             if affinity.normalization != SYMMETRIZED_ROW:
                 raise ParameterError(
@@ -153,18 +176,25 @@ class CouplingProblem:
         return Z
 
     def _pass(self, Z, exaggeration: float):
-        """(attraction, repulsion, objective, gradient) from one pass over row blocks.
+        """(attraction, repulsion, objective, gradient) from one walk over tiles.
 
         The split is of the plain loss; the objective and its gradient
-        (None if infinite) are at ``exaggeration``.  Each block of rows
-        gets its squared distances D to every point, then log K.  The
-        pair weights G = dObjective/dD fold in the kernel derivative:
+        (None if infinite) are at ``exaggeration``.  For tsne, largevis
+        and umap both P and the latent kernel are symmetric, so the pair
+        {i, j} carries the same terms in both orders and is visited once:
+        the tiles are the upper-triangle :func:`linalg.row_blocks`, rows
+        [lo, hi) against columns [lo, n), whose pairs j <= i in the
+        diagonal square are masked, and the factor 2 of the mirrored pair
+        multiplies the sums at the end.  sne's row normalizer needs
+        complete rows, so its tiles are full rows with only the
+        self-pairs masked.  A masked pair has zero weight and log K =
+        -inf.  Each tile gets its squared distances D, then K and log K.
+        The pair weights G = dObjective/dD fold in the kernel derivative:
         -K^2 per unit of squared distance for the Student kernel, -K/2
-        for the Gaussian.  Each block's G enters the gradient of its rows
-        and, through the symmetry of D, of its columns.  The tsne
-        normalizer is complete only after the last block, so its
-        repulsive pair weights are summed unscaled and divided by it at
-        the end.
+        for the Gaussian.  Each tile's G enters the gradient of its rows
+        and of its columns.  The tsne normalizer is complete only after
+        the last tile, so its repulsive pair weights are summed unscaled
+        and divided by it at the end.
         """
         if not (math.isfinite(exaggeration) and exaggeration > 0.0):
             raise ParameterError(f"exaggeration must be positive, got {exaggeration}")
@@ -174,6 +204,7 @@ class CouplingProblem:
         if normalized and n < 2:
             return 0.0, math.inf, math.inf, None  # a lone point has no normalizer
         student = self.latent_kernel == STUDENT
+        upper = self._upper
         pull = exaggeration * self._edge_scale
         attraction = repulsion = 0.0
         grad = np.zeros_like(Z)
@@ -181,22 +212,39 @@ class CouplingProblem:
         # gradient of those terms.  The Student K lies in (0, 1], so only
         # the Gaussian needs a running peak to keep the sum from underflowing.
         total, peak, push = 0.0, (0.0 if student else -math.inf), np.zeros_like(Z)
-        for rows in row_blocks(n):
-            D = pairwise_sq_dists(Z, rows)
+        dists = block_sq_dists(Z)
+        for rows in row_blocks(n, upper):
+            cols = slice(rows.start if upper else 0, n)
+            D = dists(rows, cols)
             if not np.isfinite(D).all():
                 # Squared distances overflowed; the configuration is out of
                 # range, not invalid, so score it with the infinite sentinel.
                 return math.inf, math.inf, math.inf, None
-            logK = log_kernel(D, self.latent_kernel)
+            # The tile's diagonal square and the pairs masked in it: j <= i
+            # in the upper triangle, the self-pairs in full rows.
+            b = D.shape[0]
+            square = slice(rows.start - cols.start, rows.stop - cols.start)
+            masked = np.tri(b, dtype=bool) if upper else np.eye(b, dtype=bool)
+            if student:
+                logK = np.log1p(D)
+                np.negative(logK, out=logK)
+                D += 1.0
+                K = np.reciprocal(D, out=D)
+                np.copyto(K[:, square], 0.0, where=masked)
+            else:
+                logK = D
+                logK *= -0.5
             del D
-            P = self.P[rows]
-            attraction -= float((P * logK).sum())
-            # Self-pairs carry no latent mass.
-            logK[np.arange(logK.shape[0]), np.arange(n)[rows]] = -np.inf
-            K = np.exp(logK) if student or not normalized else None
+            np.copyto(logK[:, square], 0.0, where=masked)
+            P = self.P[rows, cols]
+            attraction -= float(np.einsum("ij,ij->", P, logK))
+            np.copyto(logK[:, square], -np.inf, where=masked)
+            if not (student or normalized):
+                K = np.exp(logK)
             G = P * pull
+            np.copyto(G[:, square], 0.0, where=masked)
             if self.method == SNE:
-                # Each row's normalizer is complete within the block; the
+                # Each row's normalizer is complete within the tile; the
                 # shift by its peak keeps exp from underflowing to 0 / 0.
                 top = logK.max(axis=1, keepdims=True)
                 R = np.exp(logK - top)
@@ -216,7 +264,7 @@ class CouplingProblem:
                         push *= shrink
                     R = np.exp(logK - peak)
                 total += float(R.sum())
-                _add_pair_gradient(push, R * K if student else R, Z, rows)
+                _add_pair_gradient(push, R * K if student else R, Z, rows, cols)
             else:
                 # Both edgewise methods reduce to the same ordered-pair form:
                 # the (1 - P)-weighted and P-weighted log(1 + K) terms merge.
@@ -224,10 +272,14 @@ class CouplingProblem:
                 G -= K / (1.0 + K)
             if student:
                 G *= K
-            _add_pair_gradient(grad, G, Z, rows)
-        attraction *= self._edge_scale
+            _add_pair_gradient(grad, G, Z, rows, cols)
+        # Each pair walked once in the upper triangle stands for both orders.
+        mirror = 2.0 if upper else 1.0
+        attraction *= self._edge_scale * mirror
+        repulsion *= mirror
         if self.method == TSNE:
             # Repulsion reads only the total mass of P.
+            total *= mirror
             weight = float(self.P.sum()) * self._edge_scale
             repulsion = weight * (peak + math.log(total))
             grad -= push * (exaggeration * weight / total)
@@ -236,8 +288,7 @@ class CouplingProblem:
         objective = exaggeration * attraction + (
             exaggeration * repulsion if normalized else repulsion)
         # dD/dz_i is 2 (z_i - z_j); the Gaussian's factor 1/2 cancels it.
-        if student:
-            grad *= 2.0
+        grad *= (2.0 if student else 1.0) * mirror
         return attraction, repulsion, objective, grad
 
     def evaluate(self, Z, exaggeration: float = 1.0) -> Evaluation:

@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ContractViolationError, ParameterError
-from .linalg import as_float_matrix, pairwise_sq_dists, row_blocks
+from .linalg import as_float_matrix, block_sq_dists, row_blocks
 
 
 class NeighborhoodScore(NamedTuple):
@@ -96,9 +96,10 @@ def evaluate_embedding(X, Z, ks: Sequence[int]) -> list:
     if not ks:
         return []
     shared = np.zeros(len(ks), dtype=np.int64)
+    x_dists, z_dists = block_sq_dists(X), block_sq_dists(Z)
     for rows in row_blocks(n):
-        in_x = _neighbor_sets(pairwise_sq_dists(X, rows), rows, ks)
-        in_z = _neighbor_sets(pairwise_sq_dists(Z, rows), rows, ks)
+        in_x = _neighbor_sets(x_dists(rows), rows, ks)
+        in_z = _neighbor_sets(z_dists(rows), rows, ks)
         shared += [np.count_nonzero(mx & mz) for mx, mz in zip(in_x, in_z)]
     scores = []
     for k, hits in zip(ks, shared):

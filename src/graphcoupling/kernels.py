@@ -64,6 +64,7 @@ def log_kernel(D, kind: str, bandwidths=None) -> np.ndarray:
     """
     check_kind(kind)
     S = _check_sq_dists(D)
+    tau = None
     if bandwidths is not None:
         tau = np.asarray(bandwidths, dtype=np.float64)
         if tau.shape != (S.shape[0],):
@@ -71,6 +72,12 @@ def log_kernel(D, kind: str, bandwidths=None) -> np.ndarray:
                 f"bandwidths must have shape ({S.shape[0]},), got {tau.shape}")
         if not (np.isfinite(tau).all() and (tau > 0.0).all()):
             raise ContractViolationError("bandwidths must be finite and positive")
+    return _log_kernel(S, kind, tau)
+
+
+def _log_kernel(S, kind: str, tau=None) -> np.ndarray:
+    """:func:`log_kernel` of checked distances and bandwidths."""
+    if tau is not None:
         S = S / (tau * tau)[:, None]
     if kind == GAUSSIAN:
         return -S / 2.0
@@ -131,7 +138,7 @@ def calibrated_kernel(D, perplexity: float) -> KernelMatrix:
             raise DegenerateRowError(
                 f"row {rows[dead[0]]} is at distance zero from every other row")
         tau[block] = _calibrate_rows(-d / 2.0, target)
-        values[block] = np.exp(log_kernel(D[block], GAUSSIAN, tau[block]))
+        values[block] = np.exp(_log_kernel(D[block], GAUSSIAN, tau[block]))
         values[rows, rows] = 0.0
     return KernelMatrix(values, GAUSSIAN, tau)
 

@@ -3,16 +3,21 @@
 All routines operate on float64 row-major arrays and are deterministic:
 the same input bytes always produce the same output bytes.  Loops that
 would otherwise form an n x n matrix walk :func:`row_blocks` and get
-each block's distances from :func:`pairwise_sq_dists`, the one distance
-routine.
+each block's distances from :func:`block_sq_dists`, the one distance
+routine, which validates and prepares the points once per walk.  A walk
+over a symmetric quantity can visit each unordered pair once: with
+``upper=True`` a block of rows ``[lo, hi)`` pairs only with the columns
+``[lo, n)``, and every block stays within the ``ROW_BLOCK_CELLS`` budget.
 
 Functions
 ---------
 sym_eig            full symmetric eigendecomposition, eigenvalues descending
 leading_signs      the sign convention shared by eigenvectors and PCA scores
 center_columns     subtract the column mean from every column
-row_blocks         row slices of at most ``ROW_BLOCK_CELLS`` matrix cells each
-pairwise_sq_dists  squared Euclidean distances from a block of rows to every row
+row_blocks         row slices of at most ``ROW_BLOCK_CELLS`` matrix cells each,
+                   over full rows or over the upper triangle
+block_sq_dists     squared Euclidean distances between blocks of rows, set up once
+pairwise_sq_dists  one such block, or the whole exactly symmetric matrix
 """
 
 from typing import NamedTuple
@@ -31,8 +36,9 @@ SYMMETRY_RTOL = 1e-10
 SIGN_TIE_RTOL = 1e-10
 
 #: Matrix cells each blocked row loop (calibration, the component
-#: support, the coupling pass, the neighbor sets) handles at once; bounds
-#: its temporaries.  Read at call time.
+#: support, the coupling pass, the neighbor sets, the symmetrisation of
+#: a whole distance matrix) handles at once; bounds its temporaries.
+#: Read at call time.
 ROW_BLOCK_CELLS = 1 << 16
 
 #: Data with at most this many columns get their distances from direct
@@ -109,52 +115,105 @@ def center_columns(X) -> np.ndarray:
     return X - X.mean(axis=0, keepdims=True)
 
 
-def row_blocks(n: int):
-    """Consecutive row slices covering ``range(n)``, ``ROW_BLOCK_CELLS // n`` rows each.
+def row_blocks(n: int, upper: bool = False):
+    """Consecutive row slices covering ``range(n)``, each near ``ROW_BLOCK_CELLS`` cells.
 
-    Every block has at least one row, so its n-column temporaries stay
-    near ``ROW_BLOCK_CELLS`` cells.
+    A block reads every column, so it takes ``ROW_BLOCK_CELLS // n``
+    rows.  With ``upper`` a block starting at row ``lo`` reads only the
+    columns ``[lo, n)``, the upper triangle and its own diagonal square,
+    so it takes ``ROW_BLOCK_CELLS // (n - lo)`` rows and the blocks widen
+    toward the last row.  Every block has at least one row.
     """
-    step = max(1, ROW_BLOCK_CELLS // max(n, 1))
-    for lo in range(0, n, step):
+    lo = 0
+    while lo < n:
+        step = max(1, ROW_BLOCK_CELLS // ((n - lo) if upper else n))
         yield slice(lo, min(lo + step, n))
+        lo += step
 
 
-def pairwise_sq_dists(X, rows=slice(None)) -> np.ndarray:
-    """Squared Euclidean distances from the rows ``X[rows]`` to every row of ``X``.
+def block_sq_dists(X):
+    """The squared distances of X's rows, one block at a time.
 
-    Entries are nonnegative and each row's distance to itself is exactly
-    zero.  Up to ``DIRECT_DIFFERENCE_COLS`` columns the distances are
-    sums of squared coordinate differences: exactly symmetric, with no
-    cancellation however far the points lie from the origin.  Wider data
-    use the Gram expansion of the column-centered rows, so adding a
-    constant row vector to every row leaves the result unchanged up to
-    roundoff; over all rows its result is made exactly symmetric.
-    Distances too large for a float are +inf, so callers can treat the
-    configuration as out of range rather than invalid.
+    Validates X, and for the Gram expansion centres it and takes its row
+    norms, once; returns ``dists(rows, cols=slice(None))``, the squared
+    Euclidean distances from the rows ``X[rows]`` to the rows ``X[cols]``,
+    for slices of consecutive rows.  Entries are nonnegative and a row's
+    distance to itself is exactly zero.  Up to ``DIRECT_DIFFERENCE_COLS``
+    columns the distances are sums of squared coordinate differences:
+    exactly symmetric, with no cancellation however far the points lie
+    from the origin.  Wider data use the Gram expansion of the
+    column-centred rows, so adding a constant row vector to every row
+    leaves the result unchanged up to roundoff.  Distances too large for
+    a float are +inf, so callers can treat the configuration as out of
+    range rather than invalid.
     """
     X = as_float_matrix(X, "X")
     n, p = X.shape
-    block = X[rows]
     if p <= DIRECT_DIFFERENCE_COLS:
-        D = np.zeros((block.shape[0], n))
-        with np.errstate(over="ignore"):
-            for c in range(p):
-                diff = block[:, c, None] - X[:, c]
-                diff *= diff
-                D += diff
-        return D
+        def dists(rows, cols=slice(None)):
+            block, other = X[rows], X[cols]
+            if not p:
+                return np.zeros((block.shape[0], other.shape[0]))
+            with np.errstate(over="ignore"):
+                D = block[:, 0, None] - other[:, 0]
+                D *= D
+                for c in range(1, p):
+                    diff = block[:, c, None] - other[:, c]
+                    diff *= diff
+                    D += diff
+            return D
+        return dists
     Xc = X - X.mean(axis=0, keepdims=True)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if rows == slice(None):
-            G = Xc @ Xc.T
-            sq = np.diag(G).copy()
-            D = sq[:, None] + sq[None, :] - 2.0 * G
-            D = (D + D.T) / 2.0
-        else:
-            sq = np.einsum("ij,ij->i", Xc, Xc)
-            D = sq[rows, None] + sq - 2.0 * (Xc[rows] @ Xc.T)
+    with np.errstate(over="ignore"):
+        sq = np.einsum("ij,ij->i", Xc, Xc)
+
+    def dists(rows, cols=slice(None)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            D = sq[rows, None] + sq[cols] - 2.0 * (Xc[rows] @ Xc[cols].T)
+        _finish_sq_dists(D, range(n)[rows], range(n)[cols])
+        return D
+    return dists
+
+
+def _finish_sq_dists(D, rows: range, cols: range) -> None:
+    """Finish Gram-expansion distances of the rows ``rows`` to ``cols`` in place.
+
+    NaN (inf - inf) becomes +inf, negative roundoff zero, and a row's
+    distance to itself exactly zero.
+    """
     D[np.isnan(D)] = np.inf
     np.clip(D, 0.0, None, out=D)
-    D[np.arange(D.shape[0]), np.arange(n)[rows]] = 0.0
+    own = np.arange(max(rows.start, cols.start), min(rows.stop, cols.stop))
+    D[own - rows.start, own - cols.start] = 0.0
+
+
+def pairwise_sq_dists(X, rows=slice(None), cols=slice(None)) -> np.ndarray:
+    """Squared Euclidean distances from the rows ``X[rows]`` to the rows ``X[cols]``.
+
+    The numbers of :func:`block_sq_dists`, for a single block.  Over all
+    rows and columns the Gram-expansion result is made exactly
+    symmetric, and at most two n x n arrays are alive at once: D starts
+    as the sum of the row norms, takes twice the Gram matrix off in
+    place, and is symmetrised one :func:`row_blocks` block of the upper
+    triangle at a time.
+    """
+    X = as_float_matrix(X, "X")
+    n, p = X.shape
+    if p <= DIRECT_DIFFERENCE_COLS or rows != slice(None) or cols != slice(None):
+        return block_sq_dists(X)(rows, cols)
+    Xc = X - X.mean(axis=0, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = Xc @ Xc.T
+        sq = np.diag(G).copy()
+        D = sq[:, None] + sq[None, :]
+        G *= 2.0
+        D -= G
+        del G
+        for block in row_blocks(n, upper=True):
+            lo = block.start
+            mean = D[block, lo:] + D[lo:, block].T
+            mean /= 2.0
+            D[block, lo:] = mean
+            D[lo:, block] = mean.T
+    _finish_sq_dists(D, range(n), range(n))
     return D

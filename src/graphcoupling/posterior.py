@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ContractViolationError, DegenerateRowError, ParameterError
 from .graph import EdgeList
 from .kernels import KernelMatrix
-from .linalg import as_float_matrix
+from .linalg import as_float_matrix, row_blocks
 
 PRIOR_KINDS = ("B", "D", "E")
 
@@ -174,6 +174,8 @@ def sample_posterior_graph(K, prior: str, rng: np.random.Generator, pi=None) -> 
 def symmetrize_row_affinity(P: AffinityMatrix) -> AffinityMatrix:
     """P + P^T of a row-normalized affinity; total mass becomes 2n.
 
+    Exactly symmetric: P_ij + P_ji and P_ji + P_ij are the same float.
+
     Kept unnormalized on purpose; ``classic_scale`` of
     :class:`coupling.CouplingProblem` divides it by 2n.
     """
@@ -187,10 +189,15 @@ def umap_threshold_prob(P: AffinityMatrix) -> AffinityMatrix:
     """Probability that edge {i, j} exists in at least one direction.
 
     The probabilistic-OR P_ij + P_ji - P_ij P_ji of an elementwise
-    Bernoulli affinity; symmetric with entries in [0, 1].
+    Bernoulli affinity; exactly symmetric, because sums and products
+    commute, with entries in [0, 1].  The products are taken off one
+    block of rows at a time, so the result is the only n x n array made.
     """
     if P.normalization != BERNOULLI:
         raise ContractViolationError(
             f"expected an elementwise bernoulli affinity, got {P.normalization!r}")
     V = P.values
-    return replace(P, values=V + V.T - V * V.T, normalization=THRESHOLDED_BERNOULLI)
+    out = V + V.T
+    for rows in row_blocks(V.shape[0]):
+        out[rows] -= V[rows] * V.T[rows]
+    return replace(P, values=out, normalization=THRESHOLDED_BERNOULLI)

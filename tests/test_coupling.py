@@ -5,7 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from graphcoupling import linalg
+from graphcoupling import coupling, linalg
 from graphcoupling.coupling import (
     LARGEVIS,
     METHOD_KINDS,
@@ -173,6 +173,21 @@ class TestConstruction:
         prob = CouplingProblem(SNE, uniform_affinity(SNE, 4),
                                latent_kernel="student")
         assert prob.latent_kernel == "student"
+
+    @pytest.mark.parametrize("method", [TSNE, LARGEVIS, UMAP])
+    def test_rejects_asymmetric_affinity(self, method, block_cells):
+        V = uniform_affinity(method, 9).values.copy()
+        V[7, 2] = np.nextafter(V[7, 2], 1.0)
+        with pytest.raises(ContractViolationError, match="symmetric"):
+            CouplingProblem(method, tagged_affinity(method, V))
+
+    @pytest.mark.parametrize("method", METHOD_KINDS)
+    def test_accepts_input_affinity(self, method, block_cells):
+        X = np.random.default_rng(26).normal(size=(40, 5))
+        P = input_affinity(calibrated_kernel(pairwise_sq_dists(X), 8.0), method)
+        CouplingProblem(method, P)
+        if method != SNE:
+            npt.assert_array_equal(P.values, P.values.T)
 
     def test_rejects_out_of_range_affinity(self):
         V = np.full((3, 3), 2.0)
@@ -461,7 +476,9 @@ def calibrated_problem(method, latent, n, seed):
 class TestBlockedPass:
     N = 30
 
-    @pytest.mark.parametrize("block_cells", [1, 7 * N, linalg.ROW_BLOCK_CELLS],
+    # One-row tiles, uneven upper-triangle tiles (7 + 9 + 14 and 13 + 17
+    # rows) and a single tile.
+    @pytest.mark.parametrize("block_cells", [1, 7 * N, 13 * N + 5, linalg.ROW_BLOCK_CELLS],
                              indirect=True)
     @pytest.mark.parametrize("method", METHOD_KINDS)
     def test_matches_dense_oracle(self, method, block_cells):
@@ -494,6 +511,34 @@ class TestBlockedPass:
             assert got[3] is None
         else:
             npt.assert_array_equal(got[3], want[3])
+
+    @pytest.mark.parametrize("method", METHOD_KINDS)
+    def test_visits_each_pair_once(self, monkeypatch, method, block_cells):
+        # The symmetric methods read the upper triangle: n(n + 1) / 2 cells
+        # plus the lower half of each tile's diagonal square; sne reads n^2.
+        n = 200
+        cells = []
+
+        def counted(X):
+            dists = linalg.block_sq_dists(X)
+
+            def tile(rows, cols=slice(None)):
+                D = dists(rows, cols)
+                cells.append(D.size)
+                return D
+            return tile
+
+        prob = calibrated_problem(method, None, n, 24)
+        monkeypatch.setattr(coupling, "block_sq_dists", counted)
+        prob.evaluate(np.random.default_rng(25).normal(size=(n, 2)))
+        if method == SNE:
+            assert sum(cells) == n * n
+        else:
+            squares = sum((b.stop - b.start) * (b.stop - b.start - 1) // 2
+                          for b in linalg.row_blocks(n, upper=True))
+            assert sum(cells) == n * (n + 1) // 2 + squares
+            if block_cells == 1:
+                assert squares == 0
 
     def test_no_n_by_n_temporary(self):
         n = 2000

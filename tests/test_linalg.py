@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from graphcoupling import linalg
 from graphcoupling.errors import ContractViolationError
 from graphcoupling.linalg import (
+    block_sq_dists,
     center_columns,
     leading_signs,
     pairwise_sq_dists,
@@ -149,6 +153,60 @@ class TestPairwiseSqDists:
         else:
             npt.assert_allclose(D, full, rtol=1e-12, atol=1e-10)
 
+    @pytest.mark.parametrize("cols", [2, 50])
+    def test_whole_matrix_keeps_the_gram_formula(self, block_cells, cols):
+        # The Gram expansion and its symmetrisation as whole-matrix
+        # expressions; the blocked, in-place form must give the same bytes.
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(45, cols)) * rng.uniform(0.1, 30.0, size=cols)
+        X[5] = X[40]
+        got = pairwise_sq_dists(X)
+        if cols <= linalg.DIRECT_DIFFERENCE_COLS:
+            want = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
+        else:
+            Xc = X - X.mean(axis=0, keepdims=True)
+            G = Xc @ Xc.T
+            sq = np.diag(G).copy()
+            want = sq[:, None] + sq[None, :] - 2.0 * G
+            want = (want + want.T) / 2.0
+            np.clip(want, 0.0, None, out=want)
+            np.fill_diagonal(want, 0.0)
+        npt.assert_array_equal(got, want)
+        npt.assert_array_equal(got, got.T)
+
+    def test_whole_matrix_holds_two_n_by_n_arrays(self):
+        n = 600
+        X = np.random.default_rng(9).normal(size=(n, 50))
+        tracemalloc.start()
+        try:
+            D = pairwise_sq_dists(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * D.nbytes, f"{peak / D.nbytes:.2f} n x n arrays"
+
+    @pytest.mark.parametrize("cols", [0, 1, 3, 5])
+    def test_tiles_match_the_whole_matrix(self, cols):
+        rng = np.random.default_rng(10)
+        X = rng.normal(size=(30, cols)) + rng.uniform(-50.0, 50.0, size=cols)
+        full = pairwise_sq_dists(X)
+        dists = block_sq_dists(X)
+        for rows, tile in [(slice(0, 30), slice(0, 30)), (slice(4, 9), slice(4, 30)),
+                           (slice(4, 9), slice(7, 12)), (slice(20, 30), slice(0, 6)),
+                           (slice(29, 30), slice(29, 30))]:
+            D = dists(rows, tile)
+            lo, hi = max(rows.start, tile.start), min(rows.stop, tile.stop)
+            own = np.arange(lo, hi)
+            npt.assert_array_equal(D[own - rows.start, own - tile.start], 0.0)
+            if cols <= linalg.DIRECT_DIFFERENCE_COLS:
+                npt.assert_array_equal(D, full[rows, tile])
+            else:
+                npt.assert_allclose(D, full[rows, tile], rtol=1e-12, atol=1e-10)
+
+    def test_blocks_reject_non_finite_points(self):
+        with pytest.raises(ContractViolationError):
+            block_sq_dists([[0.0, np.nan], [1.0, 2.0]])
+
     def test_overflow_is_infinite(self):
         for cols in (2, 5):
             X = np.zeros((3, cols))
@@ -164,3 +222,13 @@ class TestRowBlocks:
         step = max(1, block_cells // max(n, 1))
         assert [b.start for b in blocks] == list(range(0, n, step))
         assert [b.stop for b in blocks] == [min(lo + step, n) for lo in range(0, n, step)]
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 300])
+    def test_upper_blocks_widen_within_the_budget(self, block_cells, n):
+        blocks = list(row_blocks(n, upper=True))
+        bounds = [0] + [b.stop for b in blocks]
+        assert [b.start for b in blocks] == bounds[:-1] and bounds[-1] == n
+        for b in blocks:
+            rows = b.stop - b.start
+            assert rows == 1 or rows * (n - b.start) <= block_cells
+            assert b.stop == n or (rows + 1) * (n - b.start) > block_cells

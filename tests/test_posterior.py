@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -246,6 +247,26 @@ class TestTransforms:
         npt.assert_allclose(T.values, V + V.T - V * V.T, rtol=1e-15)
         assert T.normalization == "thresholded-bernoulli"
         assert T.values.min() >= 0.0 and T.values.max() <= 1.0
+
+    def test_threshold_blocks_match_the_whole_formula(self, block_cells):
+        rng = np.random.default_rng(15)
+        V = rng.random((37, 37))
+        np.fill_diagonal(V, 0.0)
+        T = umap_threshold_prob(AffinityMatrix(V, "B", "bernoulli")).values
+        npt.assert_array_equal(T, V + V.T - V * V.T)
+        npt.assert_array_equal(T, T.T)
+
+    def test_threshold_makes_only_its_result(self):
+        n = 600
+        V = np.random.default_rng(16).random((n, n))
+        P = AffinityMatrix(V, "B", "bernoulli")
+        tracemalloc.start()
+        try:
+            umap_threshold_prob(P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * V.nbytes, f"{peak / V.nbytes:.2f} n x n arrays"
 
     def test_threshold_half_half(self):
         V = np.array([[0.0, 0.5], [0.5, 0.0]])
