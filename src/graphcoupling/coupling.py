@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import ContractViolationError, ParameterError
 from .kernels import GAUSSIAN, STUDENT, check_kind
-from .linalg import as_float_matrix, block_sq_dists, row_blocks
+from .linalg import as_float_matrix, pairwise_sq_dists, row_blocks
 from .optim import Evaluation
 from .posterior import (
     ROW,
@@ -212,10 +212,9 @@ class CouplingProblem:
         # gradient of those terms.  The Student K lies in (0, 1], so only
         # the Gaussian needs a running peak to keep the sum from underflowing.
         total, peak, push = 0.0, (0.0 if student else -math.inf), np.zeros_like(Z)
-        dists = block_sq_dists(Z)
         for rows in row_blocks(n, upper):
             cols = slice(rows.start if upper else 0, n)
-            D = dists(rows, cols)
+            D = pairwise_sq_dists(Z, rows, cols)
             if not np.isfinite(D).all():
                 # Squared distances overflowed; the configuration is out of
                 # range, not invalid, so score it with the infinite sentinel.

@@ -3,9 +3,11 @@
 All routines operate on float64 row-major arrays and are deterministic:
 the same input bytes always produce the same output bytes.  Loops that
 would otherwise form an n x n matrix walk :func:`row_blocks` and get
-each block's distances from :func:`block_sq_dists`, the one distance
-routine, which validates and prepares the points once per walk.  A walk
-over a symmetric quantity can visit each unordered pair once: with
+each block's distances from :func:`pairwise_sq_dists` with a row and a
+column range.  A walk over wide data, where each call would centre the
+points and take their row norms again, uses :func:`block_sq_dists`
+instead, which does that once per walk; both give the same numbers.  A
+walk over a symmetric quantity can visit each unordered pair once: with
 ``upper=True`` a block of rows ``[lo, hi)`` pairs only with the columns
 ``[lo, n)``, and every block stays within the ``ROW_BLOCK_CELLS`` budget.
 
@@ -147,7 +149,11 @@ def block_sq_dists(X):
     a float are +inf, so callers can treat the configuration as out of
     range rather than invalid.
     """
-    X = as_float_matrix(X, "X")
+    return _sq_dists(as_float_matrix(X, "X"))
+
+
+def _sq_dists(X):
+    """:func:`block_sq_dists` of a validated float matrix X."""
     n, p = X.shape
     if p <= DIRECT_DIFFERENCE_COLS:
         def dists(rows, cols=slice(None)):
@@ -190,17 +196,18 @@ def _finish_sq_dists(D, rows: range, cols: range) -> None:
 def pairwise_sq_dists(X, rows=slice(None), cols=slice(None)) -> np.ndarray:
     """Squared Euclidean distances from the rows ``X[rows]`` to the rows ``X[cols]``.
 
-    The numbers of :func:`block_sq_dists`, for a single block.  Over all
-    rows and columns the Gram-expansion result is made exactly
-    symmetric, and at most two n x n arrays are alive at once: D starts
-    as the sum of the row norms, takes twice the Gram matrix off in
-    place, and is symmetrised one :func:`row_blocks` block of the upper
-    triangle at a time.
+    The numbers of :func:`block_sq_dists`, for a single block; a tile of
+    at most ``DIRECT_DIFFERENCE_COLS`` columns costs no set-up beyond
+    the validation of X.  Over all rows and columns the Gram-expansion
+    result is made exactly symmetric, and at most two n x n arrays are
+    alive at once: D starts as the sum of the row norms, takes twice the
+    Gram matrix off in place, and is symmetrised one :func:`row_blocks`
+    block of the upper triangle at a time.
     """
     X = as_float_matrix(X, "X")
     n, p = X.shape
     if p <= DIRECT_DIFFERENCE_COLS or rows != slice(None) or cols != slice(None):
-        return block_sq_dists(X)(rows, cols)
+        return _sq_dists(X)(rows, cols)
     Xc = X - X.mean(axis=0, keepdims=True)
     with np.errstate(over="ignore", invalid="ignore"):
         G = Xc @ Xc.T

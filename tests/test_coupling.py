@@ -519,17 +519,13 @@ class TestBlockedPass:
         n = 200
         cells = []
 
-        def counted(X):
-            dists = linalg.block_sq_dists(X)
-
-            def tile(rows, cols=slice(None)):
-                D = dists(rows, cols)
-                cells.append(D.size)
-                return D
-            return tile
+        def counted(X, rows, cols):
+            D = linalg.pairwise_sq_dists(X, rows, cols)
+            cells.append(D.size)
+            return D
 
         prob = calibrated_problem(method, None, n, 24)
-        monkeypatch.setattr(coupling, "block_sq_dists", counted)
+        monkeypatch.setattr(coupling, "pairwise_sq_dists", counted)
         prob.evaluate(np.random.default_rng(25).normal(size=(n, 2)))
         if method == SNE:
             assert sum(cells) == n * n
