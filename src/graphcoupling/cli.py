@@ -294,7 +294,9 @@ def _add_run_options(parser, methods, method_help):
     parser.add_argument("--out-dir",
                         help=f"output directory (or ${OUT_DIR_ENV}, default '.')")
     parser.add_argument("--threads", type=int,
-                        help="accepted and checked to be at least 1; has no effect")
+                        help="accepted and checked to be at least 1; has no effect: "
+                             "the fit runs on the usable cores, and no output "
+                             "depends on their number")
     parser.add_argument("--seed", type=int, help=f"master random seed (default {_SPEC.seed})")
     parser.add_argument("--method", choices=methods, help=method_help)
     parser.add_argument("--dim", type=int, help=f"embedding dimension (default {_SPEC.q})")

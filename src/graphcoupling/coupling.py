@@ -54,8 +54,7 @@ from .posterior import (
     THRESHOLDED_BERNOULLI,
     AffinityMatrix,
     posterior_expectation,
-    symmetrize_row_affinity,
-    umap_threshold_prob,
+    symmetrized_in_place,
 )
 
 SNE = "sne"
@@ -90,10 +89,10 @@ def check_method(method: str) -> str:
 def input_affinity(K, method: str) -> AffinityMatrix:
     """The input affinity P of a method from the data kernel K (see the module doc)."""
     check_method(method)
-    if method == UMAP:
-        return umap_threshold_prob(posterior_expectation(K, "B"))
-    row = posterior_expectation(K, "D")
-    return row if method == SNE else symmetrize_row_affinity(row)
+    if method == SNE:
+        return posterior_expectation(K, "D")
+    # The posterior's values are a fresh array: symmetrize them in place.
+    return symmetrized_in_place(posterior_expectation(K, "B" if method == UMAP else "D"))
 
 
 def _add_pair_gradient(grad, G, Z, rows, cols) -> None:

@@ -92,7 +92,10 @@ def weighted_laplacian(A) -> np.ndarray:
         raise ContractViolationError(f"weight matrix must be square, got {A.shape}")
     if A.size and float(A.min()) < 0.0:
         raise ContractViolationError("weight matrix has negative entries")
-    return np.diag(A.sum(axis=1)) - A
+    # 0 - A rather than -A, so a zero weight gives the +0.0 of diag(row sums) - A.
+    L = np.subtract(0.0, A)
+    L[np.diag_indices_from(L)] += A.sum(axis=1)
+    return L
 
 
 def _component_roots(n: int, rows, cols) -> np.ndarray:

@@ -10,7 +10,10 @@ bandwidths tau_i > 0 and a zero diagonal by convention.  With unequal
 bandwidths K is intentionally not symmetric.
 
 :func:`calibrated_kernel` builds every fit's input kernel and its
-bandwidths in one walk over row blocks of squared distances.
+bandwidths in one walk over row blocks of squared distances.  The
+blocks are independent, so :func:`linalg.map_blocks` runs them on every
+usable core; each writes only its own rows of the bandwidths and the
+kernel, so the result does not depend on the number of cores.
 """
 
 from dataclasses import dataclass
@@ -19,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractViolationError, DegenerateRowError, ParameterError
-from .linalg import as_float_matrix, pairwise_sq_dists, row_blocks
+from .linalg import as_float_matrix, map_blocks, pairwise_sq_dists, row_blocks
 
 GAUSSIAN = "gaussian"
 STUDENT = "student"
@@ -106,7 +109,10 @@ def calibrated_kernel(D, perplexity: float) -> KernelMatrix:
     until the target is bracketed, then bisects.  A row still running
     after 2 * ``MAX_BISECT_ITERS`` evaluations gets the next tau of the
     rule.  Rows are solved together, one :func:`linalg.row_blocks` block
-    at a time; no tau depends on the blocking.  The result, with tau in
+    at a time, and each block writes its own rows of the kernel as soon
+    as its tau are known.  The blocks run on the usable cores through
+    :func:`linalg.map_blocks`; neither the blocking nor the number of
+    cores changes a bit of the result.  The result, with tau in
     ``bandwidths``, equals ``kernel_matrix(X, GAUSSIAN, tau)`` for the X of ``D``.
 
     Raises
@@ -115,7 +121,8 @@ def calibrated_kernel(D, perplexity: float) -> KernelMatrix:
         If perplexity is outside [1, n - 1].
     DegenerateRowError
         If some row is at distance zero from every other row, which
-        makes its neighbor distribution independent of tau.
+        makes its neighbor distribution independent of tau.  The first
+        such row is named, as in a serial walk.
     """
     D = _check_sq_dists(D)
     n = D.shape[0]
@@ -129,7 +136,8 @@ def calibrated_kernel(D, perplexity: float) -> KernelMatrix:
     target = float(np.log2(perplexity))
     tau = np.empty(n, dtype=np.float64)
     values = np.empty((n, n))
-    for block in row_blocks(n):
+
+    def solve(block):
         rows = np.arange(block.start, block.stop)
         # The block's off-diagonal distances, n - 1 per row.
         d = D[block][np.arange(n) != rows[:, None]].reshape(rows.size, n - 1)
@@ -137,30 +145,47 @@ def calibrated_kernel(D, perplexity: float) -> KernelMatrix:
         if dead.size:
             raise DegenerateRowError(
                 f"row {rows[dead[0]]} is at distance zero from every other row")
-        tau[block] = _calibrate_rows(-d / 2.0, target)
-        values[block] = np.exp(_log_kernel(D[block], GAUSSIAN, tau[block]))
+        tau[block] = t = _calibrate_rows(np.divide(d, -2.0, out=d), target)
+        # values[block] = exp(_log_kernel(D[block], GAUSSIAN, t)), in place.
+        out = np.divide(D[block], (t * t)[:, None], out=values[block])
+        np.exp(np.divide(out, -2.0, out=out), out=out)
         values[rows, rows] = 0.0
+
+    map_blocks(solve, row_blocks(n))
     return KernelMatrix(values, GAUSSIAN, tau)
 
 
 def _calibrate_rows(neg_half_d: np.ndarray, target: float) -> np.ndarray:
-    """The bandwidth rule of :func:`calibrated_kernel` on a block of rows."""
+    """The bandwidth rule of :func:`calibrated_kernel` on a block of rows.
+
+    Works in ``neg_half_d``, which it reorders, and two buffers of its
+    shape.  The rows still running are kept in the leading rows: when
+    some finish, the rest move up in order.  A row's largest logit is
+    its largest -d/2 divided by t^2, the same float as the largest of
+    the divided row, because division by t^2 > 0 is monotone.
+    """
     tau = np.empty(neg_half_d.shape[0], dtype=np.float64)
     live = np.arange(tau.size)
+    peak = neg_half_d.max(axis=1)
+    logits, w = np.empty_like(neg_half_d), np.empty_like(neg_half_d)
     t, lo, hi = np.ones(tau.size), np.zeros(tau.size), np.full(tau.size, np.inf)
     for _ in range(2 * MAX_BISECT_ITERS):
         # Entropy in bits of p = w / s with w = exp(l), from shifted logits l.
-        logits = neg_half_d / (t * t)[:, None]
-        logits -= logits.max(axis=1, keepdims=True)
-        w = np.exp(logits)
-        s = w.sum(axis=1)
-        h = (np.log(s) - (w * logits).sum(axis=1) / s) / np.log(2.0)
+        m, t2 = live.size, (t * t)[:, None]
+        l, e = logits[:m], w[:m]
+        np.divide(neg_half_d[:m], t2, out=l)
+        l -= peak[:, None] / t2
+        np.exp(l, out=e)
+        s = e.sum(axis=1)
+        h = (np.log(s) - np.multiply(e, l, out=l).sum(axis=1) / s) / np.log(2.0)
         done = np.abs(h - target) <= ENTROPY_TOL
         if done.any():
             tau[live[done]] = t[done]
             keep = ~done
-            live, t, lo, hi, h, neg_half_d = (
-                a[keep] for a in (live, t, lo, hi, h, neg_half_d))
+            for to, row in enumerate(np.flatnonzero(keep)):
+                if to != row:
+                    neg_half_d[to] = neg_half_d[row]
+            live, t, lo, hi, h, peak = (a[keep] for a in (live, t, lo, hi, h, peak))
             if not live.size:
                 return tau
         below = h < target

@@ -10,6 +10,10 @@ instead, which does that once per walk; both give the same numbers.  A
 walk over a symmetric quantity can visit each unordered pair once: with
 ``upper=True`` a block of rows ``[lo, hi)`` pairs only with the columns
 ``[lo, n)``, and every block stays within the ``ROW_BLOCK_CELLS`` budget.
+A walk whose blocks are independent can run them on every usable core
+with :func:`map_blocks`, which keeps the results, and the exception
+raised, those of the serial walk.  Its threads live for one call;
+importing the package starts none.
 
 Functions
 ---------
@@ -19,9 +23,15 @@ center_columns     subtract the column mean from every column
 row_blocks         row slices of at most ``ROW_BLOCK_CELLS`` matrix cells each,
                    over full rows or over the upper triangle
 block_sq_dists     squared Euclidean distances between blocks of rows, set up once
-pairwise_sq_dists  one such block, or the whole exactly symmetric matrix
+pairwise_sq_dists  one such block, or the whole matrix, exactly symmetric
+                   without a symmetrisation pass
+usable_cores       the cores this process may run on
+map_blocks         fn over independent blocks on the usable cores, results in
+                   block order
 """
 
+import os
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -38,9 +48,9 @@ SYMMETRY_RTOL = 1e-10
 SIGN_TIE_RTOL = 1e-10
 
 #: Matrix cells each blocked row loop (calibration, the component
-#: support, the coupling pass, the neighbor sets, the symmetrisation of
-#: a whole distance matrix) handles at once; bounds its temporaries.
-#: Read at call time.
+#: support, the coupling pass, the neighbor sets, the symmetric
+#: combination of an affinity with its transpose) handles at once;
+#: bounds its temporaries.  Read at call time.
 ROW_BLOCK_CELLS = 1 << 16
 
 #: Data with at most this many columns get their distances from direct
@@ -69,7 +79,8 @@ def sym_eig(A) -> SymEigResult:
 
     Eigenvalues are returned in descending order.  Each eigenvector's
     sign is fixed by :func:`leading_signs`, which makes repeated calls
-    bit-reproducible.
+    bit-reproducible.  The solver gets (A + A^T) / 2, which for an
+    exactly symmetric A is A itself, uncopied.
 
     Raises
     ------
@@ -83,16 +94,23 @@ def sym_eig(A) -> SymEigResult:
     n, m = A.shape
     if n != m:
         raise ContractViolationError(f"A must be square, got shape {A.shape}")
-    scale = max(1.0, float(np.abs(A).max())) if n else 1.0
-    if n and float(np.abs(A - A.T).max()) > SYMMETRY_RTOL * scale:
-        raise ContractViolationError("A is not symmetric within tolerance")
+    asymmetry = 0.0
+    if n:
+        scale = max(1.0, float(A.max()), -float(A.min()))
+        diff = A - A.T
+        asymmetry = float(np.abs(diff, out=diff).max())
+        del diff
+        if asymmetry > SYMMETRY_RTOL * scale:
+            raise ContractViolationError("A is not symmetric within tolerance")
     try:
-        w, V = np.linalg.eigh((A + A.T) / 2.0)
+        # (A + A^T) / 2 is A itself when A is exactly symmetric.
+        w, V = np.linalg.eigh(A if asymmetry == 0.0 else (A + A.T) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from None
     # eigh returns ascending order; flip to descending.
     V = V[:, ::-1]
-    return SymEigResult(w[::-1].copy(), V * leading_signs(V))
+    V *= leading_signs(V)
+    return SymEigResult(w[::-1].copy(), V)
 
 
 def leading_signs(V) -> np.ndarray:
@@ -199,10 +217,11 @@ def pairwise_sq_dists(X, rows=slice(None), cols=slice(None)) -> np.ndarray:
     The numbers of :func:`block_sq_dists`, for a single block; a tile of
     at most ``DIRECT_DIFFERENCE_COLS`` columns costs no set-up beyond
     the validation of X.  Over all rows and columns the Gram-expansion
-    result is made exactly symmetric, and at most two n x n arrays are
-    alive at once: D starts as the sum of the row norms, takes twice the
-    Gram matrix off in place, and is symmetrised one :func:`row_blocks`
-    block of the upper triangle at a time.
+    result is exactly symmetric with no symmetrisation pass: numpy forms
+    ``Xc @ Xc.T`` from one triangle and mirrors it, and the row-norm sum
+    sq_i + sq_j commutes.  At most two n x n arrays are alive at once: D
+    starts as the sum of the row norms and takes twice the Gram matrix
+    off in place.
     """
     X = as_float_matrix(X, "X")
     n, p = X.shape
@@ -216,11 +235,59 @@ def pairwise_sq_dists(X, rows=slice(None), cols=slice(None)) -> np.ndarray:
         G *= 2.0
         D -= G
         del G
-        for block in row_blocks(n, upper=True):
-            lo = block.start
-            mean = D[block, lo:] + D[lo:, block].T
-            mean /= 2.0
-            D[block, lo:] = mean
-            D[lo:, block] = mean.T
     _finish_sq_dists(D, range(n), range(n))
     return D
+
+
+def usable_cores() -> int:
+    """The number of cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def map_blocks(fn, blocks) -> list:
+    """``[fn(block) for block in blocks]``, run on the usable cores.
+
+    For independent blocks, such as blocks that write disjoint rows of
+    one output: the results are the list comprehension's, in block
+    order, however the blocks were scheduled.  The calling thread and
+    ``usable_cores() - 1`` threads started for this call each take the
+    next block in order when they finish one, so at most one block per
+    worker is in flight.  Once a block has raised, no further block
+    starts; the blocks already running finish, and the exception of the
+    lowest failing block is raised, the one the comprehension would
+    raise.  The threads end before this function returns.
+    """
+    blocks = list(blocks)
+    workers = min(usable_cores(), len(blocks))
+    if workers < 2:
+        return [fn(block) for block in blocks]
+    results = [None] * len(blocks)
+    errors = {}
+    lock = threading.Lock()
+    pending = iter(range(len(blocks)))
+
+    def work():
+        while True:
+            with lock:
+                k = None if errors else next(pending, None)
+            if k is None:
+                return
+            try:
+                results[k] = fn(blocks[k])
+            except BaseException as exc:  # re-raised by the caller below
+                with lock:
+                    errors[k] = exc
+
+    threads = [threading.Thread(target=work, daemon=True) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        work()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results

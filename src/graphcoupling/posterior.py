@@ -88,7 +88,8 @@ def posterior_expectation(K, prior: str, pi=None) -> AffinityMatrix:
     G = _weighted_kernel(K, pi)
     n = G.shape[0]
     if prior == "B":
-        return AffinityMatrix(G / (1.0 + G), prior, BERNOULLI)
+        P = 1.0 + G
+        return AffinityMatrix(np.divide(G, P, out=P), prior, BERNOULLI)
     if prior == "D":
         rows = G.sum(axis=1)
         dead = np.nonzero(rows == 0.0)[0]
@@ -171,6 +172,51 @@ def sample_posterior_graph(K, prior: str, rng: np.random.Generator, pi=None) -> 
     return PosteriorSampler(K, prior, pi).draw(rng).dense()
 
 
+def _add(a, c) -> None:
+    a += c
+
+
+def _probabilistic_or(a, c) -> None:
+    product = a * c
+    a += c
+    a -= product
+
+
+#: Per posterior normalization: the normalization of its symmetric form
+#: and the commutative rule ``combine(a, c)`` that overwrites a with the
+#: combination of a and c.
+_SYMMETRIC_FORMS = {ROW: (SYMMETRIZED_ROW, _add),
+                    BERNOULLI: (THRESHOLDED_BERNOULLI, _probabilistic_or)}
+
+
+def symmetrized_in_place(P: AffinityMatrix) -> AffinityMatrix:
+    """The symmetric form of a row or bernoulli affinity, written over P's values.
+
+    P + P^T of a ``row`` affinity, or the probabilistic-OR of a
+    ``bernoulli`` one (see :func:`symmetrize_row_affinity` and
+    :func:`umap_threshold_prob`, which apply it to a copy).  Walks the
+    upper triangle one :func:`linalg.row_blocks` block at a time: the
+    block's entries right of its diagonal square are combined in place
+    with their mirror images below it, which are then overwritten with
+    the result, so the only temporaries are the OR's products over one
+    block and a copy of its diagonal square.  The result is exactly
+    symmetric because both rules commute: combining P_ij with P_ji and
+    P_ji with P_ij give the same float.
+    """
+    if P.normalization not in _SYMMETRIC_FORMS:
+        raise ContractViolationError(
+            f"expected a row or bernoulli affinity, got {P.normalization!r}")
+    normalization, combine = _SYMMETRIC_FORMS[P.normalization]
+    V = P.values
+    for rows in row_blocks(V.shape[0], upper=True):
+        hi = rows.stop
+        square = V[rows, rows]
+        combine(square, square.T)  # numpy copies an operand that overlaps its output
+        combine(V[rows, hi:], V[hi:, rows].T)
+        V[hi:, rows] = V[rows, hi:].T
+    return replace(P, normalization=normalization)
+
+
 def symmetrize_row_affinity(P: AffinityMatrix) -> AffinityMatrix:
     """P + P^T of a row-normalized affinity; total mass becomes 2n.
 
@@ -182,7 +228,7 @@ def symmetrize_row_affinity(P: AffinityMatrix) -> AffinityMatrix:
     if P.normalization != ROW:
         raise ContractViolationError(
             f"expected a row-normalized affinity, got {P.normalization!r}")
-    return replace(P, values=P.values + P.values.T, normalization=SYMMETRIZED_ROW)
+    return symmetrized_in_place(replace(P, values=P.values.copy()))
 
 
 def umap_threshold_prob(P: AffinityMatrix) -> AffinityMatrix:
@@ -190,14 +236,10 @@ def umap_threshold_prob(P: AffinityMatrix) -> AffinityMatrix:
 
     The probabilistic-OR P_ij + P_ji - P_ij P_ji of an elementwise
     Bernoulli affinity; exactly symmetric, because sums and products
-    commute, with entries in [0, 1].  The products are taken off one
-    block of rows at a time, so the result is the only n x n array made.
+    commute, with entries in [0, 1].  The copy of P's values is the only
+    n x n array made.
     """
     if P.normalization != BERNOULLI:
         raise ContractViolationError(
             f"expected an elementwise bernoulli affinity, got {P.normalization!r}")
-    V = P.values
-    out = V + V.T
-    for rows in row_blocks(V.shape[0]):
-        out[rows] -= V[rows] * V.T[rows]
-    return replace(P, values=out, normalization=THRESHOLDED_BERNOULLI)
+    return symmetrized_in_place(replace(P, values=P.values.copy()))

@@ -79,14 +79,17 @@ def laplacian_eigenmaps(P, q: int) -> EigenmapsResult:
         raise ParameterError(f"affinity must be square, got {A.shape}")
     if A.size and float(A.min()) < 0.0:
         raise ParameterError("affinity entries must be nonnegative")
-    A = (A + A.T) / 2.0
+    A = A + A.T
+    A /= 2.0
     n = A.shape[0]
     n_components = components_from_support(A > 0.0).n_components
     if not (1 <= q <= n - n_components):
         raise ParameterError(
             f"q must lie in [1, n - R = {n - n_components}] "
             f"for n={n} with {n_components} components, got {q}")
-    w, V = sym_eig(weighted_laplacian(A))
+    L = weighted_laplacian(A)
+    del A  # only L is needed at the eigensolver's peak
+    w, V = sym_eig(L)
     # sym_eig sorts descending; the spectrum read backwards is ascending
     # with the null space in the last n_components columns.
     lo = n - n_components - q

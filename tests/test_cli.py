@@ -1,11 +1,16 @@
 import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 import yaml
 
-from graphcoupling import cli, pipeline
+import graphcoupling
+from graphcoupling import cli, linalg, pipeline
 from graphcoupling.cli import OUT_DIR_ENV, build_parser, load_config, main
 from graphcoupling.coupling import METHOD_KINDS
 from graphcoupling.dataio import load_csv, load_embedding, save_embedding
@@ -36,6 +41,32 @@ FAST = ["--iterations", "40", "--perplexity", "8"]
 def fit_args(blob_csv, out, extra=()):
     return (["fit", "--input", str(blob_csv), "--label", "cls",
              "--out-dir", str(out)] + FAST + list(extra))
+
+
+def assert_same_fit_outputs(a, b):
+    """The two fit directories hold the same bytes and manifest, timings aside."""
+    assert (a / "embedding.csv").read_bytes() == (b / "embedding.csv").read_bytes()
+    assert (a / "embedding.svg").read_bytes() == (b / "embedding.svg").read_bytes()
+    ma = yaml.safe_load((a / "manifest.yaml").read_text())
+    mb = yaml.safe_load((b / "manifest.yaml").read_text())
+    ma.pop("timings")
+    mb.pop("timings")
+    assert ma == mb
+
+
+def test_import_starts_no_thread_and_no_executor():
+    # The fit's block walks start their threads per call; importing the
+    # entry point must not, nor load concurrent.futures, which would
+    # add to every command's start-up.
+    code = ("import sys, threading\n"
+            "import graphcoupling.cli\n"
+            "print(threading.active_count(), 'concurrent.futures' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(graphcoupling.__file__).parent.parent)]
+        + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert done.stdout.split() == ["1", "False"]
 
 
 class TestConfigFile:
@@ -149,14 +180,23 @@ class TestFit:
             assert main(fit_args(blob_csv, out,
                                  ["--threads", threads, "--seed", "3"])) == 0
             outs.append(out)
-        a, b = outs
-        assert (a / "embedding.csv").read_bytes() == (b / "embedding.csv").read_bytes()
-        assert (a / "embedding.svg").read_bytes() == (b / "embedding.svg").read_bytes()
-        ma = yaml.safe_load((a / "manifest.yaml").read_text())
-        mb = yaml.safe_load((b / "manifest.yaml").read_text())
-        ma.pop("timings")
-        mb.pop("timings")
-        assert ma == mb
+        assert_same_fit_outputs(*outs)
+
+    @pytest.mark.parametrize("block_cells", [100], indirect=True)
+    @pytest.mark.parametrize("method, init", [("tsne", "ccpca"), ("umap", "le")])
+    def test_usable_cores_never_change_bytes(self, blob_csv, tmp_path, monkeypatch,
+                                             block_cells, method, init):
+        # Small blocks give the calibration walk many blocks to share out.
+        outs = []
+        for workers in (None, 1, 3):
+            if workers is not None:
+                monkeypatch.setattr(linalg, "usable_cores", lambda w=workers: w)
+            out = tmp_path / f"w{workers}"
+            assert main(fit_args(blob_csv, out, ["--method", method, "--init", init,
+                                                 "--samples", "5", "--seed", "3"])) == 0
+            outs.append(out)
+        assert_same_fit_outputs(outs[0], outs[1])
+        assert_same_fit_outputs(outs[0], outs[2])
 
     def test_repeat_suffixes_and_aggregate(self, blob_csv, tmp_path, capsys):
         out = tmp_path / "rep"

@@ -26,7 +26,12 @@ from graphcoupling.kernels import (
     log_kernel,
 )
 from graphcoupling.linalg import pairwise_sq_dists
-from graphcoupling.posterior import AffinityMatrix, posterior_expectation
+from graphcoupling.posterior import (
+    AffinityMatrix,
+    posterior_expectation,
+    symmetrize_row_affinity,
+    umap_threshold_prob,
+)
 from graphcoupling.spectral import PrecisionCouplingProblem
 
 
@@ -188,6 +193,22 @@ class TestConstruction:
         CouplingProblem(method, P)
         if method != SNE:
             npt.assert_array_equal(P.values, P.values.T)
+
+    @pytest.mark.parametrize("method", METHOD_KINDS)
+    def test_input_affinity_is_the_public_transform(self, method, block_cells):
+        # input_affinity symmetrizes the posterior in place; the public
+        # transforms work on a copy and must give the same bytes.
+        X = np.random.default_rng(27).normal(size=(40, 5))
+        K = calibrated_kernel(pairwise_sq_dists(X), 8.0)
+        if method == UMAP:
+            want = umap_threshold_prob(posterior_expectation(K, "B"))
+        elif method == SNE:
+            want = posterior_expectation(K, "D")
+        else:
+            want = symmetrize_row_affinity(posterior_expectation(K, "D"))
+        got = input_affinity(K, method)
+        assert got.normalization == want.normalization
+        assert got.values.tobytes() == want.values.tobytes()
 
     def test_rejects_out_of_range_affinity(self):
         V = np.full((3, 3), 2.0)

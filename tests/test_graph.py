@@ -121,6 +121,15 @@ class TestLaplacian:
         npt.assert_array_equal(weighted_laplacian((W + W.T).astype(float)),
                                laplacian(W))
 
+    def test_weighted_laplacian_matches_the_diag_formula_bit_for_bit(self):
+        # Zero weights must give +0.0, as diag(row sums) - A does, not
+        # the -0.0 of -A.
+        rng = np.random.default_rng(4)
+        A = rng.random((9, 9)) * (rng.random((9, 9)) < 0.5)
+        A[2, 2] = A[2].sum()
+        want = np.diag(A.sum(axis=1)) - A
+        assert weighted_laplacian(A).tobytes() == want.tobytes()
+
     def test_weighted_laplacian_rejects_negative(self):
         with pytest.raises(ContractViolationError):
             weighted_laplacian([[0.0, -0.5], [-0.5, 0.0]])

@@ -44,6 +44,37 @@ def reference_tau(d_row, target):
     return tau
 
 
+def fresh_array_rule(neg_half_d, target):
+    """The block rule of calibrated_kernel with a fresh array per step.
+
+    The bit-exact oracle of the buffered rule: same operations, same
+    order, no buffer reuse, no in-place compaction.
+    """
+    tau = np.empty(neg_half_d.shape[0])
+    live = np.arange(tau.size)
+    t, lo, hi = np.ones(tau.size), np.zeros(tau.size), np.full(tau.size, np.inf)
+    for _ in range(2 * MAX_BISECT_ITERS):
+        logits = neg_half_d / (t * t)[:, None]
+        logits -= logits.max(axis=1, keepdims=True)
+        w = np.exp(logits)
+        s = w.sum(axis=1)
+        h = (np.log(s) - (w * logits).sum(axis=1) / s) / np.log(2.0)
+        done = np.abs(h - target) <= ENTROPY_TOL
+        if done.any():
+            tau[live[done]] = t[done]
+            keep = ~done
+            live, t, lo, hi, h, neg_half_d = (
+                a[keep] for a in (live, t, lo, hi, h, neg_half_d))
+            if not live.size:
+                return tau
+        below = h < target
+        lo = np.where(below, t, lo)
+        hi = np.where(below, hi, t)
+        t = np.where(np.isinf(hi), 2.0 * lo, (lo + hi) / 2.0)
+    tau[live] = t
+    return tau
+
+
 def assert_hits_target_entropy(X):
     D = pairwise_sq_dists(X)
     n = D.shape[0]
@@ -206,6 +237,39 @@ class TestCalibration:
 
     @pytest.mark.parametrize("block_cells", [1, 7 * 300, linalg.ROW_BLOCK_CELLS],
                              indirect=True)
+    def test_worker_count_never_changes_tau_or_k(self, block_cells, monkeypatch):
+        # Blocks write disjoint rows of tau and K, so one worker, the
+        # usable cores and more workers than cores give the same bytes.
+        rng = np.random.default_rng(6)
+        centers = rng.normal(size=(5, 6)) * 6.0
+        X = centers[rng.integers(0, 5, size=300)] + rng.normal(size=(300, 6))
+        D = pairwise_sq_dists(X)
+        expected = [reference_tau(d, np.log2(20.0)) for d in off_diagonal_rows(D)]
+        default = calibrated_kernel(D, 20.0)
+        npt.assert_array_equal(default.bandwidths, expected)
+        for workers in (1, 3):
+            monkeypatch.setattr(linalg, "usable_cores", lambda w=workers: w)
+            K = calibrated_kernel(D, 20.0)
+            assert K.bandwidths.tobytes() == default.bandwidths.tobytes()
+            assert K.values.tobytes() == default.values.tobytes()
+
+    def test_buffered_rule_equals_the_fresh_array_rule(self, block_cells):
+        # Rows of very different scales finish at different steps, so the
+        # buffers are compacted often; a row that took another row's
+        # maximum would underflow or overflow its weights.
+        rng = np.random.default_rng(10)
+        X = np.concatenate([rng.normal(size=(30, 3)) * 1e-3,
+                            rng.normal(size=(30, 3)) * 10.0 + 100.0,
+                            rng.normal(size=(30, 3)) * 300.0])
+        D = pairwise_sq_dists(rng.permutation(X))
+        for perplexity in (3.0, 20.0):
+            target = np.log2(perplexity)
+            want = fresh_array_rule(-off_diagonal_rows(D) / 2.0, target)
+            got = calibrated_kernel(D, perplexity).bandwidths
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("block_cells", [1, 7 * 300, linalg.ROW_BLOCK_CELLS],
+                             indirect=True)
     def test_block_layout_never_changes_tau(self, block_cells):
         rng = np.random.default_rng(6)
         centers = rng.normal(size=(5, 6)) * 6.0
@@ -217,6 +281,18 @@ class TestCalibration:
     @pytest.mark.parametrize("block_cells", [1, 4 * 40, linalg.ROW_BLOCK_CELLS],
                              indirect=True)
     def test_dead_row_in_a_later_block_named(self, block_cells):
+        D = pairwise_sq_dists(np.random.default_rng(7).normal(size=(40, 2)))
+        D[25, :] = D[:, 25] = D[31, :] = D[:, 31] = 0.0
+        with pytest.raises(DegenerateRowError, match="row 25 "):
+            calibrated_kernel(D, 5.0)
+
+    @pytest.mark.parametrize("block_cells", [1, 4 * 40], indirect=True)
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_dead_row_named_under_any_worker_count(self, block_cells, workers,
+                                                   monkeypatch):
+        # Row 31's block may fail first on another thread; row 25's
+        # block comes first in order, so its error is the one raised.
+        monkeypatch.setattr(linalg, "usable_cores", lambda: workers)
         D = pairwise_sq_dists(np.random.default_rng(7).normal(size=(40, 2)))
         D[25, :] = D[:, 25] = D[31, :] = D[:, 31] = 0.0
         with pytest.raises(DegenerateRowError, match="row 25 "):

@@ -1,3 +1,6 @@
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -10,6 +13,7 @@ from graphcoupling.linalg import (
     block_sq_dists,
     center_columns,
     leading_signs,
+    map_blocks,
     pairwise_sq_dists,
     row_blocks,
     sym_eig,
@@ -66,6 +70,17 @@ class TestSymEig:
     def test_rejects_non_finite(self):
         with pytest.raises(ContractViolationError):
             sym_eig([[np.nan, 0.0], [0.0, 1.0]])
+
+    def test_solves_the_symmetric_part(self):
+        # An exactly symmetric A goes to the solver as it is; a slightly
+        # asymmetric one as (A + A^T) / 2, whichever triangle eigh reads.
+        rng = np.random.default_rng(3)
+        A = rng.normal(size=(7, 7))
+        A = (A + A.T) / 2.0
+        A[5, 1] += 1e-13
+        sym = (A + A.T) / 2.0
+        for got, want in zip(sym_eig(A), sym_eig(sym)):
+            assert got.tobytes() == want.tobytes()
 
     def test_tolerates_tiny_asymmetry(self):
         A = np.array([[1.0, 0.5], [0.5 + 1e-13, 1.0]])
@@ -155,8 +170,9 @@ class TestPairwiseSqDists:
 
     @pytest.mark.parametrize("cols", [2, 50])
     def test_whole_matrix_keeps_the_gram_formula(self, block_cells, cols):
-        # The Gram expansion and its symmetrisation as whole-matrix
-        # expressions; the blocked, in-place form must give the same bytes.
+        # The Gram expansion as a whole-matrix expression; the in-place
+        # form must give the same bytes, exactly symmetric with no
+        # symmetrisation pass.
         rng = np.random.default_rng(8)
         X = rng.normal(size=(45, cols)) * rng.uniform(0.1, 30.0, size=cols)
         X[5] = X[40]
@@ -168,7 +184,6 @@ class TestPairwiseSqDists:
             G = Xc @ Xc.T
             sq = np.diag(G).copy()
             want = sq[:, None] + sq[None, :] - 2.0 * G
-            want = (want + want.T) / 2.0
             np.clip(want, 0.0, None, out=want)
             np.fill_diagonal(want, 0.0)
         npt.assert_array_equal(got, want)
@@ -232,3 +247,78 @@ class TestRowBlocks:
             rows = b.stop - b.start
             assert rows == 1 or rows * (n - b.start) <= block_cells
             assert b.stop == n or (rows + 1) * (n - b.start) > block_cells
+
+
+@pytest.fixture(params=[1, 3])
+def workers(request, monkeypatch):
+    """Run a test with ``request.param`` workers, more than the cores or one."""
+    monkeypatch.setattr(linalg, "usable_cores", lambda: request.param)
+    return request.param
+
+
+class TestMapBlocks:
+    def test_usable_cores_is_positive(self):
+        assert linalg.usable_cores() >= 1
+
+    def test_results_in_block_order(self, workers):
+        # Later blocks finish first, so completion order is not block order.
+        def fn(k):
+            time.sleep(0.001 * (12 - k))
+            return k * k
+        assert map_blocks(fn, range(12)) == [k * k for k in range(12)]
+
+    def test_at_most_one_block_per_worker_in_flight(self, workers):
+        lock = threading.Lock()
+        running, most = [0], [0]
+
+        def fn(k):
+            with lock:
+                running[0] += 1
+                most[0] = max(most[0], running[0])
+            time.sleep(0.002)
+            with lock:
+                running[0] -= 1
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            map_blocks(fn, range(40))
+        finally:
+            sys.setswitchinterval(switch)
+        assert 1 <= most[0] <= workers
+
+    def test_lowest_failing_block_raises(self, workers):
+        # Block 5 fails at once, block 2 after a wait: block 2's error,
+        # the one a serial walk raises, must win.
+        def fn(k):
+            if k == 2:
+                time.sleep(0.02)
+                raise ValueError("block 2")
+            if k == 5:
+                raise KeyError("block 5")
+            return k
+        with pytest.raises(ValueError, match="block 2"):
+            map_blocks(fn, range(8))
+
+    def test_no_block_starts_after_a_failure_is_seen(self, workers):
+        started = []
+
+        def fn(k):
+            started.append(k)
+            if k == 0:
+                raise ValueError("block 0")
+            time.sleep(0.001)
+        with pytest.raises(ValueError):
+            map_blocks(fn, range(50))
+        assert len(started) < 50
+
+    def test_no_thread_outlives_the_walk(self, workers):
+        before = set(threading.enumerate())
+        map_blocks(lambda k: k, range(10))
+        with pytest.raises(ZeroDivisionError):
+            map_blocks(lambda k: 1 // 0 if k == 3 else k, range(10))
+        assert set(threading.enumerate()) == before
+
+    def test_one_block_runs_on_the_calling_thread(self, workers):
+        caller = threading.get_ident()
+        assert map_blocks(lambda k: threading.get_ident(), [0]) == [caller]
+        assert map_blocks(lambda k: k, []) == []

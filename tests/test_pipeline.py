@@ -73,9 +73,13 @@ class TestPrepareInput:
 
     @pytest.mark.parametrize("method, bound", [("tsne", 3.5), ("largevis", 3.5),
                                                ("umap", 4.5)])
-    def test_peak_memory_in_n_by_n_arrays(self, method, bound):
+    def test_peak_memory_in_n_by_n_arrays(self, method, bound, monkeypatch):
         # The distances are freed before the affinity is built: the peak
-        # is the kernel plus the affinity's own temporaries.
+        # is the distances and the kernel during calibration, plus the
+        # temporaries of the blocks in flight.  The bound is for two
+        # blocks in flight; each further worker adds one block's
+        # temporaries, a fixed ~1.6 MB (0.57 n x n at this n).
+        monkeypatch.setattr(linalg, "usable_cores", lambda: 2)
         n = 600
         X = np.random.default_rng(16).normal(size=(n, 50))
         tracemalloc.start()

@@ -19,6 +19,7 @@ from graphcoupling.posterior import (
     posterior_expectation,
     sample_posterior_graph,
     symmetrize_row_affinity,
+    symmetrized_in_place,
     umap_threshold_prob,
 )
 
@@ -267,6 +268,33 @@ class TestTransforms:
         finally:
             tracemalloc.stop()
         assert peak <= 1.3 * V.nbytes, f"{peak / V.nbytes:.2f} n x n arrays"
+
+    def test_bernoulli_formula_bit_for_bit(self):
+        K = kernel_matrix(np.random.default_rng(17).normal(size=(30, 3)), "gaussian")
+        G = K.values
+        npt.assert_array_equal(posterior_expectation(K, "B").values, G / (1.0 + G))
+
+    def test_sum_blocks_match_the_whole_formula(self, block_cells):
+        V = np.random.default_rng(18).random((37, 37))
+        np.fill_diagonal(V, 0.0)
+        S = symmetrize_row_affinity(AffinityMatrix(V, "D", "row")).values
+        npt.assert_array_equal(S, V + V.T)
+
+    @pytest.mark.parametrize("prior, public", [("D", symmetrize_row_affinity),
+                                               ("B", umap_threshold_prob)])
+    def test_in_place_form_is_the_public_one(self, block_cells, prior, public):
+        P = posterior_expectation(example_kernel(19, n=41), prior)
+        want = public(P)
+        values = P.values
+        got = symmetrized_in_place(P)
+        assert got.values is values
+        assert got.normalization == want.normalization
+        assert got.values.tobytes() == want.values.tobytes()
+
+    def test_in_place_form_rejects_other_tags(self):
+        P = posterior_expectation(example_kernel(20), "E")
+        with pytest.raises(ContractViolationError):
+            symmetrized_in_place(P)
 
     def test_threshold_half_half(self):
         V = np.array([[0.0, 0.5], [0.5, 0.0]])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -122,6 +124,23 @@ class TestLaplacianEigenmaps:
         sym = (A + A.T) / 2.0
         npt.assert_array_equal(laplacian_eigenmaps(A, 1).coords,
                                laplacian_eigenmaps(sym, 1).coords)
+
+    def test_eigensolver_peak_in_n_by_n_arrays(self):
+        # The symmetrized affinity is freed and the exactly symmetric
+        # Laplacian goes to the eigensolver uncopied: besides the input,
+        # the Laplacian, eigh's eigenvectors and its workspace.
+        # A band of width 3 keeps the component search's edge lists small.
+        n = 400
+        band = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= 3
+        A = np.random.default_rng(5).random((n, n)) * band
+        np.fill_diagonal(A, 0.0)
+        tracemalloc.start()
+        try:
+            laplacian_eigenmaps(A, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.0 * A.nbytes, f"{peak / A.nbytes:.2f} n x n arrays"
 
     def test_q_capped_by_components(self):
         A = np.zeros((4, 4))
