@@ -8,7 +8,10 @@ which is what a neighbor embedding needs from its initialization.
 
 That average equals M X for the Monte-Carlo average M of the orthogonal
 projectors onto component-wise constant vectors, but each sample costs
-O(n p) from its edge list, with no n x n projector.
+O(n p) from its edge list, with no n x n projector.  All samples come
+from one :meth:`posterior.PosteriorSampler.draws` call, a single walk
+over the kernel's row blocks that forms no n x n array for the B and D
+priors.
 :func:`averaged_projector` builds M densely and is kept as the oracle
 the tests compare :func:`ccpca` against.
 """
@@ -81,8 +84,7 @@ def ccpca(X, K, config: CcpcaConfig = None) -> np.ndarray:
     X = as_float_matrix(X, "X")
     sampler = PosteriorSampler(K, cfg.prior)
     X_M = np.zeros_like(X)
-    for index in range(cfg.samples):
-        edges = sampler.draw(cfg.sample_rng(index))
+    for edges in sampler.draws(cfg.sample_rng(index) for index in range(cfg.samples)):
         partition = components_from_edges(edges.n, edges.rows, edges.cols)
         X_M += split_mean_centered(X, partition)[0]
     X_M /= float(cfg.samples)

@@ -84,18 +84,23 @@ def load_csv(path, delimiter: str = ",", header: bool = True,
     X = np.empty((len(body), len(feature_cols)), dtype=np.float64)
     raw_labels = []
     for i, row in enumerate(body):
-        line = first_line + i
         if len(row) != width:
             raise DataError(
-                f"{path} line {line}: expected {width} fields, got {len(row)}")
-        for jj, j in enumerate(feature_cols):
-            cell = row[j].strip()
-            try:
-                X[i, jj] = float(cell)
-            except ValueError:
-                raise DataError(
-                    f"{path} line {line}, column {names[j]!r}: "
-                    f"non-numeric value {cell!r}") from None
+                f"{path} line {first_line + i}: expected {width} fields, got {len(row)}")
+        # float() ignores the whitespace around a number, as strip() would.
+        cells = row if label_idx is None else row[:label_idx] + row[label_idx + 1:]
+        try:
+            X[i] = list(map(float, cells))
+        except ValueError:
+            for j in feature_cols:
+                cell = row[j].strip()
+                try:
+                    float(cell)
+                except ValueError:
+                    raise DataError(
+                        f"{path} line {first_line + i}, column {names[j]!r}: "
+                        f"non-numeric value {cell!r}") from None
+            raise
         if label_idx is not None:
             raw_labels.append(row[label_idx].strip())
 

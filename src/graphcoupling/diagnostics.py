@@ -73,9 +73,8 @@ def _posterior_frequencies(rng, samples: int) -> DiagnosticResult:
             expect, var = p, p * (1.0 - p)
         counts = np.zeros((n, n))
         sub = np.random.default_rng(rng.integers(2 ** 32))
-        sampler = PosteriorSampler(K, prior)
-        for _ in range(samples):
-            counts += sampler.draw(sub).dense()
+        for edges in PosteriorSampler(K, prior).draws([sub] * samples):
+            counts += edges.dense()
         freq = counts / samples
         se = np.sqrt(np.maximum(var, 1e-12) / samples)
         z = (np.abs(freq - expect) / se)[off]

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import ContractViolationError
 from .kernels import log_kernel
+from . import linalg
 from .linalg import as_float_matrix, pairwise_sq_dists, row_blocks
 
 
@@ -98,18 +99,21 @@ def weighted_laplacian(A) -> np.ndarray:
     return L
 
 
-def _component_roots(n: int, rows, cols) -> np.ndarray:
+def _component_roots(n: int, rows, cols, parent=None) -> np.ndarray:
     """Smallest member of each node's component under edges {rows[e], cols[e]}.
 
-    Hooking with pointer jumping.  Every node points at a node of no
-    larger index in its component; each round hooks the larger root of
-    every edge that joins two trees onto the smaller, then jumps every
-    pointer to its root.  Each round merges at least one pair of trees,
-    so the loop ends; a shuffled path of 2000 nodes takes 7 rounds and
-    one of 200000 nodes 11.  When no edge joins two trees, each root is
-    its component's smallest member, whichever hook won a round.
+    Hooking with pointer jumping, from ``parent`` (overwritten), the
+    roots of earlier edges, or else every node on its own.  Every node
+    points at a node of no larger index in its component; each round
+    hooks the larger root of every edge that joins two trees onto the
+    smaller, then jumps every pointer to its root.  Each round merges at
+    least one pair of trees, so the loop ends; a shuffled path of 2000
+    nodes takes 7 rounds and one of 200000 nodes 11.  When no edge joins
+    two trees, each root is its component's smallest member, whichever
+    hook won a round.
     """
-    parent = np.arange(n, dtype=np.int64)
+    if parent is None:
+        parent = np.arange(n, dtype=np.int64)
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     while True:
@@ -146,17 +150,17 @@ def components_from_support(adjacent: np.ndarray) -> Partition:
     """Connected components of a boolean symmetric adjacency matrix.
 
     The support is read one block of rows at a time, so a dense support
-    never becomes an n^2 edge list.  Each block's edges are joined with
-    one edge from every node to the smallest member of its component so
-    far, which carries the connectivity of the earlier blocks.
+    never becomes an n^2 edge list.  A block's edges are int64 pairs, 16
+    bytes and more for each cell that the support holds in 1, so this
+    walk takes an eighth of the row-block budget per block.  Each block's
+    edges are hooked onto the component roots of the blocks before it.
     """
     n = adjacent.shape[0]
-    nodes = np.arange(n, dtype=np.int64)
-    roots = nodes
-    for block in row_blocks(n):
+    roots = np.arange(n, dtype=np.int64)
+    for block in row_blocks(n, cells=linalg.ROW_BLOCK_CELLS // 8):
         rows, cols = np.nonzero(adjacent[block])
-        roots = _component_roots(n, np.concatenate([nodes, rows + block.start]),
-                                 np.concatenate([roots, cols]))
+        rows += block.start
+        roots = _component_roots(n, rows, cols, roots)
     return _partition_from_roots(roots)
 
 

@@ -20,8 +20,8 @@ Functions
 sym_eig            full symmetric eigendecomposition, eigenvalues descending
 leading_signs      the sign convention shared by eigenvectors and PCA scores
 center_columns     subtract the column mean from every column
-row_blocks         row slices of at most ``ROW_BLOCK_CELLS`` matrix cells each,
-                   over full rows or over the upper triangle
+row_blocks         row slices of at most ``ROW_BLOCK_CELLS`` (or a given number
+                   of) matrix cells each, over full rows or over the upper triangle
 block_sq_dists     squared Euclidean distances between blocks of rows, set up once
 pairwise_sq_dists  one such block, or the whole matrix, exactly symmetric
                    without a symmetrisation pass
@@ -69,9 +69,22 @@ def as_float_matrix(a, name: str = "array") -> np.ndarray:
     out = np.asarray(a, dtype=np.float64)
     if out.ndim != 2:
         raise ContractViolationError(f"{name} must be 2-D, got ndim={out.ndim}")
-    if not np.isfinite(out).all():
+    if not _all_finite(out):
         raise ContractViolationError(f"{name} contains non-finite entries")
     return out
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of the float array ``a`` is finite.
+
+    Past one row block's cells a finite sum settles it without a mask of
+    a's size; only a sum that is not finite needs the mask.
+    """
+    if a.size > ROW_BLOCK_CELLS:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if np.isfinite(a.sum()):
+                return True
+    return bool(np.isfinite(a).all())
 
 
 def sym_eig(A) -> SymEigResult:
@@ -135,18 +148,22 @@ def center_columns(X) -> np.ndarray:
     return X - X.mean(axis=0, keepdims=True)
 
 
-def row_blocks(n: int, upper: bool = False):
-    """Consecutive row slices covering ``range(n)``, each near ``ROW_BLOCK_CELLS`` cells.
+def row_blocks(n: int, upper: bool = False, cells: int = None):
+    """Consecutive row slices covering ``range(n)``, each near ``cells`` matrix cells.
 
-    A block reads every column, so it takes ``ROW_BLOCK_CELLS // n``
-    rows.  With ``upper`` a block starting at row ``lo`` reads only the
-    columns ``[lo, n)``, the upper triangle and its own diagonal square,
-    so it takes ``ROW_BLOCK_CELLS // (n - lo)`` rows and the blocks widen
-    toward the last row.  Every block has at least one row.
+    ``cells`` defaults to ``ROW_BLOCK_CELLS``; a walk that holds two
+    arrays of its block's size asks for half of it.  A block reads every
+    column, so it takes ``cells // n`` rows.  With ``upper`` a block
+    starting at row ``lo`` reads only the columns ``[lo, n)``, the upper
+    triangle and its own diagonal square, so it takes
+    ``cells // (n - lo)`` rows and the blocks widen toward the last row.
+    Every block has at least one row.
     """
+    if cells is None:
+        cells = ROW_BLOCK_CELLS
     lo = 0
     while lo < n:
-        step = max(1, ROW_BLOCK_CELLS // ((n - lo) if upper else n))
+        step = max(1, cells // ((n - lo) if upper else n))
         yield slice(lo, min(lo + step, n))
         lo += step
 

@@ -11,8 +11,11 @@ In the large-graph limit every posterior is driven by the elementwise
 product pi * K of prior weights and kernel values.  Expectations are
 packaged as :class:`AffinityMatrix` values tagged with how they are
 normalized.  Exact posterior samples are drawn by a
-:class:`PosteriorSampler`, which validates the kernel and builds its
-prior's table once and then returns each latent graph as an edge list.
+:class:`PosteriorSampler`, which validates the kernel once and returns
+each latent graph as an edge list.  For B and D it builds no table:
+:meth:`PosteriorSampler.draws` reads K one row block at a time for any
+number of generators, so K must not change while the sampler is in use.
+E keeps one table of K's off-diagonal cells.
 """
 
 from dataclasses import dataclass, replace
@@ -22,6 +25,7 @@ import numpy as np
 from .errors import ContractViolationError, DegenerateRowError, ParameterError
 from .graph import EdgeList
 from .kernels import KernelMatrix
+from . import linalg
 from .linalg import as_float_matrix, row_blocks
 
 PRIOR_KINDS = ("B", "D", "E")
@@ -54,25 +58,43 @@ def check_prior(prior: str) -> str:
     return prior
 
 
-def _weighted_kernel(K, pi) -> np.ndarray:
-    """Validate inputs and return pi * K, or K's own array when pi is None."""
+def _checked_kernel(K, pi):
+    """Validate K and pi; return K's own array and pi's, or None for no pi."""
     values = K.values if isinstance(K, KernelMatrix) else K
     V = as_float_matrix(values, "K")
     n, m = V.shape
     if n != m:
         raise ContractViolationError(f"kernel matrix must be square, got {V.shape}")
-    if n and (np.diag(V) != 0.0).any():
+    if V.diagonal().any():
         raise ContractViolationError("kernel matrix must have a zero diagonal")
     if n and float(V.min()) < 0.0:
         raise ContractViolationError("kernel values must be nonnegative")
     if pi is None:
-        return V
+        return V, None
     P = as_float_matrix(pi, "pi")
     if P.shape != V.shape:
         raise ContractViolationError(f"pi must have shape {V.shape}, got {P.shape}")
     if float(P.min()) < 0.0:
         raise ContractViolationError("pi entries must be nonnegative")
-    return P * V
+    return V, P
+
+
+def _check_row_sums(sums: np.ndarray) -> None:
+    """Reject the first row of the D prior with no admissible edge."""
+    if not sums.all():
+        raise DegenerateRowError(f"row {int(np.argmin(sums != 0.0))} has no "
+                                 "admissible edge under the D prior")
+
+
+def _check_total(total: float) -> None:
+    if total == 0.0:
+        raise DegenerateRowError("no admissible edge under the E prior")
+
+
+def _edge_probabilities(G: np.ndarray) -> np.ndarray:
+    """The B prior's edge probabilities G / (1 + G), in a new array."""
+    P = 1.0 + G
+    return np.divide(G, P, out=P)
 
 
 def posterior_expectation(K, prior: str, pi=None) -> AffinityMatrix:
@@ -85,73 +107,145 @@ def posterior_expectation(K, prior: str, pi=None) -> AffinityMatrix:
        globally normalized; entries sum to 1.
     """
     check_prior(prior)
-    G = _weighted_kernel(K, pi)
-    n = G.shape[0]
+    V, Pi = _checked_kernel(K, pi)
+    G = V if Pi is None else Pi * V
     if prior == "B":
-        P = 1.0 + G
-        return AffinityMatrix(np.divide(G, P, out=P), prior, BERNOULLI)
+        return AffinityMatrix(_edge_probabilities(G), prior, BERNOULLI)
     if prior == "D":
         rows = G.sum(axis=1)
-        dead = np.nonzero(rows == 0.0)[0]
-        if dead.size:
-            raise DegenerateRowError(
-                f"row {int(dead[0])} has no admissible edge under the D prior")
+        _check_row_sums(rows)
         return AffinityMatrix(G / rows[:, None], prior, ROW)
     total = G.sum()
-    if total == 0.0:
-        raise DegenerateRowError("no admissible edge under the E prior")
+    _check_total(total)
     return AffinityMatrix(G / total, prior, GLOBAL)
 
 
 class PosteriorSampler:
     """Exact sampler of the limiting posterior of one prior and kernel.
 
-    Construction builds the prior's table once from
-    :func:`posterior_expectation`, which validates K and pi: its edge
-    probabilities for B, their row CDF for D, and its off-diagonal cells
-    renormalized to 1 for E.  Each :meth:`draw` takes all of its
-    randomness from ``rng`` and costs O(n log n) for D, one pass over the
-    table for B and E.
+    Construction validates K and pi as :func:`posterior_expectation`
+    does and keeps K's own array.  B and D build no table: each
+    :meth:`draws` walks K one :func:`linalg.row_blocks` block at a time
+    and forms the block's edge probabilities (B) or row CDF (D, from row
+    sums taken at construction) with :func:`posterior_expectation`'s
+    arithmetic, for every generator at once, so K must not change while
+    the sampler is in use.  E keeps one table, K's off-diagonal cells
+    renormalized to 1, because a multinomial draw needs all of them.
     """
 
     def __init__(self, K, prior: str, pi=None):
-        P = posterior_expectation(K, prior, pi).values
+        check_prior(prior)
+        self._K, self._pi = _checked_kernel(K, pi)
         self.prior = prior
-        self.n = n = P.shape[0]
+        self.n = n = self._K.shape[0]
         if prior == "D":
-            np.cumsum(P, axis=1, out=P)
-            P /= P[:, -1:].copy()  # an overlapping view would copy all of P
+            self._row_sums = np.empty(n)
+            for rows in row_blocks(n):
+                self._row_sums[rows] = self._weights(rows).sum(axis=1)
+            _check_row_sums(self._row_sums)
         elif prior == "E":
-            P = P[~np.eye(n, dtype=bool)]
-            P /= P.sum()
-        self._table = P
+            self._cells = self._cell_table()
 
-    def draw(self, rng: np.random.Generator) -> EdgeList:
-        """One latent graph, in the same random stream as every earlier draw.
+    def _weights(self, rows: slice) -> np.ndarray:
+        """Rows ``rows`` of pi * K; a read-only view of K's rows without pi."""
+        K = self._K[rows]
+        return K if self._pi is None else self._pi[rows] * K
 
-        At most one edge per row for D, exactly n edges in total for E,
-        and independent 0/1 entries for B; never a diagonal edge.
+    def _cell_table(self) -> np.ndarray:
+        """pi * K's off-diagonal cells in row-major order, scaled to sum to 1.
+
+        The cells are gathered in place in one n x n copy of pi * K,
+        whose total they are first divided by: the numbers of
+        ``posterior_expectation(K, "E", pi)`` restricted to those cells.
         """
         n = self.n
-        if self.prior == "B":
-            rows, cols = np.nonzero(rng.random((n, n)) < self._table)
-            return EdgeList(n, rows, cols, np.ones(rows.shape[0], dtype=np.int64))
+        G = self._K.copy() if self._pi is None else self._pi * self._K
+        total = G.sum()
+        _check_total(total)
+        flat = G.ravel()
+        # Between the diagonal cells k and k + 1 of the flat matrix lie the
+        # n off-diagonal cells that row k of ``cells`` takes, to their left.
+        between = flat[1:].reshape(n - 1, n + 1)[:, :n]
+        cells = flat[:n * (n - 1)].reshape(n - 1, n)
+        for rows in row_blocks(n - 1):
+            cells[rows] = between[rows]
+        cells = flat[:n * (n - 1)]
+        cells /= total
+        cells /= cells.sum()
+        return cells
+
+    def draw(self, rng: np.random.Generator) -> EdgeList:
+        """One latent graph from ``rng``; ``draws([rng])[0]``."""
+        return self.draws([rng])[0]
+
+    def draws(self, rngs) -> list:
+        """One latent graph per generator, in the order of ``rngs``.
+
+        At most one edge per row for D, exactly n edges in total for E,
+        and independent 0/1 entries for B; never a diagonal edge.  Each
+        draw takes all of its randomness from its own generator, in the
+        stream of a :meth:`draw` from it: B and D walk K once for all of
+        them and take each block's uniforms from every generator in turn.
+        So a generator listed twice gives two exact, mutually independent
+        draws, which equal two :meth:`draw` calls only when K is one block.
+        """
+        rngs = list(rngs)
+        if self.prior == "E":
+            return [self._multinomial(rng) for rng in rngs]
         if self.prior == "D":
-            # u in (0, 1] and the first CDF entry >= u is the strict-comparison
-            # count (cdf < u).sum(), so a zero-probability cell, the diagonal
-            # in particular, is never selected.  Rows are monotone, so a
-            # bisection over all rows at once finds it.
-            u = 1.0 - rng.random(n)
-            rows = np.arange(n, dtype=np.int64)
-            lo = np.zeros(n, dtype=np.int64)
-            hi = np.full(n, n - 1, dtype=np.int64)
-            for _ in range((n - 1).bit_length()):
-                mid = (lo + hi) // 2
-                below = self._table[rows, mid] < u
-                lo = np.where(below, mid + 1, lo)
-                hi = np.where(below, hi, mid)
-            return EdgeList(n, rows, hi, np.ones(n, dtype=np.int64))
-        counts = rng.multinomial(n, self._table)
+            return self._row_draws(rngs)
+        return self._bernoulli_draws(rngs)
+
+    def _row_cdf(self, rows: slice) -> np.ndarray:
+        """Rows ``rows`` of the D prior's row CDF, each ending at exactly 1."""
+        cdf = self._weights(rows) / self._row_sums[rows, None]
+        np.cumsum(cdf, axis=1, out=cdf)
+        cdf /= cdf[:, -1:].copy()  # an overlapping view would copy the block
+        return cdf
+
+    def _bernoulli_draws(self, rngs: list) -> list:
+        n = self.n
+        empty = np.zeros(0, dtype=np.int64)
+        hits = [([empty], [empty]) for _ in rngs]
+        # A block holds its probabilities and one generator's uniforms,
+        # two floats per cell, so it takes half the budget.
+        for rows in row_blocks(n, cells=linalg.ROW_BLOCK_CELLS // 2):
+            P = _edge_probabilities(self._weights(rows))
+            for (edge_rows, edge_cols), rng in zip(hits, rngs):
+                # Uniforms drawn block by block are the (n, n) draw's stream.
+                block_rows, block_cols = np.nonzero(rng.random(P.shape) < P)
+                block_rows += rows.start
+                edge_rows.append(block_rows)
+                edge_cols.append(block_cols)
+            del P  # before the next block's probabilities are formed
+        draws = []
+        for g, (edge_rows, edge_cols) in enumerate(hits):
+            hits[g] = None  # each draw's pieces go once they are joined
+            edge_rows = np.concatenate(edge_rows)
+            draws.append(EdgeList(n, edge_rows, np.concatenate(edge_cols),
+                                  np.ones(edge_rows.shape[0], dtype=np.int64)))
+        return draws
+
+    def _row_draws(self, rngs: list) -> list:
+        n = self.n
+        cols = np.empty((len(rngs), n), dtype=np.int64)
+        for rows in row_blocks(n):
+            # u in (0, 1], drawn block by block in the stream of one
+            # rng.random(n), so the uniforms held are a block's, not n per
+            # generator.  The first CDF entry >= u is the strict count
+            # (cdf < u).sum(), so a zero-probability cell, the diagonal in
+            # particular, is never selected.
+            u = np.empty((len(rngs), rows.stop - rows.start))
+            for g, rng in enumerate(rngs):
+                rng.random(out=u[g])
+            np.subtract(1.0, u, out=u)
+            cols[:, rows] = _first_at_least(self._row_cdf(rows), u)
+        return [EdgeList(n, np.arange(n, dtype=np.int64), cols[g],
+                         np.ones(n, dtype=np.int64)) for g in range(len(rngs))]
+
+    def _multinomial(self, rng: np.random.Generator) -> EdgeList:
+        n = self.n
+        counts = rng.multinomial(n, self._cells)
         cells = np.nonzero(counts)[0]
         # Cell c of the row-major off-diagonal order lies in row c // (n - 1)
         # and skips that row's diagonal.
@@ -159,6 +253,26 @@ class PosteriorSampler:
         cols = cells % (n - 1)
         cols += cols >= rows
         return EdgeList(n, rows, cols, counts[cells].astype(np.int64))
+
+
+def _first_at_least(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """For each ``u[g, r]``, the first column of the sorted row ``cdf[r]`` that is >= it.
+
+    The count of the row's entries below ``u[g, r]``, found by one
+    branch-free bisection over every generator and row at once: the
+    count lies in ``[base, base + size]``, which each step halves.
+    Indices are flat, so one gather reads a cell of every row.
+    """
+    b, n = cdf.shape
+    flat = cdf.ravel()
+    first = np.arange(0, b * n, n)
+    base, size = first, n
+    while size > 1:
+        half = size // 2
+        probe = base + half
+        base = np.where(flat[probe] < u, probe, base)
+        size -= half
+    return base - first + (flat[base] < u)
 
 
 def sample_posterior_graph(K, prior: str, rng: np.random.Generator, pi=None) -> np.ndarray:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -101,6 +103,24 @@ class TestCcpca:
             npt.assert_array_equal(edges.counts, W[rows, cols])
             parts = components_from_edges(edges.n, edges.rows, edges.cols)
             npt.assert_array_equal(parts.assignment, connected_components(W).assignment)
+
+    @pytest.mark.parametrize("prior, bound", [("B", 0.25), ("D", 0.25), ("E", 2.1)])
+    def test_peak_in_n_by_n_arrays(self, prior, bound):
+        # B and D read K one row block at a time: a block is 0.18 n x n at
+        # this n, and the rest grows with samples x n.  E holds its n(n-1)
+        # cell table and, during each draw, the multinomial's int64 counts
+        # of the same size.
+        n = 600
+        X = two_blobs(seed=10, per_block=n // 2, separation=10.0)
+        X = np.hstack([X, np.random.default_rng(10).normal(size=(n, 7))])
+        K = gaussian_kernel(X, 30.0)
+        tracemalloc.start()
+        try:
+            ccpca(X, K, CcpcaConfig(samples=10, prior=prior))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * K.values.nbytes, f"{peak / K.values.nbytes:.3f} n x n arrays"
 
     def test_rejects_row_mismatch(self):
         X = np.random.default_rng(9).normal(size=(8, 3))

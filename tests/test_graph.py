@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -230,6 +231,20 @@ class TestComponentsFromEdges:
             parts = components_from_support(S)
             npt.assert_array_equal(parts.assignment, assignment)
             npt.assert_array_equal(parts.sizes, sizes)
+
+    @pytest.mark.parametrize("n", [400, 1000])
+    def test_support_edges_stay_within_the_block_budget(self, n):
+        # An all-true support is the densest: every cell of a block is an
+        # edge.  The edges of all its blocks would take ~4.3 MB.
+        support = np.ones((n, n), dtype=bool)
+        tracemalloc.start()
+        try:
+            parts = components_from_support(support)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parts.n_components == 1
+        assert peak <= 8 * linalg.ROW_BLOCK_CELLS, f"{peak / 1e6:.2f} MB"
 
     def test_edge_list_dense_round_trip(self):
         W = random_latent_graph(np.random.default_rng(44), 7)

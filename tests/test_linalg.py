@@ -218,6 +218,15 @@ class TestPairwiseSqDists:
             else:
                 npt.assert_allclose(D, full[rows, tile], rtol=1e-12, atol=1e-10)
 
+    def test_finite_entries_whose_sum_overflows_are_accepted(self, block_cells):
+        big = np.full((2, 2), 1e308)
+        npt.assert_array_equal(linalg.as_float_matrix(big), big)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ContractViolationError, match="non-finite"):
+                linalg.as_float_matrix([[1e308, 1e308], [bad, 0.0]])
+        with pytest.raises(ContractViolationError, match="non-finite"):
+            linalg.as_float_matrix([[np.inf, -np.inf]])
+
     def test_blocks_reject_non_finite_points(self):
         with pytest.raises(ContractViolationError):
             block_sq_dists([[0.0, np.nan], [1.0, 2.0]])
@@ -237,6 +246,14 @@ class TestRowBlocks:
         step = max(1, block_cells // max(n, 1))
         assert [b.start for b in blocks] == list(range(0, n, step))
         assert [b.stop for b in blocks] == [min(lo + step, n) for lo in range(0, n, step)]
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 300])
+    def test_a_given_budget_replaces_the_default(self, block_cells, n, monkeypatch):
+        for upper in (False, True):
+            want = list(row_blocks(n, upper))
+            monkeypatch.setattr(linalg, "ROW_BLOCK_CELLS", 7)
+            assert list(row_blocks(n, upper, cells=block_cells)) == want
+            monkeypatch.setattr(linalg, "ROW_BLOCK_CELLS", block_cells)
 
     @pytest.mark.parametrize("n", [0, 1, 7, 300])
     def test_upper_blocks_widen_within_the_budget(self, block_cells, n):

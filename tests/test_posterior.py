@@ -1,3 +1,4 @@
+import itertools
 import re
 import tracemalloc
 
@@ -5,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from graphcoupling import linalg
 from graphcoupling.errors import (
     ContractViolationError,
     DegenerateRowError,
@@ -36,9 +38,11 @@ def example_kernel(seed=0, n=6):
     return kernel_matrix(rng.normal(size=(n, 2)), "gaussian")
 
 
-def dense_reference_sample(K, prior, rng):
+def dense_reference_sample(K, prior, rng, pi=None):
     """The dense sampler the edge-list one replaced, kept as its oracle."""
     G = np.asarray(getattr(K, "values", K), dtype=np.float64)
+    if pi is not None:
+        G = pi * G
     n = G.shape[0]
     if prior == "B":
         return (rng.random((n, n)) < G / (1.0 + G)).astype(np.int64)
@@ -54,6 +58,41 @@ def dense_reference_sample(K, prior, rng):
     W = np.zeros((n, n), dtype=np.int64)
     W[off] = rng.multinomial(n, p / p.sum())
     return W
+
+
+#: Row-block budgets, in rows of the kernel: one row, seven rows and the
+#: package default.
+BLOCK_ROWS = (1, 7, None)
+
+
+def with_block_rows(monkeypatch, block_rows, n):
+    """Set the row-block budget to ``block_rows`` rows of n cells, or the default."""
+    if block_rows is not None:
+        monkeypatch.setattr(linalg, "ROW_BLOCK_CELLS", block_rows * n)
+
+
+def stream_kernels():
+    """A tie-free kernel, one with exact zeros (far pairs underflow), and
+    n = 2, where every D row has a single admissible cell."""
+    rng = np.random.default_rng(12)
+    X_far = np.vstack([rng.normal(size=(6, 2)), rng.normal(size=(6, 2)) + 60.0])
+    return [example_kernel(12, n=40), kernel_matrix(X_far, "gaussian"),
+            example_kernel(13, n=2)]
+
+
+class ScriptedUniforms:
+    """Stands in for a generator whose ``random`` returns given numbers in order."""
+
+    def __init__(self, values):
+        self._values = np.asarray(values, dtype=np.float64).ravel()
+        self._taken = 0
+
+    def random(self, size=None, out=None):
+        out = np.empty(size) if out is None else out
+        end = self._taken + out.size
+        out[...] = self._values[self._taken:end].reshape(out.shape)
+        self._taken = end
+        return out
 
 
 class TestExpectations:
@@ -166,23 +205,92 @@ class TestSampling:
             npt.assert_array_equal(W1, W2)
 
     @pytest.mark.parametrize("prior", ["B", "D", "E"])
-    def test_same_stream_as_dense_reference(self, prior):
-        # a tie-free kernel, a kernel with exact zeros (far pairs underflow),
-        # and n = 2, where every D row has a single admissible cell
-        rng = np.random.default_rng(12)
-        X_far = np.vstack([rng.normal(size=(6, 2)), rng.normal(size=(6, 2)) + 60.0])
-        for K in (example_kernel(12, n=40), kernel_matrix(X_far, "gaussian"),
-                  example_kernel(13, n=2)):
-            sampler = PosteriorSampler(K, prior)
+    def test_same_stream_as_dense_reference(self, monkeypatch, prior):
+        for block_rows, weighted, K in itertools.product(
+                BLOCK_ROWS, (False, True), stream_kernels()):
+            n = K.values.shape[0]
+            pi = np.random.default_rng(n).uniform(0.5, 2.0, (n, n)) if weighted else None
+            with_block_rows(monkeypatch, block_rows, n)
+            sampler = PosteriorSampler(K, prior, pi)
             for seed in range(8):
                 edges = sampler.draw(np.random.default_rng([seed, 3]))
-                W = dense_reference_sample(K, prior, np.random.default_rng([seed, 3]))
+                W = dense_reference_sample(K, prior, np.random.default_rng([seed, 3]), pi)
                 rows, cols = np.nonzero(W)
                 npt.assert_array_equal(edges.rows, rows)
                 npt.assert_array_equal(edges.cols, cols)
                 npt.assert_array_equal(edges.counts, W[rows, cols])
-                npt.assert_array_equal(
-                    sample_posterior_graph(K, prior, np.random.default_rng([seed, 3])), W)
+                npt.assert_array_equal(sample_posterior_graph(
+                    K, prior, np.random.default_rng([seed, 3]), pi), W)
+
+    @pytest.mark.parametrize("block_rows", BLOCK_ROWS, ids=["1-row", "7-rows", "default"])
+    @pytest.mark.parametrize("prior", PRIOR_KINDS)
+    def test_draws_are_the_draws_of_each_generator(self, monkeypatch, block_rows, prior):
+        for K in stream_kernels():
+            with_block_rows(monkeypatch, block_rows, K.values.shape[0])
+            sampler = PosteriorSampler(K, prior)
+            batch = sampler.draws(np.random.default_rng([seed, 5]) for seed in range(6))
+            assert len(batch) == 6
+            for seed, edges in enumerate(batch):
+                one = sampler.draw(np.random.default_rng([seed, 5]))
+                for got, want in zip(edges, one):
+                    npt.assert_array_equal(got, want)
+            assert sampler.draws([]) == []
+
+    @pytest.mark.parametrize("block_rows", BLOCK_ROWS, ids=["1-row", "7-rows", "default"])
+    def test_d_cdf_is_the_expectations_to_the_last_bit(self, monkeypatch, block_rows):
+        # u on a CDF entry selects that entry and u one step above it the
+        # next admissible one, so a CDF one rounding off moves the draw.
+        # In the second kernel column 0 holds most of every other row's
+        # mass, so u can sit on a row's first entry.
+        n = 40
+        K = example_kernel(22, n=n).values
+        heavy = K.copy()
+        heavy[1:, 0] = heavy[0, 1:] = K.sum(axis=1).max()
+        with_block_rows(monkeypatch, block_rows, n)
+        pick = np.random.default_rng(22)
+        for kernel in (K, heavy):
+            cdf = np.cumsum(posterior_expectation(kernel, "D").values, axis=1)
+            cdf /= cdf[:, -1:].copy()
+            # 1 - (1 - u) == u exactly for u >= 1/2, so the sampler sees u itself
+            chosen = np.array([pick.choice(row[row >= 0.5]) for row in cdf])
+            first = np.array([row[row >= 0.5].min() for row in cdf])
+            sampler = PosteriorSampler(kernel, "D")
+            for on_entry in (chosen, first):
+                for u in (on_entry, np.nextafter(on_entry, 2.0)):
+                    edges = sampler.draw(ScriptedUniforms(1.0 - u))
+                    npt.assert_array_equal(edges.cols, (cdf < u[:, None]).sum(axis=1))
+
+    @pytest.mark.parametrize("block_rows", BLOCK_ROWS, ids=["1-row", "7-rows", "default"])
+    def test_b_probabilities_are_the_expectations_to_the_last_bit(
+            self, monkeypatch, block_rows):
+        K = example_kernel(23, n=40)
+        with_block_rows(monkeypatch, block_rows, 40)
+        P = posterior_expectation(K, "B").values
+        sampler = PosteriorSampler(K, "B")
+        for u in (P, np.nextafter(P, 0.0)):
+            edges = sampler.draw(ScriptedUniforms(u))
+            rows, cols = np.nonzero(u < P)
+            npt.assert_array_equal(edges.rows, rows)
+            npt.assert_array_equal(edges.cols, cols)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_e_cells_are_the_expectations_to_the_last_bit(self, block_cells, weighted):
+        n = 40
+        K = example_kernel(24, n=n)
+        pi = np.random.default_rng(24).uniform(0.5, 2.0, (n, n)) if weighted else None
+        cells = posterior_expectation(K, "E", pi).values[~np.eye(n, dtype=bool)]
+        cells /= cells.sum()
+        assert PosteriorSampler(K, "E", pi)._cells.tobytes() == cells.tobytes()
+
+    @pytest.mark.parametrize("prior", PRIOR_KINDS)
+    def test_a_repeated_generator_draws_afresh(self, block_cells, prior):
+        K = example_kernel(16, n=30)
+        sampler = PosteriorSampler(K, prior)
+        rng = np.random.default_rng(6)
+        first, second = sampler.draws([rng, rng])
+        assert first.dense().tobytes() != second.dense().tobytes()
+        for edges in (first, second):
+            validate_latent_graph(edges.dense())
 
     @ENTRY_POINTS
     def test_sampler_validates_once_at_construction(self, entry):
@@ -209,7 +317,22 @@ class TestSampling:
         for kernel in (K, K.values):
             posterior_expectation(kernel, prior)
             PosteriorSampler(kernel, prior).draw(np.random.default_rng(0))
+            PosteriorSampler(kernel, prior).draws(
+                [np.random.default_rng(1), np.random.default_rng(2)])
         npt.assert_array_equal(K.values, before)
+
+    @pytest.mark.parametrize("prior", ["B", "D"])
+    def test_construction_builds_no_table(self, prior):
+        n = 600
+        K = kernel_matrix(np.random.default_rng(21).normal(size=(n, 3)), "gaussian")
+        tracemalloc.start()
+        try:
+            sampler = PosteriorSampler(K, prior)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.01 * K.values.nbytes, f"{peak / K.values.nbytes:.4f} n x n arrays"
+        assert not hasattr(sampler, "_table")
 
     def test_frequencies_match_expectations(self):
         K = example_kernel(10, n=5)

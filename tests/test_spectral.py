@@ -142,6 +142,20 @@ class TestLaplacianEigenmaps:
             tracemalloc.stop()
         assert peak <= 3.0 * A.nbytes, f"{peak / A.nbytes:.2f} n x n arrays"
 
+    def test_dense_affinity_peak_in_n_by_n_arrays(self):
+        # The same bound on a dense affinity: the component search reads its
+        # all-positive support in blocks whose edges stay small.
+        n = 400
+        A = np.random.default_rng(6).random((n, n))
+        np.fill_diagonal(A, 0.0)
+        tracemalloc.start()
+        try:
+            laplacian_eigenmaps(A, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.0 * A.nbytes, f"{peak / A.nbytes:.2f} n x n arrays"
+
     def test_q_capped_by_components(self):
         A = np.zeros((4, 4))
         A[0, 1] = A[1, 0] = 1.0
