@@ -87,6 +87,7 @@ def _check_row_sums(sums: np.ndarray) -> None:
 
 
 def _check_total(total: float) -> None:
+    """Reject a kernel with no admissible edge under the E prior."""
     if total == 0.0:
         raise DegenerateRowError("no admissible edge under the E prior")
 
