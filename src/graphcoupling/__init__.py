@@ -60,12 +60,10 @@ from .spectral import (
     laplacian_eigenmaps,
     pca,
     precision_coupling_closed_form,
-    precision_coupling_gradient,
-    precision_coupling_objective,
 )
 from .ccpca import CcpcaConfig, averaged_projector, ccpca
 from .evaluation import NeighborhoodScore, evaluate_embedding, kary_agreement
-from .pipeline import RunResult, RunSpec, initial_embedding, prepare_input, run
+from .pipeline import RunResult, RunSpec, initial_embedding, initial_inputs, prepare_input, run
 from .dataio import Dataset, load_csv, load_embedding, save_embedding
 from .svgplot import render_svg_scatter
 
@@ -83,12 +81,11 @@ __all__ = [
     "averaged_projector", "calibrated_kernel", "cc_projector",
     "ccpca", "center_columns", "components_from_edges", "connected_components",
     "evaluate_embedding",
-    "initial_embedding", "kary_agreement", "kernel_matrix", "laplacian",
+    "initial_embedding", "initial_inputs", "kary_agreement", "kernel_matrix", "laplacian",
     "laplacian_eigenmaps", "leading_signs", "load_csv",
     "load_embedding", "log_kernel", "log_mrf_density", "minimize",
     "pairwise_sq_dists", "pca", "posterior_expectation",
-    "precision_coupling_closed_form", "precision_coupling_gradient",
-    "precision_coupling_objective", "prepare_input", "render_svg_scatter",
+    "precision_coupling_closed_form", "prepare_input", "render_svg_scatter",
     "run", "sample_posterior_graph", "save_embedding",
     "split_mean_centered", "sym_eig", "symmetrize_row_affinity",
     "umap_threshold_prob", "validate_latent_graph", "weighted_laplacian",

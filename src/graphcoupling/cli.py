@@ -29,7 +29,7 @@ from .evaluation import evaluate_embedding
 from .kernels import KERNEL_KINDS
 from .optim import OptimizerConfig
 from .pipeline import (INIT_KINDS, SPECTRAL_INIT_KINDS, RunSpec, default_eval_ks,
-                       initial_embedding, prepare_input, run)
+                       initial_embedding, initial_inputs, run)
 from .posterior import PRIOR_KINDS
 from .svgplot import render_svg_scatter
 
@@ -230,9 +230,7 @@ def cmd_init(args, config) -> int:
         raise ParameterError(f"unknown init method {spec.init!r}; "
                              f"use {', '.join(others)} or {last}")
     spec.validate()
-    # PCA needs no affinity; the others use the one fit would build.
-    affinity, kernel = ((None, None) if spec.init == "pca"
-                        else prepare_input(X, spec.method, spec.perplexity))
+    affinity, kernel = initial_inputs(X, spec, fitting=False)
     Z, degenerate = initial_embedding(X, spec, affinity, kernel)
     if degenerate:
         print("warning: affinity graph has several connected components; "

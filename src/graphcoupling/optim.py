@@ -42,14 +42,14 @@ class OptimizerConfig:
     def validate(self) -> "OptimizerConfig":
         if self.iterations < 0:
             raise ParameterError("iterations must be nonnegative")
-        if not self.learning_rate > 0.0:
-            raise ParameterError("learning_rate must be positive")
+        for name in ("learning_rate", "exaggeration_factor"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0.0):
+                raise ParameterError(f"{name} must be positive and finite, got {value}")
         for name in ("momentum_early", "momentum_late"):
             m = getattr(self, name)
             if not (0.0 <= m < 1.0):
                 raise ParameterError(f"{name} must lie in [0, 1), got {m}")
-        if not self.exaggeration_factor > 0.0:
-            raise ParameterError("exaggeration_factor must be positive")
         return self
 
 

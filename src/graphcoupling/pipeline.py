@@ -52,6 +52,7 @@ class RunSpec:
             raise ParameterError(f"unknown init {self.init!r}, expected one of {INIT_KINDS}")
         if self.q < 1:
             raise ParameterError("q must be at least 1")
+        self.optimizer.validate()
         return self
 
 
@@ -74,6 +75,20 @@ def prepare_input(X, method: str, perplexity: float):
     check_method(method)
     K = calibrated_kernel(pairwise_sq_dists(X), perplexity)
     return input_affinity(K, method), K
+
+
+def initial_inputs(X, spec: RunSpec, fitting: bool = True):
+    """(affinity, kernel) for a run, each None where nothing reads it.
+
+    Eigenmaps reads the affinity, ccPCA the kernel, and random and PCA X
+    alone; a fit's coupling (``fitting``) reads the affinity too.
+    """
+    if fitting or spec.init == "le":
+        affinity, kernel = prepare_input(X, spec.method, spec.perplexity)
+        return affinity, (kernel if spec.init == "ccpca" else None)
+    if spec.init == "ccpca":
+        return None, calibrated_kernel(pairwise_sq_dists(X), spec.perplexity)
+    return None, None
 
 
 def rescale_init(Z: np.ndarray, n: int) -> np.ndarray:
@@ -124,10 +139,8 @@ def run(X, spec: RunSpec = None) -> RunResult:
     total0 = time.perf_counter()
 
     t0 = time.perf_counter()
-    affinity, kernel = prepare_input(X, spec.method, spec.perplexity)
+    affinity, kernel = initial_inputs(X, spec)
     prepare_s = time.perf_counter() - t0
-    if spec.init != "ccpca":
-        kernel = None  # n x n, read only by ccPCA: gone before any other init
 
     t0 = time.perf_counter()
     Z0, degenerate = initial_embedding(X, spec, affinity, kernel)

@@ -1,52 +1,56 @@
 """Spectral embeddings and the precision-coupled matrix-normal objective.
 
-``pca`` takes a thin SVD of the centered n x p data, so no n x n
-matrix is formed.  ``laplacian_eigenmaps`` embeds with the low-frequency
-eigenvectors of a weighted graph Laplacian, skipping the null space
-structurally (one direction per connected component) instead of
-thresholding eigenvalues.
+``laplacian_eigenmaps`` embeds with the low-frequency eigenvectors of a
+weighted graph Laplacian, skipping the null space structurally (one
+direction per connected component) instead of thresholding eigenvalues.
 
-The precision-coupling objective scores a latent matrix Z against the
-observed Gram precision (I + X X^T)^{-1}:
+The PCA side takes one thin SVD X = U diag(s) V^T and forms no n x n
+matrix: ``pca`` of the centered X, and the precision coupling, which
+scores a latent Z against (I + X X^T)^{-1} = I - U diag(s^2 / (1 + s^2)) U^T:
 
     J(Z) = tr(Z^T (I + X X^T)^{-1} Z) - gamma * log det(I + Z Z^T)
 
-Its global minimizers have a closed form in the eigenbasis of X X^T
-with spectrum max(0, gamma * (1 + d_i) - 1); at gamma = 1 the map
-reproduces PCA scores exactly.
+and takes (I + Z Z^T)^{-1} Z = Z (I + Z^T Z)^{-1} for its gradient.
+
+Its global minimizers have the spectrum max(0, gamma * (1 + s_i^2) - 1)
+on the u_i; at gamma = 1 the map reproduces PCA scores exactly.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError
+from .errors import ContractViolationError, NumericalError, ParameterError
 from .graph import components_from_support, weighted_laplacian
 from .linalg import as_float_matrix, center_columns, leading_signs, sym_eig
 from .optim import Evaluation
 from .posterior import AffinityMatrix
 
 
+def _left_singular(X: np.ndarray, q: int):
+    """X's first q left singular vectors, signed by :func:`leading_signs`, and all s_i."""
+    try:
+        U, s, _ = np.linalg.svd(X, full_matrices=q > min(X.shape))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"singular value decomposition failed: {exc}") from None
+    U = U[:, :q]
+    U *= leading_signs(U)
+    return U, s
+
+
 def pca(X, q: int) -> np.ndarray:
     """First q principal-component scores of the centered rows of X.
 
-    Computed from a thin SVD of the centered n x p data: column k is the
-    k-th left singular vector, signed by :func:`leading_signs` as
-    :func:`sym_eig` signs the eigenvectors of the centered Gram matrix,
-    and scaled to norm sqrt(lambda_k), the k-th singular value.  Pairwise
-    distances of the full decomposition are preserved when q is the full
-    rank.
+    Column k is the centered data's k-th left singular vector, signed as
+    :func:`sym_eig` signs the centered Gram's eigenvectors, times the k-th
+    singular value.  Pairwise distances are preserved when q is the full rank.
     """
     X = as_float_matrix(X, "X")
     n, p = X.shape
     if not (1 <= q <= min(n, p)):
         raise ParameterError(f"q must lie in [1, min(n, p)={min(n, p)}], got {q}")
-    try:
-        U, s, _ = np.linalg.svd(center_columns(X), full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"singular value decomposition failed: {exc}") from None
-    U = U[:, :q]
-    return U * (leading_signs(U) * s[:q])[None, :]
+    U, s = _left_singular(center_columns(X), q)
+    return U * s[:q]
 
 
 class EigenmapsResult(NamedTuple):
@@ -98,33 +102,32 @@ def laplacian_eigenmaps(P, q: int) -> EigenmapsResult:
 
 
 class PrecisionCouplingProblem:
-    """Adapter exposing the precision-coupling objective to the optimizer."""
+    """The precision-coupling objective for the optimizer, from X's thin SVD."""
 
     def __init__(self, X, gamma: float = 1.0):
         X = as_float_matrix(X, "X")
-        if not gamma > 0.0:
-            raise ParameterError(f"gamma must be positive, got {gamma}")
+        if not (np.isfinite(gamma) and gamma > 0.0):
+            raise ParameterError(f"gamma must be positive and finite, got {gamma}")
         self.gamma = float(gamma)
-        n = X.shape[0]
-        self.B = np.eye(n) + X @ X.T
+        self.n = X.shape[0]
+        self._U, s = _left_singular(X, min(X.shape))
+        self._shrink = s * s / (1.0 + s * s)
 
     def evaluate(self, Z, exaggeration: float = 1.0) -> Evaluation:
-        """Objective and gradient, sharing one solve against B.
-
-        The objective has no exaggerated form, so any factor but 1 is rejected.
-        """
+        """Objective and gradient; there is no exaggerated form, so only factor 1 is taken."""
         if exaggeration != 1.0:
             raise ParameterError(
                 f"the precision coupling has no exaggerated form, got factor {exaggeration}")
         Z = as_float_matrix(Z, "Z")
-        n, q = Z.shape
-        sign, logdet = np.linalg.slogdet(np.eye(q) + Z.T @ Z)
+        if Z.shape[0] != self.n:
+            raise ContractViolationError(f"Z has {Z.shape[0]} rows but X has {self.n}")
+        latent = np.eye(Z.shape[1]) + Z.T @ Z
+        sign, logdet = np.linalg.slogdet(latent)
         if sign <= 0:
             raise NumericalError("latent Gram determinant is not positive")
-        BinvZ = np.linalg.solve(self.B, Z)
+        BinvZ = Z - self._U @ (self._shrink[:, None] * (self._U.T @ Z))
         loss = float((Z * BinvZ).sum()) - self.gamma * float(logdet)
-        latent = np.eye(n) + Z @ Z.T
-        grad = 2.0 * BinvZ - 2.0 * self.gamma * np.linalg.solve(latent, Z)
+        grad = 2.0 * BinvZ - 2.0 * self.gamma * np.linalg.solve(latent, Z.T).T
         return Evaluation(loss, loss, grad)
 
     def loss(self, Z) -> float:
@@ -134,29 +137,25 @@ class PrecisionCouplingProblem:
         return self.evaluate(Z).grad
 
 
-def precision_coupling_objective(Z, X, gamma: float = 1.0) -> float:
-    return PrecisionCouplingProblem(X, gamma).loss(Z)
-
-
-def precision_coupling_gradient(Z, X, gamma: float = 1.0) -> np.ndarray:
-    return PrecisionCouplingProblem(X, gamma).grad(Z)
-
-
 def precision_coupling_closed_form(X, q: int, gamma: float = 1.0) -> np.ndarray:
     """A global minimizer of the precision-coupling objective.
 
-    In the eigenbasis (d_i, v_i) of X X^T, descending, the optimal
-    latent spectrum is lambda_i = max(0, gamma * (1 + d_i) - 1); the
-    minimizer is unique up to a right rotation of Z.  Note the Gram
-    matrix here is uncentered; center X beforehand to compare against
-    :func:`pca`.
+    Column i is sqrt(lambda_i) u_i, with X's left singular vectors u_i and
+    lambda_i = max(0, gamma * s_i^2 + (gamma - 1)), s_i = 0 past min(n, p).
+    Z Z^T is unique, and Z up to a right rotation, when lambda_q is 0 or
+    exceeds lambda_{q+1}.  Otherwise any orthonormal basis of the tied
+    eigenspace gives the same objective but another Z Z^T: within a tied
+    spectrum, and whenever q > rank(X) and gamma > 1, where every null
+    direction of X X^T carries gamma - 1 (numpy's SVD picks them here).
+    X X^T is uncentered; center X beforehand to compare against :func:`pca`.
     """
     X = as_float_matrix(X, "X")
     n = X.shape[0]
     if not (1 <= q <= n):
         raise ParameterError(f"q must lie in [1, n={n}], got {q}")
-    if not gamma > 0.0:
-        raise ParameterError(f"gamma must be positive, got {gamma}")
-    d, V = sym_eig(X @ X.T)
-    lam = np.clip(gamma * (1.0 + d[:q]) - 1.0, 0.0, None)
-    return V[:, :q] * np.sqrt(lam)[None, :]
+    if not (np.isfinite(gamma) and gamma > 0.0):
+        raise ParameterError(f"gamma must be positive and finite, got {gamma}")
+    U, s = _left_singular(X, q)
+    d = np.zeros(q)
+    d[:min(q, s.size)] = s[:q] ** 2
+    return U * np.sqrt(np.clip(gamma * d + (gamma - 1.0), 0.0, None))

@@ -2,6 +2,8 @@ import argparse
 import os
 import subprocess
 import sys
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ import yaml
 import graphcoupling
 from graphcoupling import cli, linalg, pipeline
 from graphcoupling.cli import OUT_DIR_ENV, build_parser, load_config, main
-from graphcoupling.coupling import METHOD_KINDS
+from graphcoupling.coupling import METHOD_KINDS, input_affinity
 from graphcoupling.dataio import load_csv, load_embedding, save_embedding
 from graphcoupling.errors import ParameterError
 from graphcoupling.kernels import KERNEL_KINDS
@@ -250,6 +252,13 @@ class TestFit:
         assert main(args) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_infinite_learning_rate_exits_2_before_fitting(self, blob_csv, tmp_path,
+                                                           monkeypatch):
+        calls = []
+        monkeypatch.setattr(pipeline, "prepare_input", lambda *args: calls.append(args))
+        assert main(fit_args(blob_csv, tmp_path / "x", ["--learning-rate", "inf"])) == 2
+        assert calls == []
+
     def test_bad_threads_exits_2(self, blob_csv, tmp_path):
         assert main(fit_args(blob_csv, tmp_path / "x", ["--threads", "0"])) == 2
 
@@ -334,6 +343,53 @@ class TestInit:
         spec = RunSpec(init="ccpca", ccpca_samples=20, perplexity=8.0, seed=5)
         Z0, _ = initial_embedding(X, spec, *prepare_input(X, spec.method, 8.0))
         npt.assert_array_equal(load_embedding(out / "init.csv").X, Z0)
+
+    @pytest.mark.parametrize("method", SPECTRAL_INIT_KINDS)
+    def test_builds_only_what_the_init_reads(self, blob_csv, tmp_path, monkeypatch,
+                                             method):
+        # Eigenmaps reads the affinity, ccPCA the kernel, PCA neither; the
+        # kernel that the affinity is built from is gone before eigenmaps.
+        affinities, kernels, seen = [], [], []
+
+        def affinity_and_watch(*args):
+            kernels.append(weakref.ref(args[0].values))
+            affinities.append(input_affinity(*args))
+            return affinities[-1]
+
+        def init_and_watch(X, spec, affinity, kernel):
+            seen.append((affinity is not None, kernel is not None,
+                         any(ref() is not None for ref in kernels)))
+            return initial_embedding(X, spec, affinity, kernel)
+
+        monkeypatch.setattr(pipeline, "input_affinity", affinity_and_watch)
+        monkeypatch.setattr(cli, "initial_embedding", init_and_watch)
+        args = ["init", "--input", str(blob_csv), "--label", "cls", "--out-dir",
+                str(tmp_path / "o"), "--method", method, "--perplexity", "8",
+                "--samples", "5"]
+        assert main(args) == 0
+        assert len(affinities) == (method == "le")
+        assert seen == [(method == "le", method == "ccpca", False)]
+
+    def test_le_peak_in_n_by_n_arrays(self, tmp_path, monkeypatch):
+        # The affinity, its symmetrized copy or Laplacian, and the
+        # eigenvectors: no kernel beside them.  The first call pays
+        # one-off allocations, so the second is measured.  Calibration
+        # holds one block per worker, so the worker count is pinned.
+        monkeypatch.setattr(linalg, "usable_cores", lambda: 2)
+        n = 600
+        X = np.random.default_rng(3).normal(size=(n, 10))
+        path = tmp_path / "x.csv"
+        np.savetxt(path, X, delimiter=",", header="a,b,c,d,e,f,g,h,i,j", comments="")
+        args = ["init", "--input", str(path), "--out-dir", str(tmp_path / "o"),
+                "--method", "le"]
+        assert main(args) == 0
+        tracemalloc.start()
+        try:
+            assert main(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.4 * 8 * n * n, f"{peak / (8 * n * n):.2f} n x n arrays"
 
     def test_config_random_method_exits_2(self, blob_csv, tmp_path):
         cfg = tmp_path / "init.cfg"

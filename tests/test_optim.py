@@ -72,14 +72,16 @@ class TestConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ParameterError):
             OptimizerConfig(iterations=-1).validate()
-        with pytest.raises(ParameterError):
-            OptimizerConfig(learning_rate=0.0).validate()
+        for rate in (0.0, np.inf, np.nan):
+            with pytest.raises(ParameterError):
+                OptimizerConfig(learning_rate=rate).validate()
         with pytest.raises(ParameterError):
             OptimizerConfig(momentum_early=1.0).validate()
         with pytest.raises(ParameterError):
             OptimizerConfig(momentum_late=-0.1).validate()
-        with pytest.raises(ParameterError):
-            OptimizerConfig(exaggeration_factor=0.0).validate()
+        for factor in (0.0, np.inf):
+            with pytest.raises(ParameterError):
+                OptimizerConfig(exaggeration_factor=factor).validate()
 
 
 class TestQuadratic:

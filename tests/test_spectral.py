@@ -4,16 +4,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from graphcoupling.errors import ParameterError
+from graphcoupling.errors import ContractViolationError, ParameterError
 from graphcoupling.graph import weighted_laplacian
-from graphcoupling.linalg import center_columns, pairwise_sq_dists
+from graphcoupling.linalg import center_columns, pairwise_sq_dists, sym_eig
 from graphcoupling.spectral import (
     PrecisionCouplingProblem,
     laplacian_eigenmaps,
     pca,
     precision_coupling_closed_form,
-    precision_coupling_gradient,
-    precision_coupling_objective,
 )
 
 
@@ -24,6 +22,43 @@ def gram_from_spectrum(d, seed=0):
     Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     # X = Q sqrt(diag(d)) has X X^T = Q diag(d) Q^T
     return Q * np.sqrt(np.asarray(d, dtype=np.float64))[None, :]
+
+
+def dense_evaluate(Z, X, gamma):
+    """(loss, gradient) through the n x n matrices I + X X^T and I + Z Z^T.
+
+    The oracle for :class:`PrecisionCouplingProblem`, which uses only X's
+    thin SVD and the q x q latent Gram.
+    """
+    n, q = Z.shape
+    _, logdet = np.linalg.slogdet(np.eye(q) + Z.T @ Z)
+    BinvZ = np.linalg.solve(np.eye(n) + X @ X.T, Z)
+    loss = float((Z * BinvZ).sum()) - gamma * float(logdet)
+    grad = 2.0 * BinvZ - 2.0 * gamma * np.linalg.solve(np.eye(n) + Z @ Z.T, Z)
+    return loss, grad
+
+
+def dense_closed_form(X, q, gamma):
+    """A minimizer from the eigendecomposition of the n x n X X^T: the oracle."""
+    d, V = sym_eig(X @ X.T)
+    lam = np.clip(gamma * (1.0 + d[:q]) - 1.0, 0.0, None)
+    return V[:, :q] * np.sqrt(lam)[None, :]
+
+
+def design(shape, seed=0):
+    """Tall (n > p), wide (n < p) or rank-deficient (centered, one column duplicated) X."""
+    rng = np.random.default_rng(seed)
+    if shape == "tall":
+        return rng.normal(size=(12, 4)) * [3.0, 1.5, 1.0, 0.5]
+    if shape == "wide":
+        return rng.normal(size=(5, 9))
+    X = rng.normal(size=(10, 4)) * [2.0, 1.0, 0.7, 1.0]
+    X[:, 3] = X[:, 0]
+    return center_columns(X)  # rank 3
+
+
+SHAPES = ("tall", "wide", "rank-deficient")
+GAMMAS = (0.5, 1.0, 2.0)
 
 
 class TestPca:
@@ -174,7 +209,7 @@ class TestPrecisionObjective:
         Z = np.array([[1.0], [0.0]])
         X = np.zeros((2, 1))
         for gamma in (0.5, 1.0, 2.0):
-            npt.assert_allclose(precision_coupling_objective(Z, X, gamma),
+            npt.assert_allclose(PrecisionCouplingProblem(X, gamma).loss(Z),
                                 1.0 - gamma * np.log(2.0), rtol=1e-14)
 
     def test_rotation_invariant(self):
@@ -182,9 +217,8 @@ class TestPrecisionObjective:
         X = rng.normal(size=(8, 3))
         Z = rng.normal(size=(8, 2))
         Q, _ = np.linalg.qr(rng.normal(size=(2, 2)))
-        npt.assert_allclose(precision_coupling_objective(Z @ Q, X, 1.5),
-                            precision_coupling_objective(Z, X, 1.5),
-                            rtol=1e-12)
+        prob = PrecisionCouplingProblem(X, 1.5)
+        npt.assert_allclose(prob.loss(Z @ Q), prob.loss(Z), rtol=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(8)
@@ -202,9 +236,41 @@ class TestPrecisionObjective:
                 fd = (prob.loss(Zp) - prob.loss(Zm)) / (2.0 * h)
                 npt.assert_allclose(g[i, j], fd, rtol=2e-5, atol=1e-9)
 
-    def test_gamma_must_be_positive(self):
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_dense_oracle(self, shape, gamma):
+        X = design(shape)
+        Z = np.random.default_rng(9).normal(size=(X.shape[0], 3))
+        got = PrecisionCouplingProblem(X, gamma).evaluate(Z)
+        loss, grad = dense_evaluate(Z, X, gamma)
+        assert got.objective == got.loss
+        assert abs(got.loss - loss) <= 1e-12 * abs(loss)
+        assert np.abs(got.grad - grad).max() <= 1e-10 * np.abs(grad).max()
+
+    @pytest.mark.parametrize("gamma", (0.0, -1.0, np.inf, np.nan))
+    def test_gamma_must_be_positive(self, gamma):
         with pytest.raises(ParameterError):
-            PrecisionCouplingProblem(np.zeros((3, 2)), 0.0)
+            PrecisionCouplingProblem(np.zeros((3, 2)), gamma)
+
+    def test_row_count_must_match_x(self):
+        prob = PrecisionCouplingProblem(np.ones((4, 2)))
+        with pytest.raises(ContractViolationError, match="5 rows but X has 4"):
+            prob.evaluate(np.ones((5, 2)))
+
+    def test_no_n_by_n_array(self):
+        # X's n x p singular vectors and the q x q latent Gram stand in for
+        # the n x n I + X X^T and I + Z Z^T.
+        rng = np.random.default_rng(10)
+        n = 2000
+        X = rng.normal(size=(n, 50))
+        Z = rng.normal(size=(n, 2))
+        tracemalloc.start()
+        try:
+            PrecisionCouplingProblem(X, 1.5).evaluate(Z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1 * 8 * n * n, f"{peak / (8 * n * n):.3f} n x n arrays"
 
 
 class TestClosedForm:
@@ -223,18 +289,18 @@ class TestClosedForm:
         rng = np.random.default_rng(11)
         X = rng.normal(size=(8, 4))
         Z = precision_coupling_closed_form(X, 2, gamma=1.0)
-        npt.assert_allclose(precision_coupling_gradient(Z, X, 1.0), 0.0,
+        npt.assert_allclose(PrecisionCouplingProblem(X, 1.0).grad(Z), 0.0,
                             atol=1e-9)
 
     def test_objective_not_above_random_candidates(self):
         rng = np.random.default_rng(12)
         X = rng.normal(size=(7, 3))
         for gamma in (0.5, 1.0, 2.0):
-            Z = precision_coupling_closed_form(X, 2, gamma)
-            base = precision_coupling_objective(Z, X, gamma)
+            prob = PrecisionCouplingProblem(X, gamma)
+            base = prob.loss(precision_coupling_closed_form(X, 2, gamma))
             for _ in range(25):
                 other = rng.normal(size=(7, 2))
-                assert base <= precision_coupling_objective(other, X, gamma) + 1e-10
+                assert base <= prob.loss(other) + 1e-10
 
     def test_gamma_one_is_pca_on_centered_data(self):
         rng = np.random.default_rng(13)
@@ -242,6 +308,58 @@ class TestClosedForm:
         Z = precision_coupling_closed_form(center_columns(X), 2, gamma=1.0)
         P = pca(X, 2)
         npt.assert_allclose(Z @ Z.T, P @ P.T, atol=1e-8)
+
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    @pytest.mark.parametrize("shape, q", [("tall", 2), ("tall", 4), ("wide", 2),
+                                          ("wide", 5), ("rank-deficient", 2)])
+    def test_matches_dense_oracle(self, shape, q, gamma):
+        # q stays within rank(X), where lambda_q > lambda_{q+1} and Z Z^T is unique.
+        X = design(shape)
+        Z = precision_coupling_closed_form(X, q, gamma)
+        want = dense_closed_form(X, q, gamma)
+        gram = want @ want.T
+        assert np.abs(Z @ Z.T - gram).max() <= 1e-10 * max(1.0, np.abs(gram).max())
+
+    @pytest.mark.parametrize("gamma", (0.5, 1.0))
+    @pytest.mark.parametrize("shape, q", [("tall", 6), ("rank-deficient", 4),
+                                          ("rank-deficient", 6)])
+    def test_beyond_rank_unique_when_gamma_at_most_one(self, shape, q, gamma):
+        # Every null direction of X X^T gets weight max(0, gamma - 1) = 0.
+        X = design(shape)
+        Z = precision_coupling_closed_form(X, q, gamma)
+        want = dense_closed_form(X, q, gamma)
+        gram = want @ want.T
+        assert np.abs(Z @ Z.T - gram).max() <= 1e-10 * max(1.0, np.abs(gram).max())
+
+    @pytest.mark.parametrize("shape, q", [("tall", 6), ("rank-deficient", 4),
+                                          ("rank-deficient", 6)])
+    def test_beyond_rank_optimal_when_gamma_above_one(self, shape, q):
+        # Null directions carry gamma - 1 > 0 and any orthonormal completion
+        # of them is optimal, so Z Z^T is not unique: compare objectives.
+        X = design(shape)
+        prob = PrecisionCouplingProblem(X, 2.0)
+        Z = precision_coupling_closed_form(X, q, 2.0)
+        best = dense_evaluate(dense_closed_form(X, q, 2.0), X, 2.0)[0]
+        got = prob.evaluate(Z)
+        assert abs(got.loss - best) <= 1e-12 * abs(best)
+        assert np.abs(got.grad).max() <= 1e-10
+
+    def test_no_n_by_n_array(self):
+        rng = np.random.default_rng(14)
+        n = 2000
+        X = rng.normal(size=(n, 50))
+        tracemalloc.start()
+        try:
+            precision_coupling_closed_form(X, 50, 1.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1 * 8 * n * n, f"{peak / (8 * n * n):.3f} n x n arrays"
+
+    @pytest.mark.parametrize("gamma", (0.0, -1.0, np.inf, np.nan))
+    def test_gamma_must_be_positive(self, gamma):
+        with pytest.raises(ParameterError):
+            precision_coupling_closed_form(np.ones((4, 2)), 1, gamma)
 
     def test_q_validation(self):
         with pytest.raises(ParameterError):
