@@ -33,7 +33,10 @@ both with their gradient; no n x n array is formed.  For ``tsne``,
 ``largevis`` and ``umap`` the input P (required exactly symmetric) and
 the latent kernel are symmetric, so the pass visits each unordered pair
 once, in the upper triangle, and doubles the sums.  ``sne`` normalizes
-each row, so its tiles are whole rows.
+each row, so its tiles are whole rows.  The tiles run on the usable
+cores through :func:`linalg.map_blocks`, each in its worker's reused
+buffers, and their terms are added up in tile order, so the loss and the
+gradient are the same bits at any core count.
 
 Losses are reported in nats.  A loss of +inf is a sentinel for an
 embedding that the method cannot score (collapsed latent mass), not an
@@ -41,12 +44,18 @@ error; its gradient is None.
 """
 
 import math
+import threading
 
 import numpy as np
 
 from .errors import ContractViolationError, ParameterError
 from .kernels import GAUSSIAN, STUDENT, check_kind
-from .linalg import as_float_matrix, pairwise_sq_dists, row_blocks
+# The tiles take their distances from the private _sq_dists, since they run
+# on worker threads.  pairwise_sq_dists keeps its name here for tools that
+# patch the package's functions where they are imported; the benchmark's
+# self-test checks that its tracer patches it in this module.
+from .linalg import _sq_dists, _workers, as_float_matrix, map_blocks, row_blocks
+from .linalg import pairwise_sq_dists  # noqa: F401
 from .optim import Evaluation
 from .posterior import (
     ROW,
@@ -95,14 +104,34 @@ def input_affinity(K, method: str) -> AffinityMatrix:
     return symmetrized_in_place(posterior_expectation(K, "B" if method == UMAP else "D"))
 
 
-def _add_pair_gradient(grad, G, Z, rows, cols) -> None:
-    """Add the gradient of the pair weights G of the tile ``rows`` x ``cols`` to grad.
+def _pair_shares(G, Z, rows, cols):
+    """The gradient shares of the pair weights G of the tile ``rows`` x ``cols``.
 
     Row i of the tile gets sum_j G_ij (z_i - z_j); every column j gets
     sum_i G_ij (z_j - z_i), its share as the other end of each pair.
     """
-    grad[rows] += G.sum(axis=1)[:, None] * Z[rows] - G @ Z[cols]
-    grad[cols] += G.sum(axis=0)[:, None] * Z[cols] - G.T @ Z[rows]
+    return (G.sum(axis=1)[:, None] * Z[rows] - G @ Z[cols],
+            G.sum(axis=0)[:, None] * Z[cols] - G.T @ Z[rows])
+
+
+class _OutOfRange(Exception):
+    """A tile's squared distances overflowed."""
+
+
+class _Scratch(threading.local):
+    """Each thread's three float buffers, reused across the tiles it runs.
+
+    The calling thread allocates one set per worker of the walk, ``pool``,
+    and each thread takes one on first use.  Buffers that short-lived
+    worker threads allocated themselves would sit in their own allocator
+    arenas and add to the process's resident memory.
+    """
+
+    def __init__(self, pool):
+        self.buffers = pool.pop()
+
+    def take(self, slot: int, shape) -> np.ndarray:
+        return self.buffers[slot][:shape[0] * shape[1]].reshape(shape)
 
 
 def _check_symmetric(P) -> None:
@@ -158,6 +187,8 @@ class CouplingProblem:
         # For the symmetrized methods each undirected edge carries half of
         # P + P^T per direction.
         self._edge_scale = 0.5 if method in (TSNE, LARGEVIS) else 1.0
+        # tsne's repulsion reads P only through its total mass.
+        self._mass = float(P.sum()) if method == TSNE else None
 
     @property
     def n(self) -> int:
@@ -186,14 +217,14 @@ class CouplingProblem:
         diagonal square are masked, and the factor 2 of the mirrored pair
         multiplies the sums at the end.  sne's row normalizer needs
         complete rows, so its tiles are full rows with only the
-        self-pairs masked.  A masked pair has zero weight and log K =
-        -inf.  Each tile gets its squared distances D, then K and log K.
-        The pair weights G = dObjective/dD fold in the kernel derivative:
-        -K^2 per unit of squared distance for the Student kernel, -K/2
-        for the Gaussian.  Each tile's G enters the gradient of its rows
-        and of its columns.  The tsne normalizer is complete only after
-        the last tile, so its repulsive pair weights are summed unscaled
-        and divided by it at the end.
+        self-pairs masked.  The tiles run on the usable cores through
+        :func:`linalg.map_blocks` (see :meth:`_tile`), and their terms
+        and gradient shares are added up here in tile order, so every sum
+        is the serial walk's at any core count.  The tsne normalizer is
+        complete only after the last tile, so its repulsive pair weights
+        are summed unscaled and divided by it at the end; with the
+        Gaussian kernel each tile's sums are relative to its own peak log
+        K and are brought to the running peak as they are added.
         """
         if not (math.isfinite(exaggeration) and exaggeration > 0.0):
             raise ParameterError(f"exaggeration must be positive, got {exaggeration}")
@@ -204,81 +235,58 @@ class CouplingProblem:
             return 0.0, math.inf, math.inf, None  # a lone point has no normalizer
         student = self.latent_kernel == STUDENT
         upper = self._upper
-        pull = exaggeration * self._edge_scale
+        tiles = list(row_blocks(n, upper))
+        cells = max((rows.stop - rows.start) * (n - (rows.start if upper else 0))
+                    for rows in tiles)
+        scratch = _Scratch([[np.empty(cells) for _ in range(3)]
+                            for _ in range(_workers(len(tiles)))])
+        dists = _sq_dists(Z)
         attraction = repulsion = 0.0
         grad = np.zeros_like(Z)
         # tsne: the global normalizer as a sum of exp(log K - peak), and the
         # gradient of those terms.  The Student K lies in (0, 1], so only
         # the Gaussian needs a running peak to keep the sum from underflowing.
         total, peak, push = 0.0, (0.0 if student else -math.inf), np.zeros_like(Z)
-        for rows in row_blocks(n, upper):
-            cols = slice(rows.start if upper else 0, n)
-            D = pairwise_sq_dists(Z, rows, cols)
-            if not np.isfinite(D).all():
-                # Squared distances overflowed; the configuration is out of
-                # range, not invalid, so score it with the infinite sentinel.
-                return math.inf, math.inf, math.inf, None
-            # The tile's diagonal square and the pairs masked in it: j <= i
-            # in the upper triangle, the self-pairs in full rows.
-            b = D.shape[0]
-            square = slice(rows.start - cols.start, rows.stop - cols.start)
-            masked = np.tri(b, dtype=bool) if upper else np.eye(b, dtype=bool)
-            if student:
-                logK = np.log1p(D)
-                np.negative(logK, out=logK)
-                D += 1.0
-                K = np.reciprocal(D, out=D)
-                np.copyto(K[:, square], 0.0, where=masked)
-            else:
-                logK = D
-                logK *= -0.5
-            del D
-            np.copyto(logK[:, square], 0.0, where=masked)
-            P = self.P[rows, cols]
-            attraction -= float(np.einsum("ij,ij->", P, logK))
-            np.copyto(logK[:, square], -np.inf, where=masked)
-            if not (student or normalized):
-                K = np.exp(logK)
-            G = P * pull
-            np.copyto(G[:, square], 0.0, where=masked)
-            if self.method == SNE:
-                # Each row's normalizer is complete within the tile; the
-                # shift by its peak keeps exp from underflowing to 0 / 0.
-                top = logK.max(axis=1, keepdims=True)
-                R = np.exp(logK - top)
-                row_total = R.sum(axis=1, keepdims=True)
-                weight = P.sum(axis=1, keepdims=True) * self._edge_scale
-                repulsion += float((weight * (top + np.log(row_total))).sum())
-                R *= weight * (exaggeration / row_total)
-                G -= R
-            elif self.method == TSNE:
-                if student:
-                    R = K
-                else:
-                    top = float(logK.max())
-                    if top > peak:
-                        shrink = math.exp(peak - top)
-                        total, peak = total * shrink, top
-                        push *= shrink
-                    R = np.exp(logK - peak)
-                total += float(R.sum())
-                _add_pair_gradient(push, R * K if student else R, Z, rows, cols)
-            else:
-                # Both edgewise methods reduce to the same ordered-pair form:
-                # the (1 - P)-weighted and P-weighted log(1 + K) terms merge.
-                repulsion += float(np.log1p(K).sum())
-                G -= K / (1.0 + K)
-            if student:
-                G *= K
-            _add_pair_gradient(grad, G, Z, rows, cols)
+
+        def tile(rows):
+            return self._tile(dists, Z, rows, slice(rows.start if upper else 0, n),
+                              exaggeration, scratch)
+
+        def add(terms):
+            nonlocal attraction, repulsion, total, peak, push
+            rows, cols, tile_attraction, tile_repulsion, shares, tsne = terms
+            attraction -= tile_attraction
+            repulsion += tile_repulsion
+            grad[rows] += shares[0]
+            grad[cols] += shares[1]
+            if tsne is None:
+                return
+            top, tile_total, (row_push, col_push) = tsne
+            if top > peak:
+                shrink = math.exp(peak - top)
+                total, peak = total * shrink, top
+                push *= shrink
+            elif top < peak:
+                scale = math.exp(top - peak)
+                tile_total, row_push, col_push = (
+                    tile_total * scale, row_push * scale, col_push * scale)
+            total += tile_total
+            push[rows] += row_push
+            push[cols] += col_push
+
+        try:
+            map_blocks(tile, tiles, add)
+        except _OutOfRange:
+            # Squared distances overflowed; the configuration is out of
+            # range, not invalid, so score it with the infinite sentinel.
+            return math.inf, math.inf, math.inf, None
         # Each pair walked once in the upper triangle stands for both orders.
         mirror = 2.0 if upper else 1.0
         attraction *= self._edge_scale * mirror
         repulsion *= mirror
         if self.method == TSNE:
-            # Repulsion reads only the total mass of P.
             total *= mirror
-            weight = float(self.P.sum()) * self._edge_scale
+            weight = self._mass * self._edge_scale
             repulsion = weight * (peak + math.log(total))
             grad -= push * (exaggeration * weight / total)
         if not math.isfinite(repulsion):
@@ -288,6 +296,93 @@ class CouplingProblem:
         # dD/dz_i is 2 (z_i - z_j); the Gaussian's factor 1/2 cancels it.
         grad *= (2.0 if student else 1.0) * mirror
         return attraction, repulsion, objective, grad
+
+    def _tile(self, dists, Z, rows, cols, exaggeration, scratch):
+        """The terms of the pairs ``rows`` x ``cols`` for :meth:`_pass`.
+
+        Returns ``(rows, cols, attraction, repulsion, gradient shares,
+        tsne)``: the tile's -sum P log K and its sne or edgewise
+        repulsion, both unscaled, the (row, column) shares of
+        :func:`_pair_shares`, and for tsne ``(peak, total, push shares)``
+        of the normalizer terms exp(log K - peak), else None.  Raises
+        :class:`_OutOfRange` if a squared distance overflowed.  The tile
+        gets its squared distances D from ``dists``, then K and log K; a
+        masked pair has zero weight and log K = -inf.  The pair weights
+        G = dObjective/dD fold in the kernel derivative: -K^2 per unit of
+        squared distance for the Student kernel, -K/2 for the Gaussian.
+        Its tile-sized temporaries live in the running thread's ``scratch``
+        buffers, and it calls only private helpers, so it may run on any
+        thread.
+        """
+        student = self.latent_kernel == STUDENT
+        normalized = self.method in (SNE, TSNE)
+        shape = (rows.stop - rows.start, cols.stop - cols.start)
+        D = dists(rows, cols, out=scratch.take(0, shape))
+        if not math.isfinite(D.max()):
+            raise _OutOfRange
+        # The tile's diagonal square and the pairs masked in it: j <= i
+        # in the upper triangle, the self-pairs in full rows.
+        b = shape[0]
+        square = slice(rows.start - cols.start, rows.stop - cols.start)
+        masked = np.tri(b, dtype=bool) if self._upper else np.eye(b, dtype=bool)
+        # Only sne and the Gaussian kernel read log K past the attraction;
+        # the others sum log1p(D) = -log K and negate the sum, which is exact.
+        signed = student and self.method != SNE
+        if student:
+            logK = np.log1p(D, out=scratch.take(1, shape))
+            if not signed:
+                np.negative(logK, out=logK)
+            D += 1.0
+            K = np.reciprocal(D, out=D)
+            np.copyto(K[:, square], 0.0, where=masked)
+        else:
+            logK = D
+            logK *= -0.5
+        del D
+        np.copyto(logK[:, square], 0.0, where=masked)
+        P = self.P[rows, cols]
+        attraction = float(np.einsum("ij,ij->", P, logK))
+        if signed:
+            attraction = -attraction
+        else:
+            np.copyto(logK[:, square], -np.inf, where=masked)
+        if not (student or normalized):
+            K = np.exp(logK, out=scratch.take(1, shape))
+        G = np.multiply(P, exaggeration * self._edge_scale, out=scratch.take(2, shape))
+        np.copyto(G[:, square], 0.0, where=masked)
+        # The repulsive terms R take log K's buffer: log K is either read
+        # for the last time to form them, or no longer read at all.
+        R = logK
+        repulsion, tsne = 0.0, None
+        if self.method == SNE:
+            # Each row's normalizer is complete within the tile; the
+            # shift by its peak keeps exp from underflowing to 0 / 0.
+            top = logK.max(axis=1, keepdims=True)
+            np.exp(np.subtract(logK, top, out=R), out=R)
+            row_total = R.sum(axis=1, keepdims=True)
+            weight = P.sum(axis=1, keepdims=True) * self._edge_scale
+            repulsion = float((weight * (top + np.log(row_total))).sum())
+            R *= weight * (exaggeration / row_total)
+            G -= R
+        elif self.method == TSNE:
+            top = 0.0 if student else float(logK.max())
+            if top > -math.inf:   # else every pair is masked and adds nothing
+                if student:
+                    tile_total = float(K.sum())
+                    np.multiply(K, K, out=R)
+                else:
+                    np.exp(np.subtract(logK, top, out=R), out=R)
+                    tile_total = float(R.sum())
+                tsne = (top, tile_total, _pair_shares(R, Z, rows, cols))
+        else:
+            # Both edgewise methods reduce to the same ordered-pair form:
+            # the (1 - P)-weighted and P-weighted log(1 + K) terms merge.
+            repulsion = float(np.log1p(K, out=R).sum())
+            np.divide(K, np.add(1.0, K, out=R), out=R)
+            G -= R
+        if student:
+            G *= K
+        return rows, cols, attraction, repulsion, _pair_shares(G, Z, rows, cols), tsne
 
     def evaluate(self, Z, exaggeration: float = 1.0) -> Evaluation:
         """Loss, objective at ``exaggeration`` and its gradient, in one pass."""

@@ -12,7 +12,11 @@ one scores 1, making values comparable across k and n.
 :func:`evaluate_embedding` walks the rows of both spaces one block at a
 time: each block's distances to every point, one ``np.partition`` per
 space for the neighbor sets of every k, and the count of neighbors the
-two sets share.  No full sort and no n x n array is formed.
+two sets share.  No full sort and no n x n array is formed.  The blocks
+run on the usable cores through :func:`linalg.map_blocks`, which share
+one ``linalg.ROW_BLOCK_CELLS`` budget among them; the counts are
+integers, so their sum, and every score, is the same under any blocking
+and at any core count.
 :func:`neighbor_indices` ranks a whole distance matrix by a stable
 argsort and is kept as the oracle the tests compare those sets against.
 """
@@ -22,7 +26,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ContractViolationError, ParameterError
-from .linalg import as_float_matrix, block_sq_dists, row_blocks
+from . import linalg
+from .linalg import as_float_matrix, block_sq_dists, map_blocks, row_blocks
 
 
 class NeighborhoodScore(NamedTuple):
@@ -95,12 +100,17 @@ def evaluate_embedding(X, Z, ks: Sequence[int]) -> list:
     ks = check_ks(ks, n)
     if not ks:
         return []
-    shared = np.zeros(len(ks), dtype=np.int64)
     x_dists, z_dists = block_sq_dists(X), block_sq_dists(Z)
-    for rows in row_blocks(n):
+
+    def count(rows):
         in_x = _neighbor_sets(x_dists(rows), rows, ks)
         in_z = _neighbor_sets(z_dists(rows), rows, ks)
-        shared += [np.count_nonzero(mx & mz) for mx, mz in zip(in_x, in_z)]
+        return [np.count_nonzero(mx & mz) for mx, mz in zip(in_x, in_z)]
+
+    # The workers share one block budget, so scoring holds no more than
+    # a serial walk would.
+    blocks = row_blocks(n, cells=linalg.ROW_BLOCK_CELLS // linalg.usable_cores())
+    shared = np.sum(map_blocks(count, blocks), axis=0, dtype=np.int64)
     scores = []
     for k, hits in zip(ks, shared):
         q = float(hits) / (k * n)

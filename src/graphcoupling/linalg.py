@@ -12,8 +12,16 @@ walk over a symmetric quantity can visit each unordered pair once: with
 ``[lo, n)``, and every block stays within the ``ROW_BLOCK_CELLS`` budget.
 A walk whose blocks are independent can run them on every usable core
 with :func:`map_blocks`, which keeps the results, and the exception
-raised, those of the serial walk.  Its threads live for one call;
-importing the package starts none.
+raised, those of the serial walk.  Given a ``fold``, it hands each
+result over in block order while later blocks run, so a walk that adds
+up per-block terms gets the serial sums at any core count and holds at
+most one waiting result per worker.  Its threads live for one call;
+importing the package starts none.  The blocks run under
+:func:`single_blas_thread`, which holds OpenBLAS at one thread: a BLAS
+call inside a block neither competes with the other workers nor leaves
+a spinning BLAS thread behind.  A block calls only private helpers, so
+tools that wrap the package's public functions from outside see every
+call on the calling thread.
 
 Functions
 ---------
@@ -26,10 +34,13 @@ block_sq_dists     squared Euclidean distances between blocks of rows, set up on
 pairwise_sq_dists  one such block, or the whole matrix, exactly symmetric
                    without a symmetrisation pass
 usable_cores       the cores this process may run on
+single_blas_thread context manager holding every loaded OpenBLAS at one thread
 map_blocks         fn over independent blocks on the usable cores, results in
-                   block order
+                   block order, kept or folded as they come
 """
 
+import contextlib
+import ctypes
 import os
 import threading
 from typing import NamedTuple
@@ -172,10 +183,11 @@ def block_sq_dists(X):
     """The squared distances of X's rows, one block at a time.
 
     Validates X, and for the Gram expansion centres it and takes its row
-    norms, once; returns ``dists(rows, cols=slice(None))``, the squared
-    Euclidean distances from the rows ``X[rows]`` to the rows ``X[cols]``,
-    for slices of consecutive rows.  Entries are nonnegative and a row's
-    distance to itself is exactly zero.  Up to ``DIRECT_DIFFERENCE_COLS``
+    norms, once; returns ``dists(rows, cols=slice(None), out=None)``, the
+    squared Euclidean distances from the rows ``X[rows]`` to the rows
+    ``X[cols]``, for slices of consecutive rows, written into ``out`` if
+    given.  Entries are nonnegative and a row's distance to itself is
+    exactly zero.  Up to ``DIRECT_DIFFERENCE_COLS``
     columns the distances are sums of squared coordinate differences:
     exactly symmetric, with no cancellation however far the points lie
     from the origin.  Wider data use the Gram expansion of the
@@ -191,12 +203,14 @@ def _sq_dists(X):
     """:func:`block_sq_dists` of a validated float matrix X."""
     n, p = X.shape
     if p <= DIRECT_DIFFERENCE_COLS:
-        def dists(rows, cols=slice(None)):
+        def dists(rows, cols=slice(None), out=None):
             block, other = X[rows], X[cols]
             if not p:
-                return np.zeros((block.shape[0], other.shape[0]))
+                D = np.empty((block.shape[0], other.shape[0])) if out is None else out
+                D.fill(0.0)
+                return D
             with np.errstate(over="ignore"):
-                D = block[:, 0, None] - other[:, 0]
+                D = np.subtract(block[:, 0, None], other[:, 0], out=out)
                 D *= D
                 for c in range(1, p):
                     diff = block[:, c, None] - other[:, c]
@@ -208,9 +222,10 @@ def _sq_dists(X):
     with np.errstate(over="ignore"):
         sq = np.einsum("ij,ij->i", Xc, Xc)
 
-    def dists(rows, cols=slice(None)):
+    def dists(rows, cols=slice(None), out=None):
         with np.errstate(over="ignore", invalid="ignore"):
-            D = sq[rows, None] + sq[cols] - 2.0 * (Xc[rows] @ Xc[cols].T)
+            D = np.add(sq[rows, None], sq[cols], out=out)
+            D -= 2.0 * (Xc[rows] @ Xc[cols].T)
         _finish_sq_dists(D, range(n)[rows], range(n)[cols])
         return D
     return dists
@@ -263,48 +278,216 @@ def usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def map_blocks(fn, blocks) -> list:
+#: (get, set) thread-count symbols of an OpenBLAS build, tried in order:
+#: the scipy-openblas build in numpy's wheels, then a plain OpenBLAS.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+# The thread count is a setting of each library, shared by the whole
+# process, so the state that guards it is the module's.
+_blas_lock = threading.Lock()
+_blas_controls = None   # [(get, set)], looked up by the first single_blas_thread
+_blas_depth = 0         # single_blas_thread blocks open in the process
+_blas_saved = []        # each OpenBLAS's thread count when the outermost opened
+
+
+class _PhdrInfo(ctypes.Structure):
+    """The leading fields of the C library's ``struct dl_phdr_info``."""
+    _fields_ = [("addr", ctypes.c_void_p), ("name", ctypes.c_char_p)]
+
+
+def _loaded_libraries() -> list:
+    """Paths of the shared libraries loaded in this process.
+
+    Empty where the C library cannot list them (no ``dl_iterate_phdr``).
+    """
+    if not hasattr(os, "RTLD_NOLOAD"):
+        return []
+    iterate = getattr(ctypes.CDLL(None), "dl_iterate_phdr", None)
+    if iterate is None:
+        return []
+    visitor = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.POINTER(_PhdrInfo), ctypes.c_size_t,
+                               ctypes.c_void_p)
+    iterate.argtypes, iterate.restype = (visitor, ctypes.c_void_p), ctypes.c_int
+    paths = []
+
+    @visitor
+    def visit(info, size, data):
+        if info.contents.name:
+            paths.append(os.fsdecode(info.contents.name))
+        return 0
+
+    iterate(visit, None)
+    return paths
+
+
+def _openblas_controls() -> list:
+    """``(get, set)`` thread-count functions of every OpenBLAS loaded in the process.
+
+    Each loaded library is reopened without loading anything new and
+    asked for the symbols of ``_OPENBLAS_THREAD_SYMBOLS``.  A symbol is
+    also found through the libraries a library links to, so functions
+    are kept once, by address.
+    """
+    controls, seen = [], set()
+    for path in _loaded_libraries():
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                address = ctypes.cast(get, ctypes.c_void_p).value
+                if address not in seen:
+                    seen.add(address)
+                    get.restype, get.argtypes = ctypes.c_int, ()
+                    set_.restype, set_.argtypes = None, (ctypes.c_int,)
+                    controls.append((get, set_))
+                break
+    return controls
+
+
+@contextlib.contextmanager
+def single_blas_thread():
+    """Hold every OpenBLAS of the process at one thread while the block runs.
+
+    An OpenBLAS call that uses a second thread leaves it spinning on
+    another core for tens of milliseconds, where it competes with the
+    package's own threads, and the eigensolvers' results depend on the
+    thread count.  The outermost of nested or concurrent holders sets
+    each OpenBLAS found to one thread, and the last to leave restores the
+    counts it found, also when the block raises.  The libraries are
+    looked up on first use, not at import; with no OpenBLAS loaded this
+    does nothing.
+    """
+    global _blas_controls, _blas_depth, _blas_saved
+    with _blas_lock:
+        if _blas_depth == 0:
+            if _blas_controls is None:
+                _blas_controls = _openblas_controls()
+            _blas_saved = [get() for get, _ in _blas_controls]
+            for _, set_ in _blas_controls:
+                set_(1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                for (_, set_), count in zip(_blas_controls, _blas_saved):
+                    set_(count)
+
+
+def map_blocks(fn, blocks, fold=None):
     """``[fn(block) for block in blocks]``, run on the usable cores.
 
     For independent blocks, such as blocks that write disjoint rows of
     one output: the results are the list comprehension's, in block
-    order, however the blocks were scheduled.  The calling thread and
+    order, however the blocks were scheduled.  With ``fold`` the results
+    are not kept: each is handed to ``fold`` on the calling thread, in
+    block order, as soon as it and every earlier one are in, while later
+    blocks run, and None is returned.  The calling thread and
     ``usable_cores() - 1`` threads started for this call each take the
-    next block in order when they finish one, so at most one block per
-    worker is in flight.  Once a block has raised, no further block
-    starts; the blocks already running finish, and the exception of the
-    lowest failing block is raised, the one the comprehension would
-    raise.  The threads end before this function returns.
+    next block in order when they finish one.  A block starts only while
+    fewer blocks than workers are running or waiting to be handed over,
+    so at most one result per worker waits, however many blocks there
+    are.  Once a block has raised, no further block starts; the blocks
+    already running finish, the results before the lowest failing block
+    are handed over, and its exception is raised, the one the serial
+    walk would raise.  An exception of ``fold`` is raised as the serial
+    walk would raise it.  The threads end before this function returns.
+    Every block, also on a single core, runs under
+    :func:`single_blas_thread`, so a BLAS call inside one neither
+    oversubscribes the cores nor depends on their number.
     """
     blocks = list(blocks)
-    workers = min(usable_cores(), len(blocks))
-    if workers < 2:
-        return [fn(block) for block in blocks]
-    results = [None] * len(blocks)
-    errors = {}
-    lock = threading.Lock()
-    pending = iter(range(len(blocks)))
+    results = None
+    if fold is None:
+        results = []
+        fold = results.append
+    workers = _workers(len(blocks))
+    with single_blas_thread():
+        if workers < 2:
+            for block in blocks:
+                fold(fn(block))
+        else:
+            _fold_on_workers(fn, blocks, fold, workers)
+    return results
+
+
+def _workers(blocks: int) -> int:
+    """The threads, the calling one included, that :func:`map_blocks` runs ``blocks`` on."""
+    return min(usable_cores(), blocks)
+
+
+def _fold_on_workers(fn, blocks, fold, workers: int) -> None:
+    """:func:`map_blocks` with ``fold`` on the calling thread and ``workers - 1`` more."""
+    done, errors = {}, {}   # by block index: results not yet handed over, exceptions
+    started = handed = 0    # blocks started, blocks handed over
+    over = False            # set when the walk ends, to release waiting workers
+    ready = threading.Condition()
+
+    def claim():
+        # Under ``ready``: the next block to run, or None while none may start.
+        nonlocal started
+        if over or errors or started == len(blocks) or started >= handed + workers:
+            return None
+        started += 1
+        return started - 1
+
+    def run(k):
+        try:
+            result = fn(blocks[k])
+        except BaseException as exc:  # raised on the calling thread
+            with ready:
+                errors[k] = exc
+                ready.notify_all()
+        else:
+            with ready:
+                done[k] = result
+                ready.notify_all()
 
     def work():
         while True:
-            with lock:
-                k = None if errors else next(pending, None)
-            if k is None:
-                return
-            try:
-                results[k] = fn(blocks[k])
-            except BaseException as exc:  # re-raised by the caller below
-                with lock:
-                    errors[k] = exc
+            with ready:
+                k = claim()
+                while k is None:
+                    if over or errors or started == len(blocks):
+                        return
+                    ready.wait()
+                    k = claim()
+            run(k)
 
     threads = [threading.Thread(target=work, daemon=True) for _ in range(workers - 1)]
     for thread in threads:
         thread.start()
     try:
-        work()
+        for k in range(len(blocks)):
+            # Run blocks until block k's result is in; wait while none may start.
+            while True:
+                with ready:
+                    if k in errors:
+                        raise errors.pop(k)
+                    if k in done:
+                        result = done.pop(k)
+                        break
+                    j = claim()
+                    if j is None:
+                        ready.wait()
+                        continue
+                run(j)
+            fold(result)
+            del result
+            with ready:
+                handed = k + 1
+                ready.notify_all()
     finally:
+        with ready:
+            over = True
+            ready.notify_all()
         for thread in threads:
             thread.join()
-    if errors:
-        raise errors[min(errors)]
-    return results

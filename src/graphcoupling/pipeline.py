@@ -2,8 +2,11 @@
 
 A run is fully described by a :class:`RunSpec`; every random draw in the
 run derives deterministically from its single seed, so repeating a run
-reproduces the embedding bit for bit.  Wall-clock timings are the only
-manifest fields allowed to differ between repetitions.
+reproduces the embedding bit for bit, at any number of cores and any
+BLAS thread count: :func:`run` holds OpenBLAS at one thread, and the
+calibration, coupling and scoring walks run their blocks on the usable
+cores with results independent of their number.  Wall-clock timings are
+the only manifest fields allowed to differ between repetitions.
 """
 
 import time
@@ -16,7 +19,7 @@ from .ccpca import CcpcaConfig, ccpca
 from .coupling import CouplingProblem, check_method, input_affinity
 from .errors import ParameterError
 from .kernels import KernelMatrix, calibrated_kernel
-from .linalg import as_float_matrix, pairwise_sq_dists
+from .linalg import as_float_matrix, pairwise_sq_dists, single_blas_thread
 from .optim import MinimizeResult, OptimizerConfig, minimize
 from .evaluation import check_ks, evaluate_embedding
 from .posterior import AffinityMatrix
@@ -130,8 +133,16 @@ def default_eval_ks(n: int) -> tuple:
     return tuple(ks)
 
 
+@single_blas_thread()
 def run(X, spec: RunSpec = None) -> RunResult:
-    """Execute a full run and collect its manifest."""
+    """Execute a full run and collect its manifest.
+
+    The run holds OpenBLAS at one thread (:func:`linalg.single_blas_thread`)
+    from start to end: its block walks use the cores, and no BLAS worker
+    is left spinning against them between walks.  So Laplacian eigenmaps'
+    dense eigensolver runs on one thread, and its result no longer
+    depends on the BLAS thread count.
+    """
     spec = (spec or RunSpec()).validate()
     X = as_float_matrix(X, "X")
     n, p = X.shape

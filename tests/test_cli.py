@@ -184,6 +184,40 @@ class TestFit:
             outs.append(out)
         assert_same_fit_outputs(*outs)
 
+    def test_blas_thread_count_never_changes_bytes(self, tmp_path):
+        # From n = 145 on, with these data, LAPACK's eigensolver in Laplacian
+        # eigenmaps gives other bits on two OpenBLAS threads than on one;
+        # the fit holds OpenBLAS at one thread, whatever the environment says.
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(145, 5))
+        X[72:, 0] += 8.0
+        data = tmp_path / "data.csv"
+        data.write_text("a,b,c,d,e\n" + "\n".join(
+            ",".join(format(v, ".17g") for v in row) for row in X) + "\n")
+        src = str(Path(graphcoupling.__file__).parent.parent)
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           [src] + [p for p in os.environ.get("PYTHONPATH", "").split(
+                               os.pathsep) if p]))
+            subprocess.run([sys.executable, "-m", "graphcoupling", "fit", "--input",
+                            str(data), "--method", "umap", "--init", "le",
+                            "--iterations", "1", "--perplexity", "10", "--seed", "0",
+                            "--out-dir", str(out)],
+                           env=env, capture_output=True, timeout=120, check=True)
+            outs.append(out)
+        assert_same_fit_outputs(*outs)
+
+    def test_no_openblas_found_gives_the_same_bytes(self, blob_csv, tmp_path,
+                                                     monkeypatch):
+        outs = [tmp_path / "found", tmp_path / "none"]
+        assert main(fit_args(blob_csv, outs[0], ["--seed", "3"])) == 0
+        monkeypatch.setattr(linalg, "_blas_controls", [])
+        assert main(fit_args(blob_csv, outs[1], ["--seed", "3"])) == 0
+        assert_same_fit_outputs(*outs)
+
     @pytest.mark.parametrize("block_cells", [100], indirect=True)
     @pytest.mark.parametrize("method, init", [("tsne", "ccpca"), ("umap", "le")])
     def test_usable_cores_never_change_bytes(self, blob_csv, tmp_path, monkeypatch,

@@ -519,6 +519,43 @@ class TestBlockedPass:
                     err = np.abs(grad - dense[3]).max() / np.abs(dense[3]).max()
                     assert err <= 1e-10, case
 
+    @pytest.mark.parametrize("block_cells", [1, 7 * N, 13 * N + 5, linalg.ROW_BLOCK_CELLS],
+                             indirect=True)
+    @pytest.mark.parametrize("method", METHOD_KINDS)
+    def test_any_core_count_gives_the_same_bits(self, monkeypatch, method, block_cells):
+        # The tiles run on the workers and are added up in tile order, so
+        # the sums are the serial walk's at any core count.
+        for latent in (GAUSSIAN, STUDENT):
+            prob = calibrated_problem(method, latent, self.N, 21)
+            for scale in (1.0, 400.0):
+                Z = scale * np.random.default_rng(22).normal(size=(self.N, 2))
+                for factor in (1.0, 12.0):
+                    runs = []
+                    for cores in (1, 2, 3):
+                        monkeypatch.setattr(linalg, "usable_cores", lambda c=cores: c)
+                        runs.append(prob._pass(Z, factor))
+                    case = f"{latent} scale={scale} factor={factor}"
+                    for got in runs[1:]:
+                        assert got[:3] == runs[0][:3], case
+                        assert got[3].tobytes() == runs[0][3].tobytes(), case
+
+    @pytest.mark.parametrize("block_cells", [1, 7 * N], indirect=True)
+    @pytest.mark.parametrize("method", METHOD_KINDS)
+    def test_any_overflowing_tile_scores_infinite(self, monkeypatch, method, block_cells):
+        # Only the squared distance of the pair (a, b) overflows, so one
+        # tile (two full-row tiles for sne) is out of range.
+        prob = calibrated_problem(method, None, self.N, 21)
+        rng = np.random.default_rng(28)
+        for a, b in ((0, 1), (3, 17), (12, 29), (28, 29)):
+            Z = rng.normal(size=(self.N, 2))
+            Z[a, 0] = 1e154
+            assert math.isfinite(prob.loss(Z))
+            Z[b, 0] = -1e154
+            for cores in (1, 2, 3):
+                monkeypatch.setattr(linalg, "usable_cores", lambda c=cores: c)
+                assert prob._pass(Z, 1.0) == (math.inf, math.inf, math.inf, None)
+            assert dense_pass(prob, Z, 1.0) == (math.inf, math.inf, math.inf, None)
+
     @pytest.mark.parametrize("method", METHOD_KINDS)
     def test_lone_point_and_overflow_match_dense_oracle(self, method, block_cells):
         prob = CouplingProblem(method, uniform_affinity(method, 4))
@@ -540,13 +577,17 @@ class TestBlockedPass:
         n = 200
         cells = []
 
-        def counted(X, rows, cols):
-            D = linalg.pairwise_sq_dists(X, rows, cols)
-            cells.append(D.size)
-            return D
+        def counted(X):
+            dists = linalg._sq_dists(X)
+
+            def count(rows, cols, out=None):
+                D = dists(rows, cols, out)
+                cells.append(D.size)
+                return D
+            return count
 
         prob = calibrated_problem(method, None, n, 24)
-        monkeypatch.setattr(coupling, "pairwise_sq_dists", counted)
+        monkeypatch.setattr(coupling, "_sq_dists", counted)
         prob.evaluate(np.random.default_rng(25).normal(size=(n, 2)))
         if method == SNE:
             assert sum(cells) == n * n

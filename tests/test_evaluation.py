@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from graphcoupling import linalg
 from graphcoupling.errors import ContractViolationError, ParameterError
 from graphcoupling.evaluation import (
     NeighborhoodScore,
@@ -87,6 +88,19 @@ class TestPartitionedNeighborSets:
         for score, mx, mz in zip(scores, oracle_masks(pairwise_sq_dists(X), ks),
                                  oracle_masks(pairwise_sq_dists(Z), ks)):
             assert score.q == float((mx & mz).sum()) / (score.k * 150)
+
+    def test_any_worker_count_gives_the_same_scores(self, block_cells, monkeypatch):
+        # The workers split one block budget, so the blocks change with
+        # their number; the integer counts cannot.
+        rng = np.random.default_rng(14)
+        X = rng.normal(size=(150, 5)) + 300.0
+        Z = grid_points(rng, 150, 2)
+        ks = [1, 37, 75, 148]
+        scores = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(linalg, "usable_cores", lambda w=workers: w)
+            scores.append(evaluate_embedding(X, Z, ks))
+        assert scores[0] == scores[1] == scores[2]
 
     def test_no_n_by_n_temporary(self):
         rng = np.random.default_rng(13)

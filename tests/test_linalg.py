@@ -210,6 +210,10 @@ class TestPairwiseSqDists:
                            (slice(4, 9), slice(7, 12)), (slice(20, 30), slice(0, 6)),
                            (slice(29, 30), slice(29, 30))]:
             D = dists(rows, tile)
+            # A given buffer, dirty as a reused one, gets the same numbers.
+            out = np.full(D.shape, np.nan)
+            assert dists(rows, tile, out=out) is out
+            assert out.tobytes() == D.tobytes()
             lo, hi = max(rows.start, tile.start), min(rows.stop, tile.stop)
             own = np.arange(lo, hi)
             npt.assert_array_equal(D[own - rows.start, own - tile.start], 0.0)
@@ -339,3 +343,117 @@ class TestMapBlocks:
         caller = threading.get_ident()
         assert map_blocks(lambda k: threading.get_ident(), [0]) == [caller]
         assert map_blocks(lambda k: k, []) == []
+
+    def test_fold_takes_results_in_block_order_while_later_blocks_run(self, workers):
+        # Later blocks finish first; fold must still see block order.
+        finished, handed = [], []
+
+        def fn(k):
+            time.sleep(0.001 * (12 - k))
+            finished.append(k)
+            return k * k
+
+        def fold(result):
+            handed.append((result, len(finished)))
+        assert map_blocks(fn, range(12), fold) is None
+        assert [result for result, _ in handed] == [k * k for k in range(12)]
+        if workers > 1:
+            # Some result is handed over before every block has finished.
+            assert min(done for _, done in handed) < 12
+
+    def test_at_most_one_result_per_worker_waits(self, workers):
+        lock = threading.Lock()
+        folded, pending = [0], []
+
+        def fn(k):
+            with lock:
+                # Blocks started and not yet handed over, this one included.
+                pending.append(k + 1 - folded[0])
+            time.sleep(0.001 * (k % 3))
+            return k
+
+        def fold(result):
+            time.sleep(0.002)
+            folded[0] = result + 1
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            map_blocks(fn, range(30), fold)
+        finally:
+            sys.setswitchinterval(switch)
+        assert 1 <= max(pending) <= workers
+
+    def test_fold_gets_the_blocks_before_the_lowest_failure(self, workers):
+        before = set(threading.enumerate())
+        handed = []
+
+        def fn(k):
+            if k == 2:
+                time.sleep(0.02)
+                raise ValueError("block 2")
+            if k == 5:
+                raise KeyError("block 5")
+            return k
+        with pytest.raises(ValueError, match="block 2"):
+            map_blocks(fn, range(8), handed.append)
+        assert handed == [0, 1]
+        assert set(threading.enumerate()) == before
+
+    def test_fold_error_is_raised_and_threads_end(self, workers):
+        before = set(threading.enumerate())
+        handed = []
+
+        def fold(result):
+            if result == 3:
+                raise ValueError("fold 3")
+            handed.append(result)
+        with pytest.raises(ValueError, match="fold 3"):
+            map_blocks(lambda k: k, range(20), fold)
+        assert handed == [0, 1, 2]
+        assert set(threading.enumerate()) == before
+
+
+class TestSingleBlasThread:
+    def test_finds_numpys_openblas(self):
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if "openblas" not in str(blas.get("name", "")).lower():
+            pytest.skip("numpy is not built with OpenBLAS")
+        assert linalg._openblas_controls()
+
+    def test_one_thread_inside_restored_after(self, blas_at_two_threads):
+        counts = blas_at_two_threads
+        before = counts()
+        with linalg.single_blas_thread():
+            assert set(counts()) == {1}
+            with linalg.single_blas_thread():
+                assert set(counts()) == {1}
+            assert set(counts()) == {1}
+        assert counts() == before
+
+    def test_restored_after_a_raise(self, blas_at_two_threads):
+        counts = blas_at_two_threads
+        before = counts()
+        with pytest.raises(KeyError):
+            with linalg.single_blas_thread():
+                raise KeyError("inside")
+        assert counts() == before
+
+    def test_no_openblas_found_changes_nothing(self, blas_at_two_threads, monkeypatch):
+        counts = blas_at_two_threads
+        before = counts()
+        monkeypatch.setattr(linalg, "_blas_controls", [])
+        with linalg.single_blas_thread():
+            assert counts() == before
+
+    def test_one_thread_in_every_block(self, blas_at_two_threads, workers):
+        counts = blas_at_two_threads
+        before = counts()
+        assert all(set(c) == {1} for c in map_blocks(lambda k: counts(), range(6)))
+        assert counts() == before
+
+    def test_restored_after_a_block_raises(self, blas_at_two_threads, workers):
+        counts = blas_at_two_threads
+        before = counts()
+        with pytest.raises(ZeroDivisionError):
+            map_blocks(lambda k: 1 // 0 if k == 3 else k, range(8))
+        assert counts() == before

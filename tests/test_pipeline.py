@@ -1,5 +1,8 @@
 import copy
+import sys
+import threading
 import tracemalloc
+import types
 import weakref
 
 import numpy as np
@@ -284,3 +287,65 @@ class TestRun:
         assert len(refs) == 2
         assert kernel_at_init == [init == "ccpca"]
         assert scored == [True]
+
+
+class TestThreads:
+    SPEC = RunSpec(method="umap", init="le", perplexity=8.0, seed=1,
+                   optimizer=OptimizerConfig(iterations=12))
+
+    def test_one_blas_thread_inside_run_restored_after(self, monkeypatch,
+                                                        blas_at_two_threads):
+        counts = blas_at_two_threads
+        before = counts()
+        seen, minimize = [], pipeline.minimize
+
+        def minimize_and_count(*args):
+            seen.append(counts())
+            return minimize(*args)
+
+        monkeypatch.setattr(pipeline, "minimize", minimize_and_count)
+        run(blob_data(17, n=40), self.SPEC)
+        assert seen and set(seen[0]) == {1}
+        assert counts() == before
+
+    def test_blas_threads_restored_after_run_raises(self, monkeypatch,
+                                                     blas_at_two_threads):
+        counts = blas_at_two_threads
+        before = counts()
+
+        def fail(*args):
+            raise RuntimeError("in the fit")
+
+        monkeypatch.setattr(pipeline, "evaluate_embedding", fail)
+        with pytest.raises(RuntimeError, match="in the fit"):
+            run(blob_data(17, n=40), self.SPEC)
+        assert counts() == before
+
+    def test_workers_call_no_public_function(self, monkeypatch):
+        # Outside tools may wrap every public function of the package (the
+        # benchmark's tracer does, with one span stack); the block walks'
+        # workers call only private helpers, so no wrapper runs off the
+        # calling thread.
+        off_thread = []
+        caller = threading.get_ident()
+
+        def watch(fn, name):
+            def watched(*args, **kwargs):
+                if threading.get_ident() != caller:
+                    off_thread.append(name)
+                return fn(*args, **kwargs)
+            return watched
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("graphcoupling."):
+                for attr, value in list(vars(module).items()):
+                    if (not attr.startswith("_") and isinstance(value, types.FunctionType)
+                            and value.__module__.startswith("graphcoupling")):
+                        monkeypatch.setattr(module, attr, watch(value, attr))
+        monkeypatch.setattr(linalg, "usable_cores", lambda: 3)
+        monkeypatch.setattr(linalg, "ROW_BLOCK_CELLS", 200)
+        for method, init in (("tsne", "ccpca"), ("sne", "pca"), ("umap", "le")):
+            pipeline.run(blob_data(18, n=60), RunSpec(
+                method=method, init=init, perplexity=8.0, seed=1, ccpca_samples=3,
+                optimizer=OptimizerConfig(iterations=6)))
+        assert off_thread == []
