@@ -341,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     init = sub.add_parser("init", help="write a spectral initialization only")
     _add_data_options(init)
     _add_run_options(init, SPECTRAL_INIT_KINDS,
-                     f"initialization method (default {_SPEC.init})")
+                     f"initialization method (default {_SPEC.init}); le reads "
+                     "t-SNE's affinity, since init has no coupling method")
     init.set_defaults(func=cmd_init)
 
     ev = sub.add_parser("eval", help="score an embedding against its dataset")

@@ -187,7 +187,8 @@ class CouplingProblem:
         # For the symmetrized methods each undirected edge carries half of
         # P + P^T per direction.
         self._edge_scale = 0.5 if method in (TSNE, LARGEVIS) else 1.0
-        # tsne's repulsion reads P only through its total mass.
+        # Repulsion reads P only through sne's row sums or tsne's total mass.
+        self._row_mass = P.sum(axis=1, keepdims=True) if method == SNE else None
         self._mass = float(P.sum()) if method == TSNE else None
 
     @property
@@ -360,7 +361,7 @@ class CouplingProblem:
             top = logK.max(axis=1, keepdims=True)
             np.exp(np.subtract(logK, top, out=R), out=R)
             row_total = R.sum(axis=1, keepdims=True)
-            weight = P.sum(axis=1, keepdims=True) * self._edge_scale
+            weight = self._row_mass[rows] * self._edge_scale
             repulsion = float((weight * (top + np.log(row_total))).sum())
             R *= weight * (exaggeration / row_total)
             G -= R

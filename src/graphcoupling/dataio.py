@@ -48,8 +48,9 @@ def load_csv(path, delimiter: str = ",", header: bool = True,
     Raises
     ------
     DataError
-        On unreadable or empty files, ragged rows, or non-numeric cells,
-        with the offending line and column named in the message.
+        On unreadable or empty files, ragged rows, or non-numeric or
+        non-finite cells (``nan``, ``inf``), with the offending line and
+        column named in the message.
     """
     rows = _read_rows(path, delimiter)
     if header:
@@ -103,6 +104,11 @@ def load_csv(path, delimiter: str = ",", header: bool = True,
             raise
         if label_idx is not None:
             raw_labels.append(row[label_idx].strip())
+    bad = np.argwhere(~np.isfinite(X))
+    if bad.size:
+        i, j = bad[0][0], feature_cols[bad[0][1]]
+        raise DataError(f"{path} line {first_line + i}, column {names[j]!r}: "
+                        f"non-finite value {body[i][j].strip()!r}")
 
     labels = None
     label_names = None

@@ -10,10 +10,10 @@ bandwidths tau_i > 0 and a zero diagonal by convention.  With unequal
 bandwidths K is intentionally not symmetric.
 
 :func:`calibrated_kernel` builds every fit's input kernel and its
-bandwidths in one walk over row blocks of squared distances.  The
-blocks are independent, so :func:`linalg.map_blocks` runs them on every
-usable core; each writes only its own rows of the bandwidths and the
-kernel, so the result does not depend on the number of cores.
+bandwidths from the data, writing each row block's kernel over its
+squared distances.  The blocks are independent, so :func:`linalg.map_blocks`
+runs them on every usable core; each writes only its own rows of the
+bandwidths and the kernel, so the result does not depend on the cores.
 """
 
 from dataclasses import dataclass
@@ -49,13 +49,6 @@ def check_kind(kind: str) -> str:
     return kind
 
 
-def _check_sq_dists(D) -> np.ndarray:
-    D = as_float_matrix(D, "D")
-    if D.size and float(D.min()) < 0.0:
-        raise ContractViolationError("distance matrix has negative entries")
-    return D
-
-
 def log_kernel(D, kind: str, bandwidths=None) -> np.ndarray:
     """Elementwise log k(.) evaluated on squared distances.
 
@@ -66,7 +59,9 @@ def log_kernel(D, kind: str, bandwidths=None) -> np.ndarray:
     distances: no intermediate exponentials are formed.
     """
     check_kind(kind)
-    S = _check_sq_dists(D)
+    S = as_float_matrix(D, "D")
+    if S.size and float(S.min()) < 0.0:
+        raise ContractViolationError("distance matrix has negative entries")
     tau = None
     if bandwidths is not None:
         tau = np.asarray(bandwidths, dtype=np.float64)
@@ -78,13 +73,14 @@ def log_kernel(D, kind: str, bandwidths=None) -> np.ndarray:
     return _log_kernel(S, kind, tau)
 
 
-def _log_kernel(S, kind: str, tau=None) -> np.ndarray:
-    """:func:`log_kernel` of checked distances and bandwidths."""
+def _log_kernel(S, kind: str, tau=None, out=None) -> np.ndarray:
+    """:func:`log_kernel` of checked distances and bandwidths, in ``out`` if given."""
     if tau is not None:
-        S = S / (tau * tau)[:, None]
+        S = out = np.divide(S, (tau * tau)[:, None], out=out)
     if kind == GAUSSIAN:
-        return -S / 2.0
-    return -np.log1p(S)
+        return np.divide(S, -2.0, out=out)
+    L = np.log1p(S, out=out)
+    return np.negative(L, out=L)
 
 
 def kernel_matrix(X, kind: str, bandwidths=None) -> KernelMatrix:
@@ -95,12 +91,13 @@ def kernel_matrix(X, kind: str, bandwidths=None) -> KernelMatrix:
     return KernelMatrix(values, kind, tau)
 
 
-def calibrated_kernel(D, perplexity: float) -> KernelMatrix:
-    """The Gaussian kernel of squared distances ``D`` at a target perplexity.
+def calibrated_kernel(X, perplexity: float) -> KernelMatrix:
+    """The Gaussian kernel over the rows of ``X`` at a target perplexity.
 
     For each row i, finds tau_i such that the Shannon entropy of the
     conditional neighbor distribution p_{j|i} proportional to
-    exp(-D_ij / (2 tau_i^2)) equals log2(perplexity) within
+    exp(-D_ij / (2 tau_i^2)), with D the squared distances of
+    :func:`linalg.pairwise_sq_dists`, equals log2(perplexity) within
     ``ENTROPY_TOL`` bits.  Every row follows one rule from tau = 1 and
     the bracket lo = 0, hi = inf: a row within ``ENTROPY_TOL`` of the
     target stops at that tau; otherwise an entropy below the target sets
@@ -109,25 +106,23 @@ def calibrated_kernel(D, perplexity: float) -> KernelMatrix:
     until the target is bracketed, then bisects.  A row still running
     after 2 * ``MAX_BISECT_ITERS`` evaluations gets the next tau of the
     rule.  Rows are solved together, one :func:`linalg.row_blocks` block
-    at a time, and each block writes its own rows of the kernel as soon
-    as its tau are known.  The blocks run on the usable cores through
+    of D at a time, and each writes its kernel rows over its distances
+    as soon as its tau are known.  The blocks run on the usable cores through
     :func:`linalg.map_blocks`; neither the blocking nor the number of
     cores changes a bit of the result.  The result, with tau in
-    ``bandwidths``, equals ``kernel_matrix(X, GAUSSIAN, tau)`` for the X of ``D``.
+    ``bandwidths``, equals ``kernel_matrix(X, GAUSSIAN, tau)``.
 
     Raises
     ------
     ParameterError
-        If perplexity is outside [1, n - 1].
+        If perplexity is outside [1, n - 1], before any distance is taken.
     DegenerateRowError
         If some row is at distance zero from every other row, which
         makes its neighbor distribution independent of tau.  The first
         such row is named, as in a serial walk.
     """
-    D = _check_sq_dists(D)
-    n = D.shape[0]
-    if D.shape != (n, n):
-        raise ContractViolationError(f"distance matrix must be square, got {D.shape}")
+    X = as_float_matrix(X, "X")
+    n = X.shape[0]
     if n < 2:
         raise ParameterError("calibration needs at least two rows")
     if not (1.0 <= perplexity <= n - 1):
@@ -135,7 +130,7 @@ def calibrated_kernel(D, perplexity: float) -> KernelMatrix:
             f"perplexity must lie in [1, {n - 1}] for n={n}, got {perplexity}")
     target = float(np.log2(perplexity))
     tau = np.empty(n, dtype=np.float64)
-    values = np.empty((n, n))
+    D = pairwise_sq_dists(X)
 
     def solve(block):
         rows = np.arange(block.start, block.stop)
@@ -146,13 +141,12 @@ def calibrated_kernel(D, perplexity: float) -> KernelMatrix:
             raise DegenerateRowError(
                 f"row {rows[dead[0]]} is at distance zero from every other row")
         tau[block] = t = _calibrate_rows(np.divide(d, -2.0, out=d), target)
-        # values[block] = exp(_log_kernel(D[block], GAUSSIAN, t)), in place.
-        out = np.divide(D[block], (t * t)[:, None], out=values[block])
-        np.exp(np.divide(out, -2.0, out=out), out=out)
-        values[rows, rows] = 0.0
+        K = D[block]
+        np.exp(_log_kernel(K, GAUSSIAN, t, out=K), out=K)
+        D[rows, rows] = 0.0
 
     map_blocks(solve, row_blocks(n))
-    return KernelMatrix(values, GAUSSIAN, tau)
+    return KernelMatrix(D, GAUSSIAN, tau)
 
 
 def _calibrate_rows(neg_half_d: np.ndarray, target: float) -> np.ndarray:

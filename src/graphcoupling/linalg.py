@@ -3,13 +3,14 @@
 All routines operate on float64 row-major arrays and are deterministic:
 the same input bytes always produce the same output bytes.  Loops that
 would otherwise form an n x n matrix walk :func:`row_blocks` and get
-each block's distances from :func:`pairwise_sq_dists` with a row and a
-column range.  A walk over wide data, where each call would centre the
-points and take their row norms again, uses :func:`block_sq_dists`
-instead, which does that once per walk; both give the same numbers.  A
-walk over a symmetric quantity can visit each unordered pair once: with
-``upper=True`` a block of rows ``[lo, hi)`` pairs only with the columns
-``[lo, n)``, and every block stays within the ``ROW_BLOCK_CELLS`` budget.
+each block's distances from :func:`block_sq_dists`, which sets the
+points up once per walk (the coupling tiles call its private core
+``_sq_dists``).  :func:`pairwise_sq_dists` gives one block's same
+numbers; over the whole matrix of wide data it forms one Gram product,
+which agrees to roundoff.  A walk over a symmetric quantity can visit
+each unordered pair once: with ``upper=True`` a block of rows
+``[lo, hi)`` pairs only with the columns ``[lo, n)``, and every block
+stays within the ``ROW_BLOCK_CELLS`` budget.
 A walk whose blocks are independent can run them on every usable core
 with :func:`map_blocks`, which keeps the results, and the exception
 raised, those of the serial walk.  Given a ``fold``, it hands each

@@ -19,7 +19,7 @@ from .ccpca import CcpcaConfig, ccpca
 from .coupling import CouplingProblem, check_method, input_affinity
 from .errors import ParameterError
 from .kernels import KernelMatrix, calibrated_kernel
-from .linalg import as_float_matrix, pairwise_sq_dists, single_blas_thread
+from .linalg import as_float_matrix, single_blas_thread
 from .optim import MinimizeResult, OptimizerConfig, minimize
 from .evaluation import check_ks, evaluate_embedding
 from .posterior import AffinityMatrix
@@ -73,10 +73,10 @@ def prepare_input(X, method: str, perplexity: float):
     All methods share one kernel from :func:`kernels.calibrated_kernel`;
     the edgewise route reuses its bandwidths rather than calibrating a
     separate connectivity target.  :func:`coupling.input_affinity` turns
-    it into the method's affinity once the squared distances are freed.
+    it into the method's affinity.
     """
     check_method(method)
-    K = calibrated_kernel(pairwise_sq_dists(X), perplexity)
+    K = calibrated_kernel(X, perplexity)
     return input_affinity(K, method), K
 
 
@@ -90,7 +90,7 @@ def initial_inputs(X, spec: RunSpec, fitting: bool = True):
         affinity, kernel = prepare_input(X, spec.method, spec.perplexity)
         return affinity, (kernel if spec.init == "ccpca" else None)
     if spec.init == "ccpca":
-        return None, calibrated_kernel(pairwise_sq_dists(X), spec.perplexity)
+        return None, calibrated_kernel(X, spec.perplexity)
     return None, None
 
 

@@ -7,12 +7,12 @@ single letter:
 ``"D"``  exactly one outgoing edge per node (row multinomial),
 ``"E"``  a fixed total of n edges placed by a global multinomial.
 
-In the large-graph limit every posterior is driven by the elementwise
-product pi * K of prior weights and kernel values.  Expectations are
-packaged as :class:`AffinityMatrix` values tagged with how they are
-normalized.  Exact posterior samples are drawn by a
-:class:`PosteriorSampler`, which validates the kernel once and returns
-each latent graph as an edge list.  For B and D it builds no table:
+In the large-graph limit every posterior is driven by the kernel K of
+the data, with uniform prior weights.  Expectations are packaged as
+:class:`AffinityMatrix` values tagged with how they are normalized.
+Exact posterior samples are drawn by a :class:`PosteriorSampler`,
+which validates the kernel once and returns each latent graph as an
+edge list.  For B and D it builds no table:
 :meth:`PosteriorSampler.draws` reads K one row block at a time for any
 number of generators, so K must not change while the sampler is in use.
 E keeps one table of K's off-diagonal cells.
@@ -58,8 +58,8 @@ def check_prior(prior: str) -> str:
     return prior
 
 
-def _checked_kernel(K, pi):
-    """Validate K and pi; return K's own array and pi's, or None for no pi."""
+def _checked_kernel(K) -> np.ndarray:
+    """Validate K; return its own array."""
     values = K.values if isinstance(K, KernelMatrix) else K
     V = as_float_matrix(values, "K")
     n, m = V.shape
@@ -69,14 +69,7 @@ def _checked_kernel(K, pi):
         raise ContractViolationError("kernel matrix must have a zero diagonal")
     if n and float(V.min()) < 0.0:
         raise ContractViolationError("kernel values must be nonnegative")
-    if pi is None:
-        return V, None
-    P = as_float_matrix(pi, "pi")
-    if P.shape != V.shape:
-        raise ContractViolationError(f"pi must have shape {V.shape}, got {P.shape}")
-    if float(P.min()) < 0.0:
-        raise ContractViolationError("pi entries must be nonnegative")
-    return V, P
+    return V
 
 
 def _check_row_sums(sums: np.ndarray) -> None:
@@ -98,18 +91,17 @@ def _edge_probabilities(G: np.ndarray) -> np.ndarray:
     return np.divide(G, P, out=P)
 
 
-def posterior_expectation(K, prior: str, pi=None) -> AffinityMatrix:
+def posterior_expectation(K, prior: str) -> AffinityMatrix:
     """Expected latent graph under the limiting posterior of a prior family.
 
-    B: independent edges with P_ij = pi K / (1 + pi K).
+    B: independent edges with P_ij = K / (1 + K).
     D: each row is one draw over its off-diagonal cells, so the
-       expectation is pi * K row-normalized.
-    E: n edges in total, so the per-draw cell distribution is pi * K
+       expectation is K row-normalized.
+    E: n edges in total, so the per-draw cell distribution is K
        globally normalized; entries sum to 1.
     """
     check_prior(prior)
-    V, Pi = _checked_kernel(K, pi)
-    G = V if Pi is None else Pi * V
+    G = _checked_kernel(K)
     if prior == "B":
         return AffinityMatrix(_edge_probabilities(G), prior, BERNOULLI)
     if prior == "D":
@@ -124,8 +116,8 @@ def posterior_expectation(K, prior: str, pi=None) -> AffinityMatrix:
 class PosteriorSampler:
     """Exact sampler of the limiting posterior of one prior and kernel.
 
-    Construction validates K and pi as :func:`posterior_expectation`
-    does and keeps K's own array.  B and D build no table: each
+    Construction validates K as :func:`posterior_expectation` does and
+    keeps K's own array.  B and D build no table: each
     :meth:`draws` walks K one :func:`linalg.row_blocks` block at a time
     and forms the block's edge probabilities (B) or row CDF (D, from row
     sums taken at construction) with :func:`posterior_expectation`'s
@@ -134,33 +126,28 @@ class PosteriorSampler:
     renormalized to 1, because a multinomial draw needs all of them.
     """
 
-    def __init__(self, K, prior: str, pi=None):
+    def __init__(self, K, prior: str):
         check_prior(prior)
-        self._K, self._pi = _checked_kernel(K, pi)
+        self._K = _checked_kernel(K)
         self.prior = prior
         self.n = n = self._K.shape[0]
         if prior == "D":
             self._row_sums = np.empty(n)
             for rows in row_blocks(n):
-                self._row_sums[rows] = self._weights(rows).sum(axis=1)
+                self._row_sums[rows] = self._K[rows].sum(axis=1)
             _check_row_sums(self._row_sums)
         elif prior == "E":
             self._cells = self._cell_table()
 
-    def _weights(self, rows: slice) -> np.ndarray:
-        """Rows ``rows`` of pi * K; a read-only view of K's rows without pi."""
-        K = self._K[rows]
-        return K if self._pi is None else self._pi[rows] * K
-
     def _cell_table(self) -> np.ndarray:
-        """pi * K's off-diagonal cells in row-major order, scaled to sum to 1.
+        """K's off-diagonal cells in row-major order, scaled to sum to 1.
 
-        The cells are gathered in place in one n x n copy of pi * K,
-        whose total they are first divided by: the numbers of
-        ``posterior_expectation(K, "E", pi)`` restricted to those cells.
+        The cells are gathered in place in one n x n copy of K, whose
+        total they are first divided by: the numbers of
+        ``posterior_expectation(K, "E")`` restricted to those cells.
         """
         n = self.n
-        G = self._K.copy() if self._pi is None else self._pi * self._K
+        G = self._K.copy()
         total = G.sum()
         _check_total(total)
         flat = G.ravel()
@@ -199,7 +186,7 @@ class PosteriorSampler:
 
     def _row_cdf(self, rows: slice) -> np.ndarray:
         """Rows ``rows`` of the D prior's row CDF, each ending at exactly 1."""
-        cdf = self._weights(rows) / self._row_sums[rows, None]
+        cdf = self._K[rows] / self._row_sums[rows, None]
         np.cumsum(cdf, axis=1, out=cdf)
         cdf /= cdf[:, -1:].copy()  # an overlapping view would copy the block
         return cdf
@@ -211,7 +198,7 @@ class PosteriorSampler:
         # A block holds its probabilities and one generator's uniforms,
         # two floats per cell, so it takes half the budget.
         for rows in row_blocks(n, cells=linalg.ROW_BLOCK_CELLS // 2):
-            P = _edge_probabilities(self._weights(rows))
+            P = _edge_probabilities(self._K[rows])
             for (edge_rows, edge_cols), rng in zip(hits, rngs):
                 # Uniforms drawn block by block are the (n, n) draw's stream.
                 block_rows, block_cols = np.nonzero(rng.random(P.shape) < P)
@@ -276,7 +263,7 @@ def _first_at_least(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return base - first + (flat[base] < u)
 
 
-def sample_posterior_graph(K, prior: str, rng: np.random.Generator, pi=None) -> np.ndarray:
+def sample_posterior_graph(K, prior: str, rng: np.random.Generator) -> np.ndarray:
     """Draw one latent graph from the limiting posterior.
 
     Returns an int64 matrix in the latent graph space: zero diagonal, at
@@ -284,7 +271,7 @@ def sample_posterior_graph(K, prior: str, rng: np.random.Generator, pi=None) -> 
     independent 0/1 entries for B.  All randomness comes from ``rng``;
     it is the dense form of :meth:`PosteriorSampler.draw`.
     """
-    return PosteriorSampler(K, prior, pi).draw(rng).dense()
+    return PosteriorSampler(K, prior).draw(rng).dense()
 
 
 def _add(a, c) -> None:

@@ -10,7 +10,6 @@ import time
 import numpy as np
 import yaml
 
-from graphcoupling import kernels
 from graphcoupling.ccpca import CcpcaConfig, averaged_projector, ccpca
 from graphcoupling.cli import main as cli_main
 from graphcoupling.coupling import CouplingProblem
@@ -20,7 +19,7 @@ from graphcoupling.graph import (
     log_mrf_density,
     weighted_laplacian,
 )
-from graphcoupling.kernels import kernel_matrix
+from graphcoupling.kernels import calibrated_kernel, kernel_matrix
 from graphcoupling.linalg import pairwise_sq_dists
 from graphcoupling.optim import OptimizerConfig, minimize
 from graphcoupling.pipeline import RunSpec, run
@@ -47,10 +46,6 @@ def random_latent_graph(rng, n):
     W = rng.integers(0, n + 1, size=(n, n))
     np.fill_diagonal(W, 0)
     return W
-
-
-def calibrated_kernel(X, perplexity):
-    return kernels.calibrated_kernel(pairwise_sq_dists(X), perplexity)
 
 
 def method_affinity(K, method):
@@ -337,10 +332,9 @@ class TestAcceptance:
         rng = np.random.default_rng(19)
         centers = rng.normal(size=(4, 5)) * 8.0
         X = np.vstack([rng.normal(size=(20, 5)) + c for c in centers])
-        D = pairwise_sq_dists(X)
         means = []
         for perplexity in (5, 15, 30, 60):
-            K = kernels.calibrated_kernel(D, float(perplexity))
+            K = calibrated_kernel(X, float(perplexity))
             counts = [
                 connected_components(
                     sample_posterior_graph(

@@ -8,13 +8,12 @@ from graphcoupling.ccpca import CcpcaConfig, averaged_projector, ccpca
 from graphcoupling.errors import ContractViolationError, ParameterError
 from graphcoupling.graph import cc_projector, components_from_edges, connected_components
 from graphcoupling.kernels import calibrated_kernel
-from graphcoupling.linalg import pairwise_sq_dists
 from graphcoupling.posterior import PosteriorSampler, sample_posterior_graph
 from graphcoupling.spectral import pca
 
 
 def gaussian_kernel(X, perplexity):
-    return calibrated_kernel(pairwise_sq_dists(X), perplexity)
+    return calibrated_kernel(X, perplexity)
 
 
 def two_blobs(seed=0, per_block=8, separation=40.0):

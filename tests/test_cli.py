@@ -303,6 +303,14 @@ class TestFit:
         assert main(args) == 3
         assert "line 3" in capsys.readouterr().err
 
+    def test_non_finite_input_exits_3(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("a,b\n1,2\n3,nan\n4,5\n", encoding="utf-8")
+        args = ["fit", "--input", str(bad), "--out-dir", str(tmp_path / "x")]
+        assert main(args) == 3
+        assert "line 3, column 'b': non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_missing_input_exits_3(self, tmp_path):
         args = ["fit", "--input", str(tmp_path / "absent.csv"),
                 "--out-dir", str(tmp_path / "x")]
@@ -377,6 +385,24 @@ class TestInit:
         spec = RunSpec(init="ccpca", ccpca_samples=20, perplexity=8.0, seed=5)
         Z0, _ = initial_embedding(X, spec, *prepare_input(X, spec.method, 8.0))
         npt.assert_array_equal(load_embedding(out / "init.csv").X, Z0)
+
+    def test_le_reads_the_tsne_affinity(self, blob_csv, tmp_path):
+        # init has no coupling method, so eigenmaps reads t-SNE's affinity
+        # whatever method a fit would couple; it does not write the start
+        # of fit --method umap --init le.
+        from graphcoupling.pipeline import prepare_input
+
+        out = tmp_path / "le"
+        args = ["init", "--input", str(blob_csv), "--label", "cls",
+                "--out-dir", str(out), "--method", "le", "--perplexity", "8"]
+        assert main(args) == 0
+        X = load_csv(blob_csv, label="cls").X
+        spec = RunSpec(init="le", perplexity=8.0)
+        written = load_embedding(out / "init.csv").X
+        Z0, _ = initial_embedding(X, spec, *prepare_input(X, "tsne", 8.0))
+        npt.assert_array_equal(written, Z0)
+        umap_Z0, _ = initial_embedding(X, spec, *prepare_input(X, "umap", 8.0))
+        assert np.abs(np.abs(written) - np.abs(umap_Z0)).max() > 1e-3
 
     @pytest.mark.parametrize("method", SPECTRAL_INIT_KINDS)
     def test_builds_only_what_the_init_reads(self, blob_csv, tmp_path, monkeypatch,
@@ -509,6 +535,18 @@ class TestEval:
             main(["eval", "--input", str(emb), "--embedding", str(emb), option, value])
         assert err.value.code == 2
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("bad_file", ["input", "embedding"])
+    def test_non_finite_cells_exit_3(self, tmp_path, capsys, bad_file):
+        good = tmp_path / "good.csv"
+        save_embedding(good, np.arange(8.0).reshape(4, 2))
+        bad = tmp_path / "bad.csv"
+        bad.write_text("z1,z2\n0,1\n2,-inf\n4,5\n6,7\n", encoding="utf-8")
+        files = {"input": good, "embedding": good, bad_file: bad}
+        args = ["eval", "--input", str(files["input"]),
+                "--embedding", str(files["embedding"])]
+        assert main(args) == 3
+        assert "line 3, column 'z2': non-finite value '-inf'" in capsys.readouterr().err
 
     def test_row_mismatch_exits_3(self, tmp_path, capsys):
         data = tmp_path / "d.csv"

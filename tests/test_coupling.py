@@ -189,7 +189,7 @@ class TestConstruction:
     @pytest.mark.parametrize("method", METHOD_KINDS)
     def test_accepts_input_affinity(self, method, block_cells):
         X = np.random.default_rng(26).normal(size=(40, 5))
-        P = input_affinity(calibrated_kernel(pairwise_sq_dists(X), 8.0), method)
+        P = input_affinity(calibrated_kernel(X, 8.0), method)
         CouplingProblem(method, P)
         if method != SNE:
             npt.assert_array_equal(P.values, P.values.T)
@@ -199,7 +199,7 @@ class TestConstruction:
         # input_affinity symmetrizes the posterior in place; the public
         # transforms work on a copy and must give the same bytes.
         X = np.random.default_rng(27).normal(size=(40, 5))
-        K = calibrated_kernel(pairwise_sq_dists(X), 8.0)
+        K = calibrated_kernel(X, 8.0)
         if method == UMAP:
             want = umap_threshold_prob(posterior_expectation(K, "B"))
         elif method == SNE:
@@ -490,7 +490,7 @@ def tagged_affinity(method, V):
 
 def calibrated_problem(method, latent, n, seed):
     X = np.random.default_rng(seed).normal(size=(n, 5))
-    K = calibrated_kernel(pairwise_sq_dists(X), 8.0)
+    K = calibrated_kernel(X, 8.0)
     return CouplingProblem(method, input_affinity(K, method), latent)
 
 
@@ -538,6 +538,30 @@ class TestBlockedPass:
                     for got in runs[1:]:
                         assert got[:3] == runs[0][:3], case
                         assert got[3].tobytes() == runs[0][3].tobytes(), case
+
+    def test_sne_row_sums_taken_once_give_the_same_bits(self, block_cells):
+        # sne's tiles are whole rows, so the row sums of P taken once at
+        # construction are the ones each tile would take of its own rows.
+        class TileRowSums:
+            def __init__(self, P):
+                self.P = P
+
+            def __getitem__(self, rows):
+                return self.P[rows].sum(axis=1, keepdims=True)
+
+        for n in (7, 150, 1000):
+            X = np.random.default_rng(n).normal(size=(n, 5))
+            P = input_affinity(calibrated_kernel(X, min(8.0, n - 1.0)), SNE)
+            Z = np.random.default_rng(n + 1).normal(size=(n, 2))
+            for latent in (GAUSSIAN, STUDENT):
+                once = CouplingProblem(SNE, P, latent)
+                per_tile = CouplingProblem(SNE, P, latent)
+                per_tile._row_mass = TileRowSums(per_tile.P)
+                for factor in (1.0, 12.0):
+                    got, want = once.evaluate(Z, factor), per_tile.evaluate(Z, factor)
+                    case = f"n={n} {latent} factor={factor}"
+                    assert (got.loss, got.objective) == (want.loss, want.objective), case
+                    assert got.grad.tobytes() == want.grad.tobytes(), case
 
     @pytest.mark.parametrize("block_cells", [1, 7 * N], indirect=True)
     @pytest.mark.parametrize("method", METHOD_KINDS)

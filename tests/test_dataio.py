@@ -65,6 +65,18 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="line 3, column 'b'"):
             load_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", " NaN", "1e999"])
+    def test_non_finite_cell_names_line_and_column(self, tmp_path, cell):
+        path = write(tmp_path / "t.csv", f"a,b,cls\n1,2,x\n3,4,y\n5,{cell},x\n")
+        with pytest.raises(DataError, match=f"line 4, column 'b': non-finite value "
+                                            f"'{cell.strip()}'$"):
+            load_csv(path, label="cls")
+
+    def test_first_non_finite_cell_is_named(self, tmp_path):
+        path = write(tmp_path / "t.csv", "a,b\n1,inf\nnan,2\n")
+        with pytest.raises(DataError, match="line 2, column 'b'"):
+            load_csv(path)
+
     def test_empty_file(self, tmp_path):
         path = write(tmp_path / "t.csv", "")
         with pytest.raises(DataError, match="no data"):

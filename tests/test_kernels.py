@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from graphcoupling import linalg
+from graphcoupling import kernels, linalg
 from graphcoupling.errors import (
     ContractViolationError,
     DegenerateRowError,
@@ -79,13 +79,20 @@ def assert_hits_target_entropy(X):
     D = pairwise_sq_dists(X)
     n = D.shape[0]
     for perplexity in (5.0, 15.0, 29.0):
-        tau = calibrated_kernel(D, perplexity).bandwidths
+        tau = calibrated_kernel(X, perplexity).bandwidths
         assert (tau > 0.0).all()
         target = np.log2(perplexity)
         off = ~np.eye(n, dtype=bool)
         for i in range(n):
             h = row_entropy_bits(D[i, off[i]], tau[i])
             assert abs(h - target) <= ENTROPY_TOL
+
+
+def dead_rows_25_31(X):
+    """The squared distances of X with rows 25 and 31 at distance zero from all."""
+    D = pairwise_sq_dists(X)
+    D[25, :] = D[:, 25] = D[31, :] = D[:, 31] = 0.0
+    return D
 
 
 def off_diagonal_rows(D):
@@ -153,7 +160,7 @@ class TestCalibratedKernel:
         rng = np.random.default_rng(9)
         for n, p, perplexity in ((40, 2, 8.0), (150, 6, 20.0)):
             X = rng.normal(size=(n, p)) * rng.uniform(0.1, 10.0)
-            K = calibrated_kernel(pairwise_sq_dists(X), perplexity)
+            K = calibrated_kernel(X, perplexity)
             oracle = kernel_matrix(X, GAUSSIAN, K.bandwidths)
             assert K.kind == GAUSSIAN
             assert K.values.tobytes() == oracle.values.tobytes()
@@ -176,7 +183,7 @@ class TestCalibration:
         # Solve each row independently by long bisection and compare.
         X = np.array([[0.0], [1.0], [2.3], [3.7], [10.0]])
         D = pairwise_sq_dists(X)
-        tau = calibrated_kernel(D, 2.5).bandwidths
+        tau = calibrated_kernel(X, 2.5).bandwidths
         target = np.log2(2.5)
         off = ~np.eye(5, dtype=bool)
         for i in range(5):
@@ -193,47 +200,45 @@ class TestCalibration:
     def test_monotone_in_perplexity(self):
         rng = np.random.default_rng(4)
         X = rng.normal(size=(20, 3))
-        D = pairwise_sq_dists(X)
-        low = calibrated_kernel(D, 5.0).bandwidths
-        high = calibrated_kernel(D, 15.0).bandwidths
+        low = calibrated_kernel(X, 5.0).bandwidths
+        high = calibrated_kernel(X, 15.0).bandwidths
         assert (high >= low - 1e-9).all()
 
     def test_two_points(self):
         # A single neighbor has zero entropy for every bandwidth; the
         # bracket never moves and the initial midpoint comes back.
-        D = pairwise_sq_dists([[0.0], [3.0]])
-        npt.assert_array_equal(calibrated_kernel(D, 1.0).bandwidths, [1.0, 1.0])
+        npt.assert_array_equal(calibrated_kernel([[0.0], [3.0]], 1.0).bandwidths, [1.0, 1.0])
 
     def test_equidistant_rows(self):
         # Equilateral triangle: entropy is exactly 1 bit regardless of tau.
         X = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]])
-        D = pairwise_sq_dists(X)
-        npt.assert_array_equal(calibrated_kernel(D, 2.0).bandwidths, np.ones(3))
+        npt.assert_array_equal(calibrated_kernel(X, 2.0).bandwidths, np.ones(3))
 
     def test_perplexity_range(self):
-        D = pairwise_sq_dists(np.arange(6.0)[:, None])
+        X = np.arange(6.0)[:, None]
         with pytest.raises(ParameterError):
-            calibrated_kernel(D, 0.5)
+            calibrated_kernel(X, 0.5)
         with pytest.raises(ParameterError):
-            calibrated_kernel(D, 6.0)
+            calibrated_kernel(X, 6.0)
 
     def test_degenerate_row(self):
         X = np.zeros((4, 2))
         with pytest.raises(DegenerateRowError, match="row 0"):
-            calibrated_kernel(pairwise_sq_dists(X), 2.0)
+            calibrated_kernel(X, 2.0)
 
     def test_follows_the_one_rule_row_by_row(self):
         rng = np.random.default_rng(5)
         for n, perplexity in ((12, 3.0), (40, 10.0), (60, 45.0)):
-            D = pairwise_sq_dists(rng.normal(size=(n, 3)) * rng.uniform(0.1, 10.0))
-            tau = calibrated_kernel(D, perplexity).bandwidths
+            X = rng.normal(size=(n, 3)) * rng.uniform(0.1, 10.0)
+            D = pairwise_sq_dists(X)
+            tau = calibrated_kernel(X, perplexity).bandwidths
             expected = [reference_tau(d, np.log2(perplexity)) for d in off_diagonal_rows(D)]
             npt.assert_array_equal(tau, expected)
 
     def test_stops_at_a_doubling_within_tolerance(self):
-        D = pairwise_sq_dists([[0.0], [1.0], [3.0]])
-        perplexity = 2.0 ** row_entropy_bits(D[0, 1:], 2.0)
-        assert calibrated_kernel(D, perplexity).bandwidths[0] == 2.0
+        X = [[0.0], [1.0], [3.0]]
+        perplexity = 2.0 ** row_entropy_bits(pairwise_sq_dists(X)[0, 1:], 2.0)
+        assert calibrated_kernel(X, perplexity).bandwidths[0] == 2.0
 
     @pytest.mark.parametrize("block_cells", [1, 7 * 300, linalg.ROW_BLOCK_CELLS],
                              indirect=True)
@@ -245,11 +250,11 @@ class TestCalibration:
         X = centers[rng.integers(0, 5, size=300)] + rng.normal(size=(300, 6))
         D = pairwise_sq_dists(X)
         expected = [reference_tau(d, np.log2(20.0)) for d in off_diagonal_rows(D)]
-        default = calibrated_kernel(D, 20.0)
+        default = calibrated_kernel(X, 20.0)
         npt.assert_array_equal(default.bandwidths, expected)
         for workers in (1, 3):
             monkeypatch.setattr(linalg, "usable_cores", lambda w=workers: w)
-            K = calibrated_kernel(D, 20.0)
+            K = calibrated_kernel(X, 20.0)
             assert K.bandwidths.tobytes() == default.bandwidths.tobytes()
             assert K.values.tobytes() == default.values.tobytes()
 
@@ -261,11 +266,12 @@ class TestCalibration:
         X = np.concatenate([rng.normal(size=(30, 3)) * 1e-3,
                             rng.normal(size=(30, 3)) * 10.0 + 100.0,
                             rng.normal(size=(30, 3)) * 300.0])
-        D = pairwise_sq_dists(rng.permutation(X))
+        X = rng.permutation(X)
+        D = pairwise_sq_dists(X)
         for perplexity in (3.0, 20.0):
             target = np.log2(perplexity)
             want = fresh_array_rule(-off_diagonal_rows(D) / 2.0, target)
-            got = calibrated_kernel(D, perplexity).bandwidths
+            got = calibrated_kernel(X, perplexity).bandwidths
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("block_cells", [1, 7 * 300, linalg.ROW_BLOCK_CELLS],
@@ -276,15 +282,17 @@ class TestCalibration:
         X = centers[rng.integers(0, 5, size=300)] + rng.normal(size=(300, 6))
         D = pairwise_sq_dists(X)
         expected = [reference_tau(d, np.log2(20.0)) for d in off_diagonal_rows(D)]
-        npt.assert_array_equal(calibrated_kernel(D, 20.0).bandwidths, expected)
+        npt.assert_array_equal(calibrated_kernel(X, 20.0).bandwidths, expected)
 
     @pytest.mark.parametrize("block_cells", [1, 4 * 40, linalg.ROW_BLOCK_CELLS],
                              indirect=True)
-    def test_dead_row_in_a_later_block_named(self, block_cells):
-        D = pairwise_sq_dists(np.random.default_rng(7).normal(size=(40, 2)))
-        D[25, :] = D[:, 25] = D[31, :] = D[:, 31] = 0.0
+    def test_dead_row_in_a_later_block_named(self, block_cells, monkeypatch):
+        # A lone row at distance zero from every other one cannot come from
+        # data, so the distances calibration takes are replaced.
+        X = np.random.default_rng(7).normal(size=(40, 2))
+        monkeypatch.setattr(kernels, "pairwise_sq_dists", lambda _: dead_rows_25_31(X))
         with pytest.raises(DegenerateRowError, match="row 25 "):
-            calibrated_kernel(D, 5.0)
+            calibrated_kernel(X, 5.0)
 
     @pytest.mark.parametrize("block_cells", [1, 4 * 40], indirect=True)
     @pytest.mark.parametrize("workers", [1, 3])
@@ -293,10 +301,20 @@ class TestCalibration:
         # Row 31's block may fail first on another thread; row 25's
         # block comes first in order, so its error is the one raised.
         monkeypatch.setattr(linalg, "usable_cores", lambda: workers)
-        D = pairwise_sq_dists(np.random.default_rng(7).normal(size=(40, 2)))
-        D[25, :] = D[:, 25] = D[31, :] = D[:, 31] = 0.0
+        X = np.random.default_rng(7).normal(size=(40, 2))
+        monkeypatch.setattr(kernels, "pairwise_sq_dists", lambda _: dead_rows_25_31(X))
         with pytest.raises(DegenerateRowError, match="row 25 "):
-            calibrated_kernel(D, 5.0)
+            calibrated_kernel(X, 5.0)
+
+    @pytest.mark.parametrize("block_cells", [1, 4 * 40, linalg.ROW_BLOCK_CELLS],
+                             indirect=True)
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_coincident_points_name_row_0(self, block_cells, workers, monkeypatch):
+        # From data, a row at distance zero from all others makes every row
+        # so; every block fails, and the first block's error is raised.
+        monkeypatch.setattr(linalg, "usable_cores", lambda: workers)
+        with pytest.raises(DegenerateRowError, match="row 0 "):
+            calibrated_kernel(np.full((40, 2), 3.0), 5.0)
 
     def test_unreachable_target_stays_finite(self):
         # Entropy reaches log2(n - 1) only as tau grows without bound
@@ -305,8 +323,7 @@ class TestCalibration:
         sets = [rng.normal(size=(30, 3)), np.array([[0.0], [1.0], [2.3], [3.7], [10.0]]),
                 rng.normal(size=(50, 2)) * 1e3]
         for X in sets:
-            D = pairwise_sq_dists(X)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                tau = calibrated_kernel(D, X.shape[0] - 1.0).bandwidths
+                tau = calibrated_kernel(X, X.shape[0] - 1.0).bandwidths
             assert np.isfinite(tau).all() and (tau > 0.0).all()

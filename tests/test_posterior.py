@@ -38,11 +38,9 @@ def example_kernel(seed=0, n=6):
     return kernel_matrix(rng.normal(size=(n, 2)), "gaussian")
 
 
-def dense_reference_sample(K, prior, rng, pi=None):
+def dense_reference_sample(K, prior, rng):
     """The dense sampler the edge-list one replaced, kept as its oracle."""
     G = np.asarray(getattr(K, "values", K), dtype=np.float64)
-    if pi is not None:
-        G = pi * G
     n = G.shape[0]
     if prior == "B":
         return (rng.random((n, n)) < G / (1.0 + G)).astype(np.int64)
@@ -124,37 +122,13 @@ class TestExpectations:
         npt.assert_allclose(P.values.sum(), 1.0, rtol=1e-12)
         assert P.normalization == "global"
 
-    def test_uniform_pi_scale_cancels(self):
-        K = example_kernel(3)
-        pi = np.full(K.values.shape, 7.0)
-        for prior in ("D", "E"):
-            base = posterior_expectation(K, prior).values
-            scaled = posterior_expectation(K, prior, pi).values
-            npt.assert_allclose(scaled, base, rtol=1e-12)
-
-    def test_pi_reweights_bernoulli(self):
-        K = example_kernel(4)
-        pi = np.full(K.values.shape, 2.0)
-        P = posterior_expectation(K, "B", pi).values
-        expected = 2.0 * K.values / (1.0 + 2.0 * K.values)
-        npt.assert_allclose(P, expected, rtol=1e-15)
-
-    def test_pi_zeroes_forbidden_edges(self):
-        K = example_kernel(5)
-        pi = np.ones(K.values.shape)
-        pi[0, 1] = 0.0
-        P = posterior_expectation(K, "D", pi)
-        assert P.values[0, 1] == 0.0
-        npt.assert_allclose(P.values.sum(axis=1), 1.0, rtol=1e-12)
-
     @ENTRY_POINTS
     def test_degenerate_row_named(self, entry):
-        K = example_kernel()
-        pi = np.ones(K.values.shape)
-        pi[2, :] = 0.0
+        K = example_kernel().values
+        K[2, :] = 0.0
         with pytest.raises(DegenerateRowError,
                            match="^row 2 has no admissible edge under the D prior$"):
-            entry(K, "D", pi)
+            entry(K, "D")
         with pytest.raises(DegenerateRowError,
                            match="^no admissible edge under the E prior$"):
             entry(np.zeros((3, 3)), "E")
@@ -208,19 +182,21 @@ class TestSampling:
     def test_same_stream_as_dense_reference(self, monkeypatch, prior):
         for block_rows, weighted, K in itertools.product(
                 BLOCK_ROWS, (False, True), stream_kernels()):
-            n = K.values.shape[0]
-            pi = np.random.default_rng(n).uniform(0.5, 2.0, (n, n)) if weighted else None
+            K = K.values
+            n = K.shape[0]
+            if weighted:  # a nonnegative K that is no kernel of any data
+                K = K * np.random.default_rng(n).uniform(0.5, 2.0, (n, n))
             with_block_rows(monkeypatch, block_rows, n)
-            sampler = PosteriorSampler(K, prior, pi)
+            sampler = PosteriorSampler(K, prior)
             for seed in range(8):
                 edges = sampler.draw(np.random.default_rng([seed, 3]))
-                W = dense_reference_sample(K, prior, np.random.default_rng([seed, 3]), pi)
+                W = dense_reference_sample(K, prior, np.random.default_rng([seed, 3]))
                 rows, cols = np.nonzero(W)
                 npt.assert_array_equal(edges.rows, rows)
                 npt.assert_array_equal(edges.cols, cols)
                 npt.assert_array_equal(edges.counts, W[rows, cols])
                 npt.assert_array_equal(sample_posterior_graph(
-                    K, prior, np.random.default_rng([seed, 3]), pi), W)
+                    K, prior, np.random.default_rng([seed, 3])), W)
 
     @pytest.mark.parametrize("block_rows", BLOCK_ROWS, ids=["1-row", "7-rows", "default"])
     @pytest.mark.parametrize("prior", PRIOR_KINDS)
@@ -276,11 +252,12 @@ class TestSampling:
     @pytest.mark.parametrize("weighted", [False, True])
     def test_e_cells_are_the_expectations_to_the_last_bit(self, block_cells, weighted):
         n = 40
-        K = example_kernel(24, n=n)
-        pi = np.random.default_rng(24).uniform(0.5, 2.0, (n, n)) if weighted else None
-        cells = posterior_expectation(K, "E", pi).values[~np.eye(n, dtype=bool)]
+        K = example_kernel(24, n=n).values
+        if weighted:  # a nonnegative K that is no kernel of any data
+            K = K * np.random.default_rng(24).uniform(0.5, 2.0, (n, n))
+        cells = posterior_expectation(K, "E").values[~np.eye(n, dtype=bool)]
         cells /= cells.sum()
-        assert PosteriorSampler(K, "E", pi)._cells.tobytes() == cells.tobytes()
+        assert PosteriorSampler(K, "E")._cells.tobytes() == cells.tobytes()
 
     @pytest.mark.parametrize("prior", PRIOR_KINDS)
     def test_a_repeated_generator_draws_afresh(self, block_cells, prior):
@@ -311,7 +288,7 @@ class TestSampling:
 
     @pytest.mark.parametrize("prior", PRIOR_KINDS)
     def test_caller_kernel_left_unchanged(self, prior):
-        # without pi both read the caller's own array
+        # both read the caller's own array
         K = example_kernel(15)
         before = K.values.copy()
         for kernel in (K, K.values):
