@@ -230,11 +230,12 @@ def cmd_init(args, config) -> int:
         raise ParameterError(f"unknown init method {spec.init!r}; "
                              f"use {', '.join(others)} or {last}")
     spec.validate()
-    affinity, kernel = initial_inputs(X, spec, fitting=False)
+    affinity, kernel, _ = initial_inputs(X, spec, fitting=False)
     Z, degenerate = initial_embedding(X, spec, affinity, kernel)
     if degenerate:
-        print("warning: affinity graph has several connected components; "
-              "between-component layout is arbitrary", file=sys.stderr)
+        print("warning: affinity graph has several connected components, or parts "
+              "joined only by roundoff-scale weights; between-component layout is "
+              "arbitrary", file=sys.stderr)
     names = _save(out, "init", Z, dataset)
     print(f"wrote {os.path.join(out, names['embedding'])}")
     return 0

@@ -30,17 +30,22 @@ KERNEL_KINDS = (GAUSSIAN, STUDENT)
 
 #: Entropy tolerance, in bits, for bandwidth calibration.
 ENTROPY_TOL = 1e-5
-#: Calibration evaluates each row's entropy at most 2 * MAX_BISECT_ITERS times.
-MAX_BISECT_ITERS = 64
+#: Calibration evaluates each row's entropy at most this many times.
+MAX_ENTROPY_EVALS = 128
 
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """A realized kernel matrix plus the settings that produced it."""
+    """A realized kernel matrix plus the settings that produced it.
+
+    ``evaluations`` holds each row's entropy evaluations when the
+    bandwidths come from :func:`calibrated_kernel`.
+    """
 
     values: np.ndarray
     kind: str
     bandwidths: Optional[np.ndarray] = None
+    evaluations: Optional[np.ndarray] = None
 
 
 def check_kind(kind: str) -> str:
@@ -98,19 +103,16 @@ def calibrated_kernel(X, perplexity: float) -> KernelMatrix:
     conditional neighbor distribution p_{j|i} proportional to
     exp(-D_ij / (2 tau_i^2)), with D the squared distances of
     :func:`linalg.pairwise_sq_dists`, equals log2(perplexity) within
-    ``ENTROPY_TOL`` bits.  Every row follows one rule from tau = 1 and
-    the bracket lo = 0, hi = inf: a row within ``ENTROPY_TOL`` of the
-    target stops at that tau; otherwise an entropy below the target sets
-    lo = tau, one at or above it sets hi = tau, and the next tau is 2 lo
-    while hi is infinite, else (lo + hi) / 2.  So tau doubles or halves
-    until the target is bracketed, then bisects.  A row still running
-    after 2 * ``MAX_BISECT_ITERS`` evaluations gets the next tau of the
-    rule.  Rows are solved together, one :func:`linalg.row_blocks` block
-    of D at a time, and each writes its kernel rows over its distances
-    as soon as its tau are known.  The blocks run on the usable cores through
-    :func:`linalg.map_blocks`; neither the blocking nor the number of
-    cores changes a bit of the result.  The result, with tau in
-    ``bandwidths``, equals ``kernel_matrix(X, GAUSSIAN, tau)``.
+    ``ENTROPY_TOL`` bits.  Every row follows the safeguarded Newton rule
+    of :func:`_calibrate_rows` from tau = 1; a row still outside the
+    tolerance after ``MAX_ENTROPY_EVALS`` evaluations gets the rule's
+    next tau.  Rows are solved together, one :func:`linalg.row_blocks`
+    block of D at a time, and each writes its kernel rows over its
+    distances as soon as its tau are known.  The blocks run on the
+    usable cores through :func:`linalg.map_blocks`; neither the blocking
+    nor the number of cores changes a bit of the result.  The result,
+    with tau in ``bandwidths`` and each row's entropy evaluations in
+    ``evaluations``, has the values of ``kernel_matrix(X, GAUSSIAN, tau)``.
 
     Raises
     ------
@@ -130,6 +132,7 @@ def calibrated_kernel(X, perplexity: float) -> KernelMatrix:
             f"perplexity must lie in [1, {n - 1}] for n={n}, got {perplexity}")
     target = float(np.log2(perplexity))
     tau = np.empty(n, dtype=np.float64)
+    evaluations = np.empty(n, dtype=np.int64)
     D = pairwise_sq_dists(X)
 
     def solve(block):
@@ -140,51 +143,71 @@ def calibrated_kernel(X, perplexity: float) -> KernelMatrix:
         if dead.size:
             raise DegenerateRowError(
                 f"row {rows[dead[0]]} is at distance zero from every other row")
-        tau[block] = t = _calibrate_rows(np.divide(d, -2.0, out=d), target)
+        t, evaluations[block] = _calibrate_rows(np.divide(d, -2.0, out=d), target)
+        tau[block] = t
         K = D[block]
         np.exp(_log_kernel(K, GAUSSIAN, t, out=K), out=K)
         D[rows, rows] = 0.0
 
     map_blocks(solve, row_blocks(n))
-    return KernelMatrix(D, GAUSSIAN, tau)
+    return KernelMatrix(D, GAUSSIAN, tau, evaluations)
 
 
-def _calibrate_rows(neg_half_d: np.ndarray, target: float) -> np.ndarray:
+def _calibrate_rows(neg_half_d: np.ndarray, target: float):
     """The bandwidth rule of :func:`calibrated_kernel` on a block of rows.
 
-    Works in ``neg_half_d``, which it reorders, and two buffers of its
-    shape.  The rows still running are kept in the leading rows: when
-    some finish, the rest move up in order.  A row's largest logit is
-    its largest -d/2 divided by t^2, the same float as the largest of
-    the divided row, because division by t^2 > 0 is monotone.
+    Returns each row's tau and its number of entropy evaluations.  With
+    the shifted logits l = (-d/2 - peak) / tau^2, where peak is the row's
+    largest -d/2, the entropy in nats is H = log sum e^l - E_p[l] and
+    dH / d log tau = 2 Var_p(l), so one exp pass gives both the entropy
+    and its slope.  Every row starts at tau = 1 with the bracket lo = 0,
+    hi = inf.  A row within ``ENTROPY_TOL`` bits of the target stops at
+    that tau; otherwise an entropy below the target sets lo = tau, one at
+    or above it sets hi = tau, and the next tau is the Newton step on
+    log tau, clipped to [tau / 2, 2 tau].  Where that step is not finite
+    or falls outside the open bracket (lo, hi), the next tau is 2 lo
+    while hi is infinite, else (lo + hi) / 2: rows far from their scale
+    double or halve until the target is bracketed.
+
+    Works in ``neg_half_d``, which it shifts and reorders, and two
+    buffers of its shape.  The rows still running are kept in the
+    leading rows: when some finish, the rest move up in order.
     """
-    tau = np.empty(neg_half_d.shape[0], dtype=np.float64)
-    live = np.arange(tau.size)
-    peak = neg_half_d.max(axis=1)
-    logits, w = np.empty_like(neg_half_d), np.empty_like(neg_half_d)
-    t, lo, hi = np.ones(tau.size), np.zeros(tau.size), np.full(tau.size, np.inf)
-    for _ in range(2 * MAX_BISECT_ITERS):
-        # Entropy in bits of p = w / s with w = exp(l), from shifted logits l.
-        m, t2 = live.size, (t * t)[:, None]
+    rows = neg_half_d.shape[0]
+    tau, evaluations = np.empty(rows), np.empty(rows, dtype=np.int64)
+    live = np.arange(rows)
+    shifted = np.subtract(neg_half_d, neg_half_d.max(axis=1)[:, None], out=neg_half_d)
+    logits, w = np.empty_like(shifted), np.empty_like(shifted)
+    t, lo, hi = np.ones(rows), np.zeros(rows), np.full(rows, np.inf)
+    ln2 = np.log(2.0)
+    for count in range(1, MAX_ENTROPY_EVALS + 1):
+        # Entropy in bits of p = w / s with w = exp(l), and Var_p(l).
+        m = live.size
         l, e = logits[:m], w[:m]
-        np.divide(neg_half_d[:m], t2, out=l)
-        l -= peak[:, None] / t2
+        np.multiply(shifted[:m], (1.0 / (t * t))[:, None], out=l)
         np.exp(l, out=e)
         s = e.sum(axis=1)
-        h = (np.log(s) - np.multiply(e, l, out=l).sum(axis=1) / s) / np.log(2.0)
+        mean = np.multiply(e, l, out=e).sum(axis=1) / s
+        var = np.multiply(e, l, out=e).sum(axis=1) / s - mean * mean
+        h = (np.log(s) - mean) / ln2
         done = np.abs(h - target) <= ENTROPY_TOL
         if done.any():
             tau[live[done]] = t[done]
+            evaluations[live[done]] = count
             keep = ~done
             for to, row in enumerate(np.flatnonzero(keep)):
                 if to != row:
-                    neg_half_d[to] = neg_half_d[row]
-            live, t, lo, hi, h, peak = (a[keep] for a in (live, t, lo, hi, h, peak))
+                    shifted[to] = shifted[row]
+            live, t, lo, hi, h, var = (a[keep] for a in (live, t, lo, hi, h, var))
             if not live.size:
-                return tau
+                return tau, evaluations
         below = h < target
         lo = np.where(below, t, lo)
         hi = np.where(below, hi, t)
-        t = np.where(np.isinf(hi), 2.0 * lo, (lo + hi) / 2.0)
+        with np.errstate(divide="ignore", over="ignore"):
+            newton = np.clip(t * np.exp((target - h) * ln2 / (2.0 * var)), t / 2.0, 2.0 * t)
+        t = np.where((lo < newton) & (newton < hi), newton,
+                     np.where(np.isinf(hi), 2.0 * lo, (lo + hi) / 2.0))
     tau[live] = t
-    return tau
+    evaluations[live] = MAX_ENTROPY_EVALS
+    return tau, evaluations

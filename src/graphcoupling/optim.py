@@ -63,6 +63,7 @@ class MinimizeResult(NamedTuple):
     Z: np.ndarray          # lowest-loss iterate observed, under the plain objective
     history: np.ndarray    # objective per iteration, under the exaggeration active then
     loss: float            # plain loss of Z
+    best_iteration: int    # index of Z among the iterates; 0 is Z0
 
 
 TraceSink = Callable[[int, float, float], None]
@@ -79,7 +80,9 @@ def minimize(problem, Z0, config: OptimizerConfig = None,
     it enters; that evaluation decides whether the step is accepted and
     supplies the next value and gradient.  The returned Z is the best
     iterate measured by the plain loss, which makes it monotone in
-    hindsight regardless of transient loss increases.
+    hindsight regardless of transient loss increases; ``best_iteration``
+    is its index, iterate t being the one entering iteration t.  A run
+    that diverges from its start returns a small index, not an error.
 
     Raises
     ------
@@ -101,7 +104,7 @@ def minimize(problem, Z0, config: OptimizerConfig = None,
     current = problem.evaluate(Z, factor(0))
     if not np.isfinite(current.objective):
         raise ParameterError("initialization has non-finite loss")
-    best_Z, best_loss = Z, current.loss
+    best_Z, best_loss, best_t = Z, current.loss, 0
     velocity = np.zeros_like(Z)
     gains = np.ones_like(Z)
     history = []
@@ -138,6 +141,6 @@ def minimize(problem, Z0, config: OptimizerConfig = None,
             candidate = Z + velocity
         Z = candidate
         if current.loss < best_loss:
-            best_Z, best_loss = Z, current.loss
+            best_Z, best_loss, best_t = Z, current.loss, t + 1
 
-    return MinimizeResult(best_Z, np.asarray(history, dtype=np.float64), best_loss)
+    return MinimizeResult(best_Z, np.asarray(history, dtype=np.float64), best_loss, best_t)

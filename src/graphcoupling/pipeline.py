@@ -18,7 +18,7 @@ import numpy as np
 from .ccpca import CcpcaConfig, ccpca
 from .coupling import CouplingProblem, check_method, input_affinity
 from .errors import ParameterError
-from .kernels import KernelMatrix, calibrated_kernel
+from .kernels import MAX_ENTROPY_EVALS, KernelMatrix, calibrated_kernel
 from .linalg import as_float_matrix, single_blas_thread
 from .optim import MinimizeResult, OptimizerConfig, minimize
 from .evaluation import check_ks, evaluate_embedding
@@ -81,17 +81,20 @@ def prepare_input(X, method: str, perplexity: float):
 
 
 def initial_inputs(X, spec: RunSpec, fitting: bool = True):
-    """(affinity, kernel) for a run, each None where nothing reads it.
+    """(affinity, kernel, evaluations) for a run, each None where nothing reads it.
 
     Eigenmaps reads the affinity, ccPCA the kernel, and random and PCA X
     alone; a fit's coupling (``fitting``) reads the affinity too.
+    ``evaluations`` holds each row's entropy evaluations in calibration,
+    None when no kernel was calibrated.
     """
     if fitting or spec.init == "le":
         affinity, kernel = prepare_input(X, spec.method, spec.perplexity)
-        return affinity, (kernel if spec.init == "ccpca" else None)
+        return affinity, (kernel if spec.init == "ccpca" else None), kernel.evaluations
     if spec.init == "ccpca":
-        return None, calibrated_kernel(X, spec.perplexity)
-    return None, None
+        kernel = calibrated_kernel(X, spec.perplexity)
+        return None, kernel, kernel.evaluations
+    return None, None, None
 
 
 def rescale_init(Z: np.ndarray, n: int) -> np.ndarray:
@@ -150,7 +153,7 @@ def run(X, spec: RunSpec = None) -> RunResult:
     total0 = time.perf_counter()
 
     t0 = time.perf_counter()
-    affinity, kernel = initial_inputs(X, spec)
+    affinity, kernel, evaluations = initial_inputs(X, spec)
     prepare_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -199,10 +202,18 @@ def run(X, spec: RunSpec = None) -> RunResult:
                 "exaggeration_iters": int(opt.exaggeration_iters),
             },
         },
-        "input": {"rows": int(n), "cols": int(p)},
+        "input": {
+            "rows": int(n),
+            "cols": int(p),
+            "calibration": {
+                "evaluations": int(evaluations.sum()),
+                "capped_rows": int((evaluations == MAX_ENTROPY_EVALS).sum()),
+            },
+        },
         "results": {
             "initial_loss": float(result.history[0]) if result.history.size else None,
             "final_loss": float(result.loss),
+            "best_iteration": int(result.best_iteration),
             "iterations_run": int(result.history.size),
             "init_degenerate": bool(degenerate),
             "scores": [{"k": s.k, "q": s.q, "r": s.r} for s in scores],

@@ -2,7 +2,9 @@
 
 ``laplacian_eigenmaps`` embeds with the low-frequency eigenvectors of a
 weighted graph Laplacian, skipping the null space structurally (one
-direction per connected component) instead of thresholding eigenvalues.
+direction per connected component) instead of thresholding eigenvalues;
+a returned eigenvalue within roundoff of zero only marks the result
+degenerate.
 
 The PCA side takes one thin SVD X = U diag(s) V^T and forms no n x n
 matrix: ``pca`` of the centered X, and the precision coupling, which
@@ -54,18 +56,25 @@ def pca(X, q: int) -> np.ndarray:
 
 
 class EigenmapsResult(NamedTuple):
-    coords: np.ndarray   # shape (n, q)
-    n_components: int    # connected components of the affinity support
+    coords: np.ndarray       # shape (n, q)
+    n_components: int        # connected components of the affinity support
+    eigenvalues: np.ndarray  # the Laplacian eigenvalues of the columns, ascending
+    null_tol: float          # n * eps * the largest eigenvalue
 
     @property
     def degenerate(self) -> bool:
-        """True when the graph is disconnected.
+        """True when the graph is disconnected, structurally or numerically.
 
-        The embedding still skips every null direction, but with R > 1
-        components the R - 1 component indicators sit below the returned
-        eigenvectors, so between-component geometry is arbitrary.
+        The embedding skips every structural null direction, but with
+        R > 1 components the R - 1 component indicators sit below the
+        returned eigenvectors, so between-component geometry is arbitrary.
+        Components joined only by tiny weights (say 1e-90 beside weights
+        near 1) make one support component whose near-null eigenvalues
+        are roundoff: a returned eigenvalue at or below ``null_tol``
+        means the column is an arbitrary direction of a numerical null
+        space, and the layout between those parts is arbitrary too.
         """
-        return self.n_components > 1
+        return self.n_components > 1 or bool((self.eigenvalues <= self.null_tol).any())
 
 
 def laplacian_eigenmaps(P, q: int) -> EigenmapsResult:
@@ -76,6 +85,10 @@ def laplacian_eigenmaps(P, q: int) -> EigenmapsResult:
     are the unit-norm eigenvectors of the graph Laplacian belonging to
     the q smallest nonzero eigenvalues, identified structurally: with R
     connected components, exactly the R smallest eigenvalues are null.
+    Parts of the support joined only by weights below roundoff of the
+    rest are one component here, yet their Laplacian has a numerical
+    null space, and the returned columns may be arbitrary directions
+    within it; ``degenerate`` reports that case as well as R > 1.
     """
     values = P.values if isinstance(P, AffinityMatrix) else P
     A = as_float_matrix(values, "P")
@@ -98,7 +111,8 @@ def laplacian_eigenmaps(P, q: int) -> EigenmapsResult:
     # with the null space in the last n_components columns.
     lo = n - n_components - q
     coords = V[:, lo:n - n_components][:, ::-1].copy()
-    return EigenmapsResult(coords, n_components)
+    null_tol = n * np.finfo(np.float64).eps * float(w[0])
+    return EigenmapsResult(coords, n_components, w[lo:n - n_components][::-1].copy(), null_tol)
 
 
 class PrecisionCouplingProblem:

@@ -1,0 +1,87 @@
+"""Properties of perplexity calibration over random shapes, scales and offsets."""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from graphcoupling import linalg
+from graphcoupling.kernels import (
+    ENTROPY_TOL,
+    GAUSSIAN,
+    MAX_ENTROPY_EVALS,
+    calibrated_kernel,
+    kernel_matrix,
+)
+from graphcoupling.linalg import pairwise_sq_dists
+
+from test_kernels import off_diagonal_rows, row_entropy_bits
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
+                             database=None,
+                             suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def calibration_inputs(draw):
+    """(X, perplexity): n in [3, 60], p in [1, 6], scales 1e-3 to 1e3,
+    offsets up to 1e4, and up to n // 2 rows that nearly duplicate others."""
+    n = draw(st.integers(3, 60))
+    p = draw(st.integers(1, 6))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    offset = draw(st.floats(-1e4, 1e4))
+    duplicates = draw(st.integers(0, n // 2))
+    jitter = 10.0 ** draw(st.floats(-12.0, -3.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    X = rng.normal(size=(n, p))
+    originals = rng.integers(0, n - duplicates, size=duplicates)
+    X[n - duplicates:] = X[originals] + jitter * rng.normal(size=(duplicates, p))
+    perplexity = draw(st.floats(1.0, n - 1.0))
+    return X * scale + offset, perplexity
+
+
+@PROPERTY_SETTINGS
+@given(calibration_inputs())
+def test_every_row_meets_its_target_or_is_capped(case):
+    X, perplexity = case
+    K = calibrated_kernel(X, perplexity)
+    target = np.log2(perplexity)
+    capped = K.evaluations == MAX_ENTROPY_EVALS
+    assert ((K.evaluations >= 1) & (K.evaluations <= MAX_ENTROPY_EVALS)).all()
+    assert np.isfinite(K.bandwidths).all() and (K.bandwidths > 0.0).all()
+    for d, tau, cap in zip(off_diagonal_rows(pairwise_sq_dists(X)), K.bandwidths, capped):
+        # The entropy does not depend on a shift of the row's distances.
+        assert cap or abs(row_entropy_bits(d - d.min(), tau) - target) <= ENTROPY_TOL
+    assert K.values.tobytes() == kernel_matrix(X, GAUSSIAN, K.bandwidths).values.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(calibration_inputs())
+def test_worker_count_never_changes_tau_k_or_counts(case):
+    X, perplexity = case
+    results = []
+    for workers in (1, 3):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linalg, "usable_cores", lambda w=workers: w)
+            patch.setattr(linalg, "ROW_BLOCK_CELLS", 7 * X.shape[0])
+            results.append(calibrated_kernel(X, perplexity))
+    one, three = results
+    assert one.bandwidths.tobytes() == three.bandwidths.tobytes()
+    assert one.values.tobytes() == three.values.tobytes()
+    assert one.evaluations.tobytes() == three.evaluations.tobytes()
+
+
+@pytest.mark.parametrize("perplexity, most", [(10.0, 6.0), (20.0, 6.0), (30.0, 11.0)])
+def test_mean_evaluations_per_row_on_clustered_data(perplexity, most):
+    # Ten Gaussian clusters of 30 points in p = 50, drawn as the benchmark
+    # draws them.  At perplexity 30 the target lies 0.05 bits above a
+    # cluster's log2(29): the entropy rises along a shelf and then steeply
+    # once the other clusters enter, so Newton overshoots once and the
+    # bracket takes over.
+    rng = np.random.default_rng(7)
+    centres = rng.normal(0.0, 4.0, size=(10, 50))
+    labels = rng.permutation(np.arange(300) % 10)
+    X = centres[labels] + rng.standard_normal((300, 50))
+    evaluations = calibrated_kernel(X, perplexity).evaluations
+    assert evaluations.mean() <= most
+    assert evaluations.max() < MAX_ENTROPY_EVALS

@@ -12,7 +12,7 @@ from graphcoupling.errors import (
 )
 from graphcoupling.kernels import (
     ENTROPY_TOL,
-    MAX_BISECT_ITERS,
+    MAX_ENTROPY_EVALS,
     GAUSSIAN,
     calibrated_kernel,
     kernel_matrix,
@@ -30,17 +30,35 @@ def row_entropy_bits(d_row, tau):
 
 
 def reference_tau(d_row, target):
-    """The calibration rule run on one row with the reference entropy."""
+    """The calibration rule run on one row, one row vector at a time.
+
+    The bit-exact oracle of the block rule: the same operations in the
+    same order on a single row, with the bracket and tau as scalars.
+    """
+    shifted = d_row / -2.0
+    shifted = shifted - shifted.max()
     tau, lo, hi = 1.0, 0.0, np.inf
-    for _ in range(2 * MAX_BISECT_ITERS):
-        h = row_entropy_bits(d_row, tau)
+    ln2 = np.log(2.0)
+    for _ in range(MAX_ENTROPY_EVALS):
+        logits = shifted * (1.0 / (tau * tau))
+        w = np.exp(logits)
+        s = w.sum()
+        mean = (w * logits).sum() / s
+        var = (w * logits * logits).sum() / s - mean * mean
+        h = (np.log(s) - mean) / ln2
         if abs(h - target) <= ENTROPY_TOL:
             return tau
         if h < target:
             lo = tau
         else:
             hi = tau
-        tau = 2.0 * lo if hi == np.inf else (lo + hi) / 2.0
+        with np.errstate(divide="ignore", over="ignore"):
+            newton = np.clip(tau * np.exp((target - h) * ln2 / (2.0 * var)),
+                             tau / 2.0, 2.0 * tau)
+        if lo < newton < hi:
+            tau = newton
+        else:
+            tau = 2.0 * lo if hi == np.inf else (lo + hi) / 2.0
     return tau
 
 
@@ -48,31 +66,40 @@ def fresh_array_rule(neg_half_d, target):
     """The block rule of calibrated_kernel with a fresh array per step.
 
     The bit-exact oracle of the buffered rule: same operations, same
-    order, no buffer reuse, no in-place compaction.
+    order, no buffer reuse, no in-place compaction.  Returns tau and each
+    row's entropy evaluations.
     """
     tau = np.empty(neg_half_d.shape[0])
+    evaluations = np.full(tau.size, MAX_ENTROPY_EVALS)
     live = np.arange(tau.size)
+    shifted = neg_half_d - neg_half_d.max(axis=1, keepdims=True)
     t, lo, hi = np.ones(tau.size), np.zeros(tau.size), np.full(tau.size, np.inf)
-    for _ in range(2 * MAX_BISECT_ITERS):
-        logits = neg_half_d / (t * t)[:, None]
-        logits -= logits.max(axis=1, keepdims=True)
+    ln2 = np.log(2.0)
+    for count in range(1, MAX_ENTROPY_EVALS + 1):
+        logits = shifted * (1.0 / (t * t))[:, None]
         w = np.exp(logits)
         s = w.sum(axis=1)
-        h = (np.log(s) - (w * logits).sum(axis=1) / s) / np.log(2.0)
+        mean = (w * logits).sum(axis=1) / s
+        var = (w * logits * logits).sum(axis=1) / s - mean * mean
+        h = (np.log(s) - mean) / ln2
         done = np.abs(h - target) <= ENTROPY_TOL
         if done.any():
             tau[live[done]] = t[done]
+            evaluations[live[done]] = count
             keep = ~done
-            live, t, lo, hi, h, neg_half_d = (
-                a[keep] for a in (live, t, lo, hi, h, neg_half_d))
+            live, t, lo, hi, h, var, shifted = (
+                a[keep] for a in (live, t, lo, hi, h, var, shifted))
             if not live.size:
-                return tau
+                return tau, evaluations
         below = h < target
         lo = np.where(below, t, lo)
         hi = np.where(below, hi, t)
-        t = np.where(np.isinf(hi), 2.0 * lo, (lo + hi) / 2.0)
+        with np.errstate(divide="ignore", over="ignore"):
+            newton = np.clip(t * np.exp((target - h) * ln2 / (2.0 * var)), t / 2.0, 2.0 * t)
+        inside = (lo < newton) & (newton < hi)
+        t = np.where(inside, newton, np.where(np.isinf(hi), 2.0 * lo, (lo + hi) / 2.0))
     tau[live] = t
-    return tau
+    return tau, evaluations
 
 
 def assert_hits_target_entropy(X):
@@ -235,10 +262,13 @@ class TestCalibration:
             expected = [reference_tau(d, np.log2(perplexity)) for d in off_diagonal_rows(D)]
             npt.assert_array_equal(tau, expected)
 
-    def test_stops_at_a_doubling_within_tolerance(self):
+    def test_stops_at_the_first_tau_within_tolerance(self):
+        # Row 0's perplexity is met exactly at the starting tau = 1.
         X = [[0.0], [1.0], [3.0]]
-        perplexity = 2.0 ** row_entropy_bits(pairwise_sq_dists(X)[0, 1:], 2.0)
-        assert calibrated_kernel(X, perplexity).bandwidths[0] == 2.0
+        perplexity = 2.0 ** row_entropy_bits(pairwise_sq_dists(X)[0, 1:], 1.0)
+        K = calibrated_kernel(X, perplexity)
+        assert K.bandwidths[0] == 1.0
+        assert K.evaluations[0] == 1
 
     @pytest.mark.parametrize("block_cells", [1, 7 * 300, linalg.ROW_BLOCK_CELLS],
                              indirect=True)
@@ -270,9 +300,10 @@ class TestCalibration:
         D = pairwise_sq_dists(X)
         for perplexity in (3.0, 20.0):
             target = np.log2(perplexity)
-            want = fresh_array_rule(-off_diagonal_rows(D) / 2.0, target)
-            got = calibrated_kernel(X, perplexity).bandwidths
-            assert got.tobytes() == want.tobytes()
+            want, evaluations = fresh_array_rule(-off_diagonal_rows(D) / 2.0, target)
+            got = calibrated_kernel(X, perplexity)
+            assert got.bandwidths.tobytes() == want.tobytes()
+            npt.assert_array_equal(got.evaluations, evaluations)
 
     @pytest.mark.parametrize("block_cells", [1, 7 * 300, linalg.ROW_BLOCK_CELLS],
                              indirect=True)

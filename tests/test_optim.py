@@ -107,6 +107,27 @@ class TestQuadratic:
         assert result.history[-1] < result.history[0] / 100.0
         assert prob.loss(result.Z) <= result.history.min()
 
+    def test_best_iteration_indexes_the_returned_iterate(self):
+        prob = Quadratic(np.ones((3, 2)))
+        cfg = OptimizerConfig(iterations=40, learning_rate=0.05, grad_tol=0.0)
+        result = minimize(prob, np.zeros((3, 2)), cfg)
+        best = result.best_iteration
+        assert 0 < best <= 40
+        if best < 40:
+            assert result.history[best] == result.loss == result.history.min()
+        else:
+            assert result.loss < result.history.min()
+
+    def test_divergence_from_the_start_returns_iteration_0(self):
+        # Each step multiplies the distance to the optimum by 19.
+        prob = Quadratic(np.ones((3, 2)))
+        cfg = OptimizerConfig(iterations=10, learning_rate=10.0, momentum_early=0.0,
+                              gain_increase=0.0, gain_decay=1.0, grad_tol=0.0)
+        result = minimize(prob, np.zeros((3, 2)), cfg)
+        assert result.best_iteration == 0
+        assert result.loss == result.history[0] < result.history[-1]
+        npt.assert_array_equal(result.Z, np.zeros((3, 2)))
+
     def test_starts_at_optimum_stops_immediately(self):
         A = np.arange(6.0).reshape(3, 2)
         result = minimize(Quadratic(A), A.copy(),

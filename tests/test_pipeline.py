@@ -9,7 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from graphcoupling import linalg, pipeline
+from graphcoupling import kernels, linalg, pipeline
 from graphcoupling.errors import ParameterError
 from graphcoupling.evaluation import evaluate_embedding
 from graphcoupling.kernels import GAUSSIAN, calibrated_kernel, kernel_matrix
@@ -197,13 +197,53 @@ class TestRun:
                                 eval_ks=(3, 8)))
         m = result.manifest
         assert set(m) == {"run", "input", "results", "timings", "artifacts"}
-        assert m["input"] == {"rows": 24, "cols": 4}
+        assert m["input"] == {
+            "rows": 24, "cols": 4,
+            "calibration": {"evaluations": int(calibrated_kernel(X, 8.0).evaluations.sum()),
+                            "capped_rows": 0}}
+        assert 0 <= m["results"]["best_iteration"] <= m["results"]["iterations_run"]
         assert m["run"]["method"] == "tsne"
         assert m["run"]["latent_kernel"] == "student"
         assert m["results"]["iterations_run"] == len(result.history)
         assert [s["k"] for s in m["results"]["scores"]] == [3, 8]
         npt.assert_allclose(m["results"]["initial_loss"], result.history[0])
         assert all(v >= 0.0 for v in m["timings"].values())
+
+    @pytest.mark.parametrize("block_cells", [1, linalg.ROW_BLOCK_CELLS], indirect=True)
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_calibration_report_independent_of_blocks_and_cores(
+            self, block_cells, workers, monkeypatch):
+        X = blob_data(17, n=50)
+        spec = RunSpec(seed=4, perplexity=12.0, optimizer=OptimizerConfig(iterations=3))
+        default = run(X, spec).manifest["input"]["calibration"]
+        monkeypatch.setattr(linalg, "usable_cores", lambda: workers)
+        assert run(X, spec).manifest["input"]["calibration"] == default
+        assert default == {"evaluations": int(calibrated_kernel(X, 12.0).evaluations.sum()),
+                           "capped_rows": 0}
+
+    def test_capped_rows_counted(self, monkeypatch):
+        # With a cap of one evaluation every row stops at the cap and is
+        # counted, met or not.
+        X = blob_data(18, n=30)
+        monkeypatch.setattr(kernels, "MAX_ENTROPY_EVALS", 1)
+        monkeypatch.setattr(pipeline, "MAX_ENTROPY_EVALS", 1)
+        evaluations = calibrated_kernel(X, 8.0).evaluations
+        assert (evaluations == 1).all()
+        report = run(X, RunSpec(perplexity=8.0, optimizer=OptimizerConfig(iterations=2))
+                     ).manifest["input"]["calibration"]
+        assert report == {"evaluations": 30, "capped_rows": 30}
+
+    def test_sne_divergence_shows_in_best_iteration(self):
+        # The default optimizer diverges on sne here: the loss grows by
+        # orders of magnitude after the first step, and the fit returns
+        # iterate 1.
+        X = np.random.default_rng(0).standard_normal((300, 8))
+        result = run(X, RunSpec(method="sne", init="pca", seed=1,
+                                optimizer=OptimizerConfig(iterations=30)))
+        results = result.manifest["results"]
+        assert results["best_iteration"] == 1
+        assert results["final_loss"] == result.history[1] < result.history[0]
+        assert result.history[-1] > 1e6 * results["final_loss"]
 
     def test_scores_reproducible_from_artifacts(self):
         # evaluation is a pure function of (X, Z): recomputing from the

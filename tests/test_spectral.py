@@ -145,6 +145,22 @@ class TestLaplacianEigenmaps:
                     np.r_[np.zeros(3), np.ones(3)]):
             npt.assert_allclose(ind @ result.coords, 0.0, atol=1e-10)
 
+    def test_blocks_joined_by_roundoff_weights_flagged_degenerate(self):
+        # One support component, but the 1e-90 bridges sit far below
+        # roundoff of the unit weights: the second eigenvalue is numerically
+        # null, and the returned direction is arbitrary.
+        A = np.full((6, 6), 1e-90)
+        A[:3, :3] = A[3:, 3:] = 1.0
+        np.fill_diagonal(A, 0.0)
+        result = laplacian_eigenmaps(A, 2)
+        assert result.n_components == 1
+        assert result.eigenvalues[0] <= result.null_tol
+        assert result.degenerate
+        A[A == 1e-90] = 1e-2
+        result = laplacian_eigenmaps(A, 2)
+        npt.assert_allclose(result.eigenvalues, [0.06, 3.03], rtol=1e-12)
+        assert not result.degenerate
+
     def test_complete_graph_rayleigh_quotients(self):
         n = 5
         A = np.ones((n, n)) - np.eye(n)
