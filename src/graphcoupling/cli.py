@@ -98,7 +98,11 @@ def load_config(path, args=None) -> dict:
         if key not in CONFIG_CASTS or not (args is None or hasattr(args, key)):
             where = "" if args is None else f" for {args.command}"
             raise ParameterError(f"{path} line {lineno}: unknown option {key!r}{where}")
-        config[key] = CONFIG_CASTS[key](value)
+        try:
+            config[key] = CONFIG_CASTS[key](value)
+        except (ValueError, ParameterError) as exc:
+            raise ParameterError(
+                f"{path} line {lineno}: bad value for {key!r}: {exc}") from None
     return config
 
 

@@ -13,16 +13,17 @@ each unordered pair once: with ``upper=True`` a block of rows
 stays within the ``ROW_BLOCK_CELLS`` budget.
 A walk whose blocks are independent can run them on every usable core
 with :func:`map_blocks`, which keeps the results, and the exception
-raised, those of the serial walk.  Given a ``fold``, it hands each
-result over in block order while later blocks run, so a walk that adds
-up per-block terms gets the serial sums at any core count and holds at
-most one waiting result per worker.  Its threads live for one call;
-importing the package starts none.  The blocks run under
-:func:`single_blas_thread`, which holds OpenBLAS at one thread: a BLAS
-call inside a block neither competes with the other workers nor leaves
-a spinning BLAS thread behind.  A block calls only private helpers, so
-tools that wrap the package's public functions from outside see every
-call on the calling thread.
+raised, those of the serial walk.  It runs the blocks in rounds of one
+per worker, the calling thread taking each round's first, and hands a
+round's results over in block order, to a ``fold`` if given, before the
+next round starts: a walk that adds up per-block terms gets the serial
+sums at any core count, and at most one result per worker waits.  Its
+threads live for one call; importing the package starts none.  The
+blocks run under :func:`single_blas_thread`, which holds OpenBLAS at one
+thread: a BLAS call inside a block neither competes with the other
+workers nor leaves a spinning BLAS thread behind.  A block calls only
+private helpers, so tools that wrap the package's public functions from
+outside see every call on the calling thread.
 
 Functions
 ---------
@@ -36,8 +37,8 @@ pairwise_sq_dists  one such block, or the whole matrix, exactly symmetric
                    without a symmetrisation pass
 usable_cores       the cores this process may run on
 single_blas_thread context manager holding every loaded OpenBLAS at one thread
-map_blocks         fn over independent blocks on the usable cores, results in
-                   block order, kept or folded as they come
+map_blocks         fn over independent blocks on the usable cores in rounds,
+                   results in block order, kept or folded
 """
 
 import contextlib
@@ -390,20 +391,20 @@ def map_blocks(fn, blocks, fold=None):
     one output: the results are the list comprehension's, in block
     order, however the blocks were scheduled.  With ``fold`` the results
     are not kept: each is handed to ``fold`` on the calling thread, in
-    block order, as soon as it and every earlier one are in, while later
-    blocks run, and None is returned.  The calling thread and
-    ``usable_cores() - 1`` threads started for this call each take the
-    next block in order when they finish one.  A block starts only while
-    fewer blocks than workers are running or waiting to be handed over,
-    so at most one result per worker waits, however many blocks there
-    are.  Once a block has raised, no further block starts; the blocks
-    already running finish, the results before the lowest failing block
-    are handed over, and its exception is raised, the one the serial
-    walk would raise.  An exception of ``fold`` is raised as the serial
-    walk would raise it.  The threads end before this function returns.
-    Every block, also on a single core, runs under
-    :func:`single_blas_thread`, so a BLAS call inside one neither
-    oversubscribes the cores nor depends on their number.
+    block order, and None is returned.  The blocks run in rounds of
+    ``workers = min(usable_cores(), len(blocks))``: the calling thread
+    runs a round's first block, ``workers - 1`` pool threads started for
+    this call run the rest, and the calling thread then hands the
+    round's results over in block order before the next round starts.
+    So at most ``workers`` blocks run or wait to be handed over, however
+    many blocks there are.  The exception raised is the serial walk's:
+    the results before the lowest failing block are handed over, its
+    exception is raised, and no round starts after it; an exception of
+    ``fold`` is raised as the serial walk would raise it.  The threads
+    are joined before this function returns.  Every block, also on a
+    single core, runs under :func:`single_blas_thread`, so a BLAS call
+    inside one neither oversubscribes the cores nor depends on their
+    number.
     """
     blocks = list(blocks)
     results = None
@@ -416,79 +417,17 @@ def map_blocks(fn, blocks, fold=None):
             for block in blocks:
                 fold(fn(block))
         else:
-            _fold_on_workers(fn, blocks, fold, workers)
+            # Not at module level: it pulls in logging, ~3 ms on every import of the package.
+            from concurrent.futures import ThreadPoolExecutor
+            with ThreadPoolExecutor(workers - 1) as pool:
+                for lo in range(0, len(blocks), workers):
+                    rest = [pool.submit(fn, b) for b in blocks[lo + 1:lo + workers]]
+                    fold(fn(blocks[lo]))
+                    for future in rest:
+                        fold(future.result())
     return results
 
 
 def _workers(blocks: int) -> int:
     """The threads, the calling one included, that :func:`map_blocks` runs ``blocks`` on."""
     return min(usable_cores(), blocks)
-
-
-def _fold_on_workers(fn, blocks, fold, workers: int) -> None:
-    """:func:`map_blocks` with ``fold`` on the calling thread and ``workers - 1`` more."""
-    done, errors = {}, {}   # by block index: results not yet handed over, exceptions
-    started = handed = 0    # blocks started, blocks handed over
-    over = False            # set when the walk ends, to release waiting workers
-    ready = threading.Condition()
-
-    def claim():
-        # Under ``ready``: the next block to run, or None while none may start.
-        nonlocal started
-        if over or errors or started == len(blocks) or started >= handed + workers:
-            return None
-        started += 1
-        return started - 1
-
-    def run(k):
-        try:
-            result = fn(blocks[k])
-        except BaseException as exc:  # raised on the calling thread
-            with ready:
-                errors[k] = exc
-                ready.notify_all()
-        else:
-            with ready:
-                done[k] = result
-                ready.notify_all()
-
-    def work():
-        while True:
-            with ready:
-                k = claim()
-                while k is None:
-                    if over or errors or started == len(blocks):
-                        return
-                    ready.wait()
-                    k = claim()
-            run(k)
-
-    threads = [threading.Thread(target=work, daemon=True) for _ in range(workers - 1)]
-    for thread in threads:
-        thread.start()
-    try:
-        for k in range(len(blocks)):
-            # Run blocks until block k's result is in; wait while none may start.
-            while True:
-                with ready:
-                    if k in errors:
-                        raise errors.pop(k)
-                    if k in done:
-                        result = done.pop(k)
-                        break
-                    j = claim()
-                    if j is None:
-                        ready.wait()
-                        continue
-                run(j)
-            fold(result)
-            del result
-            with ready:
-                handed = k + 1
-                ready.notify_all()
-    finally:
-        with ready:
-            over = True
-            ready.notify_all()
-        for thread in threads:
-            thread.join()

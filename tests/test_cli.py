@@ -58,17 +58,18 @@ def assert_same_fit_outputs(a, b):
 
 def test_import_starts_no_thread_and_no_executor():
     # The fit's block walks start their threads per call; importing the
-    # entry point must not, nor load concurrent.futures, which would
-    # add to every command's start-up.
+    # entry point must not, nor load concurrent.futures or the logging it
+    # pulls in, which would add to every command's start-up.
     code = ("import sys, threading\n"
             "import graphcoupling.cli\n"
-            "print(threading.active_count(), 'concurrent.futures' in sys.modules)\n")
+            "print(threading.active_count(), 'concurrent.futures' in sys.modules,\n"
+            "      'logging' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(graphcoupling.__file__).parent.parent)]
         + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60, check=True)
-    assert done.stdout.split() == ["1", "False"]
+    assert done.stdout.split() == ["1", "False", "False"]
 
 
 class TestConfigFile:
@@ -107,6 +108,16 @@ class TestConfigFile:
         cfg.write_text("classic_scale = maybe\n", encoding="utf-8")
         with pytest.raises(ParameterError, match="boolean"):
             load_config(cfg)
+
+    @pytest.mark.parametrize("line", ["dim = two", "perplexity = 1,5"])
+    def test_bad_number_names_file_line_and_key(self, blob_csv, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# comment\n" + line + "\n", encoding="utf-8")
+        key = line.split()[0]
+        with pytest.raises(ParameterError, match=rf"run\.cfg line 2: bad value for '{key}'"):
+            load_config(cfg)
+        assert main(fit_args(blob_csv, tmp_path / "out", ["--config", str(cfg)])) == 2
+        assert f"line 2: bad value for '{key}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line", ["threads = 0", "seed = 5", "out_dir = DIR"])
     def test_eval_rejects_keys_of_other_commands(self, tmp_path, capsys, line):

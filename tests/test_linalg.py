@@ -330,7 +330,17 @@ class TestMapBlocks:
             time.sleep(0.001)
         with pytest.raises(ValueError):
             map_blocks(fn, range(50))
-        assert len(started) < 50
+        assert len(started) <= workers
+
+    def test_blocks_run_on_the_calling_thread_and_at_most_workers_threads(self, workers):
+        def fn(k):
+            time.sleep(0.001)
+            return threading.get_ident()
+        threads = set(map_blocks(fn, range(3 * workers)))
+        assert len(threads) <= workers
+        if workers > 1:
+            # A caller that only waited would add a thread, and a malloc arena.
+            assert threading.get_ident() in threads
 
     def test_no_thread_outlives_the_walk(self, workers):
         before = set(threading.enumerate())
