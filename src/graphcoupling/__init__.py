@@ -28,7 +28,6 @@ from .kernels import (
 from .graph import (
     EdgeList,
     Partition,
-    cc_projector,
     components_from_edges,
     connected_components,
     laplacian,
@@ -37,14 +36,7 @@ from .graph import (
     validate_latent_graph,
     weighted_laplacian,
 )
-from .posterior import (
-    AffinityMatrix,
-    PosteriorSampler,
-    posterior_expectation,
-    sample_posterior_graph,
-    symmetrize_row_affinity,
-    umap_threshold_prob,
-)
+from .posterior import AffinityMatrix, PosteriorSampler, posterior_expectation
 from .coupling import (
     LARGEVIS,
     METHOD_KINDS,
@@ -61,8 +53,8 @@ from .spectral import (
     pca,
     precision_coupling_closed_form,
 )
-from .ccpca import CcpcaConfig, averaged_projector, ccpca
-from .evaluation import NeighborhoodScore, evaluate_embedding, kary_agreement
+from .ccpca import CcpcaConfig, ccpca
+from .evaluation import NeighborhoodScore, evaluate_embedding
 from .pipeline import RunResult, RunSpec, initial_embedding, initial_inputs, prepare_input, run
 from .dataio import Dataset, load_csv, load_embedding, save_embedding
 from .svgplot import render_svg_scatter
@@ -78,15 +70,13 @@ __all__ = [
     "ParameterError", "Partition", "PosteriorSampler", "PrecisionCouplingProblem",
     "RunResult",
     "RunSpec", "SNE", "STUDENT", "SymEigResult", "TSNE", "UMAP",
-    "averaged_projector", "calibrated_kernel", "cc_projector",
-    "ccpca", "center_columns", "components_from_edges", "connected_components",
-    "evaluate_embedding",
-    "initial_embedding", "initial_inputs", "kary_agreement", "kernel_matrix", "laplacian",
+    "calibrated_kernel", "ccpca", "center_columns", "components_from_edges",
+    "connected_components", "evaluate_embedding",
+    "initial_embedding", "initial_inputs", "kernel_matrix", "laplacian",
     "laplacian_eigenmaps", "leading_signs", "load_csv",
     "load_embedding", "log_kernel", "log_mrf_density", "minimize",
     "pairwise_sq_dists", "pca", "posterior_expectation",
     "precision_coupling_closed_form", "prepare_input", "render_svg_scatter",
-    "run", "sample_posterior_graph", "save_embedding",
-    "split_mean_centered", "sym_eig", "symmetrize_row_affinity",
-    "umap_threshold_prob", "validate_latent_graph", "weighted_laplacian",
+    "run", "save_embedding", "split_mean_centered", "sym_eig",
+    "validate_latent_graph", "weighted_laplacian",
 ]

@@ -11,9 +11,8 @@ projectors onto component-wise constant vectors, but each sample costs
 O(n p) from its edge list, with no n x n projector.  All samples come
 from one :meth:`posterior.PosteriorSampler.draws` call, a single walk
 over the kernel's row blocks that forms no n x n array for the B and D
-priors.
-:func:`averaged_projector` builds M densely and is kept as the oracle
-the tests compare :func:`ccpca` against.
+priors.  ``tests/oracles.py`` builds M densely (``averaged_projector``),
+the oracle the tests compare :func:`ccpca` against.
 """
 
 from dataclasses import dataclass
@@ -21,14 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .graph import (
-    cc_projector,
-    components_from_edges,
-    connected_components,
-    split_mean_centered,
-)
+from .graph import components_from_edges, split_mean_centered
 from .linalg import as_float_matrix
-from .posterior import PosteriorSampler, check_prior, sample_posterior_graph
+from .posterior import PosteriorSampler, check_prior
 from .spectral import pca
 
 
@@ -54,31 +48,14 @@ class CcpcaConfig:
         return np.random.default_rng([self.seed, index])
 
 
-def averaged_projector(K, config: CcpcaConfig = None) -> np.ndarray:
-    """Monte-Carlo average of component projectors of posterior graphs.
-
-    The dense oracle of :func:`ccpca`: each sample goes through the
-    n x n latent graph and projector.  The average of orthogonal
-    projectors is symmetric and doubly stochastic.
-    """
-    cfg = (config or CcpcaConfig()).validate()
-    values = getattr(K, "values", K)
-    n = np.asarray(values).shape[0]
-    M = np.zeros((n, n), dtype=np.float64)
-    for index in range(cfg.samples):
-        W = sample_posterior_graph(K, cfg.prior, cfg.sample_rng(index))
-        M += cc_projector(connected_components(W))
-    M /= float(cfg.samples)
-    return M
-
-
 def ccpca(X, K, config: CcpcaConfig = None) -> np.ndarray:
     """PCA scores of X averaged over the components of posterior graphs.
 
     Each sample replaces every point by the mean of its component, so
     within-part variation is suppressed before the PCA step (which
-    centers its input).  Equals ``pca(averaged_projector(K, config) @ X)``
-    up to roundoff.
+    centers its input).  Equals ``pca(M @ X)`` up to roundoff, for the
+    dense averaged projector M of ``averaged_projector(K, config)`` in
+    ``tests/oracles.py``.
     """
     cfg = (config or CcpcaConfig()).validate()
     X = as_float_matrix(X, "X")

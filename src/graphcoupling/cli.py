@@ -25,7 +25,7 @@ from .dataio import load_csv, load_embedding, save_embedding
 from .coupling import METHOD_KINDS
 from .diagnostics import run_diagnostics
 from .errors import DataError, GraphCouplingError, ParameterError
-from .evaluation import evaluate_embedding
+from .evaluation import check_ks, evaluate_embedding
 from .kernels import KERNEL_KINDS
 from .optim import OptimizerConfig
 from .pipeline import (INIT_KINDS, SPECTRAL_INIT_KINDS, RunSpec, default_eval_ks,
@@ -146,7 +146,10 @@ def _load_dataset(args, config):
 
 def _out_dir(args, config) -> str:
     out = _resolve(args, config, "out_dir", os.environ.get(OUT_DIR_ENV, "."))
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ParameterError(f"cannot write {out}: {exc}") from None
     return out
 
 
@@ -159,6 +162,7 @@ def _sha256(path) -> str:
 
 
 def _parse_k(tokens, n: int):
+    """The distinct sizes ``--k`` names, ascending and checked; None without ``--k``."""
     if not tokens:
         return None
     ks = []
@@ -172,7 +176,7 @@ def _parse_k(tokens, n: int):
         except (ValueError, ZeroDivisionError):
             raise ParameterError(
                 f"cannot parse neighborhood size {token!r}; use an integer or n/4") from None
-    return sorted({max(1, min(k, n - 2)) for k in ks})
+    return check_ks(ks, n)
 
 
 def _save(out, stem, Z, dataset) -> dict:
@@ -191,12 +195,12 @@ def cmd_fit(args, config) -> int:
     dataset = _load_dataset(args, config)
     n = dataset.X.shape[0]
     _check_threads(_resolve(args, config, "threads"))
+    ks = _parse_k(args.k, n)
     out = _out_dir(args, config)
     repeat = int(_resolve(args, config, "repeat", 1))
     if repeat < 1:
         raise ParameterError("repeat must be at least 1")
     base = _run_spec(args, config, FIT_FIELDS, OPTIMIZER_FIELDS)
-    ks = _parse_k(args.k, n)
     if ks:
         base = replace(base, eval_ks=tuple(ks))
     collected = {}
@@ -209,8 +213,12 @@ def cmd_fit(args, config) -> int:
         result.manifest["input"]["path"] = str(args.input)
         result.manifest["input"]["sha256"] = _sha256(args.input)
         result.manifest["artifacts"] = {**artifacts, "manifest": man_name}
-        with open(os.path.join(out, man_name), "w", encoding="utf-8") as handle:
-            yaml.safe_dump(result.manifest, handle, sort_keys=True)
+        man_path = os.path.join(out, man_name)
+        try:
+            with open(man_path, "w", encoding="utf-8") as handle:
+                yaml.safe_dump(result.manifest, handle, sort_keys=True)
+        except OSError as exc:
+            raise ParameterError(f"cannot write {man_path}: {exc}") from None
         summary = "  ".join(f"r@{s.k}={s.r:.4f}" for s in result.scores)
         print(f"run seed={spec.seed}: loss={result.manifest['results']['final_loss']:.6g}  {summary}")
         for score in result.scores:

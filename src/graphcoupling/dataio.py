@@ -132,7 +132,8 @@ def save_embedding(path, Z, labels=None, label_names=None,
 
     Columns are named z1..zq plus a trailing ``label`` column when
     labels are given.  Floats keep full precision, so loading the file
-    back reproduces Z exactly.
+    back reproduces Z exactly.  A path that cannot be written raises
+    ParameterError.
     """
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim != 2:
@@ -140,18 +141,22 @@ def save_embedding(path, Z, labels=None, label_names=None,
     n, q = Z.shape
     if labels is not None and len(labels) != n:
         raise ParameterError(f"got {len(labels)} labels for {n} rows")
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, delimiter=delimiter, lineterminator="\n")
-        head = [f"z{j + 1}" for j in range(q)]
-        if labels is not None:
-            head.append("label")
-        writer.writerow(head)
-        for i in range(n):
-            row = [format(v, FLOAT_FORMAT) for v in Z[i]]
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle, delimiter=delimiter, lineterminator="\n")
+            head = [f"z{j + 1}" for j in range(q)]
             if labels is not None:
-                code = labels[i]
-                row.append(str(label_names[code]) if label_names is not None else str(code))
-            writer.writerow(row)
+                head.append("label")
+            writer.writerow(head)
+            for i in range(n):
+                row = [format(v, FLOAT_FORMAT) for v in Z[i]]
+                if labels is not None:
+                    code = labels[i]
+                    row.append(str(label_names[code]) if label_names is not None
+                               else str(code))
+                writer.writerow(row)
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {exc}") from None
 
 
 def load_embedding(path, delimiter: str = ",") -> Dataset:

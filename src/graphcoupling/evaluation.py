@@ -14,11 +14,20 @@ time: each block's distances to every point, one ``np.partition`` per
 space for the neighbor sets of every k, and the count of neighbors the
 two sets share.  No full sort and no n x n array is formed.  The blocks
 run on the usable cores through :func:`linalg.map_blocks`, which share
-one ``linalg.ROW_BLOCK_CELLS`` budget among them; the counts are
-integers, so their sum, and every score, is the same under any blocking
-and at any core count.
-:func:`neighbor_indices` ranks a whole distance matrix by a stable
-argsort and is kept as the oracle the tests compare those sets against.
+one ``linalg.ROW_BLOCK_CELLS`` budget among them, so the core count sets
+the block height.  The counts are integers, so their sum, and every
+score, is the same under any blocking and at any core count whenever
+the neighbor sets are.  They are for a space (data or embedding) of
+at most ``linalg.DIRECT_DIFFERENCE_COLS`` columns, whose distances do
+not depend on the block.  A wider space takes the Gram expansion, and
+its matrix product can round a row's distances differently, by up to
+~2e-14 relative, in blocks of different heights (one-row blocks take
+another BLAS path than taller ones, and OpenBLAS also rounds some rows
+of tall blocks by their height).  A neighbor set whose k-th and
+(k+1)-th distances tie to that precision can then change with the core
+count.
+``tests/oracles.py`` ranks a whole distance matrix by a stable argsort
+(``neighbor_indices``), the oracle the tests compare those sets against.
 """
 
 from typing import NamedTuple, Sequence
@@ -27,7 +36,7 @@ import numpy as np
 
 from .errors import ContractViolationError, ParameterError
 from . import linalg
-from .linalg import as_float_matrix, block_sq_dists, map_blocks, row_blocks
+from .linalg import _sq_dists, as_float_matrix, map_blocks, row_blocks
 
 
 class NeighborhoodScore(NamedTuple):
@@ -36,26 +45,12 @@ class NeighborhoodScore(NamedTuple):
     r: float
 
 
-def neighbor_indices(D: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k nearest neighbors per row of a distance matrix.
-
-    Ranks follow strictly increasing distance with ties broken in favor
-    of the smaller index; the point itself is excluded.  Implemented by
-    a stable argsort after forcing the diagonal below every distance; the
-    oracle the partitioned sets of :func:`evaluate_embedding` are tested
-    against.
-    """
-    D = D.copy()
-    np.fill_diagonal(D, -1.0)
-    order = np.argsort(D, axis=1, kind="stable")
-    return order[:, 1:k + 1]
-
-
 def _neighbor_sets(D: np.ndarray, rows: slice, ks) -> list:
     """Boolean k-nearest-neighbor sets of a block of rows, one per k in ``ks``.
 
     ``D`` holds the squared distances from the points ``rows`` to every
-    point.  The same sets as :func:`neighbor_indices`: with each point's
+    point.  The same sets as a stable argsort ranking
+    (``neighbor_indices`` in ``tests/oracles.py``): with each point's
     own entry forced below every distance, the first k + 1 entries of a
     row's stable ranking are the entries below its (k+1)-th smallest
     value t, then the lowest-indexed entries equal to t; the point itself
@@ -100,7 +95,7 @@ def evaluate_embedding(X, Z, ks: Sequence[int]) -> list:
     ks = check_ks(ks, n)
     if not ks:
         return []
-    x_dists, z_dists = block_sq_dists(X), block_sq_dists(Z)
+    x_dists, z_dists = _sq_dists(X), _sq_dists(Z)
 
     def count(rows):
         in_x = _neighbor_sets(x_dists(rows), rows, ks)
@@ -117,8 +112,3 @@ def evaluate_embedding(X, Z, ks: Sequence[int]) -> list:
         r = ((n - 1) * q - k) / (n - 1 - k)
         scores.append(NeighborhoodScore(k, q, float(r)))
     return scores
-
-
-def kary_agreement(X, Z, k: int) -> NeighborhoodScore:
-    """Neighborhood agreement between rows of X and rows of Z at size k."""
-    return evaluate_embedding(X, Z, [k])[0]

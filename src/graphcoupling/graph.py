@@ -4,7 +4,10 @@ A latent graph W is an integer matrix with zero diagonal, nonnegative
 entries, and no entry exceeding n.  Directed multiplicities are allowed;
 undirected structure always goes through the symmetrization W + W^T.
 A sparse latent graph travels as an :class:`EdgeList`; connected
-components are found over edges, so no dense matrix is needed for them.
+components are found over edges, so no dense matrix is needed for them,
+and :func:`split_mean_centered` applies a partition's component
+projector without forming it (``tests/oracles.py`` keeps the dense
+``cc_projector``).
 """
 
 from dataclasses import dataclass
@@ -168,19 +171,6 @@ def connected_components(W) -> Partition:
     """Connected components of the positive support of W + W^T."""
     A = validate_latent_graph(W)
     return components_from_edges(A.shape[0], *np.nonzero(A))
-
-
-def cc_projector(partition: Partition) -> np.ndarray:
-    """Orthogonal projector onto component-wise constant vectors.
-
-    Block-constant matrix with 1/n_r inside component r and zeros across
-    components; equals U U^T for the normalized component indicators U.
-    """
-    assign = partition.assignment
-    sizes = partition.sizes
-    M = (assign[:, None] == assign[None, :]).astype(np.float64)
-    M /= sizes[assign][:, None].astype(np.float64)
-    return M
 
 
 def split_mean_centered(X, partition: Partition):

@@ -3,14 +3,15 @@
 All routines operate on float64 row-major arrays and are deterministic:
 the same input bytes always produce the same output bytes.  Loops that
 would otherwise form an n x n matrix walk :func:`row_blocks` and get
-each block's distances from :func:`block_sq_dists`, which sets the
-points up once per walk (the coupling tiles call its private core
-``_sq_dists``).  :func:`pairwise_sq_dists` gives one block's same
-numbers; over the whole matrix of wide data it forms one Gram product,
-which agrees to roundoff.  A walk over a symmetric quantity can visit
-each unordered pair once: with ``upper=True`` a block of rows
-``[lo, hi)`` pairs only with the columns ``[lo, n)``, and every block
-stays within the ``ROW_BLOCK_CELLS`` budget.
+each block's distances from the private ``_sq_dists``, which takes
+validated points and sets them up once per walk (the coupling tiles and
+the neighborhood scores call it).  :func:`pairwise_sq_dists` validates
+X and gives one block's same numbers; over the whole matrix of wide
+data it forms one Gram product, which agrees to roundoff.  A walk over
+a symmetric quantity can visit each unordered pair once: with
+``upper=True`` a block of rows ``[lo, hi)`` pairs only with the
+columns ``[lo, n)``, and every block stays within the
+``ROW_BLOCK_CELLS`` budget.
 A walk whose blocks are independent can run them on every usable core
 with :func:`map_blocks`, which keeps the results, and the exception
 raised, those of the serial walk.  It runs the blocks in rounds of one
@@ -32,9 +33,9 @@ leading_signs      the sign convention shared by eigenvectors and PCA scores
 center_columns     subtract the column mean from every column
 row_blocks         row slices of at most ``ROW_BLOCK_CELLS`` (or a given number
                    of) matrix cells each, over full rows or over the upper triangle
-block_sq_dists     squared Euclidean distances between blocks of rows, set up once
-pairwise_sq_dists  one such block, or the whole matrix, exactly symmetric
-                   without a symmetrisation pass
+pairwise_sq_dists  squared Euclidean distances between two slices of rows, or
+                   the whole matrix, exactly symmetric without a
+                   symmetrisation pass
 usable_cores       the cores this process may run on
 single_blas_thread context manager holding every loaded OpenBLAS at one thread
 map_blocks         fn over independent blocks on the usable cores in rounds,
@@ -181,28 +182,23 @@ def row_blocks(n: int, upper: bool = False, cells: int = None):
         lo += step
 
 
-def block_sq_dists(X):
-    """The squared distances of X's rows, one block at a time.
+def _sq_dists(X):
+    """Squared distances between the rows of a validated float matrix, a block at a time.
 
-    Validates X, and for the Gram expansion centres it and takes its row
-    norms, once; returns ``dists(rows, cols=slice(None), out=None)``, the
-    squared Euclidean distances from the rows ``X[rows]`` to the rows
+    For the Gram expansion, X is centred and its row norms taken once.
+    Returns ``dists(rows, cols=slice(None), out=None)``, the squared
+    Euclidean distances from the rows ``X[rows]`` to the rows
     ``X[cols]``, for slices of consecutive rows, written into ``out`` if
     given.  Entries are nonnegative and a row's distance to itself is
-    exactly zero.  Up to ``DIRECT_DIFFERENCE_COLS``
-    columns the distances are sums of squared coordinate differences:
-    exactly symmetric, with no cancellation however far the points lie
-    from the origin.  Wider data use the Gram expansion of the
-    column-centred rows, so adding a constant row vector to every row
-    leaves the result unchanged up to roundoff.  Distances too large for
-    a float are +inf, so callers can treat the configuration as out of
-    range rather than invalid.
+    exactly zero.  Up to ``DIRECT_DIFFERENCE_COLS`` columns the
+    distances are sums of squared coordinate differences: exactly
+    symmetric, with no cancellation however far the points lie from the
+    origin.  Wider data use the Gram expansion of the column-centred
+    rows, so adding a constant row vector to every row leaves the result
+    unchanged up to roundoff.  Distances too large for a float are +inf,
+    so callers can treat the configuration as out of range rather than
+    invalid.
     """
-    return _sq_dists(as_float_matrix(X, "X"))
-
-
-def _sq_dists(X):
-    """:func:`block_sq_dists` of a validated float matrix X."""
     n, p = X.shape
     if p <= DIRECT_DIFFERENCE_COLS:
         def dists(rows, cols=slice(None), out=None):
@@ -248,9 +244,9 @@ def _finish_sq_dists(D, rows: range, cols: range) -> None:
 def pairwise_sq_dists(X, rows=slice(None), cols=slice(None)) -> np.ndarray:
     """Squared Euclidean distances from the rows ``X[rows]`` to the rows ``X[cols]``.
 
-    The numbers of :func:`block_sq_dists`, for a single block; a tile of
-    at most ``DIRECT_DIFFERENCE_COLS`` columns costs no set-up beyond
-    the validation of X.  Over all rows and columns the Gram-expansion
+    The numbers of ``_sq_dists``, for a single block, after validating
+    X; a tile of at most ``DIRECT_DIFFERENCE_COLS`` columns costs no
+    set-up beyond that.  Over all rows and columns the Gram-expansion
     result is exactly symmetric with no symmetrisation pass: numpy forms
     ``Xc @ Xc.T`` from one triangle and mirrors it, and the row-norm sum
     sq_i + sq_j commutes.  At most two n x n arrays are alive at once: D
@@ -261,6 +257,8 @@ def pairwise_sq_dists(X, rows=slice(None), cols=slice(None)) -> np.ndarray:
     n, p = X.shape
     if p <= DIRECT_DIFFERENCE_COLS or rows != slice(None) or cols != slice(None):
         return _sq_dists(X)(rows, cols)
+    # One product for the whole matrix: row blocks round some distances
+    # differently, and calibration's bandwidths must not depend on the block layout.
     Xc = X - X.mean(axis=0, keepdims=True)
     with np.errstate(over="ignore", invalid="ignore"):
         G = Xc @ Xc.T

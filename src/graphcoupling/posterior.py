@@ -12,7 +12,8 @@ the data, with uniform prior weights.  Expectations are packaged as
 :class:`AffinityMatrix` values tagged with how they are normalized.
 Exact posterior samples are drawn by a :class:`PosteriorSampler`,
 which validates the kernel once and returns each latent graph as an
-edge list.  For B and D it builds no table:
+edge list (``tests/oracles.py`` keeps the dense draw,
+``sample_posterior_graph``).  For B and D it builds no table:
 :meth:`PosteriorSampler.draws` reads K one row block at a time for any
 number of generators, so K must not change while the sampler is in use.
 E keeps one table of K's off-diagonal cells.
@@ -162,20 +163,17 @@ class PosteriorSampler:
         cells /= cells.sum()
         return cells
 
-    def draw(self, rng: np.random.Generator) -> EdgeList:
-        """One latent graph from ``rng``; ``draws([rng])[0]``."""
-        return self.draws([rng])[0]
-
     def draws(self, rngs) -> list:
         """One latent graph per generator, in the order of ``rngs``.
 
         At most one edge per row for D, exactly n edges in total for E,
         and independent 0/1 entries for B; never a diagonal edge.  Each
         draw takes all of its randomness from its own generator, in the
-        stream of a :meth:`draw` from it: B and D walk K once for all of
-        them and take each block's uniforms from every generator in turn.
-        So a generator listed twice gives two exact, mutually independent
-        draws, which equal two :meth:`draw` calls only when K is one block.
+        stream that ``draws([rng])`` takes from it: B and D walk K once for
+        all of them and take each block's uniforms from every generator in
+        turn.  So a generator listed twice gives two exact, mutually
+        independent draws, which equal two single-generator calls only
+        when K is one block.
         """
         rngs = list(rngs)
         if self.prior == "E":
@@ -263,17 +261,6 @@ def _first_at_least(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return base - first + (flat[base] < u)
 
 
-def sample_posterior_graph(K, prior: str, rng: np.random.Generator) -> np.ndarray:
-    """Draw one latent graph from the limiting posterior.
-
-    Returns an int64 matrix in the latent graph space: zero diagonal, at
-    most one edge per row for D, exactly n edges in total for E, and
-    independent 0/1 entries for B.  All randomness comes from ``rng``;
-    it is the dense form of :meth:`PosteriorSampler.draw`.
-    """
-    return PosteriorSampler(K, prior).draw(rng).dense()
-
-
 def _add(a, c) -> None:
     a += c
 
@@ -295,8 +282,8 @@ def symmetrized_in_place(P: AffinityMatrix) -> AffinityMatrix:
     """The symmetric form of a row or bernoulli affinity, written over P's values.
 
     P + P^T of a ``row`` affinity, or the probabilistic-OR of a
-    ``bernoulli`` one (see :func:`symmetrize_row_affinity` and
-    :func:`umap_threshold_prob`, which apply it to a copy).  Walks the
+    ``bernoulli`` one (``tests/oracles.py`` applies it to a copy as
+    ``symmetrize_row_affinity`` and ``umap_threshold_prob``).  Walks the
     upper triangle one :func:`linalg.row_blocks` block at a time: the
     block's entries right of its diagonal square are combined in place
     with their mirror images below it, which are then overwritten with
@@ -317,31 +304,3 @@ def symmetrized_in_place(P: AffinityMatrix) -> AffinityMatrix:
         combine(V[rows, hi:], V[hi:, rows].T)
         V[hi:, rows] = V[rows, hi:].T
     return replace(P, normalization=normalization)
-
-
-def symmetrize_row_affinity(P: AffinityMatrix) -> AffinityMatrix:
-    """P + P^T of a row-normalized affinity; total mass becomes 2n.
-
-    Exactly symmetric: P_ij + P_ji and P_ji + P_ij are the same float.
-
-    Kept unnormalized on purpose; ``classic_scale`` of
-    :class:`coupling.CouplingProblem` divides it by 2n.
-    """
-    if P.normalization != ROW:
-        raise ContractViolationError(
-            f"expected a row-normalized affinity, got {P.normalization!r}")
-    return symmetrized_in_place(replace(P, values=P.values.copy()))
-
-
-def umap_threshold_prob(P: AffinityMatrix) -> AffinityMatrix:
-    """Probability that edge {i, j} exists in at least one direction.
-
-    The probabilistic-OR P_ij + P_ji - P_ij P_ji of an elementwise
-    Bernoulli affinity; exactly symmetric, because sums and products
-    commute, with entries in [0, 1].  The copy of P's values is the only
-    n x n array made.
-    """
-    if P.normalization != BERNOULLI:
-        raise ContractViolationError(
-            f"expected an elementwise bernoulli affinity, got {P.normalization!r}")
-    return symmetrized_in_place(replace(P, values=P.values.copy()))

@@ -50,7 +50,8 @@ def render_svg_scatter(path, Z, labels=None, label_names=None) -> None:
 
     ``labels`` (integer codes) select fill colors from the palette and,
     together with ``label_names``, populate the legend.  Rendering the
-    same arrays twice produces identical files byte for byte.
+    same arrays twice produces identical files byte for byte.  A path
+    that cannot be written raises ParameterError.
     """
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim != 2 or Z.shape[1] != 2:
@@ -90,8 +91,11 @@ def render_svg_scatter(path, Z, labels=None, label_names=None) -> None:
                 f'<text x="{x_text}" y="{y_row}">{_escape(name)}</text>')
         lines.append('</g>')
     lines.append('</svg>')
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {exc}") from None
 
 
 def _escape(text: str) -> str:

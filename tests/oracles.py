@@ -1,0 +1,122 @@
+"""Dense oracles and copy wrappers that the tests compare the library against.
+
+The library computes each of these one row block or one edge list at a
+time; here they are the plain whole-matrix forms, or the single-case
+wrappers of a library function:
+
+averaged_projector       the n x n Monte-Carlo projector M, with
+                         ``ccpca(X, K, cfg) == pca(M @ X)`` to roundoff
+cc_projector             one sample's orthogonal component projector
+sample_posterior_graph   one posterior draw as a dense latent graph
+neighbor_indices         a stable argsort ranking, the oracle of the
+                         partitioned neighbor sets of ``evaluate_embedding``
+kary_agreement           ``evaluate_embedding`` at a single k
+symmetrize_row_affinity  ``symmetrized_in_place`` of a copy of a row affinity
+umap_threshold_prob      ``symmetrized_in_place`` of a copy of a bernoulli one
+"""
+
+from dataclasses import replace
+
+import numpy as np
+
+from graphcoupling.ccpca import CcpcaConfig
+from graphcoupling.errors import ContractViolationError
+from graphcoupling.evaluation import NeighborhoodScore, evaluate_embedding
+from graphcoupling.graph import Partition, connected_components
+from graphcoupling.posterior import (
+    BERNOULLI,
+    ROW,
+    AffinityMatrix,
+    PosteriorSampler,
+    symmetrized_in_place,
+)
+
+
+def cc_projector(partition: Partition) -> np.ndarray:
+    """Orthogonal projector onto component-wise constant vectors.
+
+    Block-constant matrix with 1/n_r inside component r and zeros across
+    components; equals U U^T for the normalized component indicators U.
+    """
+    assign = partition.assignment
+    sizes = partition.sizes
+    M = (assign[:, None] == assign[None, :]).astype(np.float64)
+    M /= sizes[assign][:, None].astype(np.float64)
+    return M
+
+
+def sample_posterior_graph(K, prior: str, rng: np.random.Generator) -> np.ndarray:
+    """Draw one latent graph from the limiting posterior.
+
+    Returns an int64 matrix in the latent graph space: zero diagonal, at
+    most one edge per row for D, exactly n edges in total for E, and
+    independent 0/1 entries for B.  All randomness comes from ``rng``;
+    it is the dense form of ``PosteriorSampler(K, prior).draws([rng])[0]``.
+    """
+    return PosteriorSampler(K, prior).draws([rng])[0].dense()
+
+
+def averaged_projector(K, config: CcpcaConfig = None) -> np.ndarray:
+    """Monte-Carlo average of component projectors of posterior graphs.
+
+    The dense oracle of ``ccpca``: each sample goes through the
+    n x n latent graph and projector.  The average of orthogonal
+    projectors is symmetric and doubly stochastic.
+    """
+    cfg = (config or CcpcaConfig()).validate()
+    values = getattr(K, "values", K)
+    n = np.asarray(values).shape[0]
+    M = np.zeros((n, n), dtype=np.float64)
+    for index in range(cfg.samples):
+        W = sample_posterior_graph(K, cfg.prior, cfg.sample_rng(index))
+        M += cc_projector(connected_components(W))
+    M /= float(cfg.samples)
+    return M
+
+
+def neighbor_indices(D: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k nearest neighbors per row of a distance matrix.
+
+    Ranks follow strictly increasing distance with ties broken in favor
+    of the smaller index; the point itself is excluded.  Implemented by
+    a stable argsort after forcing the diagonal below every distance; the
+    oracle the partitioned sets of ``evaluate_embedding`` are tested
+    against.
+    """
+    D = D.copy()
+    np.fill_diagonal(D, -1.0)
+    order = np.argsort(D, axis=1, kind="stable")
+    return order[:, 1:k + 1]
+
+
+def kary_agreement(X, Z, k: int) -> NeighborhoodScore:
+    """Neighborhood agreement between rows of X and rows of Z at size k."""
+    return evaluate_embedding(X, Z, [k])[0]
+
+
+def symmetrize_row_affinity(P: AffinityMatrix) -> AffinityMatrix:
+    """P + P^T of a row-normalized affinity; total mass becomes 2n.
+
+    Exactly symmetric: P_ij + P_ji and P_ji + P_ij are the same float.
+
+    Kept unnormalized on purpose; ``classic_scale`` of
+    ``coupling.CouplingProblem`` divides it by 2n.
+    """
+    if P.normalization != ROW:
+        raise ContractViolationError(
+            f"expected a row-normalized affinity, got {P.normalization!r}")
+    return symmetrized_in_place(replace(P, values=P.values.copy()))
+
+
+def umap_threshold_prob(P: AffinityMatrix) -> AffinityMatrix:
+    """Probability that edge {i, j} exists in at least one direction.
+
+    The probabilistic-OR P_ij + P_ji - P_ij P_ji of an elementwise
+    Bernoulli affinity; exactly symmetric, because sums and products
+    commute, with entries in [0, 1].  The copy of P's values is the only
+    n x n array made.
+    """
+    if P.normalization != BERNOULLI:
+        raise ContractViolationError(
+            f"expected an elementwise bernoulli affinity, got {P.normalization!r}")
+    return symmetrized_in_place(replace(P, values=P.values.copy()))

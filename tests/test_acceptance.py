@@ -10,10 +10,9 @@ import time
 import numpy as np
 import yaml
 
-from graphcoupling.ccpca import CcpcaConfig, averaged_projector, ccpca
+from graphcoupling.ccpca import CcpcaConfig, ccpca
 from graphcoupling.cli import main as cli_main
 from graphcoupling.coupling import CouplingProblem
-from graphcoupling.evaluation import kary_agreement, neighbor_indices
 from graphcoupling.graph import (
     connected_components,
     log_mrf_density,
@@ -23,16 +22,20 @@ from graphcoupling.kernels import calibrated_kernel, kernel_matrix
 from graphcoupling.linalg import pairwise_sq_dists
 from graphcoupling.optim import OptimizerConfig, minimize
 from graphcoupling.pipeline import RunSpec, run
-from graphcoupling.posterior import (
-    posterior_expectation,
-    sample_posterior_graph,
-    symmetrize_row_affinity,
-    umap_threshold_prob,
-)
+from graphcoupling.posterior import posterior_expectation
 from graphcoupling.spectral import (
     PrecisionCouplingProblem,
     pca,
     precision_coupling_closed_form,
+)
+
+from oracles import (
+    averaged_projector,
+    kary_agreement,
+    neighbor_indices,
+    sample_posterior_graph,
+    symmetrize_row_affinity,
+    umap_threshold_prob,
 )
 
 

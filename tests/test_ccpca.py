@@ -4,12 +4,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from graphcoupling.ccpca import CcpcaConfig, averaged_projector, ccpca
+from graphcoupling.ccpca import CcpcaConfig, ccpca
 from graphcoupling.errors import ContractViolationError, ParameterError
-from graphcoupling.graph import cc_projector, components_from_edges, connected_components
+from graphcoupling.graph import components_from_edges, connected_components
 from graphcoupling.kernels import calibrated_kernel
-from graphcoupling.posterior import PosteriorSampler, sample_posterior_graph
+from graphcoupling.posterior import PosteriorSampler
 from graphcoupling.spectral import pca
+
+from oracles import averaged_projector, cc_projector, sample_posterior_graph
 
 
 def gaussian_kernel(X, perplexity):
@@ -94,7 +96,7 @@ class TestCcpca:
         cfg = CcpcaConfig(samples=10, prior=prior, seed=4)
         sampler = PosteriorSampler(K, prior)
         for index in range(cfg.samples):
-            edges = sampler.draw(cfg.sample_rng(index))
+            edges = sampler.draws([cfg.sample_rng(index)])[0]
             W = sample_posterior_graph(K, prior, np.random.default_rng([cfg.seed, index]))
             rows, cols = np.nonzero(W)
             npt.assert_array_equal(edges.rows, rows)

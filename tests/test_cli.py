@@ -285,6 +285,26 @@ class TestFit:
         manifest = yaml.safe_load((out / "manifest.yaml").read_text())
         assert [s["k"] for s in manifest["results"]["scores"]] == [5, 7]
 
+    @pytest.mark.parametrize("k", ["0", "-3", "29", "500"])  # 29 is n - 1
+    def test_k_outside_its_range_exits_2(self, blob_csv, tmp_path, capsys, k):
+        out = tmp_path / "out"
+        assert main(fit_args(blob_csv, out, ["--k", "5", "--k", k])) == 2
+        assert f"got {k}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_dir_below_a_file_exits_2(self, blob_csv, tmp_path, capsys):
+        blocker = tmp_path / "d.csv"
+        blocker.write_text("", encoding="utf-8")
+        assert main(fit_args(blob_csv, blocker / "sub")) == 2
+        assert f"error: cannot write {blocker / 'sub'}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["embedding.csv", "embedding.svg", "manifest.yaml"])
+    def test_unwritable_artifact_exits_2(self, blob_csv, tmp_path, capsys, name):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert main(fit_args(blob_csv, out)) == 2
+        assert f"error: cannot write {out / name}" in capsys.readouterr().err
+
     def test_exaggeration_flags_conflict(self, blob_csv, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:
             main(fit_args(blob_csv, tmp_path,
@@ -536,6 +556,16 @@ class TestEval:
         assert out[1] == "3,1.000000,1.000000"
         assert out[2] == "7,1.000000,1.000000"
 
+    @pytest.mark.parametrize("k", ["0", "-3", "19", "9999"])  # 19 is n - 1
+    def test_k_outside_its_range_exits_2(self, tmp_path, capsys, k):
+        emb = tmp_path / "e.csv"
+        save_embedding(emb, np.random.default_rng(2).normal(size=(20, 2)))
+        args = ["eval", "--input", str(emb), "--embedding", str(emb), "--k", k]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert f"got {k}" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("option, value", [("--threads", "0"), ("--seed", "1"),
                                                ("--out-dir", None)])
     def test_options_it_never_reads_are_usage_errors(self, tmp_path, capsys, option, value):
@@ -586,6 +616,13 @@ class TestPlot:
         target.parent.mkdir()
         assert main(["plot", "--embedding", str(emb), "--out", str(target)]) == 0
         assert target.exists()
+
+    def test_out_path_in_a_missing_directory_exits_2(self, tmp_path, capsys):
+        emb = tmp_path / "e.csv"
+        save_embedding(emb, np.arange(6.0).reshape(3, 2))
+        target = tmp_path / "nodir" / "x.svg"
+        assert main(["plot", "--embedding", str(emb), "--out", str(target)]) == 2
+        assert f"error: cannot write {target}" in capsys.readouterr().err
 
 
     def test_config_is_a_usage_error(self, tmp_path, capsys):

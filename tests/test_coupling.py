@@ -26,13 +26,10 @@ from graphcoupling.kernels import (
     log_kernel,
 )
 from graphcoupling.linalg import pairwise_sq_dists
-from graphcoupling.posterior import (
-    AffinityMatrix,
-    posterior_expectation,
-    symmetrize_row_affinity,
-    umap_threshold_prob,
-)
+from graphcoupling.posterior import AffinityMatrix, posterior_expectation
 from graphcoupling.spectral import PrecisionCouplingProblem
+
+from oracles import symmetrize_row_affinity, umap_threshold_prob
 
 
 def dense_pass(self, Z, exaggeration: float):
@@ -102,8 +99,6 @@ def dense_pass(self, Z, exaggeration: float):
 
 def _affinity(K, method):
     """Build the affinity a method expects from a calibrated kernel."""
-    from graphcoupling.posterior import symmetrize_row_affinity, umap_threshold_prob
-
     if method == SNE:
         return posterior_expectation(K, "D")
     if method in (TSNE, LARGEVIS):

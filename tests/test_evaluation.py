@@ -10,10 +10,10 @@ from graphcoupling.evaluation import (
     NeighborhoodScore,
     _neighbor_sets,
     evaluate_embedding,
-    kary_agreement,
-    neighbor_indices,
 )
 from graphcoupling.linalg import pairwise_sq_dists, row_blocks
+
+from oracles import kary_agreement, neighbor_indices
 
 
 def brute_force_neighbors(X, k):

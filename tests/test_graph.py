@@ -9,7 +9,6 @@ from graphcoupling import linalg
 from graphcoupling.errors import ContractViolationError
 from graphcoupling.graph import (
     EdgeList,
-    cc_projector,
     components_from_edges,
     components_from_support,
     connected_components,
@@ -19,6 +18,8 @@ from graphcoupling.graph import (
     validate_latent_graph,
     weighted_laplacian,
 )
+
+from oracles import cc_projector
 
 
 def random_latent_graph(rng, n):

@@ -10,7 +10,6 @@ import pytest
 from graphcoupling import linalg
 from graphcoupling.errors import ContractViolationError
 from graphcoupling.linalg import (
-    block_sq_dists,
     center_columns,
     leading_signs,
     map_blocks,
@@ -205,7 +204,7 @@ class TestPairwiseSqDists:
         rng = np.random.default_rng(10)
         X = rng.normal(size=(30, cols)) + rng.uniform(-50.0, 50.0, size=cols)
         full = pairwise_sq_dists(X)
-        dists = block_sq_dists(X)
+        dists = linalg._sq_dists(X)
         for rows, tile in [(slice(0, 30), slice(0, 30)), (slice(4, 9), slice(4, 30)),
                            (slice(4, 9), slice(7, 12)), (slice(20, 30), slice(0, 6)),
                            (slice(29, 30), slice(29, 30))]:
@@ -233,7 +232,7 @@ class TestPairwiseSqDists:
 
     def test_blocks_reject_non_finite_points(self):
         with pytest.raises(ContractViolationError):
-            block_sq_dists([[0.0, np.nan], [1.0, 2.0]])
+            pairwise_sq_dists([[0.0, np.nan], [1.0, 2.0]], slice(0, 1))
 
     def test_overflow_is_infinite(self):
         for cols in (2, 5):
