@@ -10,22 +10,21 @@ rescales it so a random embedding scores 0 in expectation and a perfect
 one scores 1, making values comparable across k and n.
 
 :func:`evaluate_embedding` walks the rows of both spaces one block at a
-time: each block's distances to every point, one ``np.partition`` per
-space for the neighbor sets of every k, and the count of neighbors the
-two sets share.  No full sort and no n x n array is formed.  The blocks
-run on the usable cores through :func:`linalg.map_blocks`, which share
-one ``linalg.ROW_BLOCK_CELLS`` budget among them, so the core count sets
-the block height.  The counts are integers, so their sum, and every
-score, is the same under any blocking and at any core count whenever
-the neighbor sets are.  They are for a space (data or embedding) of
-at most ``linalg.DIRECT_DIFFERENCE_COLS`` columns, whose distances do
-not depend on the block.  A wider space takes the Gram expansion, and
-its matrix product can round a row's distances differently, by up to
-~2e-14 relative, in blocks of different heights (one-row blocks take
-another BLAS path than taller ones, and OpenBLAS also rounds some rows
-of tall blocks by their height).  A neighbor set whose k-th and
-(k+1)-th distances tie to that precision can then change with the core
-count.
+time: each block's distances to every point, the neighbor sets of every
+k from one selection per k, and the count of neighbors the two sets
+share.  No full sort and no n x n array is formed.  The blocks run on
+the usable cores through :func:`linalg.map_blocks`, which share one
+``linalg.ROW_BLOCK_CELLS`` budget among them, so the core count sets the
+block height.  A block's distances are taken ``DISTANCE_CHUNK_ROWS``
+rows at a time, in chunks aligned at multiples of that height, and every
+block but the last is a whole number of chunks.  The Gram product of a
+space wider than ``linalg.DIRECT_DIFFERENCE_COLS`` columns can round a
+row's distances differently in products of different heights (one-row
+products take another BLAS path than taller ones, and OpenBLAS also
+rounds some rows of tall ones by their height); in fixed chunks every
+row's distances are the same under any block layout.  The counts are
+integers, so their sum, and every score, is the same under any blocking
+and at any core count.
 ``tests/oracles.py`` ranks a whole distance matrix by a stable argsort
 (``neighbor_indices``), the oracle the tests compare those sets against.
 """
@@ -37,6 +36,10 @@ import numpy as np
 from .errors import ContractViolationError, ParameterError
 from . import linalg
 from .linalg import _sq_dists, as_float_matrix, map_blocks, row_blocks
+
+
+#: Rows per distance product of the scorer; its row blocks are multiples of it.
+DISTANCE_CHUNK_ROWS = 16
 
 
 class NeighborhoodScore(NamedTuple):
@@ -54,11 +57,19 @@ def _neighbor_sets(D: np.ndarray, rows: slice, ks) -> list:
     own entry forced below every distance, the first k + 1 entries of a
     row's stable ranking are the entries below its (k+1)-th smallest
     value t, then the lowest-indexed entries equal to t; the point itself
-    is dropped from them.  Overwrites D.
+    is dropped from them.  ``ks`` ascend.  Overwrites D.
     """
     own = (np.arange(D.shape[0]), np.arange(D.shape[1])[rows])
     D[own] = -1.0
-    thresholds = np.partition(D, ks, axis=1)[:, ks]
+    # One kth per partition, largest first, each on the leading k entries
+    # of the last: numpy's list-of-kth partition is several times slower.
+    selected = D.copy()
+    thresholds = np.empty((D.shape[0], len(ks)))
+    for i in reversed(range(len(ks))):
+        selected.partition(ks[i], axis=1)
+        thresholds[:, i] = selected[:, ks[i]]
+        selected = selected[:, :ks[i]]
+    del selected
     masks = []
     for k, t in zip(ks, thresholds.T):
         t = t[:, None]
@@ -73,6 +84,21 @@ def _neighbor_sets(D: np.ndarray, rows: slice, ks) -> list:
         chosen[own] = False
         masks.append(chosen)
     return masks
+
+
+def _chunked(dists, n: int):
+    """``dists(rows)``, formed ``DISTANCE_CHUNK_ROWS`` rows at a time.
+
+    For blocks that start at a multiple of ``DISTANCE_CHUNK_ROWS``, so
+    the chunks are the same under any block layout.
+    """
+    def block(rows):
+        D = np.empty((rows.stop - rows.start, n))
+        for lo in range(rows.start, rows.stop, DISTANCE_CHUNK_ROWS):
+            hi = min(lo + DISTANCE_CHUNK_ROWS, rows.stop)
+            dists(slice(lo, hi), out=D[lo - rows.start:hi - rows.start])
+        return D
+    return block
 
 
 def check_ks(ks: Sequence[int], n: int) -> list:
@@ -95,7 +121,7 @@ def evaluate_embedding(X, Z, ks: Sequence[int]) -> list:
     ks = check_ks(ks, n)
     if not ks:
         return []
-    x_dists, z_dists = _sq_dists(X), _sq_dists(Z)
+    x_dists, z_dists = _chunked(_sq_dists(X), n), _chunked(_sq_dists(Z), n)
 
     def count(rows):
         in_x = _neighbor_sets(x_dists(rows), rows, ks)
@@ -103,8 +129,10 @@ def evaluate_embedding(X, Z, ks: Sequence[int]) -> list:
         return [np.count_nonzero(mx & mz) for mx, mz in zip(in_x, in_z)]
 
     # The workers share one block budget, so scoring holds no more than
-    # a serial walk would.
-    blocks = row_blocks(n, cells=linalg.ROW_BLOCK_CELLS // linalg.usable_cores())
+    # a serial walk would, give or take the rounding up to whole chunks.
+    height = max(1, linalg.ROW_BLOCK_CELLS // linalg.usable_cores() // n)
+    height = -(-height // DISTANCE_CHUNK_ROWS) * DISTANCE_CHUNK_ROWS
+    blocks = row_blocks(n, cells=height * n)
     shared = np.sum(map_blocks(count, blocks), axis=0, dtype=np.int64)
     scores = []
     for k, hits in zip(ks, shared):

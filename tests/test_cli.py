@@ -556,6 +556,19 @@ class TestEval:
         assert out[1] == "3,1.000000,1.000000"
         assert out[2] == "7,1.000000,1.000000"
 
+    def test_prints_the_scores_of_the_fit_that_wrote_the_embedding(self, blob_csv,
+                                                                    tmp_path, capsys):
+        out = tmp_path / "out"
+        ks = ["--k", "1", "--k", "7", "--k", "n/2", "--k", "28"]
+        assert main(fit_args(blob_csv, out, ks)) == 0
+        scores = yaml.safe_load((out / "manifest.yaml").read_text())["results"]["scores"]
+        capsys.readouterr()
+        assert main(["eval", "--input", str(blob_csv), "--label", "cls",
+                     "--embedding", str(out / "embedding.csv")] + ks) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[1:] == [f"{s['k']},{s['q']:.6f},{s['r']:.6f}" for s in scores]
+        assert [s["k"] for s in scores] == [1, 7, 15, 28]
+
     @pytest.mark.parametrize("k", ["0", "-3", "19", "9999"])  # 19 is n - 1
     def test_k_outside_its_range_exits_2(self, tmp_path, capsys, k):
         emb = tmp_path / "e.csv"

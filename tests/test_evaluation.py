@@ -3,6 +3,8 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from graphcoupling import linalg
 from graphcoupling.errors import ContractViolationError, ParameterError
@@ -102,16 +104,35 @@ class TestPartitionedNeighborSets:
             scores.append(evaluate_embedding(X, Z, ks))
         assert scores[0] == scores[1] == scores[2]
 
-    def test_no_n_by_n_temporary(self):
+    def test_every_layout_gives_the_same_scores_on_wide_quantized_data(self, monkeypatch):
+        # Gram distances of more than 3 columns round by the height of
+        # their product; values i/255 put many neighbors within that
+        # roundoff of the k-th.
+        rng = np.random.default_rng(0)
+        X = rng.integers(0, 4, size=(313, 8)) / 255.0
+        Z = rng.normal(size=(313, 4))
+        ks = list(range(1, 312, 7))
+        scores = set()
+        for workers in (1, 2, 3, 4):
+            monkeypatch.setattr(linalg, "usable_cores", lambda w=workers: w)
+            for cells in (1, 100, 5000, 1 << 16):
+                monkeypatch.setattr(linalg, "ROW_BLOCK_CELLS", cells)
+                scores.add(tuple(evaluate_embedding(X, Z, ks)))
+        assert len(scores) == 1
+
+    def test_no_n_by_n_temporary(self, monkeypatch):
         rng = np.random.default_rng(13)
         X, Z = rng.normal(size=(2000, 50)), rng.normal(size=(2000, 2))
-        tracemalloc.start()
-        try:
-            evaluate_embedding(X, Z, [500, 1000])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 10e6, f"{peak / 1e6:.1f} MB"
+        # Each worker holds its own block, rounded up to whole chunks.
+        for workers in (linalg.usable_cores(), 4):
+            monkeypatch.setattr(linalg, "usable_cores", lambda w=workers: w)
+            tracemalloc.start()
+            try:
+                evaluate_embedding(X, Z, [500, 1000])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 10e6, f"{workers} workers: {peak / 1e6:.1f} MB"
 
     def test_scores_match_oracle_sets_on_grids(self):
         rng = np.random.default_rng(11)
@@ -124,6 +145,40 @@ class TestPartitionedNeighborSets:
             for score, mx, mz in zip(scores, oracle_masks(pairwise_sq_dists(X), ks),
                                      oracle_masks(pairwise_sq_dists(Z), ks)):
                 assert score.q == float((mx & mz).sum()) / (score.k * n)
+
+
+@st.composite
+def neighbor_set_inputs(draw):
+    """(D, ks, height): distances of n in [3, 40] grid points with
+    duplicates and exact ties, ascending ks and a row-block height."""
+    n = draw(st.integers(3, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    levels = draw(st.integers(1, 4))
+    X = rng.integers(0, levels, size=(n, draw(st.integers(1, 5)))).astype(np.float64)
+    k = draw(st.integers(1, n - 2))
+    j = draw(st.integers(1, max(1, n - 3)))
+    ks = draw(st.sampled_from([
+        [k],
+        [j, j + 1] if n > 3 else [1],
+        sorted({1, n - 2}),
+        list(range(1, n - 1)),
+        sorted(set(draw(st.lists(st.integers(1, n - 2), min_size=1, max_size=6)))),
+    ]))
+    return pairwise_sq_dists(X), ks, draw(st.integers(1, n))
+
+
+class TestNeighborSetProperties:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(neighbor_set_inputs())
+    def test_blocks_match_neighbor_indices(self, case):
+        D, ks, height = case
+        n = D.shape[0]
+        blocks = [_neighbor_sets(D[rows].copy(), rows, ks)
+                  for rows in row_blocks(n, cells=height * n)]
+        got = [np.vstack(masks) for masks in zip(*blocks)]
+        for k, mask, expected in zip(ks, got, oracle_masks(D, ks)):
+            npt.assert_array_equal(mask, expected, err_msg=f"n={n} k={k} ks={ks}")
 
 
 class TestKaryAgreement:
