@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
-from .graph import components_from_edges, split_mean_centered
+from .errors import ContractViolationError, ParameterError
+from .graph import _component_means, components_from_edges
 from .linalg import as_float_matrix
 from .posterior import PosteriorSampler, check_prior
 from .spectral import pca
@@ -60,9 +60,11 @@ def ccpca(X, K, config: CcpcaConfig = None) -> np.ndarray:
     cfg = (config or CcpcaConfig()).validate()
     X = as_float_matrix(X, "X")
     sampler = PosteriorSampler(K, cfg.prior)
+    if X.shape[0] != sampler.n:
+        raise ContractViolationError(f"X has {X.shape[0]} rows but K is {sampler.n}x{sampler.n}")
     X_M = np.zeros_like(X)
     for edges in sampler.draws(cfg.sample_rng(index) for index in range(cfg.samples)):
         partition = components_from_edges(edges.n, edges.rows, edges.cols)
-        X_M += split_mean_centered(X, partition)[0]
+        X_M += _component_means(X, partition)
     X_M /= float(cfg.samples)
     return pca(X_M, cfg.q)

@@ -318,7 +318,8 @@ class CouplingProblem:
         student = self.latent_kernel == STUDENT
         normalized = self.method in (SNE, TSNE)
         shape = (rows.stop - rows.start, cols.stop - cols.start)
-        D = dists(rows, cols, out=scratch.take(0, shape))
+        # log K's buffer is free until D is complete.
+        D = dists(rows, cols, out=scratch.take(0, shape), work=scratch.take(1, shape))
         if not math.isfinite(D.max()):
             raise _OutOfRange
         # The tile's diagonal square and the pairs masked in it: j <= i

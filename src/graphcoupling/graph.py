@@ -181,14 +181,25 @@ def split_mean_centered(X, partition: Partition):
     containing i, so each component's rows of X_C sum to zero.
     """
     X = as_float_matrix(X, "X")
-    assign = partition.assignment
-    if X.shape[0] != assign.shape[0]:
+    if X.shape[0] != partition.assignment.shape[0]:
         raise ContractViolationError(
-            f"X has {X.shape[0]} rows but partition covers {assign.shape[0]}")
-    sums = np.zeros((partition.n_components, X.shape[1]), dtype=np.float64)
-    np.add.at(sums, assign, X)
-    X_M = (sums / partition.sizes[:, None])[assign]
+            f"X has {X.shape[0]} rows but partition covers {partition.assignment.shape[0]}")
+    X_M = _component_means(X, partition)
     return X_M, X - X_M
+
+
+def _component_means(X: np.ndarray, partition: Partition) -> np.ndarray:
+    """Row i of the result is the mean of the rows of the validated X in i's component.
+
+    The sums are taken over the flattened arrays, entry by entry in row
+    order, as the 2-D ``np.add.at(sums, assignment, X)`` adds them, but
+    without its slow path for a row index into a 2-D array.
+    """
+    assign = partition.assignment
+    p = X.shape[1]
+    sums = np.zeros((partition.n_components, p), dtype=np.float64)
+    np.add.at(sums.ravel(), (assign[:, None] * p + np.arange(p)).ravel(), X.ravel())
+    return (sums / partition.sizes[:, None])[assign]
 
 
 def log_mrf_density(X, W, kind: str, bandwidths=None) -> float:

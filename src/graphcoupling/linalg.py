@@ -26,9 +26,18 @@ workers nor leaves a spinning BLAS thread behind.  A block calls only
 private helpers, so tools that wrap the package's public functions from
 outside see every call on the calling thread.
 
+:func:`sym_eig_lowest` computes only the eigenpairs asked for, with
+LAPACKE's ``dsyevr`` from the OpenBLAS that numpy has loaded, which it
+finds as :func:`single_blas_thread` finds the thread controls; it needs
+no library beyond numpy's.  Where no loaded library exports ``dsyevr``
+(a numpy built on Accelerate or MKL) it takes the pairs from
+:func:`sym_eig`.
+
 Functions
 ---------
 sym_eig            full symmetric eigendecomposition, eigenvalues descending
+sym_eig_lowest     the k smallest eigenpairs of a symmetric matrix from
+                   LAPACK's subset solver, eigenvalues ascending
 leading_signs      the sign convention shared by eigenvectors and PCA scores
 center_columns     subtract the column mean from every column
 row_blocks         row slices of at most ``ROW_BLOCK_CELLS`` (or a given number
@@ -44,13 +53,14 @@ map_blocks         fn over independent blocks on the usable cores in rounds,
 
 import contextlib
 import ctypes
+import functools
 import os
 import threading
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContractViolationError, NumericalError
+from .errors import ContractViolationError, NumericalError, ParameterError
 
 #: Relative asymmetry tolerated by sym_eig before the input is rejected.
 SYMMETRY_RTOL = 1e-10
@@ -74,8 +84,8 @@ DIRECT_DIFFERENCE_COLS = 3
 
 
 class SymEigResult(NamedTuple):
-    eigenvalues: np.ndarray   # shape (n,), descending
-    eigenvectors: np.ndarray  # shape (n, n), column k pairs with eigenvalues[k]
+    eigenvalues: np.ndarray   # shape (m,): sym_eig's all n descending, sym_eig_lowest's k ascending
+    eigenvectors: np.ndarray  # shape (n, m), column j pairs with eigenvalues[j]
 
 
 def as_float_matrix(a, name: str = "array") -> np.ndarray:
@@ -101,6 +111,38 @@ def _all_finite(a: np.ndarray) -> bool:
     return bool(np.isfinite(a).all())
 
 
+def _symmetric_input(A):
+    """``(S, fresh)``: the validated square A as the eigensolvers take it.
+
+    S is (A + A^T) / 2, which for an exactly symmetric A is A itself,
+    uncopied; ``fresh`` says whether S is a new array.  The asymmetry is
+    measured one upper-triangle row block at a time, so no n x n
+    temporary is formed.
+
+    Raises
+    ------
+    ContractViolationError
+        If ``A`` is not square or deviates from symmetry by more than
+        ``SYMMETRY_RTOL`` relative to its largest entry.
+    """
+    A = as_float_matrix(A, "A")
+    n, m = A.shape
+    if n != m:
+        raise ContractViolationError(f"A must be square, got shape {A.shape}")
+    if not n:
+        return A, False
+    scale = max(1.0, float(A.max()), -float(A.min()))
+    asymmetry = 0.0
+    for rows in row_blocks(n, upper=True):
+        diff = A[rows, rows.start:] - A[rows.start:, rows].T
+        asymmetry = max(asymmetry, float(np.abs(diff, out=diff).max()))
+    if asymmetry > SYMMETRY_RTOL * scale:
+        raise ContractViolationError("A is not symmetric within tolerance")
+    if asymmetry == 0.0:
+        return A, False
+    return (A + A.T) / 2.0, True
+
+
 def sym_eig(A) -> SymEigResult:
     """Eigendecomposition of a symmetric matrix.
 
@@ -117,27 +159,70 @@ def sym_eig(A) -> SymEigResult:
     NumericalError
         If the underlying eigensolver fails to converge.
     """
-    A = as_float_matrix(A, "A")
-    n, m = A.shape
-    if n != m:
-        raise ContractViolationError(f"A must be square, got shape {A.shape}")
-    asymmetry = 0.0
-    if n:
-        scale = max(1.0, float(A.max()), -float(A.min()))
-        diff = A - A.T
-        asymmetry = float(np.abs(diff, out=diff).max())
-        del diff
-        if asymmetry > SYMMETRY_RTOL * scale:
-            raise ContractViolationError("A is not symmetric within tolerance")
+    S, _ = _symmetric_input(A)
     try:
-        # (A + A^T) / 2 is A itself when A is exactly symmetric.
-        w, V = np.linalg.eigh(A if asymmetry == 0.0 else (A + A.T) / 2.0)
+        w, V = np.linalg.eigh(S)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from None
     # eigh returns ascending order; flip to descending.
     V = V[:, ::-1]
     V *= leading_signs(V)
     return SymEigResult(w[::-1].copy(), V)
+
+
+def sym_eig_lowest(A, k: int) -> SymEigResult:
+    """The k smallest eigenpairs of a symmetric matrix, eigenvalues ascending.
+
+    LAPACKE's ``dsyevr`` reduces A to tridiagonal form and computes only
+    the eigenpairs 1..k, by bisection and inverse iteration (k < n) or
+    by the MRRR algorithm (k = n); its workspace is its own, outside
+    Python's allocator.  It runs under :func:`single_blas_thread`, and
+    each column is signed by :func:`leading_signs`, so repeated calls
+    give the same bytes whatever thread count the caller set.  The
+    solver gets (A + A^T) / 2, as :func:`sym_eig` does, and works in
+    place: an exactly symmetric, contiguous and writeable float64 A is
+    handed over uncopied and overwritten, so pass a copy to keep it.
+    Any other A is copied first.  Where no loaded library exports
+    ``dsyevr``, the pairs are the last k of :func:`sym_eig`, reversed,
+    and A is left as it was.
+
+    Raises
+    ------
+    ContractViolationError
+        As :func:`sym_eig` does.
+    ParameterError
+        If ``k`` is not an integer in [1, n].
+    NumericalError
+        If the solver reports a failure or finds other than k pairs.
+    """
+    S, fresh = _symmetric_input(A)
+    n = S.shape[0]
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 1 <= k <= n:
+        raise ParameterError(f"k must be an integer in [1, n={n}], got {k!r}")
+    k = int(k)
+    solver = _lapacke_dsyevr()
+    if solver is None:
+        w, V = sym_eig(S)
+        return SymEigResult(w[::-1][:k].copy(), V[:, ::-1][:, :k].copy())
+    dsyevr, integer = solver
+    if not (fresh or (S.flags.c_contiguous or S.flags.f_contiguous) and S.flags.writeable):
+        S = S.copy()
+    # S is symmetric, so its row-major bytes read column-major are S again.
+    w = np.empty(n)
+    Z = np.empty((k, n))  # the n x k eigenvectors, column-major
+    support = np.empty(2 * k, dtype=np.dtype(integer))
+    found = integer()
+    with single_blas_thread():
+        info = dsyevr(_LAPACK_COL_MAJOR, b"V", b"I", b"L", n, S.ctypes.data, n,
+                      0.0, 0.0, 1, k, 0.0, ctypes.byref(found),
+                      w.ctypes.data, Z.ctypes.data, n, support.ctypes.data)
+    if info != 0:
+        raise NumericalError(f"eigendecomposition failed: dsyevr returned info={info}")
+    if found.value != k:
+        raise NumericalError(f"dsyevr found {found.value} eigenpairs, not {k}")
+    V = np.ascontiguousarray(Z.T)
+    V *= leading_signs(V)
+    return SymEigResult(w[:k].copy(), V)
 
 
 def leading_signs(V) -> np.ndarray:
@@ -186,41 +271,46 @@ def _sq_dists(X):
     """Squared distances between the rows of a validated float matrix, a block at a time.
 
     For the Gram expansion, X is centred and its row norms taken once.
-    Returns ``dists(rows, cols=slice(None), out=None)``, the squared
-    Euclidean distances from the rows ``X[rows]`` to the rows
+    Returns ``dists(rows, cols=slice(None), out=None, work=None)``, the
+    squared Euclidean distances from the rows ``X[rows]`` to the rows
     ``X[cols]``, for slices of consecutive rows, written into ``out`` if
     given.  Entries are nonnegative and a row's distance to itself is
     exactly zero.  Up to ``DIRECT_DIFFERENCE_COLS`` columns the
     distances are sums of squared coordinate differences: exactly
     symmetric, with no cancellation however far the points lie from the
-    origin.  Wider data use the Gram expansion of the column-centred
-    rows, so adding a constant row vector to every row leaves the result
+    origin.  They read each coordinate from one contiguous copy of X^T
+    made here, and take the differences of the second and later
+    coordinates in ``work``, an array of the result's shape, if given
+    (else in one array allocated per call).  Wider data, which ignore
+    ``work``, use the Gram expansion of the column-centred rows, so
+    adding a constant row vector to every row leaves the result
     unchanged up to roundoff.  Distances too large for a float are +inf,
     so callers can treat the configuration as out of range rather than
     invalid.
     """
     n, p = X.shape
     if p <= DIRECT_DIFFERENCE_COLS:
-        def dists(rows, cols=slice(None), out=None):
-            block, other = X[rows], X[cols]
+        XT = np.ascontiguousarray(X.T)  # each coordinate a contiguous row
+
+        def dists(rows, cols=slice(None), out=None, work=None):
             if not p:
-                D = np.empty((block.shape[0], other.shape[0])) if out is None else out
+                D = np.empty((X[rows].shape[0], X[cols].shape[0])) if out is None else out
                 D.fill(0.0)
                 return D
             with np.errstate(over="ignore"):
-                D = np.subtract(block[:, 0, None], other[:, 0], out=out)
+                D = np.subtract(XT[0, rows, None], XT[0, cols], out=out)
                 D *= D
                 for c in range(1, p):
-                    diff = block[:, c, None] - other[:, c]
-                    diff *= diff
-                    D += diff
+                    work = np.subtract(XT[c, rows, None], XT[c, cols], out=work)
+                    work *= work
+                    D += work
             return D
         return dists
     Xc = X - X.mean(axis=0, keepdims=True)
     with np.errstate(over="ignore"):
         sq = np.einsum("ij,ij->i", Xc, Xc)
 
-    def dists(rows, cols=slice(None), out=None):
+    def dists(rows, cols=slice(None), out=None, work=None):
         with np.errstate(over="ignore", invalid="ignore"):
             D = np.add(sq[rows, None], sq[cols], out=out)
             D -= 2.0 * (Xc[rows] @ Xc[cols].T)
@@ -323,20 +413,28 @@ def _loaded_libraries() -> list:
     return paths
 
 
+def _reopened_libraries():
+    """Each loaded shared library, reopened without loading anything new.
+
+    A symbol looked up in one is also found through the libraries it
+    links to.
+    """
+    for path in _loaded_libraries():
+        try:
+            yield ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+        except OSError:
+            continue
+
+
 def _openblas_controls() -> list:
     """``(get, set)`` thread-count functions of every OpenBLAS loaded in the process.
 
-    Each loaded library is reopened without loading anything new and
-    asked for the symbols of ``_OPENBLAS_THREAD_SYMBOLS``.  A symbol is
-    also found through the libraries a library links to, so functions
-    are kept once, by address.
+    Each loaded library is asked for the symbols of
+    ``_OPENBLAS_THREAD_SYMBOLS``; a library that links to another finds
+    its symbols too, so functions are kept once, by address.
     """
     controls, seen = [], set()
-    for path in _loaded_libraries():
-        try:
-            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
-        except OSError:
-            continue
+    for lib in _reopened_libraries():
         for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
             if hasattr(lib, get_name) and hasattr(lib, set_name):
                 get, set_ = getattr(lib, get_name), getattr(lib, set_name)
@@ -348,6 +446,37 @@ def _openblas_controls() -> list:
                     controls.append((get, set_))
                 break
     return controls
+
+
+#: LAPACKE ``dsyevr`` symbols, tried in order: the scipy-openblas builds
+#: in numpy's wheels (64-bit, then 32-bit integers), then a plain
+#: OpenBLAS.  A name ending in ``64_`` takes 64-bit integers.
+_LAPACKE_DSYEVR_SYMBOLS = ("scipy_LAPACKE_dsyevr64_", "scipy_LAPACKE_dsyevr", "LAPACKE_dsyevr")
+
+#: LAPACKE's matrix_layout value for column-major storage.
+_LAPACK_COL_MAJOR = 102
+
+
+@functools.lru_cache(maxsize=None)
+def _lapacke_dsyevr():
+    """``(dsyevr, integer type)`` of the first loaded library exporting it, or None.
+
+    Looked up on first use, not at import, and once per process.
+    """
+    for lib in _reopened_libraries():
+        for name in _LAPACKE_DSYEVR_SYMBOLS:
+            if hasattr(lib, name):
+                fn = getattr(lib, name)
+                integer = ctypes.c_int64 if name.endswith("64_") else ctypes.c_int
+                fn.restype = integer
+                fn.argtypes = (
+                    ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_char,  # layout, jobz, range, uplo
+                    integer, ctypes.c_void_p, integer,                          # n, a, lda
+                    ctypes.c_double, ctypes.c_double, integer, integer,         # vl, vu, il, iu
+                    ctypes.c_double, ctypes.POINTER(integer),                   # abstol, m
+                    ctypes.c_void_p, ctypes.c_void_p, integer, ctypes.c_void_p)  # w, z, ldz, isuppz
+                return fn, integer
+    return None
 
 
 @contextlib.contextmanager

@@ -4,7 +4,8 @@
 weighted graph Laplacian, skipping the null space structurally (one
 direction per connected component) instead of thresholding eigenvalues;
 a returned eigenvalue within roundoff of zero only marks the result
-degenerate.
+degenerate.  It asks :func:`linalg.sym_eig_lowest` for the R + q
+smallest eigenpairs only, not the whole spectrum.
 
 The PCA side takes one thin SVD X = U diag(s) V^T and forms no n x n
 matrix: ``pca`` of the centered X, and the precision coupling, which
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import ContractViolationError, NumericalError, ParameterError
 from .graph import components_from_support, weighted_laplacian
-from .linalg import as_float_matrix, center_columns, leading_signs, sym_eig
+from .linalg import as_float_matrix, center_columns, leading_signs, row_blocks, sym_eig_lowest
 from .optim import Evaluation
 from .posterior import AffinityMatrix
 
@@ -59,7 +60,7 @@ class EigenmapsResult(NamedTuple):
     coords: np.ndarray       # shape (n, q)
     n_components: int        # connected components of the affinity support
     eigenvalues: np.ndarray  # the Laplacian eigenvalues of the columns, ascending
-    null_tol: float          # n * eps * the largest eigenvalue
+    null_tol: float          # n * eps * ||L||_inf, an upper bound on n * eps * lambda_max
 
     @property
     def degenerate(self) -> bool:
@@ -88,7 +89,10 @@ def laplacian_eigenmaps(P, q: int) -> EigenmapsResult:
     Parts of the support joined only by weights below roundoff of the
     rest are one component here, yet their Laplacian has a numerical
     null space, and the returned columns may be arbitrary directions
-    within it; ``degenerate`` reports that case as well as R > 1.
+    within it; ``degenerate`` reports that case as well as R > 1.  The
+    roundoff threshold ``null_tol`` is n * eps * ||L||_inf, where
+    ||L||_inf = 2 * (largest degree) bounds the largest eigenvalue, which
+    the subset solve does not compute.
     """
     values = P.values if isinstance(P, AffinityMatrix) else P
     A = as_float_matrix(values, "P")
@@ -106,13 +110,14 @@ def laplacian_eigenmaps(P, q: int) -> EigenmapsResult:
             f"for n={n} with {n_components} components, got {q}")
     L = weighted_laplacian(A)
     del A  # only L is needed at the eigensolver's peak
-    w, V = sym_eig(L)
-    # sym_eig sorts descending; the spectrum read backwards is ascending
-    # with the null space in the last n_components columns.
-    lo = n - n_components - q
-    coords = V[:, lo:n - n_components][:, ::-1].copy()
-    null_tol = n * np.finfo(np.float64).eps * float(w[0])
-    return EigenmapsResult(coords, n_components, w[lo:n - n_components][::-1].copy(), null_tol)
+    # ||L||_inf, the largest |L_ii| + sum_j |L_ij|, is twice the largest
+    # degree (less self-loops) and bounds lambda_max (Gershgorin).  The
+    # subset solve yields no lambda_max, and it overwrites L.
+    norm = max(float(np.abs(L[rows]).sum(axis=1).max()) for rows in row_blocks(n))
+    w, V = sym_eig_lowest(L, n_components + q)
+    null_tol = n * np.finfo(np.float64).eps * norm
+    return EigenmapsResult(V[:, n_components:].copy(), n_components,
+                           w[n_components:].copy(), null_tol)
 
 
 class PrecisionCouplingProblem:

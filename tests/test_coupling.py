@@ -599,8 +599,8 @@ class TestBlockedPass:
         def counted(X):
             dists = linalg._sq_dists(X)
 
-            def count(rows, cols, out=None):
-                D = dists(rows, cols, out)
+            def count(rows, cols, out=None, work=None):
+                D = dists(rows, cols, out, work)
                 cells.append(D.size)
                 return D
             return count

@@ -305,6 +305,20 @@ class TestSplit:
             npt.assert_array_equal(X_M, means[parts.assignment])
             npt.assert_array_equal(X_C, X - means[parts.assignment])
 
+    def test_means_add_in_the_order_of_the_two_dimensional_add_at(self):
+        # Many rows per component, so a change of summation order would
+        # show in the last bits.
+        rng = np.random.default_rng(10)
+        n = 3000
+        parts = components_from_edges(n, rng.integers(0, n, 2600), rng.integers(0, n, 2600))
+        X = rng.normal(size=(n, 7)) * np.exp(rng.normal(size=(n, 1)) * 5.0)
+        sums = np.zeros((parts.n_components, 7))
+        np.add.at(sums, parts.assignment, X)
+        want = (sums / parts.sizes[:, None])[parts.assignment]
+        X_M, X_C = split_mean_centered(X, parts)
+        assert X_M.tobytes() == want.tobytes()
+        assert X_C.tobytes() == (X - want).tobytes()
+
     def test_matches_projector_product(self):
         rng = np.random.default_rng(8)
         n = 8

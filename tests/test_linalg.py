@@ -8,7 +8,8 @@ import numpy.testing as npt
 import pytest
 
 from graphcoupling import linalg
-from graphcoupling.errors import ContractViolationError
+from graphcoupling.errors import ContractViolationError, NumericalError, ParameterError
+from graphcoupling.graph import weighted_laplacian
 from graphcoupling.linalg import (
     center_columns,
     leading_signs,
@@ -16,6 +17,7 @@ from graphcoupling.linalg import (
     pairwise_sq_dists,
     row_blocks,
     sym_eig,
+    sym_eig_lowest,
 )
 
 
@@ -85,6 +87,131 @@ class TestSymEig:
         A = np.array([[1.0, 0.5], [0.5 + 1e-13, 1.0]])
         w, _ = sym_eig(A)
         npt.assert_allclose(w, [1.5, 0.5], atol=1e-9)
+
+
+def random_graph_laplacian(rng, n, pairs=None):
+    """Laplacian of a random weighted graph whose ``pairs`` (default all)
+    smallest eigenvalues are well separated from each other and the next."""
+    pairs = n if pairs is None else pairs
+    while True:
+        A = rng.random((n, n)) * (rng.random((n, n)) < rng.uniform(0.2, 1.0))
+        L = weighted_laplacian(A + A.T)
+        w = np.linalg.eigvalsh(L)
+        if np.diff(w[:pairs + 1]).min(initial=np.inf) > 1e-4 * np.abs(w).max():
+            return L
+
+
+def needs_dsyevr():
+    if linalg._lapacke_dsyevr() is None:
+        pytest.skip("no loaded library exports LAPACKE dsyevr")
+
+
+def dsyevr_returning(info=None, iu_shift=0):
+    """A stand-in for the dsyevr lookup: the real solver, asked for iu - iu_shift
+    pairs, whose info is replaced by ``info`` if given."""
+    dsyevr, integer = linalg._lapacke_dsyevr()
+
+    def patched(*args):
+        args = list(args)
+        args[10] -= iu_shift
+        got = dsyevr(*args)
+        return got if info is None else info
+    return lambda: (patched, integer)
+
+
+class TestSymEigLowest:
+    def test_matches_the_dense_oracle_on_random_graphs(self):
+        rng = np.random.default_rng(11)
+        for n, ks in ((2, (1, 2)), (3, (1, 2, 3)), (8, (1, 3, 8)), (30, (1, 4, 15, 30)),
+                      (120, (1, 3, 10))):
+            L = random_graph_laplacian(rng, n, max(ks))
+            norm = np.abs(L).sum(axis=1).max()
+            full_w, full_V = sym_eig(L)
+            for k in ks:
+                w, V = sym_eig_lowest(L.copy(), k)
+                assert w.shape == (k,) and V.shape == (n, k)
+                npt.assert_allclose(w, full_w[::-1][:k], rtol=0, atol=1e-12 * norm)
+                npt.assert_allclose(V, full_V[:, ::-1][:, :k], rtol=0, atol=1e-10)
+
+    def test_eigenvalues_ascending_columns_signed(self):
+        rng = np.random.default_rng(12)
+        A = rng.normal(size=(40, 40))
+        w, V = sym_eig_lowest(A + A.T, 6)
+        assert (np.diff(w) > 0.0).all()
+        npt.assert_array_equal(leading_signs(V), np.ones(6))
+        npt.assert_allclose(V.T @ V, np.eye(6), atol=1e-12)
+
+    def test_fallback_without_dsyevr_is_the_dense_slice(self, monkeypatch):
+        L = random_graph_laplacian(np.random.default_rng(13), 25)
+        monkeypatch.setattr(linalg, "_lapacke_dsyevr", lambda: None)
+        w, V = sym_eig_lowest(L, 4)
+        full_w, full_V = sym_eig(L)
+        assert w.tobytes() == full_w[::-1][:4].tobytes()
+        assert V.tobytes() == np.ascontiguousarray(full_V[:, ::-1][:, :4]).tobytes()
+
+    def test_repeatable_at_any_blas_thread_count(self, blas_at_two_threads):
+        needs_dsyevr()
+        L = random_graph_laplacian(np.random.default_rng(14), 300)
+        with linalg.single_blas_thread():
+            once = sym_eig_lowest(L.copy(), 5)
+        counts = blas_at_two_threads
+        assert set(counts()) == {2}
+        twice = sym_eig_lowest(L.copy(), 5)
+        again = sym_eig_lowest(L.copy(), 5)
+        assert set(counts()) == {2}
+        for got in (twice, again):
+            assert got.eigenvalues.tobytes() == once.eigenvalues.tobytes()
+            assert got.eigenvectors.tobytes() == once.eigenvectors.tobytes()
+
+    def test_works_in_place_on_what_it_can_take_uncopied(self):
+        needs_dsyevr()
+        L = random_graph_laplacian(np.random.default_rng(15), 20)
+        want = sym_eig_lowest(L.copy(), 3)
+        # Taken as it is, and overwritten.
+        given = L.copy()
+        got = sym_eig_lowest(given, 3)
+        assert not np.array_equal(given, L)
+        assert got.eigenvectors.tobytes() == want.eigenvectors.tobytes()
+        # Copied first: a strided view, a read-only array, a list.
+        big = np.zeros((40, 40))
+        big[::2, ::2] = L
+        frozen = L.copy()
+        frozen.flags.writeable = False
+        for A in (big[::2, ::2], frozen, L.tolist()):
+            got = sym_eig_lowest(A, 3)
+            npt.assert_array_equal(A, L)
+            assert got.eigenvectors.tobytes() == want.eigenvectors.tobytes()
+
+    def test_solves_the_symmetric_part(self):
+        A = random_graph_laplacian(np.random.default_rng(16), 12)
+        A[5, 1] += 1e-13
+        sym = (A + A.T) / 2.0
+        for got, want in zip(sym_eig_lowest(A, 4), sym_eig_lowest(sym, 4)):
+            assert got.tobytes() == want.tobytes()
+        with pytest.raises(ContractViolationError):
+            sym_eig_lowest([[0.0, 1.0], [0.0, 0.0]], 1)
+        with pytest.raises(ContractViolationError):
+            sym_eig_lowest(np.zeros((2, 3)), 1)
+
+    def test_solver_failure_raises(self, monkeypatch):
+        needs_dsyevr()
+        L = random_graph_laplacian(np.random.default_rng(17), 10)
+        failing, short = dsyevr_returning(info=3), dsyevr_returning(iu_shift=1)
+        monkeypatch.setattr(linalg, "_lapacke_dsyevr", failing)
+        with pytest.raises(NumericalError, match="info=3"):
+            sym_eig_lowest(L.copy(), 3)
+        monkeypatch.setattr(linalg, "_lapacke_dsyevr", short)
+        with pytest.raises(NumericalError, match="found 2 eigenpairs, not 3"):
+            sym_eig_lowest(L, 3)
+
+    @pytest.mark.parametrize("k", [0, -1, 5, 1.5, True, "2"])
+    def test_rejects_k_outside_one_to_n(self, k):
+        with pytest.raises(ParameterError):
+            sym_eig_lowest(np.eye(4), k)
+
+    def test_accepts_numpy_integer_k(self):
+        w, _ = sym_eig_lowest(np.diag([3.0, 1.0, 2.0]), np.int64(2))
+        npt.assert_allclose(w, [1.0, 2.0], atol=1e-15)
 
 
 class TestLeadingSigns:
@@ -209,9 +336,9 @@ class TestPairwiseSqDists:
                            (slice(4, 9), slice(7, 12)), (slice(20, 30), slice(0, 6)),
                            (slice(29, 30), slice(29, 30))]:
             D = dists(rows, tile)
-            # A given buffer, dirty as a reused one, gets the same numbers.
+            # Given buffers, dirty as reused ones, get the same numbers.
             out = np.full(D.shape, np.nan)
-            assert dists(rows, tile, out=out) is out
+            assert dists(rows, tile, out=out, work=np.full(D.shape, np.nan)) is out
             assert out.tobytes() == D.tobytes()
             lo, hi = max(rows.start, tile.start), min(rows.stop, tile.stop)
             own = np.arange(lo, hi)
