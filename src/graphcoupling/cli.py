@@ -196,13 +196,13 @@ def cmd_fit(args, config) -> int:
     n = dataset.X.shape[0]
     _check_threads(_resolve(args, config, "threads"))
     ks = _parse_k(args.k, n)
-    out = _out_dir(args, config)
     repeat = int(_resolve(args, config, "repeat", 1))
     if repeat < 1:
         raise ParameterError("repeat must be at least 1")
-    base = _run_spec(args, config, FIT_FIELDS, OPTIMIZER_FIELDS)
+    base = _run_spec(args, config, FIT_FIELDS, OPTIMIZER_FIELDS).validate()
     if ks:
         base = replace(base, eval_ks=tuple(ks))
+    out = _out_dir(args, config)
     collected = {}
     for index in range(repeat):
         spec = replace(base, seed=base.seed + index)
@@ -235,13 +235,13 @@ def cmd_init(args, config) -> int:
     dataset = _load_dataset(args, config)
     X = dataset.X
     _check_threads(_resolve(args, config, "threads"))
-    out = _out_dir(args, config)
     spec = _run_spec(args, config, INIT_FIELDS)
     if spec.init not in SPECTRAL_INIT_KINDS:
         *others, last = SPECTRAL_INIT_KINDS
         raise ParameterError(f"unknown init method {spec.init!r}; "
                              f"use {', '.join(others)} or {last}")
     spec.validate()
+    out = _out_dir(args, config)
     affinity, kernel, _ = initial_inputs(X, spec, fitting=False)
     Z, degenerate = initial_embedding(X, spec, affinity, kernel)
     if degenerate:

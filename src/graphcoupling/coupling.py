@@ -54,7 +54,7 @@ from .kernels import GAUSSIAN, STUDENT, check_kind
 # on worker threads.  pairwise_sq_dists keeps its name here for tools that
 # patch the package's functions where they are imported; the benchmark's
 # self-test checks that its tracer patches it in this module.
-from .linalg import _sq_dists, _workers, as_float_matrix, map_blocks, row_blocks
+from .linalg import _asymmetry, _sq_dists, _workers, as_float_matrix, map_blocks, row_blocks
 from .linalg import pairwise_sq_dists  # noqa: F401
 from .optim import Evaluation
 from .posterior import (
@@ -135,17 +135,11 @@ class _Scratch(threading.local):
 
 
 def _check_symmetric(P) -> None:
-    """Raise unless P equals its transpose exactly.
-
-    Compares each upper-triangle block of rows with the matching columns,
-    so no n x n temporary is formed.
-    """
-    for rows in row_blocks(P.shape[0], upper=True):
-        lo = rows.start
-        if (P[rows, lo:] != P[lo:, rows].T).any():
-            raise ContractViolationError(
-                "a symmetrized-row or thresholded-bernoulli affinity must be "
-                "exactly symmetric")
+    """Raise unless P equals its transpose exactly; forms no n x n temporary."""
+    if _asymmetry(P) != 0.0:
+        raise ContractViolationError(
+            "a symmetrized-row or thresholded-bernoulli affinity must be "
+            "exactly symmetric")
 
 
 class CouplingProblem:

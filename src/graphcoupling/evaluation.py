@@ -15,16 +15,13 @@ k from one selection per k, and the count of neighbors the two sets
 share.  No full sort and no n x n array is formed.  The blocks run on
 the usable cores through :func:`linalg.map_blocks`, which share one
 ``linalg.ROW_BLOCK_CELLS`` budget among them, so the core count sets the
-block height.  A block's distances are taken ``DISTANCE_CHUNK_ROWS``
-rows at a time, in chunks aligned at multiples of that height, and every
-block but the last is a whole number of chunks.  The Gram product of a
-space wider than ``linalg.DIRECT_DIFFERENCE_COLS`` columns can round a
-row's distances differently in products of different heights (one-row
-products take another BLAS path than taller ones, and OpenBLAS also
-rounds some rows of tall ones by their height); in fixed chunks every
-row's distances are the same under any block layout.  The counts are
-integers, so their sum, and every score, is the same under any blocking
-and at any core count.
+block height.  A block's distances come from ``linalg._sq_dists``, whose
+Gram products for a space wider than ``linalg.DIRECT_DIFFERENCE_COLS``
+columns cover fixed, aligned chunks of rows, so every row's distances
+are the same bits under any block layout, and those of calibration and
+:func:`linalg.pairwise_sq_dists`; :func:`linalg.gram_row_blocks` makes
+the blocks whole chunks.  The counts are integers, so their sum, and
+every score, is the same under any blocking and at any core count.
 ``tests/oracles.py`` ranks a whole distance matrix by a stable argsort
 (``neighbor_indices``), the oracle the tests compare those sets against.
 """
@@ -35,11 +32,7 @@ import numpy as np
 
 from .errors import ContractViolationError, ParameterError
 from . import linalg
-from .linalg import _sq_dists, as_float_matrix, map_blocks, row_blocks
-
-
-#: Rows per distance product of the scorer; its row blocks are multiples of it.
-DISTANCE_CHUNK_ROWS = 16
+from .linalg import _sq_dists, as_float_matrix, gram_row_blocks, map_blocks
 
 
 class NeighborhoodScore(NamedTuple):
@@ -86,21 +79,6 @@ def _neighbor_sets(D: np.ndarray, rows: slice, ks) -> list:
     return masks
 
 
-def _chunked(dists, n: int):
-    """``dists(rows)``, formed ``DISTANCE_CHUNK_ROWS`` rows at a time.
-
-    For blocks that start at a multiple of ``DISTANCE_CHUNK_ROWS``, so
-    the chunks are the same under any block layout.
-    """
-    def block(rows):
-        D = np.empty((rows.stop - rows.start, n))
-        for lo in range(rows.start, rows.stop, DISTANCE_CHUNK_ROWS):
-            hi = min(lo + DISTANCE_CHUNK_ROWS, rows.stop)
-            dists(slice(lo, hi), out=D[lo - rows.start:hi - rows.start])
-        return D
-    return block
-
-
 def check_ks(ks: Sequence[int], n: int) -> list:
     """The distinct neighborhood sizes ``ks`` ascending; each must lie in [1, n - 2]."""
     ks = sorted(set(int(k) for k in ks))
@@ -121,7 +99,7 @@ def evaluate_embedding(X, Z, ks: Sequence[int]) -> list:
     ks = check_ks(ks, n)
     if not ks:
         return []
-    x_dists, z_dists = _chunked(_sq_dists(X), n), _chunked(_sq_dists(Z), n)
+    x_dists, z_dists = _sq_dists(X), _sq_dists(Z)
 
     def count(rows):
         in_x = _neighbor_sets(x_dists(rows), rows, ks)
@@ -130,9 +108,7 @@ def evaluate_embedding(X, Z, ks: Sequence[int]) -> list:
 
     # The workers share one block budget, so scoring holds no more than
     # a serial walk would, give or take the rounding up to whole chunks.
-    height = max(1, linalg.ROW_BLOCK_CELLS // linalg.usable_cores() // n)
-    height = -(-height // DISTANCE_CHUNK_ROWS) * DISTANCE_CHUNK_ROWS
-    blocks = row_blocks(n, cells=height * n)
+    blocks = gram_row_blocks(n, linalg.ROW_BLOCK_CELLS // linalg.usable_cores())
     shared = np.sum(map_blocks(count, blocks), axis=0, dtype=np.int64)
     scores = []
     for k, hits in zip(ks, shared):

@@ -96,10 +96,16 @@ def weighted_laplacian(A) -> np.ndarray:
         raise ContractViolationError(f"weight matrix must be square, got {A.shape}")
     if A.size and float(A.min()) < 0.0:
         raise ContractViolationError("weight matrix has negative entries")
+    return _laplacian_in_place(A.copy())
+
+
+def _laplacian_in_place(A: np.ndarray) -> np.ndarray:
+    """Overwrite the checked square weight matrix A with diag(row sums) - A; return it."""
+    degrees = A.sum(axis=1)
     # 0 - A rather than -A, so a zero weight gives the +0.0 of diag(row sums) - A.
-    L = np.subtract(0.0, A)
-    L[np.diag_indices_from(L)] += A.sum(axis=1)
-    return L
+    np.subtract(0.0, A, out=A)
+    A[np.diag_indices_from(A)] += degrees
+    return A
 
 
 def _component_roots(n: int, rows, cols, parent=None) -> np.ndarray:
@@ -150,11 +156,11 @@ def components_from_edges(n: int, rows, cols) -> Partition:
 
 
 def components_from_support(adjacent: np.ndarray) -> Partition:
-    """Connected components of a boolean symmetric adjacency matrix.
+    """Connected components of a symmetric adjacency matrix's nonzero entries.
 
     The support is read one block of rows at a time, so a dense support
     never becomes an n^2 edge list.  A block's edges are int64 pairs, 16
-    bytes and more for each cell that the support holds in 1, so this
+    bytes and more for each nonzero cell of the block, so this
     walk takes an eighth of the row-block budget per block.  Each block's
     edges are hooked onto the component roots of the blocks before it.
     """

@@ -10,10 +10,11 @@ bandwidths tau_i > 0 and a zero diagonal by convention.  With unequal
 bandwidths K is intentionally not symmetric.
 
 :func:`calibrated_kernel` builds every fit's input kernel and its
-bandwidths from the data, writing each row block's kernel over its
-squared distances.  The blocks are independent, so :func:`linalg.map_blocks`
-runs them on every usable core; each writes only its own rows of the
-bandwidths and the kernel, so the result does not depend on the cores.
+bandwidths from the data.  Each row block writes its squared distances
+(the bits of :func:`linalg.pairwise_sq_dists`) into its own rows of the
+kernel, the only n x n array made, then its kernel rows over them.  The
+blocks are independent, so :func:`linalg.map_blocks` runs them on every
+usable core, and the result does not depend on the cores.
 """
 
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractViolationError, DegenerateRowError, ParameterError
-from .linalg import as_float_matrix, map_blocks, pairwise_sq_dists, row_blocks
+from .linalg import _sq_dists, as_float_matrix, gram_row_blocks, map_blocks, pairwise_sq_dists
 
 GAUSSIAN = "gaussian"
 STUDENT = "student"
@@ -106,9 +107,10 @@ def calibrated_kernel(X, perplexity: float) -> KernelMatrix:
     ``ENTROPY_TOL`` bits.  Every row follows the safeguarded Newton rule
     of :func:`_calibrate_rows` from tau = 1; a row still outside the
     tolerance after ``MAX_ENTROPY_EVALS`` evaluations gets the rule's
-    next tau.  Rows are solved together, one :func:`linalg.row_blocks`
-    block of D at a time, and each writes its kernel rows over its
-    distances as soon as its tau are known.  The blocks run on the
+    next tau.  Rows are solved together, one :func:`linalg.gram_row_blocks`
+    block at a time: the block writes its rows of D into its rows of the
+    kernel, the only n x n array made, and its kernel rows over them as
+    soon as its tau are known.  The blocks run on the
     usable cores through :func:`linalg.map_blocks`; neither the blocking
     nor the number of cores changes a bit of the result.  The result,
     with tau in ``bandwidths`` and each row's entropy evaluations in
@@ -133,24 +135,25 @@ def calibrated_kernel(X, perplexity: float) -> KernelMatrix:
     target = float(np.log2(perplexity))
     tau = np.empty(n, dtype=np.float64)
     evaluations = np.empty(n, dtype=np.int64)
-    D = pairwise_sq_dists(X)
+    K = np.empty((n, n))
+    dists = _sq_dists(X)
 
     def solve(block):
         rows = np.arange(block.start, block.stop)
+        D = dists(block, out=K[block])
         # The block's off-diagonal distances, n - 1 per row.
-        d = D[block][np.arange(n) != rows[:, None]].reshape(rows.size, n - 1)
+        d = D[np.arange(n) != rows[:, None]].reshape(rows.size, n - 1)
         dead = np.flatnonzero(~d.any(axis=1))
         if dead.size:
             raise DegenerateRowError(
                 f"row {rows[dead[0]]} is at distance zero from every other row")
         t, evaluations[block] = _calibrate_rows(np.divide(d, -2.0, out=d), target)
         tau[block] = t
-        K = D[block]
-        np.exp(_log_kernel(K, GAUSSIAN, t, out=K), out=K)
-        D[rows, rows] = 0.0
+        np.exp(_log_kernel(D, GAUSSIAN, t, out=D), out=D)
+        K[rows, rows] = 0.0
 
-    map_blocks(solve, row_blocks(n))
-    return KernelMatrix(D, GAUSSIAN, tau, evaluations)
+    map_blocks(solve, gram_row_blocks(n))
+    return KernelMatrix(K, GAUSSIAN, tau, evaluations)
 
 
 def _calibrate_rows(neg_half_d: np.ndarray, target: float):

@@ -4,10 +4,11 @@ All routines operate on float64 row-major arrays and are deterministic:
 the same input bytes always produce the same output bytes.  Loops that
 would otherwise form an n x n matrix walk :func:`row_blocks` and get
 each block's distances from the private ``_sq_dists``, which takes
-validated points and sets them up once per walk (the coupling tiles and
-the neighborhood scores call it).  :func:`pairwise_sq_dists` validates
-X and gives one block's same numbers; over the whole matrix of wide
-data it forms one Gram product, which agrees to roundoff.  A walk over
+validated points and sets them up once per walk (calibration, the
+coupling tiles, the neighborhood scores and :func:`pairwise_sq_dists`
+call it).  It takes every Gram product of wide data over one aligned
+chunk of ``GRAM_CHUNK_ROWS`` rows, so a pair of rows gets the same bits
+from every caller under any block layout.  A walk over
 a symmetric quantity can visit each unordered pair once: with
 ``upper=True`` a block of rows ``[lo, hi)`` pairs only with the
 columns ``[lo, n)``, and every block stays within the
@@ -42,9 +43,10 @@ leading_signs      the sign convention shared by eigenvectors and PCA scores
 center_columns     subtract the column mean from every column
 row_blocks         row slices of at most ``ROW_BLOCK_CELLS`` (or a given number
                    of) matrix cells each, over full rows or over the upper triangle
-pairwise_sq_dists  squared Euclidean distances between two slices of rows, or
-                   the whole matrix, exactly symmetric without a
-                   symmetrisation pass
+gram_row_blocks    full-row slices near a cell budget, each a whole number of
+                   ``GRAM_CHUNK_ROWS`` chunks
+pairwise_sq_dists  squared Euclidean distances between two slices of rows,
+                   the numbers of every blocked walk
 usable_cores       the cores this process may run on
 single_blas_thread context manager holding every loaded OpenBLAS at one thread
 map_blocks         fn over independent blocks on the usable cores in rounds,
@@ -82,6 +84,11 @@ ROW_BLOCK_CELLS = 1 << 16
 #: expansion.
 DIRECT_DIFFERENCE_COLS = 3
 
+#: Rows per Gram product of wider data, aligned at its multiples.  Other
+#: heights can round a row differently: one-row products take another
+#: BLAS path, and OpenBLAS rounds some rows of tall ones by their height.
+GRAM_CHUNK_ROWS = 16
+
 
 class SymEigResult(NamedTuple):
     eigenvalues: np.ndarray   # shape (m,): sym_eig's all n descending, sym_eig_lowest's k ascending
@@ -116,8 +123,7 @@ def _symmetric_input(A):
 
     S is (A + A^T) / 2, which for an exactly symmetric A is A itself,
     uncopied; ``fresh`` says whether S is a new array.  The asymmetry is
-    measured one upper-triangle row block at a time, so no n x n
-    temporary is formed.
+    that of :func:`_asymmetry`, which forms no n x n temporary.
 
     Raises
     ------
@@ -132,15 +138,20 @@ def _symmetric_input(A):
     if not n:
         return A, False
     scale = max(1.0, float(A.max()), -float(A.min()))
-    asymmetry = 0.0
-    for rows in row_blocks(n, upper=True):
-        diff = A[rows, rows.start:] - A[rows.start:, rows].T
-        asymmetry = max(asymmetry, float(np.abs(diff, out=diff).max()))
+    asymmetry = _asymmetry(A)
     if asymmetry > SYMMETRY_RTOL * scale:
         raise ContractViolationError("A is not symmetric within tolerance")
     if asymmetry == 0.0:
         return A, False
     return (A + A.T) / 2.0, True
+
+
+def _asymmetry(A: np.ndarray) -> float:
+    """max |A - A^T| of a validated square float matrix, one upper-triangle block at a time."""
+    def block(rows):  # its difference is freed on return
+        diff = A[rows, rows.start:] - A[rows.start:, rows].T
+        return float(np.abs(diff, out=diff).max())
+    return max(map(block, row_blocks(A.shape[0], upper=True)), default=0.0)
 
 
 def sym_eig(A) -> SymEigResult:
@@ -267,6 +278,13 @@ def row_blocks(n: int, upper: bool = False, cells: int = None):
         lo += step
 
 
+def gram_row_blocks(n: int, cells: int = None):
+    """Full-row :func:`row_blocks` of ``cells`` (default ``ROW_BLOCK_CELLS``)
+    rounded up to whole ``GRAM_CHUNK_ROWS`` chunks: a walk forms each chunk once."""
+    height = max(1, (ROW_BLOCK_CELLS if cells is None else cells) // max(n, 1))
+    return row_blocks(n, cells=-(-height // GRAM_CHUNK_ROWS) * GRAM_CHUNK_ROWS * n)
+
+
 def _sq_dists(X):
     """Squared distances between the rows of a validated float matrix, a block at a time.
 
@@ -284,9 +302,11 @@ def _sq_dists(X):
     (else in one array allocated per call).  Wider data, which ignore
     ``work``, use the Gram expansion of the column-centred rows, so
     adding a constant row vector to every row leaves the result
-    unchanged up to roundoff.  Distances too large for a float are +inf,
-    so callers can treat the configuration as out of range rather than
-    invalid.
+    unchanged up to roundoff.  Each Gram product covers one whole aligned
+    chunk of ``GRAM_CHUNK_ROWS`` rows, so a row's distances are the same
+    bits whatever rows were asked for with it, and symmetric only to
+    roundoff.  Distances too large for a float are +inf, so callers can
+    treat the configuration as out of range rather than invalid.
     """
     n, p = X.shape
     if p <= DIRECT_DIFFERENCE_COLS:
@@ -311,54 +331,35 @@ def _sq_dists(X):
         sq = np.einsum("ij,ij->i", Xc, Xc)
 
     def dists(rows, cols=slice(None), out=None, work=None):
+        rows, cols = range(n)[rows], range(n)[cols]
+        D = np.empty((len(rows), len(cols))) if out is None else out
+        XcT, sq_cols = Xc[cols.start:cols.stop].T, sq[cols.start:cols.stop]
+        first = rows.start - rows.start % GRAM_CHUNK_ROWS
         with np.errstate(over="ignore", invalid="ignore"):
-            D = np.add(sq[rows, None], sq[cols], out=out)
-            D -= 2.0 * (Xc[rows] @ Xc[cols].T)
-        _finish_sq_dists(D, range(n)[rows], range(n)[cols])
+            for lo in range(first, rows.stop, GRAM_CHUNK_ROWS):
+                hi = min(lo + GRAM_CHUNK_ROWS, n)
+                a, b = max(lo, rows.start), min(hi, rows.stop)
+                part = np.add(sq[a:b, None], sq_cols, out=D[a - rows.start:b - rows.start])
+                G = Xc[lo:hi] @ XcT
+                G *= 2.0
+                part -= G[a - lo:b - lo]
+                part[np.isnan(part)] = np.inf
+                np.clip(part, 0.0, None, out=part)
+        own = np.arange(max(rows.start, cols.start), min(rows.stop, cols.stop))
+        D[own - rows.start, own - cols.start] = 0.0
         return D
     return dists
-
-
-def _finish_sq_dists(D, rows: range, cols: range) -> None:
-    """Finish Gram-expansion distances of the rows ``rows`` to ``cols`` in place.
-
-    NaN (inf - inf) becomes +inf, negative roundoff zero, and a row's
-    distance to itself exactly zero.
-    """
-    D[np.isnan(D)] = np.inf
-    np.clip(D, 0.0, None, out=D)
-    own = np.arange(max(rows.start, cols.start), min(rows.stop, cols.stop))
-    D[own - rows.start, own - cols.start] = 0.0
 
 
 def pairwise_sq_dists(X, rows=slice(None), cols=slice(None)) -> np.ndarray:
     """Squared Euclidean distances from the rows ``X[rows]`` to the rows ``X[cols]``.
 
-    The numbers of ``_sq_dists``, for a single block, after validating
-    X; a tile of at most ``DIRECT_DIFFERENCE_COLS`` columns costs no
-    set-up beyond that.  Over all rows and columns the Gram-expansion
-    result is exactly symmetric with no symmetrisation pass: numpy forms
-    ``Xc @ Xc.T`` from one triangle and mirrors it, and the row-norm sum
-    sq_i + sq_j commutes.  At most two n x n arrays are alive at once: D
-    starts as the sum of the row norms and takes twice the Gram matrix
-    off in place.
+    The numbers of ``_sq_dists`` after validating X: over all columns,
+    row i's distances are the bits that calibration and the neighborhood
+    scores read for it.  Wide data are symmetric only to roundoff.  The
+    result is the only array of its size that is formed.
     """
-    X = as_float_matrix(X, "X")
-    n, p = X.shape
-    if p <= DIRECT_DIFFERENCE_COLS or rows != slice(None) or cols != slice(None):
-        return _sq_dists(X)(rows, cols)
-    # One product for the whole matrix: row blocks round some distances
-    # differently, and calibration's bandwidths must not depend on the block layout.
-    Xc = X - X.mean(axis=0, keepdims=True)
-    with np.errstate(over="ignore", invalid="ignore"):
-        G = Xc @ Xc.T
-        sq = np.diag(G).copy()
-        D = sq[:, None] + sq[None, :]
-        G *= 2.0
-        D -= G
-        del G
-    _finish_sq_dists(D, range(n), range(n))
-    return D
+    return _sq_dists(as_float_matrix(X, "X"))(rows, cols)
 
 
 def usable_cores() -> int:

@@ -18,11 +18,11 @@ import numpy as np
 from .ccpca import CcpcaConfig, ccpca
 from .coupling import CouplingProblem, check_method, input_affinity
 from .errors import ParameterError
-from .kernels import MAX_ENTROPY_EVALS, KernelMatrix, calibrated_kernel
+from .kernels import MAX_ENTROPY_EVALS, KernelMatrix, calibrated_kernel, check_kind
 from .linalg import as_float_matrix, single_blas_thread
 from .optim import MinimizeResult, OptimizerConfig, minimize
 from .evaluation import check_ks, evaluate_embedding
-from .posterior import AffinityMatrix
+from .posterior import AffinityMatrix, check_prior
 from .spectral import laplacian_eigenmaps, pca
 
 #: Initializations computed from the data alone; ``init`` writes any of them.
@@ -55,6 +55,11 @@ class RunSpec:
             raise ParameterError(f"unknown init {self.init!r}, expected one of {INIT_KINDS}")
         if self.q < 1:
             raise ParameterError("q must be at least 1")
+        if self.ccpca_samples < 1:
+            raise ParameterError("ccpca samples must be at least 1")
+        check_prior(self.ccpca_prior)
+        if self.latent_kernel is not None:
+            check_kind(self.latent_kernel)
         self.optimizer.validate()
         return self
 

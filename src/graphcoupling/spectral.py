@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractViolationError, NumericalError, ParameterError
-from .graph import components_from_support, weighted_laplacian
+from .graph import _laplacian_in_place, components_from_support
 from .linalg import as_float_matrix, center_columns, leading_signs, row_blocks, sym_eig_lowest
 from .optim import Evaluation
 from .posterior import AffinityMatrix
@@ -100,16 +100,16 @@ def laplacian_eigenmaps(P, q: int) -> EigenmapsResult:
         raise ParameterError(f"affinity must be square, got {A.shape}")
     if A.size and float(A.min()) < 0.0:
         raise ParameterError("affinity entries must be nonnegative")
-    A = A + A.T
-    A /= 2.0
-    n = A.shape[0]
-    n_components = components_from_support(A > 0.0).n_components
+    # The one n x n buffer: (P + P^T) / 2, its support, then L in place.
+    S = A + A.T
+    S /= 2.0
+    n = S.shape[0]
+    n_components = components_from_support(S).n_components
     if not (1 <= q <= n - n_components):
         raise ParameterError(
             f"q must lie in [1, n - R = {n - n_components}] "
             f"for n={n} with {n_components} components, got {q}")
-    L = weighted_laplacian(A)
-    del A  # only L is needed at the eigensolver's peak
+    L = _laplacian_in_place(S)
     # ||L||_inf, the largest |L_ii| + sum_j |L_ij|, is twice the largest
     # degree (less self-loops) and bounds lambda_max (Gershgorin).  The
     # subset solve yields no lambda_max, and it overwrites L.

@@ -347,8 +347,43 @@ class TestFit:
                 "--out-dir", str(tmp_path / "x")]
         assert main(args) == 3
 
+    def test_zero_ccpca_samples_exit_2_under_any_init(self, blob_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(fit_args(blob_csv, out, ["--init", "pca", "--samples", "0"])) == 2
+        assert "samples must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, message", [("prior = Q", "unknown prior"),
+                                               ("latent_kernel = cauchy", "unknown kernel")])
+    def test_bad_config_choice_exits_2(self, blob_csv, tmp_path, capsys, line, message):
+        # argparse's choices check flags only, not config values.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(fit_args(blob_csv, out, ["--config", str(cfg)])) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestInit:
+    @pytest.mark.parametrize("extra", [["--samples", "0"], ["--prior", "B", "--samples", "-1"]])
+    def test_bad_ccpca_settings_exit_2_before_writing(self, blob_csv, tmp_path, extra):
+        out = tmp_path / "out"
+        args = ["init", "--input", str(blob_csv), "--label", "cls",
+                "--out-dir", str(out), "--method", "pca"] + extra
+        assert main(args) == 2
+        assert not out.exists()
+
+    def test_bad_config_prior_exits_2(self, blob_csv, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("prior = Q\n", encoding="utf-8")
+        out = tmp_path / "out"
+        args = ["init", "--input", str(blob_csv), "--label", "cls",
+                "--out-dir", str(out), "--method", "ccpca", "--config", str(cfg)]
+        assert main(args) == 2
+        assert "unknown prior" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_pca_init_writes_embedding(self, blob_csv, tmp_path, capsys):
         out = tmp_path / "init-out"
         args = ["init", "--input", str(blob_csv), "--label", "cls",

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -115,11 +116,21 @@ def assert_hits_target_entropy(X):
             assert abs(h - target) <= ENTROPY_TOL
 
 
-def dead_rows_25_31(X):
-    """The squared distances of X with rows 25 and 31 at distance zero from all."""
+def dead_rows_25_37(X):
+    """``_sq_dists`` of X with rows 25 and 37 at distance zero from all.
+
+    The two rows lie in different Gram chunks, so in different blocks
+    of any calibration walk with more than one block.
+    """
     D = pairwise_sq_dists(X)
-    D[25, :] = D[:, 25] = D[31, :] = D[:, 31] = 0.0
-    return D
+    D[25, :] = D[:, 25] = D[37, :] = D[:, 37] = 0.0
+
+    def dists(rows, cols=slice(None), out=None, work=None):
+        if out is None:
+            return D[rows, cols].copy()
+        out[...] = D[rows, cols]
+        return out
+    return dists
 
 
 def off_diagonal_rows(D):
@@ -321,7 +332,7 @@ class TestCalibration:
         # A lone row at distance zero from every other one cannot come from
         # data, so the distances calibration takes are replaced.
         X = np.random.default_rng(7).normal(size=(40, 2))
-        monkeypatch.setattr(kernels, "pairwise_sq_dists", lambda _: dead_rows_25_31(X))
+        monkeypatch.setattr(kernels, "_sq_dists", lambda _: dead_rows_25_37(X))
         with pytest.raises(DegenerateRowError, match="row 25 "):
             calibrated_kernel(X, 5.0)
 
@@ -329,11 +340,11 @@ class TestCalibration:
     @pytest.mark.parametrize("workers", [1, 3])
     def test_dead_row_named_under_any_worker_count(self, block_cells, workers,
                                                    monkeypatch):
-        # Row 31's block may fail first on another thread; row 25's
+        # Row 37's block may fail first on another thread; row 25's
         # block comes first in order, so its error is the one raised.
         monkeypatch.setattr(linalg, "usable_cores", lambda: workers)
         X = np.random.default_rng(7).normal(size=(40, 2))
-        monkeypatch.setattr(kernels, "pairwise_sq_dists", lambda _: dead_rows_25_31(X))
+        monkeypatch.setattr(kernels, "_sq_dists", lambda _: dead_rows_25_37(X))
         with pytest.raises(DegenerateRowError, match="row 25 "):
             calibrated_kernel(X, 5.0)
 
@@ -346,6 +357,21 @@ class TestCalibration:
         monkeypatch.setattr(linalg, "usable_cores", lambda: workers)
         with pytest.raises(DegenerateRowError, match="row 0 "):
             calibrated_kernel(np.full((40, 2), 3.0), 5.0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_kernel_is_the_one_n_by_n_array(self, workers, monkeypatch):
+        # Each block writes its distances into its own rows of K, so the
+        # peak is K and each worker's block temporaries.
+        monkeypatch.setattr(linalg, "usable_cores", lambda: workers)
+        n = 2000
+        X = np.random.default_rng(12).normal(size=(n, 50))
+        tracemalloc.start()
+        try:
+            K = calibrated_kernel(X, 30.0).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * K.nbytes, f"{peak / K.nbytes:.2f} n x n arrays"
 
     def test_unreachable_target_stays_finite(self):
         # Entropy reaches log2(n - 1) only as tau grows without bound

@@ -7,9 +7,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from graphcoupling import linalg
+from graphcoupling import evaluation, kernels, linalg
 from graphcoupling.errors import ContractViolationError, NumericalError, ParameterError
+from graphcoupling.evaluation import evaluate_embedding
 from graphcoupling.graph import weighted_laplacian
+from graphcoupling.kernels import calibrated_kernel
 from graphcoupling.linalg import (
     center_columns,
     leading_signs,
@@ -239,6 +241,30 @@ class TestCenterColumns:
         npt.assert_array_equal(center_columns(X), np.zeros((5, 2)))
 
 
+def recorded_sq_dists(log):
+    """``linalg._sq_dists`` whose closures keep a copy of every block they give.
+
+    Each closure appends a dict {(start, stop): distances} to ``log``.
+    """
+    def sq_dists(X):
+        dists, blocks = linalg._sq_dists(X), {}
+        log.append(blocks)
+
+        def recorded(rows, cols=slice(None), out=None, work=None):
+            D = dists(rows, cols, out, work)
+            blocks[rows.start, rows.stop] = D.copy()
+            return D
+        return recorded
+    return sq_dists
+
+
+def assembled(blocks):
+    """The recorded row blocks stacked in row order; they must tile the rows."""
+    spans = sorted(blocks)
+    assert [lo for lo, _ in spans[1:]] == [hi for _, hi in spans[:-1]]
+    return np.vstack([blocks[span] for span in spans])
+
+
 class TestPairwiseSqDists:
     def test_unit_separation(self):
         npt.assert_array_equal(pairwise_sq_dists([[0.0], [1.0]]),
@@ -296,26 +322,30 @@ class TestPairwiseSqDists:
 
     @pytest.mark.parametrize("cols", [2, 50])
     def test_whole_matrix_keeps_the_gram_formula(self, block_cells, cols):
-        # The Gram expansion as a whole-matrix expression; the in-place
-        # form must give the same bytes, exactly symmetric with no
-        # symmetrisation pass.
+        # The Gram expansion as an expression over the aligned chunks of
+        # GRAM_CHUNK_ROWS rows; the in-place form must give the same bytes.
         rng = np.random.default_rng(8)
         X = rng.normal(size=(45, cols)) * rng.uniform(0.1, 30.0, size=cols)
         X[5] = X[40]
         got = pairwise_sq_dists(X)
         if cols <= linalg.DIRECT_DIFFERENCE_COLS:
             want = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
+            npt.assert_array_equal(got, got.T)
         else:
             Xc = X - X.mean(axis=0, keepdims=True)
-            G = Xc @ Xc.T
-            sq = np.diag(G).copy()
+            sq = np.einsum("ij,ij->i", Xc, Xc)
+            G = np.vstack([Xc[lo:lo + linalg.GRAM_CHUNK_ROWS] @ Xc.T
+                           for lo in range(0, 45, linalg.GRAM_CHUNK_ROWS)])
             want = sq[:, None] + sq[None, :] - 2.0 * G
             np.clip(want, 0.0, None, out=want)
             np.fill_diagonal(want, 0.0)
+            # Chunks may round the two orders of a pair apart, by a few
+            # units of roundoff of the row norms.
+            bound = 4.0 * np.finfo(np.float64).eps * (sq[:, None] + sq[None, :])
+            assert (np.abs(got - got.T) <= bound).all()
         npt.assert_array_equal(got, want)
-        npt.assert_array_equal(got, got.T)
 
-    def test_whole_matrix_holds_two_n_by_n_arrays(self):
+    def test_whole_matrix_is_the_one_n_by_n_array(self):
         n = 600
         X = np.random.default_rng(9).normal(size=(n, 50))
         tracemalloc.start()
@@ -324,7 +354,30 @@ class TestPairwiseSqDists:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * D.nbytes, f"{peak / D.nbytes:.2f} n x n arrays"
+        assert peak <= 1.3 * D.nbytes, f"{peak / D.nbytes:.2f} n x n arrays"
+
+    def test_every_caller_takes_the_same_bits_on_wide_data(self, monkeypatch):
+        # Values i/255 in 8 columns take the Gram expansion; calibration's
+        # distance rows, the scorer's X-side blocks and pairwise_sq_dists
+        # must agree bit for bit at any core count and block budget.
+        rng = np.random.default_rng(0)
+        X = rng.integers(0, 4, size=(313, 8)) / 255.0
+        Z = rng.normal(size=(313, 2))
+        seen = set()
+        for workers in (1, 2, 3, 4):
+            monkeypatch.setattr(linalg, "usable_cores", lambda w=workers: w)
+            for cells in (1, 100, 1 << 16):
+                monkeypatch.setattr(linalg, "ROW_BLOCK_CELLS", cells)
+                blocks = []
+                monkeypatch.setattr(kernels, "_sq_dists", recorded_sq_dists(blocks))
+                monkeypatch.setattr(evaluation, "_sq_dists", recorded_sq_dists(blocks))
+                seen.add(pairwise_sq_dists(X).tobytes())
+                calibrated_kernel(X, 30.0)
+                evaluate_embedding(X, Z, [5, 78])
+                calibration, x_side, _ = blocks
+                seen.add(assembled(calibration).tobytes())
+                seen.add(assembled(x_side).tobytes())
+        assert len(seen) == 1
 
     @pytest.mark.parametrize("cols", [0, 1, 3, 5])
     def test_tiles_match_the_whole_matrix(self, cols):
