@@ -55,7 +55,7 @@ from .spectral import (
 )
 from .ccpca import CcpcaConfig, ccpca
 from .evaluation import NeighborhoodScore, evaluate_embedding
-from .pipeline import RunResult, RunSpec, initial_embedding, initial_inputs, prepare_input, run
+from .pipeline import RunResult, RunSpec, initial_embedding, prepare_input, run
 from .dataio import Dataset, load_csv, load_embedding, save_embedding
 from .svgplot import render_svg_scatter
 
@@ -72,7 +72,7 @@ __all__ = [
     "RunSpec", "SNE", "STUDENT", "SymEigResult", "TSNE", "UMAP",
     "calibrated_kernel", "ccpca", "center_columns", "components_from_edges",
     "connected_components", "evaluate_embedding",
-    "initial_embedding", "initial_inputs", "kernel_matrix", "laplacian",
+    "initial_embedding", "kernel_matrix", "laplacian",
     "laplacian_eigenmaps", "leading_signs", "load_csv",
     "load_embedding", "log_kernel", "log_mrf_density", "minimize",
     "pairwise_sq_dists", "pca", "posterior_expectation",

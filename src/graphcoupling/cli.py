@@ -29,7 +29,7 @@ from .evaluation import check_ks, evaluate_embedding
 from .kernels import KERNEL_KINDS
 from .optim import OptimizerConfig
 from .pipeline import (INIT_KINDS, SPECTRAL_INIT_KINDS, RunSpec, default_eval_ks,
-                       initial_embedding, initial_inputs, run)
+                       initial_embedding, prepare_input, run)
 from .posterior import PRIOR_KINDS
 from .svgplot import render_svg_scatter
 
@@ -242,8 +242,8 @@ def cmd_init(args, config) -> int:
                              f"use {', '.join(others)} or {last}")
     spec.validate()
     out = _out_dir(args, config)
-    affinity, kernel, _ = initial_inputs(X, spec, fitting=False)
-    Z, degenerate = initial_embedding(X, spec, affinity, kernel)
+    kernel = prepare_input(X, spec, fitting=False)
+    Z, degenerate, _ = initial_embedding(X, spec, kernel, fitting=False)
     if degenerate:
         print("warning: affinity graph has several connected components, or parts "
               "joined only by roundoff-scale weights; between-component layout is "

@@ -86,13 +86,13 @@ def _posterior_frequencies(rng, samples: int) -> DiagnosticResult:
 def _decomposition_identity(rng) -> DiagnosticResult:
     n = 8
     X = rng.normal(size=(n, 3))
-    K = kernel_matrix(X, "gaussian")
     Z = rng.normal(size=(n, 2))
     exact = True
     for method in METHOD_KINDS:
-        problem = CouplingProblem(method, input_affinity(K, method))
+        # input_affinity consumes its kernel, so each method gets its own.
+        problem = CouplingProblem(method, input_affinity(kernel_matrix(X, "gaussian"), method))
         att, rep = problem.attraction_repulsion(Z)
-        exact = exact and (att + rep == problem.loss(Z))
+        exact = exact and (att + rep == problem.evaluate(Z).loss)
     return DiagnosticResult("loss-decomposition-identity", exact,
                             "attraction + repulsion reproduces loss bit for bit")
 
@@ -100,17 +100,16 @@ def _decomposition_identity(rng) -> DiagnosticResult:
 def _gradient_check(rng) -> DiagnosticResult:
     n = 6
     X = rng.normal(size=(n, 3))
-    K = kernel_matrix(X, "gaussian")
-    problem = CouplingProblem("tsne", input_affinity(K, "tsne"))
+    problem = CouplingProblem("tsne", input_affinity(kernel_matrix(X, "gaussian"), "tsne"))
     Z = rng.normal(size=(n, 2))
-    g = problem.grad(Z)
+    g = problem.evaluate(Z).grad
     eps = 1e-6
     worst = 0.0
     for i in range(n):
         for j in range(2):
             Zp = Z.copy(); Zp[i, j] += eps
             Zm = Z.copy(); Zm[i, j] -= eps
-            fd = (problem.loss(Zp) - problem.loss(Zm)) / (2 * eps)
+            fd = (problem.evaluate(Zp).loss - problem.evaluate(Zm).loss) / (2 * eps)
             worst = max(worst, abs(fd - g[i, j]) / (1.0 + abs(fd)))
     return DiagnosticResult("analytic-gradient", worst <= 1e-5,
                             f"max relative error vs finite differences {worst:.3e}")

@@ -40,7 +40,8 @@ class KernelMatrix:
     """A realized kernel matrix plus the settings that produced it.
 
     ``evaluations`` holds each row's entropy evaluations when the
-    bandwidths come from :func:`calibrated_kernel`.
+    bandwidths come from :func:`calibrated_kernel`.  ccPCA's draws read
+    ``values``, then :func:`coupling.input_affinity` consumes it.
     """
 
     values: np.ndarray

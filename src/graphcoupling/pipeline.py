@@ -7,6 +7,10 @@ BLAS thread count: :func:`run` holds OpenBLAS at one thread, and the
 calibration, coupling and scoring walks run their blocks on the usable
 cores with results independent of their number.  Wall-clock timings are
 the only manifest fields allowed to differ between repetitions.
+
+The input side is one n x n buffer that :func:`run` and ``init`` read in
+one order: calibrate the kernel K, let ccPCA draw from K, write the
+affinity P over K, let eigenmaps read P.
 """
 
 import time
@@ -22,7 +26,7 @@ from .kernels import MAX_ENTROPY_EVALS, KernelMatrix, calibrated_kernel, check_k
 from .linalg import as_float_matrix, single_blas_thread
 from .optim import MinimizeResult, OptimizerConfig, minimize
 from .evaluation import check_ks, evaluate_embedding
-from .posterior import AffinityMatrix, check_prior
+from .posterior import check_prior
 from .spectral import laplacian_eigenmaps, pca
 
 #: Initializations computed from the data alone; ``init`` writes any of them.
@@ -72,34 +76,15 @@ class RunResult:
     manifest: dict
 
 
-def prepare_input(X, method: str, perplexity: float):
-    """Input-side affinity for a method, plus the calibrated kernel.
+def prepare_input(X, spec: RunSpec, fitting: bool = True) -> Optional[KernelMatrix]:
+    """A run's calibrated kernel; None if neither a fit (``fitting``) nor the init reads it.
 
-    All methods share one kernel from :func:`kernels.calibrated_kernel`;
-    the edgewise route reuses its bandwidths rather than calibrating a
-    separate connectivity target.  :func:`coupling.input_affinity` turns
-    it into the method's affinity.
+    Every method shares this kernel: the edgewise route reuses its
+    bandwidths rather than calibrating a separate connectivity target.
     """
-    check_method(method)
-    K = calibrated_kernel(X, perplexity)
-    return input_affinity(K, method), K
-
-
-def initial_inputs(X, spec: RunSpec, fitting: bool = True):
-    """(affinity, kernel, evaluations) for a run, each None where nothing reads it.
-
-    Eigenmaps reads the affinity, ccPCA the kernel, and random and PCA X
-    alone; a fit's coupling (``fitting``) reads the affinity too.
-    ``evaluations`` holds each row's entropy evaluations in calibration,
-    None when no kernel was calibrated.
-    """
-    if fitting or spec.init == "le":
-        affinity, kernel = prepare_input(X, spec.method, spec.perplexity)
-        return affinity, (kernel if spec.init == "ccpca" else None), kernel.evaluations
-    if spec.init == "ccpca":
-        kernel = calibrated_kernel(X, spec.perplexity)
-        return None, kernel, kernel.evaluations
-    return None, None, None
+    if fitting or spec.init in ("le", "ccpca"):
+        return calibrated_kernel(X, spec.perplexity)
+    return None
 
 
 def rescale_init(Z: np.ndarray, n: int) -> np.ndarray:
@@ -110,27 +95,32 @@ def rescale_init(Z: np.ndarray, n: int) -> np.ndarray:
     return Z * (INIT_SCALE * np.sqrt(n) / peak)
 
 
-def initial_embedding(X, spec: RunSpec, affinity: AffinityMatrix,
-                      kernel: KernelMatrix):
-    """Starting coordinates for a run; (Z0, degenerate-components flag).
+def initial_embedding(X, spec: RunSpec, kernel: Optional[KernelMatrix],
+                      fitting: bool = True):
+    """(Z0, degenerate, affinity): starting coordinates, and P written over ``kernel``.
 
-    Spectral coordinates come at their natural scale; :func:`run`
+    ``kernel`` is :func:`prepare_input`'s at the same ``fitting``: ccPCA
+    draws from it, then the affinity P is written over it if a fit or
+    eigenmaps reads P (else ``affinity`` is None), then eigenmaps reads
+    P.  Spectral coordinates come at their natural scale; :func:`run`
     shrinks them with :func:`rescale_init`.
     """
     X = as_float_matrix(X, "X")
-    n = X.shape[0]
     state = np.random.SeedSequence(spec.seed).generate_state(2)
     if spec.init == "random":
         rng = np.random.default_rng(int(state[0]))
-        return INIT_SCALE * rng.standard_normal((n, spec.q)), False
-    if spec.init == "pca":
-        return pca(X, spec.q), False
+        Z = INIT_SCALE * rng.standard_normal((X.shape[0], spec.q))
+    elif spec.init == "pca":
+        Z = pca(X, spec.q)
+    elif spec.init == "ccpca":
+        cfg = CcpcaConfig(samples=spec.ccpca_samples, prior=spec.ccpca_prior,
+                          q=spec.q, seed=int(state[1]))
+        Z = ccpca(X, kernel, cfg)
+    affinity = input_affinity(kernel, spec.method) if fitting or spec.init == "le" else None
     if spec.init == "le":
         result = laplacian_eigenmaps(affinity, spec.q)
-        return result.coords, result.degenerate
-    cfg = CcpcaConfig(samples=spec.ccpca_samples, prior=spec.ccpca_prior,
-                      q=spec.q, seed=int(state[1]))
-    return ccpca(X, kernel, cfg), False
+        return result.coords, result.degenerate, affinity
+    return Z, False, affinity
 
 
 def default_eval_ks(n: int) -> tuple:
@@ -158,18 +148,19 @@ def run(X, spec: RunSpec = None) -> RunResult:
     total0 = time.perf_counter()
 
     t0 = time.perf_counter()
-    affinity, kernel, evaluations = initial_inputs(X, spec)
+    kernel = prepare_input(X, spec)
     prepare_s = time.perf_counter() - t0
+    evaluations = kernel.evaluations
 
     t0 = time.perf_counter()
-    Z0, degenerate = initial_embedding(X, spec, affinity, kernel)
-    del kernel
+    Z0, degenerate, affinity = initial_embedding(X, spec, kernel)
     if spec.init != "random":
         Z0 = rescale_init(Z0, n)
     init_s = time.perf_counter() - t0
 
     problem = CouplingProblem(spec.method, affinity, spec.latent_kernel,
                               classic_scale=spec.classic_scale)
+    del kernel, affinity  # P's buffer, which classic_scale copies from
     opt = spec.optimizer
     if opt.early_exaggeration is None:
         opt = replace(opt, early_exaggeration=(spec.method == "tsne"))
@@ -179,7 +170,7 @@ def run(X, spec: RunSpec = None) -> RunResult:
     optimize_s = time.perf_counter() - t0
     # Free the n x n input side before scoring.
     latent_kernel = problem.latent_kernel
-    del problem, affinity
+    del problem
 
     t0 = time.perf_counter()
     scores = evaluate_embedding(X, result.Z, ks)

@@ -10,6 +10,8 @@ single letter:
 In the large-graph limit every posterior is driven by the kernel K of
 the data, with uniform prior weights.  Expectations are packaged as
 :class:`AffinityMatrix` values tagged with how they are normalized.
+:func:`posterior_expectation` runs on a copy of K the arithmetic that
+:func:`coupling.input_affinity` writes over K, consuming it.
 Exact posterior samples are drawn by a :class:`PosteriorSampler`,
 which validates the kernel once and returns each latent graph as an
 edge list (``tests/oracles.py`` keeps the dense draw,
@@ -80,16 +82,10 @@ def _check_row_sums(sums: np.ndarray) -> None:
                                  "admissible edge under the D prior")
 
 
-def _check_total(total: float) -> None:
-    """Reject a kernel with no admissible edge under the E prior."""
-    if total == 0.0:
-        raise DegenerateRowError("no admissible edge under the E prior")
-
-
-def _edge_probabilities(G: np.ndarray) -> np.ndarray:
-    """The B prior's edge probabilities G / (1 + G), in a new array."""
+def _edge_probabilities(G: np.ndarray, out=None) -> np.ndarray:
+    """The B prior's edge probabilities G / (1 + G), in ``out`` or a new array."""
     P = 1.0 + G
-    return np.divide(G, P, out=P)
+    return np.divide(G, P, out=P if out is None else out)
 
 
 def posterior_expectation(K, prior: str) -> AffinityMatrix:
@@ -102,16 +98,29 @@ def posterior_expectation(K, prior: str) -> AffinityMatrix:
        globally normalized; entries sum to 1.
     """
     check_prior(prior)
-    G = _checked_kernel(K)
+    return _expectation_in_place(_checked_kernel(K).copy(), prior)
+
+
+def _expectation_in_place(G: np.ndarray, prior: str) -> AffinityMatrix:
+    """:func:`posterior_expectation` written over the checked kernel G.
+
+    A prior that rejects G raises before G is written; B's only
+    temporary is one :func:`linalg.row_blocks` block's 1 + G.
+    """
     if prior == "B":
-        return AffinityMatrix(_edge_probabilities(G), prior, BERNOULLI)
+        for rows in row_blocks(G.shape[0]):
+            _edge_probabilities(G[rows], out=G[rows])
+        return AffinityMatrix(G, prior, BERNOULLI)
     if prior == "D":
         rows = G.sum(axis=1)
         _check_row_sums(rows)
-        return AffinityMatrix(G / rows[:, None], prior, ROW)
+        G /= rows[:, None]
+        return AffinityMatrix(G, prior, ROW)
     total = G.sum()
-    _check_total(total)
-    return AffinityMatrix(G / total, prior, GLOBAL)
+    if total == 0.0:
+        raise DegenerateRowError("no admissible edge under the E prior")
+    G /= total
+    return AffinityMatrix(G, prior, GLOBAL)
 
 
 class PosteriorSampler:
@@ -133,9 +142,7 @@ class PosteriorSampler:
         self.prior = prior
         self.n = n = self._K.shape[0]
         if prior == "D":
-            self._row_sums = np.empty(n)
-            for rows in row_blocks(n):
-                self._row_sums[rows] = self._K[rows].sum(axis=1)
+            self._row_sums = self._K.sum(axis=1)
             _check_row_sums(self._row_sums)
         elif prior == "E":
             self._cells = self._cell_table()
@@ -143,15 +150,11 @@ class PosteriorSampler:
     def _cell_table(self) -> np.ndarray:
         """K's off-diagonal cells in row-major order, scaled to sum to 1.
 
-        The cells are gathered in place in one n x n copy of K, whose
-        total they are first divided by: the numbers of
-        ``posterior_expectation(K, "E")`` restricted to those cells.
+        The cells are gathered in place in ``posterior_expectation(K, "E")``,
+        formed over one n x n copy of K.
         """
         n = self.n
-        G = self._K.copy()
-        total = G.sum()
-        _check_total(total)
-        flat = G.ravel()
+        flat = _expectation_in_place(self._K.copy(), "E").values.ravel()
         # Between the diagonal cells k and k + 1 of the flat matrix lie the
         # n off-diagonal cells that row k of ``cells`` takes, to their left.
         between = flat[1:].reshape(n - 1, n + 1)[:, :n]
@@ -159,7 +162,6 @@ class PosteriorSampler:
         for rows in row_blocks(n - 1):
             cells[rows] = between[rows]
         cells = flat[:n * (n - 1)]
-        cells /= total
         cells /= cells.sum()
         return cells
 

@@ -3,7 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +17,9 @@ from graphcoupling.cli import OUT_DIR_ENV, build_parser, load_config, main
 from graphcoupling.coupling import METHOD_KINDS, input_affinity
 from graphcoupling.dataio import load_csv, load_embedding, save_embedding
 from graphcoupling.errors import ParameterError
-from graphcoupling.kernels import KERNEL_KINDS
+from graphcoupling.kernels import KERNEL_KINDS, calibrated_kernel
 from graphcoupling.pipeline import (INIT_KINDS, SPECTRAL_INIT_KINDS, RunSpec,
-                                    initial_embedding, run)
+                                    initial_embedding, prepare_input, run)
 from graphcoupling.posterior import PRIOR_KINDS
 
 
@@ -428,20 +428,17 @@ class TestInit:
         # input, so this is a rescaling of the row affinity's Laplacian
         from graphcoupling.spectral import laplacian_eigenmaps
         from graphcoupling.posterior import posterior_expectation
-        from graphcoupling.pipeline import prepare_input
 
         out = tmp_path / "le"
         args = ["init", "--input", str(blob_csv), "--label", "cls",
                 "--out-dir", str(out), "--method", "le", "--perplexity", "8"]
         assert main(args) == 0
         X = load_csv(blob_csv, label="cls").X
-        _, K = prepare_input(X, "tsne", 8.0)
+        K = calibrated_kernel(X, 8.0)
         row = laplacian_eigenmaps(posterior_expectation(K, "D"), 2).coords
         npt.assert_allclose(load_embedding(out / "init.csv").X, row, atol=1e-10)
 
     def test_ccpca_writes_what_fit_starts_from(self, blob_csv, tmp_path):
-        from graphcoupling.pipeline import RunSpec, initial_embedding, prepare_input
-
         out = tmp_path / "cc"
         args = ["init", "--input", str(blob_csv), "--label", "cls",
                 "--out-dir", str(out), "--method", "ccpca",
@@ -449,15 +446,14 @@ class TestInit:
         assert main(args) == 0
         X = load_csv(blob_csv, label="cls").X
         spec = RunSpec(init="ccpca", ccpca_samples=20, perplexity=8.0, seed=5)
-        Z0, _ = initial_embedding(X, spec, *prepare_input(X, spec.method, 8.0))
+        # A fit's ccPCA draws before the affinity is written over the kernel.
+        Z0, _, _ = initial_embedding(X, spec, prepare_input(X, spec))
         npt.assert_array_equal(load_embedding(out / "init.csv").X, Z0)
 
     def test_le_reads_the_tsne_affinity(self, blob_csv, tmp_path):
         # init has no coupling method, so eigenmaps reads t-SNE's affinity
         # whatever method a fit would couple; it does not write the start
         # of fit --method umap --init le.
-        from graphcoupling.pipeline import prepare_input
-
         out = tmp_path / "le"
         args = ["init", "--input", str(blob_csv), "--label", "cls",
                 "--out-dir", str(out), "--method", "le", "--perplexity", "8"]
@@ -465,36 +461,36 @@ class TestInit:
         X = load_csv(blob_csv, label="cls").X
         spec = RunSpec(init="le", perplexity=8.0)
         written = load_embedding(out / "init.csv").X
-        Z0, _ = initial_embedding(X, spec, *prepare_input(X, "tsne", 8.0))
+        Z0, _, _ = initial_embedding(X, spec, prepare_input(X, spec))
         npt.assert_array_equal(written, Z0)
-        umap_Z0, _ = initial_embedding(X, spec, *prepare_input(X, "umap", 8.0))
+        umap = replace(spec, method="umap")
+        umap_Z0, _, _ = initial_embedding(X, umap, prepare_input(X, umap))
         assert np.abs(np.abs(written) - np.abs(umap_Z0)).max() > 1e-3
 
     @pytest.mark.parametrize("method", SPECTRAL_INIT_KINDS)
     def test_builds_only_what_the_init_reads(self, blob_csv, tmp_path, monkeypatch,
                                              method):
         # Eigenmaps reads the affinity, ccPCA the kernel, PCA neither; the
-        # kernel that the affinity is built from is gone before eigenmaps.
-        affinities, kernels, seen = [], [], []
+        # affinity's values are the kernel's buffer.
+        kernels, affinities = [], []
+
+        def kernel_and_watch(*args):
+            kernels.append(calibrated_kernel(*args))
+            return kernels[-1]
 
         def affinity_and_watch(*args):
-            kernels.append(weakref.ref(args[0].values))
             affinities.append(input_affinity(*args))
             return affinities[-1]
 
-        def init_and_watch(X, spec, affinity, kernel):
-            seen.append((affinity is not None, kernel is not None,
-                         any(ref() is not None for ref in kernels)))
-            return initial_embedding(X, spec, affinity, kernel)
-
+        monkeypatch.setattr(pipeline, "calibrated_kernel", kernel_and_watch)
         monkeypatch.setattr(pipeline, "input_affinity", affinity_and_watch)
-        monkeypatch.setattr(cli, "initial_embedding", init_and_watch)
         args = ["init", "--input", str(blob_csv), "--label", "cls", "--out-dir",
                 str(tmp_path / "o"), "--method", method, "--perplexity", "8",
                 "--samples", "5"]
         assert main(args) == 0
+        assert len(kernels) == (method != "pca")
         assert len(affinities) == (method == "le")
-        assert seen == [(method == "le", method == "ccpca", False)]
+        assert all(P.values is K.values for P, K in zip(affinities, kernels))
 
     def test_le_peak_in_n_by_n_arrays(self, tmp_path, monkeypatch):
         # The affinity, its symmetrized copy or Laplacian, and the
@@ -554,7 +550,7 @@ class TestDefaults:
     def test_init_without_method_is_runspec_default(self, plain_csv, tmp_path):
         out = tmp_path / "init"
         assert main(["init", "--input", str(plain_csv), "--out-dir", str(out)]) == 0
-        Z0, _ = initial_embedding(load_csv(plain_csv).X, RunSpec(), None, None)
+        Z0, _, _ = initial_embedding(load_csv(plain_csv).X, RunSpec(), None, fitting=False)
         npt.assert_array_equal(load_embedding(out / "init.csv").X, Z0)
 
     def test_parser_choices_are_library_kinds(self):

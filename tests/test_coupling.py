@@ -16,7 +16,7 @@ from graphcoupling.coupling import (
     CouplingProblem,
     input_affinity,
 )
-from graphcoupling.errors import ContractViolationError, ParameterError
+from graphcoupling.errors import ContractViolationError, DegenerateRowError, ParameterError
 from graphcoupling.graph import weighted_laplacian
 from graphcoupling.kernels import (
     GAUSSIAN,
@@ -191,8 +191,9 @@ class TestConstruction:
 
     @pytest.mark.parametrize("method", METHOD_KINDS)
     def test_input_affinity_is_the_public_transform(self, method, block_cells):
-        # input_affinity symmetrizes the posterior in place; the public
-        # transforms work on a copy and must give the same bytes.
+        # input_affinity writes the posterior over K and symmetrizes it in
+        # place; the public transforms work on a copy and must give the
+        # same bytes.
         X = np.random.default_rng(27).normal(size=(40, 5))
         K = calibrated_kernel(X, 8.0)
         if method == UMAP:
@@ -204,6 +205,16 @@ class TestConstruction:
         got = input_affinity(K, method)
         assert got.normalization == want.normalization
         assert got.values.tobytes() == want.values.tobytes()
+
+    @pytest.mark.parametrize("method", [SNE, TSNE, LARGEVIS])
+    def test_failed_validation_leaves_kernel_alone(self, method):
+        # The D prior checks every row sum before it writes over K.
+        K = kernel_matrix(np.random.default_rng(28).normal(size=(9, 3)), "gaussian")
+        K.values[6] = 0.0
+        before = K.values.tobytes()
+        with pytest.raises(DegenerateRowError, match="row 6"):
+            input_affinity(K, method)
+        assert K.values.tobytes() == before
 
     def test_rejects_out_of_range_affinity(self):
         V = np.full((3, 3), 2.0)

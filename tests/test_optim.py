@@ -2,10 +2,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from graphcoupling.coupling import METHOD_KINDS, TSNE, CouplingProblem
+from graphcoupling.coupling import METHOD_KINDS, TSNE, CouplingProblem, input_affinity
 from graphcoupling.errors import DivergenceError, ParameterError
+from graphcoupling.kernels import calibrated_kernel
 from graphcoupling.optim import Evaluation, MinimizeResult, OptimizerConfig, minimize
-from graphcoupling.pipeline import prepare_input
 
 
 class Quadratic:
@@ -58,8 +58,7 @@ def coupling_problem(method=TSNE, seed=2, n=30):
     rng = np.random.default_rng(seed)
     X = np.concatenate([rng.normal(size=(n // 2, 3)),
                         rng.normal(size=(n - n // 2, 3)) + 6.0])
-    P, _ = prepare_input(X, method, 10.0)
-    return CouplingProblem(method, P)
+    return CouplingProblem(method, input_affinity(calibrated_kernel(X, 10.0), method))
 
 
 class TestConfig:

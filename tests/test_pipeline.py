@@ -10,10 +10,11 @@ import numpy.testing as npt
 import pytest
 
 from graphcoupling import kernels, linalg, pipeline
+from graphcoupling.coupling import input_affinity
 from graphcoupling.errors import ParameterError
 from graphcoupling.evaluation import evaluate_embedding
 from graphcoupling.kernels import GAUSSIAN, calibrated_kernel, kernel_matrix
-from graphcoupling.optim import OptimizerConfig
+from graphcoupling.optim import OptimizerConfig, minimize
 from graphcoupling.pipeline import (
     INIT_SCALE,
     RunSpec,
@@ -23,7 +24,9 @@ from graphcoupling.pipeline import (
     rescale_init,
     run,
 )
+from graphcoupling.posterior import posterior_expectation
 from graphcoupling.spectral import pca
+from oracles import umap_threshold_prob
 
 FAST_OPT = OptimizerConfig(iterations=60, momentum_switch=30,
                            exaggeration_iters=30)
@@ -52,6 +55,11 @@ class TestRunSpec:
             RunSpec(q=0).validate()
 
 
+def start(X, spec):
+    """(Z0, degenerate, affinity) of a run: the input side read in order."""
+    return initial_embedding(X, spec, prepare_input(X, spec))
+
+
 class TestPrepareInput:
     def test_normalization_tags_per_method(self):
         X = blob_data(1, n=20)
@@ -59,45 +67,59 @@ class TestPrepareInput:
                     "largevis": "symmetrized-row",
                     "umap": "thresholded-bernoulli"}
         for method, tag in expected.items():
-            P, K = prepare_input(X, method, 5.0)
-            assert P.normalization == tag
+            spec = RunSpec(method=method, perplexity=5.0)
+            K = prepare_input(X, spec)
             assert K.kind == "gaussian"
+            _, _, P = initial_embedding(X, spec, K)
+            assert P.normalization == tag
+            # The affinity's values are the kernel's buffer.
+            assert P.values is K.values
 
     def test_kernel_shared_across_methods(self):
         # one calibration serves every method, including the edgewise route
         X = blob_data(2, n=18)
-        _, K_sne = prepare_input(X, "sne", 6.0)
-        _, K_umap = prepare_input(X, "umap", 6.0)
+        K_sne = prepare_input(X, RunSpec(method="sne", perplexity=6.0))
+        K_umap = prepare_input(X, RunSpec(method="umap", perplexity=6.0))
         assert K_sne.values.tobytes() == K_umap.values.tobytes()
         tau = calibrated_kernel(X, 6.0).bandwidths
         npt.assert_array_equal(K_sne.bandwidths, tau)
-        npt.assert_array_equal(K_sne.values, kernel_matrix(X, GAUSSIAN, tau).values)
+        K = kernel_matrix(X, GAUSSIAN, tau)
+        npt.assert_array_equal(K_sne.values, K.values)
+        sne = initial_embedding(X, RunSpec(method="sne"), K_sne)[2]
+        umap = initial_embedding(X, RunSpec(method="umap"), K_umap)[2]
+        assert sne.values.tobytes() == posterior_expectation(K, "D").values.tobytes()
+        want = umap_threshold_prob(posterior_expectation(K, "B"))
+        assert umap.values.tobytes() == want.values.tobytes()
 
-    @pytest.mark.parametrize("method", ["tsne", "largevis", "umap"])
-    def test_peak_memory_in_n_by_n_arrays(self, method, monkeypatch):
-        # The kernel is written over the distances, so calibration holds
-        # one n x n array plus the temporaries of the blocks in flight,
-        # and the affinity is the second.  The bound is for two blocks in
-        # flight; each further worker adds one block's temporaries, a
-        # fixed ~1.6 MB (0.57 n x n at this n).
+    @pytest.mark.parametrize("method, init", [
+        pytest.param("tsne", "pca", id="tsne"),
+        pytest.param("largevis", "pca", id="largevis"),
+        pytest.param("umap", "pca", id="umap"),
+        pytest.param("tsne", "ccpca", id="tsne-ccpca")])
+    def test_peak_memory_in_n_by_n_arrays(self, method, init, monkeypatch):
+        # Calibration writes the kernel over the distances, ccPCA's D-prior
+        # draws read it one row block at a time, and the affinity is written
+        # over it: one n x n array plus the temporaries of the blocks in
+        # flight, which the bound allows for two workers.  Holding the
+        # kernel and the affinity as two arrays takes 2 n x n.
         monkeypatch.setattr(linalg, "usable_cores", lambda: 2)
-        n = 600
+        n = 2000
         X = np.random.default_rng(16).normal(size=(n, 50))
+        spec = RunSpec(method=method, init=init, perplexity=30.0, ccpca_samples=5,
+                       ccpca_prior="D")
         tracemalloc.start()
         try:
-            prepare_input(X, method, 30.0)
+            start(X, spec)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak / (n * n * 8) <= 2.5
+        assert peak / (n * n * 8) <= 1.25
 
 
 class TestInitialization:
     def test_random_init_scale_and_shape(self):
         X = blob_data(3)
-        spec = RunSpec(init="random", seed=5)
-        P, K = prepare_input(X, "tsne", 10.0)
-        Z0, degenerate = initial_embedding(X, spec, P, K)
+        Z0, degenerate, _ = start(X, RunSpec(init="random", seed=5, perplexity=10.0))
         assert Z0.shape == (40, 2)
         assert not degenerate
         # standard normal times 1e-4: all coordinates small, none zero
@@ -108,13 +130,11 @@ class TestInitialization:
         # initial_embedding returns spectral coordinates at their natural
         # scale; run shrinks them with rescale_init
         X = blob_data(4)
-        P, K = prepare_input(X, "tsne", 10.0)
         for init in ("pca", "le", "ccpca"):
-            spec = RunSpec(init=init, seed=2)
-            Z0, _ = initial_embedding(X, spec, P, K)
+            Z0, _, _ = start(X, RunSpec(init=init, seed=2, perplexity=10.0))
             npt.assert_allclose(np.abs(rescale_init(Z0, 40)).max(),
                                 INIT_SCALE * np.sqrt(40.0), rtol=1e-12)
-        pca_Z0, _ = initial_embedding(X, RunSpec(init="pca"), P, K)
+        pca_Z0, _, _ = start(X, RunSpec(init="pca", perplexity=10.0))
         npt.assert_array_equal(pca_Z0, pca(X, 2))
 
     def test_rescale_preserves_direction(self):
@@ -128,19 +148,17 @@ class TestInitialization:
 
     def test_seed_controls_random_and_ccpca_independently(self):
         X = blob_data(5)
-        P, K = prepare_input(X, "tsne", 10.0)
-        r0, _ = initial_embedding(X, RunSpec(init="random", seed=0), P, K)
-        r1, _ = initial_embedding(X, RunSpec(init="random", seed=1), P, K)
+        r0 = start(X, RunSpec(init="random", seed=0, perplexity=10.0))[0]
+        r1 = start(X, RunSpec(init="random", seed=1, perplexity=10.0))[0]
         assert r0.tobytes() != r1.tobytes()
-        c0, _ = initial_embedding(X, RunSpec(init="ccpca", seed=0), P, K)
-        c0b, _ = initial_embedding(X, RunSpec(init="ccpca", seed=0), P, K)
+        c0 = start(X, RunSpec(init="ccpca", seed=0, perplexity=10.0))[0]
+        c0b = start(X, RunSpec(init="ccpca", seed=0, perplexity=10.0))[0]
         assert c0.tobytes() == c0b.tobytes()
 
     def test_le_init_reports_degenerate_components(self):
         # two far blocks: the affinity support splits and le flags it
         X = blob_data(6, separation=200.0)
-        P, K = prepare_input(X, "tsne", 5.0)
-        _, degenerate = initial_embedding(X, RunSpec(init="le"), P, K)
+        _, degenerate, _ = start(X, RunSpec(init="le", perplexity=5.0))
         assert degenerate
 
 
@@ -259,8 +277,7 @@ class TestRun:
         X = blob_data(12, n=24)
         result = run(X, RunSpec(seed=6, perplexity=8.0, optimizer=FAST_OPT))
         from graphcoupling.coupling import CouplingProblem
-        P, _ = prepare_input(X, "tsne", 8.0)
-        prob = CouplingProblem("tsne", P)
+        prob = CouplingProblem("tsne", input_affinity(calibrated_kernel(X, 8.0), "tsne"))
         npt.assert_allclose(result.manifest["results"]["final_loss"],
                             prob.loss(result.Z), rtol=1e-12)
 
@@ -299,32 +316,64 @@ class TestRun:
     @pytest.mark.parametrize("method, init", [("tsne", "ccpca"), ("umap", "le"),
                                               ("sne", "random"), ("largevis", "pca")])
     def test_input_side_freed_before_scoring(self, monkeypatch, method, init):
-        # The n x n affinity and kernel must be gone before scoring, and the
-        # kernel before any initialization but ccPCA, the one that reads it.
-        refs, scored, kernel_at_init = [], [], []
+        # The input side is read in one order: calibration, ccPCA's draws
+        # from the kernel, the affinity written over the kernel's buffer,
+        # eigenmaps on the affinity.  That one buffer is gone before scoring.
+        events, refs, scored = [], [], []
 
-        def prepare_and_watch(*args):
-            affinity, kernel = prepare_input(*args)
-            refs.extend(weakref.ref(m.values) for m in (affinity, kernel))
-            return affinity, kernel
+        def watch(name, fn):
+            def watched(*args, **kwargs):
+                events.append(name)
+                return fn(*args, **kwargs)
+            return watched
 
-        def init_and_watch(*args):
-            kernel_at_init.append(refs[1]() is not None)
-            return initial_embedding(*args)
+        def affinity_and_watch(kernel, method):
+            events.append("affinity")
+            affinity = input_affinity(kernel, method)
+            assert affinity.values is kernel.values
+            refs.append(weakref.ref(affinity.values))
+            return affinity
 
         def evaluate_when_freed(*args):
             scored.append(all(ref() is None for ref in refs))
             return evaluate_embedding(*args)
 
-        monkeypatch.setattr(pipeline, "prepare_input", prepare_and_watch)
-        monkeypatch.setattr(pipeline, "initial_embedding", init_and_watch)
+        monkeypatch.setattr(pipeline, "calibrated_kernel",
+                            watch("kernel", calibrated_kernel))
+        monkeypatch.setattr(pipeline, "ccpca", watch("ccpca", pipeline.ccpca))
+        monkeypatch.setattr(pipeline, "laplacian_eigenmaps",
+                            watch("le", pipeline.laplacian_eigenmaps))
+        monkeypatch.setattr(pipeline, "input_affinity", affinity_and_watch)
         monkeypatch.setattr(pipeline, "evaluate_embedding", evaluate_when_freed)
         tiny = OptimizerConfig(iterations=12, momentum_switch=6, exaggeration_iters=6)
         run(blob_data(14, n=24), RunSpec(method=method, init=init, seed=1, perplexity=8.0,
                                          optimizer=tiny, ccpca_samples=5))
-        assert len(refs) == 2
-        assert kernel_at_init == [init == "ccpca"]
+        order = {"ccpca": ["kernel", "ccpca", "affinity"], "le": ["kernel", "affinity", "le"]}
+        assert events == order.get(init, ["kernel", "affinity"])
+        assert len(refs) == 1
         assert scored == [True]
+
+    @pytest.mark.parametrize("classic_scale", [False, True])
+    def test_classic_scale_affinity_freed_before_minimize(self, monkeypatch,
+                                                          classic_scale):
+        # Under classic_scale the problem holds its own P / (2n); the
+        # affinity it was copied from is gone before the descent.
+        refs, alive = [], []
+
+        def affinity_and_watch(*args):
+            affinity = input_affinity(*args)
+            refs.append(weakref.ref(affinity.values))
+            return affinity
+
+        def minimize_and_watch(*args):
+            alive.append(refs[0]() is not None)
+            return minimize(*args)
+
+        monkeypatch.setattr(pipeline, "input_affinity", affinity_and_watch)
+        monkeypatch.setattr(pipeline, "minimize", minimize_and_watch)
+        run(blob_data(17, n=24), RunSpec(perplexity=8.0, classic_scale=classic_scale,
+                                         optimizer=OptimizerConfig(iterations=2)))
+        assert alive == [not classic_scale]
 
 
 class TestThreads:
