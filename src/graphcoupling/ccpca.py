@@ -10,9 +10,9 @@ That average equals M X for the Monte-Carlo average M of the orthogonal
 projectors onto component-wise constant vectors, but each sample costs
 O(n p) from its edge list, with no n x n projector.  All samples come
 from one :meth:`posterior.PosteriorSampler.draws` call, a single walk
-over the kernel's row blocks that forms no n x n array for the B and D
-priors.  ``tests/oracles.py`` builds M densely (``averaged_projector``),
-the oracle the tests compare :func:`ccpca` against.
+over the kernel's row blocks that forms no n x n array for any prior.
+``tests/oracles.py`` builds M densely (``averaged_projector``), the
+oracle the tests compare :func:`ccpca` against.
 """
 
 from dataclasses import dataclass

@@ -175,17 +175,17 @@ class CouplingProblem:
         self._upper = required != ROW
         if self._upper:
             _check_symmetric(P)
-        if classic_scale:
-            if affinity.normalization != SYMMETRIZED_ROW:
-                raise ParameterError(
-                    "classic_scale only applies to symmetrized-row affinities")
-            P = P / (2.0 * n)
+        if classic_scale and affinity.normalization != SYMMETRIZED_ROW:
+            raise ParameterError(
+                "classic_scale only applies to symmetrized-row affinities")
         self.method = method
         self.P = P
         self.latent_kernel = check_kind(latent_kernel or DEFAULT_LATENT_KERNEL[method])
         # For the symmetrized methods each undirected edge carries half of
-        # P + P^T per direction.
+        # P + P^T per direction; classic_scale divides it by 2n, not P.
         self._edge_scale = 0.5 if method in (TSNE, LARGEVIS) else 1.0
+        if classic_scale:
+            self._edge_scale /= 2.0 * n
         # Repulsion reads P only through sne's row sums or tsne's total mass.
         self._row_mass = P.sum(axis=1, keepdims=True) if method == SNE else None
         self._mass = float(P.sum()) if method == TSNE else None

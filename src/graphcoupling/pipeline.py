@@ -160,7 +160,7 @@ def run(X, spec: RunSpec = None) -> RunResult:
 
     problem = CouplingProblem(spec.method, affinity, spec.latent_kernel,
                               classic_scale=spec.classic_scale)
-    del kernel, affinity  # P's buffer, which classic_scale copies from
+    del kernel, affinity  # P's buffer is the problem's alone now
     opt = spec.optimizer
     if opt.early_exaggeration is None:
         opt = replace(opt, early_exaggeration=(spec.method == "tsne"))

@@ -15,10 +15,9 @@ the data, with uniform prior weights.  Expectations are packaged as
 Exact posterior samples are drawn by a :class:`PosteriorSampler`,
 which validates the kernel once and returns each latent graph as an
 edge list (``tests/oracles.py`` keeps the dense draw,
-``sample_posterior_graph``).  For B and D it builds no table:
+``sample_posterior_graph``).  It builds no table for any prior:
 :meth:`PosteriorSampler.draws` reads K one row block at a time for any
 number of generators, so K must not change while the sampler is in use.
-E keeps one table of K's off-diagonal cells.
 """
 
 from dataclasses import dataclass, replace
@@ -127,43 +126,26 @@ class PosteriorSampler:
     """Exact sampler of the limiting posterior of one prior and kernel.
 
     Construction validates K as :func:`posterior_expectation` does and
-    keeps K's own array.  B and D build no table: each
-    :meth:`draws` walks K one :func:`linalg.row_blocks` block at a time
-    and forms the block's edge probabilities (B) or row CDF (D, from row
-    sums taken at construction) with :func:`posterior_expectation`'s
-    arithmetic, for every generator at once, so K must not change while
-    the sampler is in use.  E keeps one table, K's off-diagonal cells
-    renormalized to 1, because a multinomial draw needs all of them.
+    keeps K's own array and, for D and E, its row sums.  Each
+    :meth:`draws` walks K's :func:`linalg.row_blocks` once for every
+    generator, forming a block's edge probabilities (B) or row CDF (D
+    and E) with :func:`posterior_expectation`'s arithmetic.  E's
+    multinomial of n edges over K's cells factors exactly into one of
+    the row totals over the row masses (row sums over their total), then
+    that many draws from each row's CDF; D draws once per row.
     """
 
     def __init__(self, K, prior: str):
         check_prior(prior)
         self._K = _checked_kernel(K)
         self.prior = prior
-        self.n = n = self._K.shape[0]
-        if prior == "D":
+        self.n = self._K.shape[0]
+        if prior != "B":
             self._row_sums = self._K.sum(axis=1)
+        if prior == "D":
             _check_row_sums(self._row_sums)
-        elif prior == "E":
-            self._cells = self._cell_table()
-
-    def _cell_table(self) -> np.ndarray:
-        """K's off-diagonal cells in row-major order, scaled to sum to 1.
-
-        The cells are gathered in place in ``posterior_expectation(K, "E")``,
-        formed over one n x n copy of K.
-        """
-        n = self.n
-        flat = _expectation_in_place(self._K.copy(), "E").values.ravel()
-        # Between the diagonal cells k and k + 1 of the flat matrix lie the
-        # n off-diagonal cells that row k of ``cells`` takes, to their left.
-        between = flat[1:].reshape(n - 1, n + 1)[:, :n]
-        cells = flat[:n * (n - 1)].reshape(n - 1, n)
-        for rows in row_blocks(n - 1):
-            cells[rows] = between[rows]
-        cells = flat[:n * (n - 1)]
-        cells /= cells.sum()
-        return cells
+        elif prior == "E" and not self._row_sums.any():
+            raise DegenerateRowError("no admissible edge under the E prior")
 
     def draws(self, rngs) -> list:
         """One latent graph per generator, in the order of ``rngs``.
@@ -171,21 +153,28 @@ class PosteriorSampler:
         At most one edge per row for D, exactly n edges in total for E,
         and independent 0/1 entries for B; never a diagonal edge.  Each
         draw takes all of its randomness from its own generator, in the
-        stream that ``draws([rng])`` takes from it: B and D walk K once for
-        all of them and take each block's uniforms from every generator in
-        turn.  So a generator listed twice gives two exact, mutually
-        independent draws, which equal two single-generator calls only
+        stream that ``draws([rng])`` takes from it: E's row totals first,
+        then each block's uniforms, from every generator in turn.  So a
+        generator listed twice gives two exact, mutually independent
+        draws; for B and D, not E, they equal two single-generator calls
         when K is one block.
         """
         rngs = list(rngs)
-        if self.prior == "E":
-            return [self._multinomial(rng) for rng in rngs]
+        if self.prior == "B":
+            return self._bernoulli_draws(rngs)
         if self.prior == "D":
-            return self._row_draws(rngs)
-        return self._bernoulli_draws(rngs)
+            return self._row_draws(rngs, np.broadcast_to(np.int64(1), (len(rngs), self.n)))
+        # Only rows with mass get a total, so no roundoff leftover lands elsewhere.
+        live = np.flatnonzero(self._row_sums)
+        masses = self._row_sums[live] / self._row_sums.sum()
+        totals = np.zeros((len(rngs), self.n), dtype=np.int64)
+        for g, rng in enumerate(rngs):
+            totals[g, live] = rng.multinomial(self.n, masses)
+        return self._row_draws(rngs, totals)
 
-    def _row_cdf(self, rows: slice) -> np.ndarray:
-        """Rows ``rows`` of the D prior's row CDF, each ending at exactly 1."""
+    def _row_cdf(self, rows) -> np.ndarray:
+        """Rows ``rows`` (a slice, or indices of rows with mass) of the D
+        prior's row CDF, each ending at exactly 1."""
         cdf = self._K[rows] / self._row_sums[rows, None]
         np.cumsum(cdf, axis=1, out=cdf)
         cdf /= cdf[:, -1:].copy()  # an overlapping view would copy the block
@@ -214,53 +203,64 @@ class PosteriorSampler:
                                   np.ones(edge_rows.shape[0], dtype=np.int64)))
         return draws
 
-    def _row_draws(self, rngs: list) -> list:
+    def _row_draws(self, rngs: list, totals: np.ndarray) -> list:
+        """``totals[g, i]`` draws from row i's CDF for each generator g.
+
+        u in (0, 1] is drawn block by block in the stream of one
+        ``rng.random(totals[g].sum())``, row after row.  The first CDF
+        entry >= u is the strict count (cdf < u).sum(), so a cell of
+        probability 0, the diagonal too, is never selected.  An E draw's
+        repeated cells merge into its edge counts.
+        """
         n = self.n
-        cols = np.empty((len(rngs), n), dtype=np.int64)
+        picks = [[np.zeros(0, dtype=np.int64)] for _ in rngs]
         for rows in row_blocks(n):
-            # u in (0, 1], drawn block by block in the stream of one
-            # rng.random(n), so the uniforms held are a block's, not n per
-            # generator.  The first CDF entry >= u is the strict count
-            # (cdf < u).sum(), so a zero-probability cell, the diagonal in
-            # particular, is never selected.
-            u = np.empty((len(rngs), rows.stop - rows.start))
-            for g, rng in enumerate(rngs):
-                rng.random(out=u[g])
+            # Only E admits a row without mass, which draws nothing and has no CDF.
+            live = rows.start + np.flatnonzero(self._row_sums[rows])
+            cdf = self._row_cdf(rows if live.size == rows.stop - rows.start else live)
+            counts = totals[:, live]
+            # which[k] is the CDF row of uniform k, generator by generator.
+            which = np.repeat(np.tile(np.arange(live.size), len(rngs)), counts.ravel())
+            ends = np.cumsum(counts.sum(axis=1)).tolist()
+            spans = list(zip([0] + ends[:-1], ends))
+            del counts
+            u = np.empty(which.size)
+            for rng, (lo, hi) in zip(rngs, spans):
+                rng.random(out=u[lo:hi])
             np.subtract(1.0, u, out=u)
-            cols[:, rows] = _first_at_least(self._row_cdf(rows), u)
-        return [EdgeList(n, np.arange(n, dtype=np.int64), cols[g],
-                         np.ones(n, dtype=np.int64)) for g in range(len(rngs))]
+            cols = _first_at_least(cdf, which, u)
+            del cdf  # before the next block's CDF is formed
+            for edge_cols, (lo, hi) in zip(picks, spans):
+                edge_cols.append(cols[lo:hi])
+        draws = []
+        for g, edge_cols in enumerate(picks):
+            picks[g] = None  # each draw's pieces go once they are joined
+            edge_rows, edge_cols = np.repeat(np.arange(n), totals[g]), np.concatenate(edge_cols)
+            counts = np.ones(edge_rows.size, dtype=np.int64)
+            if self.prior == "E":
+                cells, counts = np.unique(edge_rows * n + edge_cols, return_counts=True)
+                edge_rows, edge_cols = np.divmod(cells, n)
+            draws.append(EdgeList(n, edge_rows, edge_cols, counts))
+        return draws
 
-    def _multinomial(self, rng: np.random.Generator) -> EdgeList:
-        n = self.n
-        counts = rng.multinomial(n, self._cells)
-        cells = np.nonzero(counts)[0]
-        # Cell c of the row-major off-diagonal order lies in row c // (n - 1)
-        # and skips that row's diagonal.
-        rows = cells // (n - 1)
-        cols = cells % (n - 1)
-        cols += cols >= rows
-        return EdgeList(n, rows, cols, counts[cells].astype(np.int64))
 
+def _first_at_least(cdf: np.ndarray, row: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """For each ``u[k]``, the first column of the sorted row ``cdf[row[k]]`` that is >= it.
 
-def _first_at_least(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """For each ``u[g, r]``, the first column of the sorted row ``cdf[r]`` that is >= it.
-
-    The count of the row's entries below ``u[g, r]``, found by one
-    branch-free bisection over every generator and row at once: the
-    count lies in ``[base, base + size]``, which each step halves.
-    Indices are flat, so one gather reads a cell of every row.
+    The count of the row's entries below ``u[k]``, found by one
+    branch-free bisection over every uniform at once: the count lies in
+    ``[base, base + size]``, which each step halves.  Indices are flat
+    (column ``index % n``), so one gather reads a cell of every uniform's row.
     """
-    b, n = cdf.shape
+    n = cdf.shape[1]
     flat = cdf.ravel()
-    first = np.arange(0, b * n, n)
-    base, size = first, n
+    base, size = row * n, n
     while size > 1:
         half = size // 2
         probe = base + half
         base = np.where(flat[probe] < u, probe, base)
         size -= half
-    return base - first + (flat[base] < u)
+    return base % n + (flat[base] < u)
 
 
 def _add(a, c) -> None:

@@ -105,12 +105,10 @@ class TestCcpca:
             parts = components_from_edges(edges.n, edges.rows, edges.cols)
             npt.assert_array_equal(parts.assignment, connected_components(W).assignment)
 
-    @pytest.mark.parametrize("prior, bound", [("B", 0.25), ("D", 0.25), ("E", 2.1)])
+    @pytest.mark.parametrize("prior, bound", [("B", 0.25), ("D", 0.25), ("E", 0.5)])
     def test_peak_in_n_by_n_arrays(self, prior, bound):
-        # B and D read K one row block at a time: a block is 0.18 n x n at
-        # this n, and the rest grows with samples x n.  E holds its n(n-1)
-        # cell table and, during each draw, the multinomial's int64 counts
-        # of the same size.
+        # Every prior reads K one row block at a time: a block is 0.18 n x n
+        # at this n, and the rest grows with samples x n.
         n = 600
         X = two_blobs(seed=10, per_block=n // 2, separation=10.0)
         X = np.hstack([X, np.random.default_rng(10).normal(size=(n, 7))])

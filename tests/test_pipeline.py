@@ -356,24 +356,26 @@ class TestRun:
     @pytest.mark.parametrize("classic_scale", [False, True])
     def test_classic_scale_affinity_freed_before_minimize(self, monkeypatch,
                                                           classic_scale):
-        # Under classic_scale the problem holds its own P / (2n); the
-        # affinity it was copied from is gone before the descent.
-        refs, alive = [], []
+        # classic_scale is a scalar of the problem, not a copy of P: under
+        # either setting the descent reads the affinity's own buffer, and
+        # run keeps no other reference to the affinity by then.
+        refs, seen = [], []
 
         def affinity_and_watch(*args):
             affinity = input_affinity(*args)
-            refs.append(weakref.ref(affinity.values))
+            refs.append((weakref.ref(affinity), weakref.ref(affinity.values)))
             return affinity
 
-        def minimize_and_watch(*args):
-            alive.append(refs[0]() is not None)
-            return minimize(*args)
+        def minimize_and_watch(problem, *args):
+            affinity, values = refs[0]
+            seen.append((affinity() is None, problem.P is values()))
+            return minimize(problem, *args)
 
         monkeypatch.setattr(pipeline, "input_affinity", affinity_and_watch)
         monkeypatch.setattr(pipeline, "minimize", minimize_and_watch)
         run(blob_data(17, n=24), RunSpec(perplexity=8.0, classic_scale=classic_scale,
                                          optimizer=OptimizerConfig(iterations=2)))
-        assert alive == [not classic_scale]
+        assert seen == [(True, True)]
 
 
 class TestThreads:

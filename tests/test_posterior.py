@@ -50,10 +50,16 @@ def dense_reference_sample(K, prior, rng):
         W = np.zeros((n, n), dtype=np.int64)
         W[np.arange(n), idx] = 1
         return W
-    off = ~np.eye(n, dtype=bool)
-    p = G[off] / G.sum()
+    # E: row totals over the rows with mass, then one uniform per edge,
+    # row after row, each placed by its row's D CDF.
+    sums = G.sum(axis=1)
+    live = np.flatnonzero(sums)
+    totals = rng.multinomial(n, sums[live] / sums.sum())
+    cdf = np.cumsum(G[live] / sums[live, None], axis=1)
+    cdf /= cdf[:, -1:]
     W = np.zeros((n, n), dtype=np.int64)
-    W[off] = rng.multinomial(n, p / p.sum())
+    for k, u in zip(np.repeat(np.arange(live.size), totals), 1.0 - rng.random(n)):
+        W[live[k], (cdf[k] < u).sum()] += 1
     return W
 
 
@@ -78,11 +84,19 @@ def stream_kernels():
 
 
 class ScriptedUniforms:
-    """Stands in for a generator whose ``random`` returns given numbers in order."""
+    """Stands in for a generator whose ``random`` returns given numbers in
+    order and whose ``multinomial`` returns ``totals``, keeping its
+    probabilities in ``pvals``."""
 
-    def __init__(self, values):
+    def __init__(self, values, totals=None):
         self._values = np.asarray(values, dtype=np.float64).ravel()
         self._taken = 0
+        self._totals = totals
+        self.pvals = None
+
+    def multinomial(self, n, pvals):
+        self.pvals = np.array(pvals)
+        return self._totals
 
     def random(self, size=None, out=None):
         out = np.empty(size) if out is None else out
@@ -249,14 +263,51 @@ class TestSampling:
             npt.assert_array_equal(edges.cols, cols)
 
     @pytest.mark.parametrize("weighted", [False, True])
-    def test_e_cells_are_the_expectations_to_the_last_bit(self, block_cells, weighted):
+    def test_e_masses_and_cdf_are_the_d_bits(self, block_cells, weighted):
+        # E's row totals are drawn over the row sums divided by their
+        # total, and its edges from D's row CDF, which
+        # test_d_cdf_is_the_expectations_to_the_last_bit pins.
         n = 40
         K = example_kernel(24, n=n).values
         if weighted:  # a nonnegative K that is no kernel of any data
             K = K * np.random.default_rng(24).uniform(0.5, 2.0, (n, n))
-        cells = posterior_expectation(K, "E").values[~np.eye(n, dtype=bool)]
-        cells /= cells.sum()
-        assert PosteriorSampler(K, "E")._cells.tobytes() == cells.tobytes()
+        sums = K.sum(axis=1)
+        masses = sums / sums.sum()
+        sampler, d = PosteriorSampler(K, "E"), PosteriorSampler(K, "D")
+        for rows in linalg.row_blocks(n):
+            assert sampler._row_cdf(rows).tobytes() == d._row_cdf(rows).tobytes()
+        cdf = np.cumsum(posterior_expectation(K, "D").values, axis=1)
+        cdf /= cdf[:, -1:].copy()
+        pick = np.random.default_rng(25)
+        totals = pick.multinomial(n, masses)
+        values = pick.random(n)
+        rng = ScriptedUniforms(values, totals)
+        edges = sampler.draws([rng])[0]
+        assert rng.pvals.tobytes() == masses.tobytes()
+        W = np.zeros((n, n), dtype=np.int64)
+        for row, u in zip(np.repeat(np.arange(n), totals), 1.0 - values):
+            W[row, (cdf[row] < u).sum()] += 1
+        npt.assert_array_equal(edges.dense(), W)
+
+    def test_e_row_without_mass_draws_no_edge(self, block_cells):
+        # Row 2 has no mass but column 2 keeps its mass, so edges may
+        # enter node 2 and none may leave it; filterwarnings = error turns
+        # a 0 / 0 in its CDF into a failure.  No cell is rare, so the
+        # normal approximation of each count holds.
+        n, trials = 6, 6000
+        K = np.random.default_rng(26).uniform(0.5, 2.0, (n, n))
+        np.fill_diagonal(K, 0.0)
+        K[2] = 0.0
+        p = posterior_expectation(K, "E").values
+        rng = np.random.default_rng(19)
+        counts = np.zeros((n, n))
+        for edges in PosteriorSampler(K, "E").draws([rng] * trials):
+            assert edges.counts.sum() == n
+            assert not (edges.rows == 2).any()
+            counts += edges.dense()
+        assert counts[:, 2].sum() > 0
+        z = np.abs(counts / trials - n * p) / np.sqrt(np.maximum(n * p * (1 - p), 1e-12) / trials)
+        assert z[~np.eye(n, dtype=bool)].max() <= 5.0
 
     @pytest.mark.parametrize("prior", PRIOR_KINDS)
     def test_a_repeated_generator_draws_afresh(self, block_cells, prior):
@@ -297,7 +348,7 @@ class TestSampling:
                 [np.random.default_rng(1), np.random.default_rng(2)])
         npt.assert_array_equal(K.values, before)
 
-    @pytest.mark.parametrize("prior", ["B", "D"])
+    @pytest.mark.parametrize("prior", PRIOR_KINDS)
     def test_construction_builds_no_table(self, prior):
         n = 600
         K = kernel_matrix(np.random.default_rng(21).normal(size=(n, 3)), "gaussian")
