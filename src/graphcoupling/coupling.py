@@ -39,6 +39,15 @@ cores through :func:`linalg.map_blocks`, each in its worker's reused
 buffers, and their terms are added up in tile order, so the loss and the
 gradient are the same bits at any core count.
 
+sne's row normalizers and the Gaussian-latent tsne normalizer sum
+exp(log K - peak), and each such sum holds the peak's own term, 1.  Their
+exp floors its argument at :data:`kernels.EXP_FLOOR`: numpy's vector exp
+is ten to fifty times slower past about -708, where the far pairs of a
+spread embedding sit, and a floored term's e^-700 cannot move a sum of
+at least 1 by a bit, nor the gradient sums it joins.  The masked pairs
+are set back to 0 after the exp.  The edgewise K of largevis and umap is
+read cell by cell, so its exp stays exact.
+
 Losses are reported in nats.  A loss of +inf is a sentinel for an
 embedding that the method cannot score (collapsed latent mass), not an
 error; its gradient is None.
@@ -50,7 +59,7 @@ import threading
 import numpy as np
 
 from .errors import ContractViolationError, ParameterError
-from .kernels import GAUSSIAN, STUDENT, check_kind
+from .kernels import EXP_FLOOR, GAUSSIAN, STUDENT, check_kind
 # The tiles take their distances from the private _sq_dists, since they run
 # on worker threads.  pairwise_sq_dists keeps its name here for tools that
 # patch the package's functions where they are imported; the benchmark's
@@ -107,6 +116,18 @@ def input_affinity(K, method: str) -> AffinityMatrix:
     check_method(method)
     P = _expectation_in_place(_checked_kernel(K), "B" if method == UMAP else "D")
     return P if method == SNE else symmetrized_in_place(P)
+
+
+def _normalizer_terms(logK, top, out, square, masked):
+    """exp(log K - top) in ``out``, with the tile's masked pairs 0.
+
+    The terms feed a normalizer that holds the peak's own term, 1, so the
+    exp's argument is floored at :data:`kernels.EXP_FLOOR`; the floor
+    would give a masked pair (log K = -inf) e^-700, so it is set back to 0.
+    """
+    np.exp(np.maximum(np.subtract(logK, top, out=out), EXP_FLOOR, out=out), out=out)
+    np.copyto(out[:, square], 0.0, where=masked)
+    return out
 
 
 def _pair_shares(G, Z, rows, cols):
@@ -348,6 +369,7 @@ class CouplingProblem:
         else:
             np.copyto(logK[:, square], -np.inf, where=masked)
         if not (student or normalized):
+            # K is stored and read cell by cell, so its exp takes no floor.
             K = np.exp(logK, out=scratch.take(1, shape))
         G = np.multiply(P, exaggeration * self._edge_scale, out=scratch.take(2, shape))
         np.copyto(G[:, square], 0.0, where=masked)
@@ -359,7 +381,7 @@ class CouplingProblem:
             # Each row's normalizer is complete within the tile; the
             # shift by its peak keeps exp from underflowing to 0 / 0.
             top = logK.max(axis=1, keepdims=True)
-            np.exp(np.subtract(logK, top, out=R), out=R)
+            _normalizer_terms(logK, top, R, square, masked)
             row_total = R.sum(axis=1, keepdims=True)
             weight = self._row_mass[rows] * self._edge_scale
             repulsion = float((weight * (top + np.log(row_total))).sum())
@@ -372,8 +394,7 @@ class CouplingProblem:
                     tile_total = float(K.sum())
                     np.multiply(K, K, out=R)
                 else:
-                    np.exp(np.subtract(logK, top, out=R), out=R)
-                    tile_total = float(R.sum())
+                    tile_total = float(_normalizer_terms(logK, top, R, square, masked).sum())
                 tsne = (top, tile_total, _pair_shares(R, Z, rows, cols))
         else:
             # Both edgewise methods reduce to the same ordered-pair form:

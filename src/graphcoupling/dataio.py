@@ -6,6 +6,8 @@ so a save/load round trip is lossless.
 """
 
 import csv
+import io
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -45,6 +47,11 @@ def load_csv(path, delimiter: str = ",", header: bool = True,
     index.  Label values are mapped to integer codes in order of first
     appearance and the original strings are kept in ``label_names``.
 
+    numpy's C parser reads the table when it can (see
+    :func:`_parse_with_numpy`); every input it refuses goes through a
+    walk of the ``csv`` module's rows, which decides what is accepted
+    and how an error reads.  Both give the same float64 bits.
+
     Raises
     ------
     DataError
@@ -52,18 +59,15 @@ def load_csv(path, delimiter: str = ",", header: bool = True,
         non-finite cells (``nan``, ``inf``), with the offending line and
         column named in the message.
     """
-    rows = _read_rows(path, delimiter)
-    if header:
-        names = [cell.strip() for cell in rows[0]]
-        body = rows[1:]
-        first_line = 2
-        if not body:
-            raise DataError(f"{path} has a header but no data rows")
-    else:
-        names = [f"c{j}" for j in range(len(rows[0]))]
-        body = rows
-        first_line = 1
+    try:
+        dataset = _parse_with_numpy(path, delimiter, header, label)
+    except Exception:  # the row walk decides every input numpy refuses
+        dataset = None
+    return dataset if dataset is not None else _walk_rows(path, delimiter, header, label)
 
+
+def _columns(path, names: list, header: bool, label):
+    """The label column's index (None without one) and the feature columns."""
     width = len(names)
     label_idx = None
     if label is not None:
@@ -81,6 +85,68 @@ def load_csv(path, delimiter: str = ",", header: bool = True,
     feature_cols = [j for j in range(width) if j != label_idx]
     if not feature_cols:
         raise DataError(f"{path} has no numeric columns besides the label")
+    return label_idx, feature_cols
+
+
+def _parse_with_numpy(path, delimiter: str, header: bool, label) -> Optional[Dataset]:
+    """:func:`load_csv` by ``np.loadtxt``, or None where the row walk must decide.
+
+    It takes only text without a quote, a NUL or a leading blank row, and
+    a delimiter of one character that is not whitespace: there a
+    ``csv`` row is its line split at the delimiter, and the two parsers
+    cut the same lines into the same cells.  The label column goes
+    through a converter that assigns codes in order of first appearance.
+    Any row of another width, any cell that numpy cannot read (such as
+    ``1_0``, which ``float`` takes) and any non-finite value make the
+    parse fail or return None.
+    """
+    if len(delimiter) != 1 or delimiter.isspace() or delimiter == '"':
+        return None
+    with open(path, "r", newline="", encoding="utf-8") as handle:
+        first = handle.readline()
+        rest = handle.read()
+    cells = first.rstrip("\r\n").split(delimiter)
+    if any(mark in part for part in (first, rest) for mark in ('"', "\0")):
+        return None
+    if not "".join(cells).strip():  # csv skips a blank row; the header would move
+        return None
+    names = [cell.strip() for cell in cells] if header else [f"c{j}" for j in range(len(cells))]
+    label_idx, feature_cols = _columns(path, names, header, label)
+    codes = {}
+    converters = None if label_idx is None else {
+        label_idx: lambda cell: codes.setdefault(cell.strip(), len(codes))}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an empty body warns; the walk names it
+        table = np.loadtxt(io.StringIO(rest if header else first + rest, newline=""),
+                           dtype=np.float64, delimiter=delimiter, comments=None,
+                           converters=converters, ndmin=2)
+    if table.shape[1] != len(names):
+        return None
+    # A row-major copy, as the walk makes: the fit's products depend on the layout.
+    X = table if label_idx is None else np.delete(table, label_idx, axis=1)
+    if not np.isfinite(X).all():
+        return None
+    labels = None if label_idx is None else table[:, label_idx].astype(np.int64)
+    return Dataset(X, labels, None if label_idx is None else list(codes),
+                   [names[j] for j in feature_cols])
+
+
+def _walk_rows(path, delimiter: str, header: bool, label) -> Dataset:
+    """:func:`load_csv` row by row over the ``csv`` module's rows."""
+    rows = _read_rows(path, delimiter)
+    if header:
+        names = [cell.strip() for cell in rows[0]]
+        body = rows[1:]
+        first_line = 2
+        if not body:
+            raise DataError(f"{path} has a header but no data rows")
+    else:
+        names = [f"c{j}" for j in range(len(rows[0]))]
+        body = rows
+        first_line = 1
+
+    width = len(names)
+    label_idx, feature_cols = _columns(path, names, header, label)
 
     X = np.empty((len(body), len(feature_cols)), dtype=np.float64)
     raw_labels = []

@@ -8,6 +8,7 @@ finite-difference agreement of the analytic gradients.  They run on
 small random instances so the whole battery stays under a few seconds.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -16,6 +17,11 @@ from .coupling import METHOD_KINDS, CouplingProblem, input_affinity
 from .graph import connected_components, laplacian, log_mrf_density
 from .kernels import kernel_matrix
 from .posterior import PRIOR_KINDS, PosteriorSampler, posterior_expectation
+
+
+#: Two-sided level of the sampling-frequency check: the normal tail beyond
+#: 5 standard errors, about 5.7e-7.
+FREQUENCY_LEVEL = math.erfc(5.0 / math.sqrt(2.0))
 
 
 class DiagnosticResult(NamedTuple):
@@ -58,29 +64,55 @@ def _shift_invariance(rng) -> DiagnosticResult:
                             f"max absolute drift {worst:.3e}")
 
 
+def binomial_tail(counts, trials: int, p) -> np.ndarray:
+    """min(P(X <= c), P(X >= c)) for X ~ Binomial(trials, p), cell by cell.
+
+    The probabilities are summed from the exact probability mass, with
+    log factorials from one cumulative sum (off by under 3e-7 in the log
+    at a million trials).  A cell whose law is certain (p of 0 or 1) gives 1
+    at its one possible count and 0 anywhere else.
+    """
+    counts = np.asarray(counts, dtype=np.int64).ravel()
+    p = np.asarray(p, dtype=np.float64).ravel()
+    log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1.0, trials + 1.0)))])
+    k = np.arange(trials + 1)
+    tails = np.empty(counts.size)
+    for i, (c, q) in enumerate(zip(counts, p)):
+        if q <= 0.0 or q >= 1.0:
+            tails[i] = float(c == (trials if q >= 1.0 else 0))
+            continue
+        mass = np.exp(log_fact[trials] - log_fact - log_fact[::-1]
+                      + k * math.log(q) + (trials - k) * math.log1p(-q))
+        tails[i] = min(mass[:c + 1].sum(), mass[c:].sum())
+    return tails
+
+
 def _posterior_frequencies(rng, samples: int) -> DiagnosticResult:
+    """Each cell's edge count over ``samples`` draws against its exact law.
+
+    A B or D cell is one Bernoulli(p) indicator per draw, and an E draw
+    puts n edges on the cells by one multinomial(n, p), so a cell's count
+    is Binomial(samples, p), or Binomial(n samples, p) under E.  The check
+    fails when a count lies in a tail of probability below
+    ``FREQUENCY_LEVEL / 2``.  Unlike a normal z-score, the exact tail
+    does not flag a rare cell (p near 0) that a correct sampler hit once.
+    """
     n = 5
     X = rng.normal(size=(n, 2))
     K = kernel_matrix(X, "gaussian")
-    worst = 0.0
+    worst = 1.0
     off = ~np.eye(n, dtype=bool)
     for prior in PRIOR_KINDS:
         p = posterior_expectation(K, prior).values
-        if prior == "E":
-            # one sample is multinomial(n, p): cell variance n p (1 - p)
-            expect, var = n * p, n * p * (1.0 - p)
-        else:
-            expect, var = p, p * (1.0 - p)
-        counts = np.zeros((n, n))
+        counts = np.zeros((n, n), dtype=np.int64)
         sub = np.random.default_rng(rng.integers(2 ** 32))
         for edges in PosteriorSampler(K, prior).draws([sub] * samples):
             counts += edges.dense()
-        freq = counts / samples
-        se = np.sqrt(np.maximum(var, 1e-12) / samples)
-        z = (np.abs(freq - expect) / se)[off]
-        worst = max(worst, float(z.max()))
-    return DiagnosticResult("posterior-sampling-frequencies", worst <= 5.0,
-                            f"max z-score {worst:.2f} over B/D/E")
+        trials = n * samples if prior == "E" else samples
+        worst = min(worst, float(binomial_tail(counts[off], trials, p[off]).min()))
+    return DiagnosticResult("posterior-sampling-frequencies", worst >= FREQUENCY_LEVEL / 2.0,
+                            f"smallest binomial tail {worst:.2e} over B/D/E "
+                            f"(fails below {FREQUENCY_LEVEL / 2.0:.2e})")
 
 
 def _decomposition_identity(rng) -> DiagnosticResult:

@@ -15,6 +15,13 @@ bandwidths from the data.  Each row block writes its squared distances
 kernel, the only n x n array made, then its kernel rows over them.  The
 blocks are independent, so :func:`linalg.map_blocks` runs them on every
 usable core, and the result does not depend on the cores.
+
+Calibration's entropy passes spend much of their time in ``np.exp``, and
+at tau = 1 the logits of other clusters sit far below -708, where numpy's
+vector exp leaves its fast path.  Its entropy passes only sum the exponentials, and
+each row's sum holds exp(0) = 1, so they floor the argument at
+``EXP_FLOOR`` first: the sums, and so tau, keep every bit.  The kernel
+values the module stores are exact exponentials, never floored.
 """
 
 from dataclasses import dataclass
@@ -33,6 +40,13 @@ KERNEL_KINDS = (GAUSSIAN, STUDENT)
 ENTROPY_TOL = 1e-5
 #: Calibration evaluates each row's entropy at most this many times.
 MAX_ENTROPY_EVALS = 128
+#: Floor on the argument of every ``np.exp`` whose values only feed a sum
+#: that holds exp(0) = 1.  numpy's vector exp runs at about a nanosecond
+#: per element until an argument falls below about -708, where one such
+#: lane sends its whole vector down a path ten to fifty times slower.  A
+#: floored lane adds at most e^-700 (about 1e-304) in place of a smaller
+#: value, which cannot move a sum of at least 1 by a bit.
+EXP_FLOOR = -700.0
 
 
 @dataclass(frozen=True)
@@ -91,7 +105,11 @@ def _log_kernel(S, kind: str, tau=None, out=None) -> np.ndarray:
 
 
 def kernel_matrix(X, kind: str, bandwidths=None) -> KernelMatrix:
-    """Kernel matrix K_ij = k((X_i - X_j) / tau_i) over the rows of ``X``."""
+    """Kernel matrix K_ij = k((X_i - X_j) / tau_i) over the rows of ``X``.
+
+    The values are stored, so their exp takes no ``EXP_FLOOR``: a value
+    below e^-700 is kept as it is, not raised to the floor.
+    """
     values = np.exp(log_kernel(pairwise_sq_dists(X), kind, bandwidths))
     np.fill_diagonal(values, 0.0)
     tau = None if bandwidths is None else np.asarray(bandwidths, dtype=np.float64).copy()
@@ -115,7 +133,9 @@ def calibrated_kernel(X, perplexity: float) -> KernelMatrix:
     usable cores through :func:`linalg.map_blocks`; neither the blocking
     nor the number of cores changes a bit of the result.  The result,
     with tau in ``bandwidths`` and each row's entropy evaluations in
-    ``evaluations``, has the values of ``kernel_matrix(X, GAUSSIAN, tau)``.
+    ``evaluations``, has the values of ``kernel_matrix(X, GAUSSIAN, tau)``:
+    the final exp writes stored values, so unlike the entropy passes it
+    takes no ``EXP_FLOOR``.
 
     Raises
     ------
@@ -164,14 +184,21 @@ def _calibrate_rows(neg_half_d: np.ndarray, target: float):
     the shifted logits l = (-d/2 - peak) / tau^2, where peak is the row's
     largest -d/2, the entropy in nats is H = log sum e^l - E_p[l] and
     dH / d log tau = 2 Var_p(l), so one exp pass gives both the entropy
-    and its slope.  Every row starts at tau = 1 with the bracket lo = 0,
-    hi = inf.  A row within ``ENTROPY_TOL`` bits of the target stops at
-    that tau; otherwise an entropy below the target sets lo = tau, one at
-    or above it sets hi = tau, and the next tau is the Newton step on
-    log tau, clipped to [tau / 2, 2 tau].  Where that step is not finite
-    or falls outside the open bracket (lo, hi), the next tau is 2 lo
-    while hi is infinite, else (lo + hi) / 2: rows far from their scale
-    double or halve until the target is bracketed.
+    and its slope.  The exp takes its argument floored at ``EXP_FLOOR``,
+    which keeps numpy on its fast path and every bit of the result: the
+    row's largest l is 0, so s >= 1 absorbs a floored lane's e^-700.  The
+    sums of e l and e l^2 absorb it too, unless all their other terms are
+    as tiny; then the row's entropy and variance lie within 1e-280 of 0,
+    and it stops, or doubles tau, the same either way.
+
+    Every row starts at tau = 1 with the bracket lo = 0, hi = inf.  A row
+    within ``ENTROPY_TOL`` bits of the target stops at that tau;
+    otherwise an entropy below the target sets lo = tau, one at or above
+    it sets hi = tau, and the next tau is the Newton step on log tau,
+    clipped to [tau / 2, 2 tau].  Where that step is not finite or falls
+    outside the open bracket (lo, hi), the next tau is 2 lo while hi is
+    infinite, else (lo + hi) / 2: rows far from their scale double or
+    halve until the target is bracketed.
 
     Works in ``neg_half_d``, which it shifts and reorders, and two
     buffers of its shape.  The rows still running are kept in the
@@ -189,7 +216,7 @@ def _calibrate_rows(neg_half_d: np.ndarray, target: float):
         m = live.size
         l, e = logits[:m], w[:m]
         np.multiply(shifted[:m], (1.0 / (t * t))[:, None], out=l)
-        np.exp(l, out=e)
+        np.exp(np.maximum(l, EXP_FLOOR, out=l), out=e)
         s = e.sum(axis=1)
         mean = np.multiply(e, l, out=e).sum(axis=1) / s
         var = np.multiply(e, l, out=e).sum(axis=1) / s - mean * mean

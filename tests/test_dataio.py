@@ -1,7 +1,10 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from graphcoupling import dataio
 from graphcoupling.dataio import Dataset, load_csv, load_embedding, save_embedding
 from graphcoupling.errors import DataError, ParameterError
 
@@ -111,6 +114,106 @@ class TestLoadCsv:
         path = write(tmp_path / "t.csv", "cls\ndog\n")
         with pytest.raises(DataError, match="no numeric columns"):
             load_csv(path, label="cls")
+
+
+def numpy_parse(path, delimiter=",", header=True, label=None):
+    """What numpy's parser makes of a file: a Dataset, or None for the walk."""
+    try:
+        return dataio._parse_with_numpy(path, delimiter, header, label)
+    except Exception:
+        return None
+
+
+def same_dataset(a, b):
+    return (a.X.tobytes() == b.X.tobytes() and a.X.shape == b.X.shape
+            and a.X.flags["C_CONTIGUOUS"] and b.X.flags["C_CONTIGUOUS"]
+            and (a.labels is None) == (b.labels is None)
+            and (a.labels is None or a.labels.tobytes() == b.labels.tobytes())
+            and a.label_names == b.label_names and a.feature_names == b.feature_names)
+
+
+def outcome(load, *args):
+    """The Dataset a loader returns, or the type and text of what it raises."""
+    try:
+        return load(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestNumpyParser:
+    def test_reads_the_benchmark_layout(self, tmp_path):
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(50, 4)) * 10.0 ** rng.integers(-300, 300, size=(50, 4))
+        lines = ["x0,x1,x2,x3,class"] + [
+            ",".join(format(v, ".17g") for v in row) + f",c{i % 3}" for i, row in enumerate(X)]
+        path = write(tmp_path / "t.csv", "\n".join(lines) + "\n")
+        parsed = numpy_parse(path, label="class")
+        assert parsed is not None
+        assert parsed.X.tobytes() == X.tobytes()
+        assert same_dataset(parsed, dataio._walk_rows(path, ",", True, "class"))
+        assert same_dataset(load_csv(path, label="class"), parsed)
+
+    @pytest.mark.parametrize("text, header, label", [
+        ("a,b\n1,2\n3,4,5\n", True, None),          # a row with an extra column
+        ("a,b\n1,2,9\n3,4,5\n", True, None),        # every row one wider than the header
+        ("a,b\n1_0,2\n", True, None),                # float() takes 1_0, numpy does not
+        ("1,2\n   \n3,4\n", False, None),             # a whitespace-only line
+        ("a,b,c\n1,2,x\n \t ,  , \n3,4,y\n", True, 2),  # a row of blank cells
+        ('a,b\n"1.5",2\n', True, None),              # a quoted cell
+        ('"a",b\n1,2\n', True, None),                # a quoted header
+        ('a,b,c\n1,2,"x,y"\n3,4,z\n', True, "c"),    # a quoted label with the delimiter
+        ("\na,b\n1,2\n", True, None),                 # a blank first line
+    ])
+    def test_the_row_walk_decides(self, tmp_path, text, header, label):
+        path = write(tmp_path / "t.csv", text)
+        assert numpy_parse(path, header=header, label=label) is None
+        got = outcome(load_csv, path, ",", header, label)
+        want = outcome(dataio._walk_rows, path, ",", header, label)
+        assert got == want if isinstance(want, tuple) else same_dataset(got, want)
+
+    @pytest.mark.parametrize("text, message", [
+        ("a,b\n1,2\n3,4,5\n", "line 3: expected 2 fields, got 3"),
+        ("a,b\n1,2\n3,4_5x\n", "line 3, column 'b': non-numeric value '4_5x'"),
+        ("a,b\n1,nan\n", "line 2, column 'b': non-finite value 'nan'"),
+    ])
+    def test_errors_read_as_the_walk_words_them(self, tmp_path, text, message):
+        path = write(tmp_path / "t.csv", text)
+        with pytest.raises(DataError, match=f"{message}$"):
+            load_csv(path)
+
+    def test_underscores_and_quotes_are_read_as_before(self, tmp_path):
+        path = write(tmp_path / "t.csv", 'a,b,cls\n1_0,"2.5",x\n3, 4 ,"y"\n')
+        ds = load_csv(path, label="cls")
+        npt.assert_array_equal(ds.X, [[10.0, 2.5], [3.0, 4.0]])
+        assert ds.label_names == ["x", "y"]
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_numpy_reads_only_what_the_walk_reads_alike(self, tmp_path_factory, data):
+        # Cells and line ends chosen where the two parsers might differ;
+        # wherever numpy returns a table, the walk returns the same one.
+        delimiter = data.draw(st.sampled_from([",", ";", "|"]))
+        plain = ["1", " 2.5 ", "-0", "+.5", "1e5", "1E-320", "\t3", "3\x0b", "\u20001",
+                 "4\u2028", "5\x85", "\xa06", "1.7976931348623157e308"]
+        odd = ["1_0", "nan", "-inf", "", "  ", "x", "0x10", "\u0661", "7\x0c8", "9 9",
+               '"4"', "2e308"]
+        cell = st.sampled_from(plain * 30 + odd)
+        width = data.draw(st.integers(1, 4))
+        rows = data.draw(st.lists(
+            st.lists(cell, min_size=width, max_size=width + (data.draw(st.integers(0, 9)) == 0)),
+            min_size=0, max_size=5))
+        ends = st.sampled_from(["\n"] * 6 + ["\r\n", "\r", "\n\n", "\n \n"])
+        header = data.draw(st.booleans())
+        head = delimiter.join(f"h{j}" for j in range(width)) + data.draw(ends)
+        text = (head if header else "") + "".join(
+            delimiter.join(row) + data.draw(ends) for row in rows)
+        label = data.draw(st.sampled_from([None, 0, width - 1]))
+        path = tmp_path_factory.mktemp("fuzz") / "t.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        parsed = numpy_parse(str(path), delimiter, header, label)
+        if parsed is not None:
+            walked = dataio._walk_rows(str(path), delimiter, header, label)
+            assert same_dataset(parsed, walked)
 
 
 class TestEmbeddingRoundTrip:

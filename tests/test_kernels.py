@@ -34,7 +34,8 @@ def reference_tau(d_row, target):
     """The calibration rule run on one row, one row vector at a time.
 
     The bit-exact oracle of the block rule: the same operations in the
-    same order on a single row, with the bracket and tau as scalars.
+    same order on a single row, with the bracket and tau as scalars, and
+    exp without the rule's ``EXP_FLOOR``, which must move no bit.
     """
     shifted = d_row / -2.0
     shifted = shifted - shifted.max()
@@ -67,8 +68,8 @@ def fresh_array_rule(neg_half_d, target):
     """The block rule of calibrated_kernel with a fresh array per step.
 
     The bit-exact oracle of the buffered rule: same operations, same
-    order, no buffer reuse, no in-place compaction.  Returns tau and each
-    row's entropy evaluations.
+    order, no buffer reuse, no in-place compaction, and no ``EXP_FLOOR``.
+    Returns tau and each row's entropy evaluations.
     """
     tau = np.empty(neg_half_d.shape[0])
     evaluations = np.full(tau.size, MAX_ENTROPY_EVALS)

@@ -1,4 +1,6 @@
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -39,3 +41,48 @@ def test_test_oracles_are_not_library_names(module, name):
 def test_sampler_draws_only_in_batches():
     # draws([rng])[0] is the one-generator draw.
     assert not hasattr(PosteriorSampler, "draw")
+
+
+#: The np.exp calls that take no EXP_FLOOR, by (module, enclosing
+#: function, argument), each with why its values must stay exact.
+EXACT_EXP_CALLS = {
+    ("kernels", "kernel_matrix", "log_kernel(pairwise_sq_dists(X), kind, bandwidths)"):
+        "stores the kernel's values",
+    ("kernels", "solve", "_log_kernel(D, GAUSSIAN, t, out=D)"):
+        "stores the calibrated kernel's values",
+    ("kernels", "_calibrate_rows", "(target - h) * ln2 / (2.0 * var)"):
+        "one Newton factor per row, clipped after; its overflow to inf is meant",
+    ("coupling", "_tile", "logK"):
+        "the edgewise K of largevis and umap, read cell by cell",
+    ("diagnostics", "binomial_tail",
+     "log_fact[trials] - log_fact - log_fact[::-1] "
+     "+ k * math.log(q) + (trials - k) * math.log1p(-q)"):
+        "binomial masses summed into tails that hold no 1 and are compared with ~3e-7",
+}
+
+
+def exp_calls(node, module, function=None):
+    """(module, enclosing function, argument source, floored) of every
+    np.exp call under ``node``."""
+    calls = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.FunctionDef):
+            calls += exp_calls(child, module, child.name)
+            continue
+        if isinstance(child, ast.Call) and ast.unparse(child.func) == "np.exp":
+            arg = child.args[0]
+            floored = (isinstance(arg, ast.Call) and ast.unparse(arg.func) == "np.maximum"
+                       and ast.unparse(arg.args[1]) == "EXP_FLOOR")
+            calls.append((module, function, ast.unparse(arg), floored))
+        calls += exp_calls(child, module, function)
+    return calls
+
+
+def test_every_exp_is_floored_or_stores_exact_values():
+    calls = []
+    for path in sorted(Path(graphcoupling.__file__).parent.glob("*.py")):
+        calls += exp_calls(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    exact = {(module, function, arg) for module, function, arg, floored in calls if not floored}
+    assert exact == set(EXACT_EXP_CALLS)
+    floored = sorted((module, function) for module, function, _, floored in calls if floored)
+    assert floored == [("coupling", "_normalizer_terms"), ("kernels", "_calibrate_rows")]

@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 import tracemalloc
 
@@ -12,6 +13,7 @@ from graphcoupling.errors import (
     DegenerateRowError,
     ParameterError,
 )
+from graphcoupling.diagnostics import FREQUENCY_LEVEL, binomial_tail
 from graphcoupling.graph import validate_latent_graph
 from graphcoupling.kernels import kernel_matrix
 from graphcoupling.posterior import (
@@ -362,20 +364,71 @@ class TestSampling:
         assert not hasattr(sampler, "_table")
 
     def test_frequencies_match_expectations(self):
+        # Each off-diagonal count is Binomial(trials, p), or Binomial(n
+        # trials, p) under E; none may lie in a tail below the level.
         K = example_kernel(10, n=5)
         n, trials = 5, 6000
         off = ~np.eye(n, dtype=bool)
         for prior in ("B", "D", "E"):
             p = posterior_expectation(K, prior).values
-            expect = n * p if prior == "E" else p
-            var = n * p * (1 - p) if prior == "E" else p * (1 - p)
             rng = np.random.default_rng(17)
-            counts = np.zeros((n, n))
+            counts = np.zeros((n, n), dtype=np.int64)
             for _ in range(trials):
                 counts += sample_posterior_graph(K, prior, rng)
-            z = (np.abs(counts / trials - expect)
-                 / np.sqrt(np.maximum(var, 1e-12) / trials))[off]
-            assert z.max() <= 5.0
+            cells = n * trials if prior == "E" else trials
+            assert binomial_tail(counts[off], cells, p[off]).min() >= FREQUENCY_LEVEL / 2
+
+    def test_a_rare_cell_hit_once_is_no_fault(self):
+        # With row 2 empty, 6000 E draws put one edge on cell (4, 0), whose
+        # expected count is 0.0136: 8.5 standard errors out, but
+        # P(X >= 1) is 1.3%.
+        K = example_kernel(26, n=6).values.copy()
+        K[2] = 0.0
+        n, trials = 6, 6000
+        off = ~np.eye(n, dtype=bool)
+        p = posterior_expectation(K, "E").values
+        counts = np.zeros((n, n), dtype=np.int64)
+        for edges in PosteriorSampler(K, "E").draws([np.random.default_rng(19)] * trials):
+            counts += edges.dense()
+        assert counts[4, 0] == 1
+        z = abs(1 - n * trials * p[4, 0]) / math.sqrt(n * trials * p[4, 0] * (1 - p[4, 0]))
+        assert z > 8.4
+        tail = binomial_tail([1], n * trials, [p[4, 0]])[0]
+        assert tail == pytest.approx(1.0 - (1.0 - p[4, 0]) ** (n * trials), rel=1e-9)
+        assert binomial_tail(counts[off], n * trials, p[off]).min() >= FREQUENCY_LEVEL / 2
+
+    @pytest.mark.parametrize("fault", ["B from K", "D one column off", "E one edge short"])
+    def test_the_tail_rule_catches_what_the_z_rule_caught(self, fault):
+        # Counts drawn from three faulty laws on the frequency test's
+        # kernel: both rules reject each of them.
+        K = example_kernel(10, n=5)
+        n, trials = 5, 6000
+        off = ~np.eye(n, dtype=bool)
+        rng = np.random.default_rng(3)
+        prior = fault[0]
+        p = posterior_expectation(K, prior).values
+        cells = n * trials if prior == "E" else trials
+        if fault == "B from K":
+            counts = rng.binomial(trials, np.minimum(K.values, 1.0))
+        elif fault == "D one column off":
+            counts = np.stack([rng.multinomial(trials, np.roll(row, 1)) for row in p])
+        else:
+            counts = rng.multinomial((n - 1) * trials, p.ravel()).reshape(n, n)
+        expect = cells * p[off]
+        z = np.abs(counts[off] - expect) / np.sqrt(np.maximum(cells * p[off] * (1 - p[off]),
+                                                              1e-12 * cells ** 2))
+        assert z.max() > 5.0
+        assert binomial_tail(counts[off], cells, p[off]).min() < FREQUENCY_LEVEL / 2
+
+    def test_binomial_tail_against_closed_forms(self):
+        assert binomial_tail([0], 50, [0.1])[0] == pytest.approx(0.9 ** 50, rel=1e-12)
+        assert binomial_tail([3], 3, [0.5])[0] == pytest.approx(0.125, rel=1e-12)
+        below = sum(math.comb(40, k) for k in range(13)) / 2.0 ** 40
+        assert binomial_tail([12], 40, [0.5])[0] == pytest.approx(below, rel=1e-12)
+        # A certain law gives 1 at its one count and 0 elsewhere.
+        npt.assert_array_equal(binomial_tail([0, 1, 7, 6], 7, [0.0, 0.0, 1.0, 1.0]),
+                               [1.0, 0.0, 1.0, 0.0])
+        assert FREQUENCY_LEVEL == pytest.approx(5.733e-7, rel=1e-3)
 
 
 class TestTransforms:
