@@ -355,7 +355,8 @@ class CouplingProblem:
             if not signed:
                 np.negative(logK, out=logK)
             D += 1.0
-            K = np.reciprocal(D, out=D)
+            # np.reciprocal's bits; numpy 2.4 does not vectorise its float64 loop.
+            K = np.divide(1.0, D, out=D)
             np.copyto(K[:, square], 0.0, where=masked)
         else:
             logK = D

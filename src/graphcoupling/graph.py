@@ -96,16 +96,10 @@ def weighted_laplacian(A) -> np.ndarray:
         raise ContractViolationError(f"weight matrix must be square, got {A.shape}")
     if A.size and float(A.min()) < 0.0:
         raise ContractViolationError("weight matrix has negative entries")
-    return _laplacian_in_place(A.copy())
-
-
-def _laplacian_in_place(A: np.ndarray) -> np.ndarray:
-    """Overwrite the checked square weight matrix A with diag(row sums) - A; return it."""
-    degrees = A.sum(axis=1)
     # 0 - A rather than -A, so a zero weight gives the +0.0 of diag(row sums) - A.
-    np.subtract(0.0, A, out=A)
-    A[np.diag_indices_from(A)] += degrees
-    return A
+    L = np.subtract(0.0, A)
+    L[np.diag_indices_from(L)] += A.sum(axis=1)
+    return L
 
 
 def _component_roots(n: int, rows, cols, parent=None) -> np.ndarray:

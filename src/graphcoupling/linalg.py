@@ -1,10 +1,11 @@
 """Linear-algebra primitives used throughout the package.
 
 All routines operate on float64 row-major arrays and are deterministic:
-the same input bytes always produce the same output bytes.  Loops that
-would otherwise form an n x n matrix walk :func:`row_blocks` and get
-each block's distances from the private ``_sq_dists``, which takes
-validated points and sets them up once per walk (calibration, the
+the same input values always produce the same output bytes, whatever
+the input's memory order (:func:`as_float_matrix` reads it row-major).
+Loops that would otherwise form an n x n matrix walk :func:`row_blocks`
+and get each block's distances from the private ``_sq_dists``, which
+takes validated points and sets them up once per walk (calibration, the
 coupling tiles, the neighborhood scores and :func:`pairwise_sq_dists`
 call it).  It takes every Gram product of wide data over one aligned
 chunk of ``GRAM_CHUNK_ROWS`` rows, so a pair of rows gets the same bits
@@ -30,9 +31,13 @@ outside see every call on the calling thread.
 :func:`sym_eig_lowest` computes only the eigenpairs asked for, with
 LAPACKE's ``dsyevr`` from the OpenBLAS that numpy has loaded, which it
 finds as :func:`single_blas_thread` finds the thread controls; it needs
-no library beyond numpy's.  Where no loaded library exports ``dsyevr``
-(a numpy built on Accelerate or MKL) it takes the pairs from
-:func:`sym_eig`.
+no library beyond numpy's.  It validates its input and hands it to the
+private ``_lowest_pairs``, the one call of the solver, which reads and
+overwrites only the row-major upper triangle, so a caller may keep
+other data in the strict lower one (Laplacian eigenmaps keeps the
+affinity there).  Where no loaded library exports ``dsyevr`` (a numpy
+built on Accelerate or MKL) it takes the pairs from numpy's dense
+``eigh`` of the same triangle, :func:`sym_eig`'s bits.
 
 Functions
 ---------
@@ -96,8 +101,12 @@ class SymEigResult(NamedTuple):
 
 
 def as_float_matrix(a, name: str = "array") -> np.ndarray:
-    """Coerce to a 2-D float64 array, rejecting anything non-finite."""
-    out = np.asarray(a, dtype=np.float64)
+    """Coerce to a 2-D row-major float64 array, rejecting anything non-finite.
+
+    Another memory order is copied, so a result depends on a's values,
+    not on its layout.
+    """
+    out = np.asarray(a, dtype=np.float64, order="C")
     if out.ndim != 2:
         raise ContractViolationError(f"{name} must be 2-D, got ndim={out.ndim}")
     if not _all_finite(out):
@@ -184,16 +193,11 @@ def sym_eig(A) -> SymEigResult:
 def sym_eig_lowest(A, k: int) -> SymEigResult:
     """The k smallest eigenpairs of a symmetric matrix, eigenvalues ascending.
 
-    LAPACKE's ``dsyevr`` reduces A to tridiagonal form and computes only
-    the eigenpairs 1..k, by bisection and inverse iteration (k < n) or
-    by the MRRR algorithm (k = n); its workspace is its own, outside
-    Python's allocator.  It runs under :func:`single_blas_thread`, and
-    each column is signed by :func:`leading_signs`, so repeated calls
-    give the same bytes whatever thread count the caller set.  The
-    solver gets (A + A^T) / 2, as :func:`sym_eig` does, and works in
-    place: an exactly symmetric, contiguous and writeable float64 A is
-    handed over uncopied and overwritten, so pass a copy to keep it.
-    Any other A is copied first.  Where no loaded library exports
+    The pairs of :func:`_lowest_pairs`, which solves in place.  The
+    solver gets (A + A^T) / 2, as :func:`sym_eig` does: an exactly
+    symmetric, row-major and writeable float64 A is handed over uncopied
+    and its upper triangle overwritten, so pass a copy to keep it.  Any
+    other A is copied first.  Where no loaded library exports
     ``dsyevr``, the pairs are the last k of :func:`sym_eig`, reversed,
     and A is left as it was.
 
@@ -210,21 +214,46 @@ def sym_eig_lowest(A, k: int) -> SymEigResult:
     n = S.shape[0]
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 1 <= k <= n:
         raise ParameterError(f"k must be an integer in [1, n={n}], got {k!r}")
-    k = int(k)
+    if not (fresh or S.flags.writeable):
+        S = S.copy()
+    return _lowest_pairs(S, int(k))
+
+
+def _lowest_pairs(T: np.ndarray, k: int) -> SymEigResult:
+    """The k smallest eigenpairs of the symmetric matrix in T's upper triangle.
+
+    T is a C-contiguous, writeable float64 n x n array with 1 <= k <= n.
+    Only its row-major upper triangle and diagonal are read, which is the
+    column-major lower triangle that LAPACKE's ``dsyevr`` is given; the
+    solver overwrites that triangle and leaves the strict lower one
+    alone.  ``dsyevr`` reduces the matrix to tridiagonal form and
+    computes only the eigenpairs 1..k, by bisection and inverse
+    iteration (k < n) or by the MRRR algorithm (k = n); its workspace is
+    its own, outside Python's allocator.  It runs under
+    :func:`single_blas_thread`, and each column is signed by
+    :func:`leading_signs`, so repeated calls give the same bytes
+    whatever thread count the caller set.  Where no loaded library
+    exports ``dsyevr``, numpy's ``eigh`` reads the lower triangle of
+    T^T, which is T's upper one, and T is left as it was: on a symmetric
+    T those are :func:`sym_eig`'s bits.
+    """
+    n = T.shape[0]
     solver = _lapacke_dsyevr()
     if solver is None:
-        w, V = sym_eig(S)
-        return SymEigResult(w[::-1][:k].copy(), V[:, ::-1][:, :k].copy())
+        try:
+            w, V = np.linalg.eigh(T.T)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"eigendecomposition failed: {exc}") from None
+        V = V[:, :k].copy()
+        V *= leading_signs(V)
+        return SymEigResult(w[:k].copy(), V)
     dsyevr, integer = solver
-    if not (fresh or (S.flags.c_contiguous or S.flags.f_contiguous) and S.flags.writeable):
-        S = S.copy()
-    # S is symmetric, so its row-major bytes read column-major are S again.
     w = np.empty(n)
     Z = np.empty((k, n))  # the n x k eigenvectors, column-major
     support = np.empty(2 * k, dtype=np.dtype(integer))
     found = integer()
     with single_blas_thread():
-        info = dsyevr(_LAPACK_COL_MAJOR, b"V", b"I", b"L", n, S.ctypes.data, n,
+        info = dsyevr(_LAPACK_COL_MAJOR, b"V", b"I", b"L", n, T.ctypes.data, n,
                       0.0, 0.0, 1, k, 0.0, ctypes.byref(found),
                       w.ctypes.data, Z.ctypes.data, n, support.ctypes.data)
     if info != 0:

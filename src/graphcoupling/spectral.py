@@ -4,8 +4,11 @@
 weighted graph Laplacian, skipping the null space structurally (one
 direction per connected component) instead of thresholding eigenvalues;
 a returned eigenvalue within roundoff of zero only marks the result
-degenerate.  It asks :func:`linalg.sym_eig_lowest` for the R + q
-smallest eigenpairs only, not the whole spectrum.
+degenerate.  It asks the subset solver of :func:`linalg.sym_eig_lowest`
+for the R + q smallest eigenpairs only, not the whole spectrum.  That
+solver reads one triangle, so an exactly symmetric affinity is borrowed:
+the Laplacian is written over its upper triangle and rebuilt from the
+lower one afterwards, and no n x n array is allocated.
 
 The PCA side takes one thin SVD X = U diag(s) V^T and forms no n x n
 matrix: ``pca`` of the centered X, and the precision coupling, which
@@ -24,8 +27,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractViolationError, NumericalError, ParameterError
-from .graph import _laplacian_in_place, components_from_support
-from .linalg import as_float_matrix, center_columns, leading_signs, row_blocks, sym_eig_lowest
+from .graph import components_from_support
+from .linalg import (_asymmetry, _lowest_pairs, as_float_matrix, center_columns, leading_signs,
+                     row_blocks)
 from .optim import Evaluation
 from .posterior import AffinityMatrix
 
@@ -93,6 +97,14 @@ def laplacian_eigenmaps(P, q: int) -> EigenmapsResult:
     roundoff threshold ``null_tol`` is n * eps * ||L||_inf, where
     ||L||_inf = 2 * (largest degree) bounds the largest eigenvalue, which
     the subset solve does not compute.
+
+    An exactly symmetric P whose values are a writeable row-major float64
+    array is borrowed while the solver runs: the Laplacian is written
+    over its upper triangle and diagonal, and on return, also when the
+    solver raises, they are rebuilt from the strict lower triangle and a
+    saved diagonal, so P's bytes are as they were.  Another thread must
+    not read P meanwhile.  Any other P (a row affinity, a read-only
+    array) is symmetrized into a new n x n buffer, and P is not written.
     """
     values = P.values if isinstance(P, AffinityMatrix) else P
     A = as_float_matrix(values, "P")
@@ -100,24 +112,86 @@ def laplacian_eigenmaps(P, q: int) -> EigenmapsResult:
         raise ParameterError(f"affinity must be square, got {A.shape}")
     if A.size and float(A.min()) < 0.0:
         raise ParameterError("affinity entries must be nonnegative")
-    # The one n x n buffer: (P + P^T) / 2, its support, then L in place.
-    S = A + A.T
-    S /= 2.0
+    # The one n x n buffer: A itself if its upper triangle can be rebuilt
+    # from its lower one, else (A + A^T) / 2.  A is row-major.
+    borrowed = A.flags.writeable and _asymmetry(A) == 0.0
+    if borrowed:
+        S = A
+    else:
+        S = A + A.T
+        S /= 2.0
     n = S.shape[0]
     n_components = components_from_support(S).n_components
     if not (1 <= q <= n - n_components):
         raise ParameterError(
             f"q must lie in [1, n - R = {n - n_components}] "
             f"for n={n} with {n_components} components, got {q}")
-    L = _laplacian_in_place(S)
+    degrees = S.sum(axis=1)
+    if not np.isfinite(degrees).all():
+        raise NumericalError("an affinity degree overflows a float")
     # ||L||_inf, the largest |L_ii| + sum_j |L_ij|, is twice the largest
     # degree (less self-loops) and bounds lambda_max (Gershgorin).  The
-    # subset solve yields no lambda_max, and it overwrites L.
-    norm = max(float(np.abs(L[rows]).sum(axis=1).max()) for rows in row_blocks(n))
-    w, V = sym_eig_lowest(L, n_components + q)
+    # subset solve yields no lambda_max, so it is read from L's full rows
+    # before L's triangle is written.
+    norm = max(_laplacian_row_norms(S, degrees, rows) for rows in row_blocks(n))
+    diagonal = S.diagonal().copy()
+    _write_upper_laplacian(S, degrees)
+    try:
+        w, V = _lowest_pairs(S, n_components + q)
+    finally:
+        if borrowed:
+            _restore_upper(S, diagonal)
     null_tol = n * np.finfo(np.float64).eps * norm
     return EigenmapsResult(V[:, n_components:].copy(), n_components,
                            w[n_components:].copy(), null_tol)
+
+
+def _laplacian_row_norms(S: np.ndarray, degrees: np.ndarray, rows: slice) -> float:
+    """The largest sum_j |L_ij| over ``rows`` of L = diag(degrees) - S.
+
+    The rows are formed in a copy, with :func:`graph.weighted_laplacian`'s
+    entries, 0 - S_ij plus the degree on the diagonal, so the sums are
+    those of its full rows.
+    """
+    L = np.subtract(0.0, S[rows])
+    L.reshape(-1)[rows.start::S.shape[0] + 1] += degrees[rows]
+    return float(np.abs(L, out=L).sum(axis=1).max())
+
+
+def _upper_triangle(m: int) -> np.ndarray:
+    """Mask of the cells j >= i of an m x m block."""
+    return ~np.tri(m, k=-1, dtype=bool)
+
+
+def _write_upper_laplacian(S: np.ndarray, degrees: np.ndarray) -> None:
+    """Write L = diag(degrees) - S over S's row-major upper triangle and diagonal.
+
+    The cells are :func:`graph.weighted_laplacian`'s, 0 - S_ij and then
+    the degree added on the diagonal; the strict lower triangle is not
+    touched.  Walks ``row_blocks(upper=True)``: a block's cells right of
+    its diagonal square, then the square's upper triangle.
+    """
+    for rows in row_blocks(S.shape[0], upper=True):
+        right = S[rows, rows.stop:]
+        np.subtract(0.0, right, out=right)
+        square = S[rows, rows]
+        np.subtract(0.0, square, out=square, where=_upper_triangle(square.shape[0]))
+    S.reshape(-1)[::S.shape[0] + 1] += degrees
+
+
+def _restore_upper(S: np.ndarray, diagonal: np.ndarray) -> None:
+    """Rebuild S's upper triangle as the mirror of its strict lower one, then its diagonal.
+
+    The blocked walk of :func:`posterior.symmetrized_in_place`: a block's
+    cells right of its diagonal square are copied from their mirror
+    images below it, and the square's from its own lower triangle.
+    """
+    for rows in row_blocks(S.shape[0], upper=True):
+        hi = rows.stop
+        S[rows, hi:] = S[hi:, rows].T
+        square = S[rows, rows]
+        np.copyto(square, square.T, where=_upper_triangle(square.shape[0]))
+    S.reshape(-1)[::S.shape[0] + 1] = diagonal
 
 
 class PrecisionCouplingProblem:

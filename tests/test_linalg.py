@@ -151,6 +151,38 @@ class TestSymEigLowest:
         assert w.tobytes() == full_w[::-1][:4].tobytes()
         assert V.tobytes() == np.ascontiguousarray(full_V[:, ::-1][:, :4]).tobytes()
 
+    def test_fallback_matches_dsyevr(self, monkeypatch):
+        needs_dsyevr()
+        rng = np.random.default_rng(18)
+        for n, k in ((2, 1), (9, 9), (40, 3), (120, 10)):
+            L = random_graph_laplacian(rng, n, k)
+            norm = np.abs(L).sum(axis=1).max()
+            want_w, want_V = sym_eig_lowest(L.copy(), k)
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "_lapacke_dsyevr", lambda: None)
+                w, V = sym_eig_lowest(L, k)
+            npt.assert_allclose(w, want_w, rtol=0, atol=1e-12 * norm)
+            npt.assert_allclose(V, want_V, rtol=0, atol=1e-10)
+
+    def test_solver_reads_only_the_upper_triangle(self, monkeypatch):
+        # Whatever the strict lower triangle holds, dsyevr and the fallback
+        # solve the matrix of the upper one and leave the lower one alone.
+        L = random_graph_laplacian(np.random.default_rng(19), 30)
+        lower = np.tril_indices(30, -1)
+        for solver in ("dsyevr", None):
+            if solver is None:
+                monkeypatch.setattr(linalg, "_lapacke_dsyevr", lambda: None)
+            else:
+                needs_dsyevr()
+            want = sym_eig_lowest(L.copy(), 4)
+            T = L.copy()
+            T[lower] = np.random.default_rng(20).normal(size=lower[0].size)
+            scribbled = T[lower].copy()
+            got = linalg._lowest_pairs(T, 4)
+            npt.assert_array_equal(T[lower], scribbled)
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+
     def test_repeatable_at_any_blas_thread_count(self, blas_at_two_threads):
         needs_dsyevr()
         L = random_graph_laplacian(np.random.default_rng(14), 300)
@@ -409,6 +441,18 @@ class TestPairwiseSqDists:
                 linalg.as_float_matrix([[1e308, 1e308], [bad, 0.0]])
         with pytest.raises(ContractViolationError, match="non-finite"):
             linalg.as_float_matrix([[np.inf, -np.inf]])
+
+    def test_result_is_row_major_whatever_the_input_order(self):
+        A = np.arange(12.0).reshape(3, 4)
+        assert linalg.as_float_matrix(A) is A
+        big = np.zeros((6, 8))
+        big[::2, ::2] = A
+        for given in (np.asfortranarray(A), big[::2, ::2]):
+            got = linalg.as_float_matrix(given)
+            assert got.flags.c_contiguous
+            npt.assert_array_equal(got, A)
+        with pytest.raises(ContractViolationError, match="ndim=0"):
+            linalg.as_float_matrix(1.0)
 
     def test_blocks_reject_non_finite_points(self):
         with pytest.raises(ContractViolationError):

@@ -95,13 +95,15 @@ class TestPrepareInput:
         pytest.param("tsne", "pca", id="tsne"),
         pytest.param("largevis", "pca", id="largevis"),
         pytest.param("umap", "pca", id="umap"),
+        pytest.param("umap", "le", id="umap-le"),
         pytest.param("tsne", "ccpca", id="tsne-ccpca")])
     def test_peak_memory_in_n_by_n_arrays(self, method, init, monkeypatch):
         # Calibration writes the kernel over the distances, ccPCA's D-prior
         # draws read it one row block at a time, and the affinity is written
         # over it: one n x n array plus the temporaries of the blocks in
         # flight, which the bound allows for two workers.  Holding the
-        # kernel and the affinity as two arrays takes 2 n x n.
+        # kernel and the affinity as two arrays takes 2 n x n, and so does
+        # eigenmaps that copies the affinity rather than borrowing it.
         monkeypatch.setattr(linalg, "usable_cores", lambda: 2)
         n = 2000
         X = np.random.default_rng(16).normal(size=(n, 50))
@@ -202,6 +204,17 @@ class TestRun:
                                     exaggeration_iters=30,
                                     early_exaggeration=False)))
         assert forced.manifest["run"]["optimizer"]["early_exaggeration"] is False
+
+    def test_bits_do_not_depend_on_the_memory_order_of_x(self):
+        # A column-major X is read as its row-major copy, so the fit is a
+        # function of X's values alone.
+        X = np.random.default_rng(21).normal(size=(300, 6))
+        spec = RunSpec(method="tsne", init="pca", seed=5, perplexity=20.0,
+                       optimizer=OptimizerConfig(iterations=20, momentum_switch=10,
+                                                 exaggeration_iters=10),
+                       eval_ks=(10,))
+        want = run(X, spec).Z
+        assert run(np.asfortranarray(X), spec).Z.tobytes() == want.tobytes()
 
     def test_exaggerated_history_shows_switch(self):
         X = blob_data(9, n=36)

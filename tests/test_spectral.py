@@ -4,8 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from graphcoupling import linalg
-from graphcoupling.errors import ContractViolationError, ParameterError
+from graphcoupling import linalg, spectral
+from graphcoupling.errors import ContractViolationError, NumericalError, ParameterError
 from graphcoupling.graph import weighted_laplacian
 from graphcoupling.linalg import center_columns, pairwise_sq_dists, sym_eig
 from graphcoupling.posterior import AffinityMatrix
@@ -209,13 +209,13 @@ class TestLaplacianEigenmaps:
         assert np.linalg.eigvalsh(weighted_laplacian(A)).max() <= 10.0
 
     def test_eigensolver_peak_in_n_by_n_arrays(self):
-        # The symmetrized affinity, its support and the Laplacian are one
-        # buffer, which goes to the subset eigensolver uncopied, and the
-        # solver keeps only n x (R + q) eigenvectors: the peak, 1.46
-        # n x n at n=400, is that buffer and one 2^16-cell row block
-        # (0.41 n x n) of the symmetry check or the norm (the input is
-        # allocated before tracing starts).  LAPACKE's own workspace is
-        # outside tracemalloc.
+        # An asymmetric affinity is not borrowed.  Its symmetrized form,
+        # its support and the Laplacian are one buffer, which goes to the
+        # subset eigensolver uncopied, and the solver keeps only
+        # n x (R + q) eigenvectors: the peak, 1.46 n x n at n=400, is that
+        # buffer and one 2^16-cell row block (0.41 n x n) of the symmetry
+        # check or the norm (the input is allocated before tracing
+        # starts).  LAPACKE's own workspace is outside tracemalloc.
         # A band of width 3 keeps the component search's edge lists small.
         n = 400
         band = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= 3
@@ -230,8 +230,9 @@ class TestLaplacianEigenmaps:
         assert peak <= 1.6 * A.nbytes, f"{peak / A.nbytes:.2f} n x n arrays"
 
     def test_dense_affinity_peak_in_n_by_n_arrays(self):
-        # The same bound on a dense affinity: the component search reads its
-        # all-positive support in blocks whose edges stay small.
+        # The same bound on a dense asymmetric affinity: the component
+        # search reads its all-positive support in blocks whose edges stay
+        # small.
         n = 400
         A = np.random.default_rng(6).random((n, n))
         np.fill_diagonal(A, 0.0)
@@ -252,6 +253,67 @@ class TestLaplacianEigenmaps:
                 before = values.tobytes()
                 laplacian_eigenmaps(P, 2)
                 assert values.tobytes() == before
+
+    def test_symmetric_affinity_is_borrowed(self):
+        # An exactly symmetric affinity holds the Laplacian in its upper
+        # triangle while the solver runs: the peak, 0.08 n x n at n=1000,
+        # is one 2^16-cell row block of the symmetry check or the norm, and
+        # no n x n array.
+        n = 1000
+        A = np.random.default_rng(9).random((n, n))
+        A += A.T
+        np.fill_diagonal(A, 0.0)
+        before = A.tobytes()
+        tracemalloc.start()
+        try:
+            laplacian_eigenmaps(A, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert A.tobytes() == before
+        assert peak <= 0.25 * A.nbytes, f"{peak / A.nbytes:.2f} n x n arrays"
+
+    def test_borrowed_affinity_gives_the_copys_result(self, monkeypatch):
+        # Self-loops too: the saved diagonal is restored, and the results are
+        # those of the same matrix read-only, which is copied.
+        rng = np.random.default_rng(17)
+        A = rng.random((50, 50)) ** 4
+        A += A.T
+        A[np.diag_indices(50)] = rng.random(50)
+        frozen = A.copy()
+        frozen.flags.writeable = False
+        for dsyevr in ("dsyevr", None):
+            if dsyevr is None:
+                monkeypatch.setattr(linalg, "_lapacke_dsyevr", lambda: None)
+            want = laplacian_eigenmaps(frozen, 3)
+            for P in (A, AffinityMatrix(A, "B", "thresholded-bernoulli")):
+                got = laplacian_eigenmaps(P, 3)
+                assert A.tobytes() == frozen.tobytes()
+                for a, b in zip(got, want):
+                    assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    def test_borrowed_affinity_restored_when_the_solver_raises(self, monkeypatch):
+        A = np.random.default_rng(18).random((40, 40))
+        A += A.T
+        np.fill_diagonal(A, 1.0)
+        before = A.tobytes()
+
+        def scribble(T, k):
+            T[np.triu_indices(T.shape[0])] = np.nan
+            raise NumericalError("solver failed")
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "_lowest_pairs", scribble)
+            with pytest.raises(NumericalError, match="solver failed"):
+                laplacian_eigenmaps(A, 2)
+        assert A.tobytes() == before
+        # The real solver overwrites the triangle, then reports info=3.
+        if linalg._lapacke_dsyevr() is not None:
+            dsyevr, integer = linalg._lapacke_dsyevr()
+            monkeypatch.setattr(linalg, "_lapacke_dsyevr",
+                                lambda: (lambda *args: dsyevr(*args) or 3, integer))
+            with pytest.raises(NumericalError, match="info=3"):
+                laplacian_eigenmaps(A, 2)
+            assert A.tobytes() == before
 
     def test_q_capped_by_components(self):
         A = np.zeros((4, 4))
