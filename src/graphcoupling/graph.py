@@ -157,11 +157,17 @@ def components_from_support(adjacent: np.ndarray) -> Partition:
     bytes and more for each nonzero cell of the block, so this
     walk takes an eighth of the row-block budget per block.  Each block's
     edges are hooked onto the component roots of the blocks before it.
+    A block with a row whose support covers every other node ends the
+    walk: that row's node joins all of them into one component.
     """
     n = adjacent.shape[0]
     roots = np.arange(n, dtype=np.int64)
     for block in row_blocks(n, cells=linalg.ROW_BLOCK_CELLS // 8):
-        rows, cols = np.nonzero(adjacent[block])
+        support = adjacent[block] != 0
+        own = np.arange(block.start, block.stop)
+        if (np.count_nonzero(support, axis=1) + ~support[own - block.start, own] == n).any():
+            return _partition_from_roots(np.zeros(n, dtype=np.int64))
+        rows, cols = np.nonzero(support)
         rows += block.start
         roots = _component_roots(n, rows, cols, roots)
     return _partition_from_roots(roots)

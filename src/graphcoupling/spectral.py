@@ -4,11 +4,19 @@
 weighted graph Laplacian, skipping the null space structurally (one
 direction per connected component) instead of thresholding eigenvalues;
 a returned eigenvalue within roundoff of zero only marks the result
-degenerate.  It asks the subset solver of :func:`linalg.sym_eig_lowest`
-for the R + q smallest eigenpairs only, not the whole spectrum.  That
-solver reads one triangle, so an exactly symmetric affinity is borrowed:
-the Laplacian is written over its upper triangle and rebuilt from the
-lower one afterwards, and no n x n array is allocated.
+degenerate.  Its solvers read one triangle, so an exactly symmetric
+affinity is borrowed: the Laplacian L is written over its upper
+triangle and rebuilt from the lower one afterwards, and no n x n array
+is allocated.  L's q lowest pairs past the null space come from a
+shift-invert block iteration on the Cholesky factor of L + sigma I,
+formed over the same triangle (:func:`linalg._cholesky_in_place`); the
+component indicators are cleared from the block, and Rayleigh-Ritz on
+L itself, with L times the block read from the untouched lower
+triangle, gives the pairs.  That takes O(n^3 / 3) once and O(n^2) per
+solve.  Where it does not converge (a spectrum with no gap past the
+block) or the factor fails, L is written again and LAPACK's subset
+solver (:func:`linalg._lowest_pairs`, ``dsyevr``, O(n^3)) takes the
+R + q smallest pairs.
 
 The PCA side takes one thin SVD X = U diag(s) V^T and forms no n x n
 matrix: ``pca`` of the centered X, and the precision coupling, which
@@ -22,16 +30,38 @@ Its global minimizers have the spectrum max(0, gamma * (1 + s_i^2) - 1)
 on the u_i; at gamma = 1 the map reproduces PCA scores exactly.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
+from . import linalg
 from .errors import ContractViolationError, NumericalError, ParameterError
 from .graph import components_from_support
-from .linalg import (_asymmetry, _lowest_pairs, as_float_matrix, center_columns, leading_signs,
-                     row_blocks)
+from .linalg import (_asymmetry, _cholesky_in_place, _cholesky_solve, _lowest_pairs,
+                     as_float_matrix, center_columns, leading_signs, row_blocks,
+                     single_blas_thread)
 from .optim import Evaluation
 from .posterior import AffinityMatrix
+
+#: The shift of L's Cholesky factorization, relative to ||L||_inf: far
+#: above its roundoff, n eps ||L||_inf, far below the eigenvalues kept.
+SHIFT_RTOL = 1e-10
+
+#: Converged: every wanted pair's residual |L v - theta v| is at most this
+#: times ||L||_inf, and no entry of V^T V - I exceeds ``ORTHONORMAL_TOL``.
+RESIDUAL_RTOL = 1e-12
+ORTHONORMAL_TOL = 1e-12
+
+#: Vectors the shift-invert block carries past the q wanted ones.
+GUARD_VECTORS = 8
+
+#: Block solves before Laplacian eigenmaps gives up on the shift-invert
+#: iteration and takes the full solver.
+SHIFT_INVERT_SOLVES = 30
+
+#: Seed of the shift-invert iteration's start block.
+SHIFT_INVERT_SEED = 0
 
 
 def _left_singular(X: np.ndarray, q: int):
@@ -96,7 +126,10 @@ def laplacian_eigenmaps(P, q: int) -> EigenmapsResult:
     within it; ``degenerate`` reports that case as well as R > 1.  The
     roundoff threshold ``null_tol`` is n * eps * ||L||_inf, where
     ||L||_inf = 2 * (largest degree) bounds the largest eigenvalue, which
-    the subset solve does not compute.
+    neither solver computes.  The pairs come from the shift-invert
+    iteration of :func:`_shift_invert_pairs`, or, where it gives up,
+    from LAPACK's subset solver; both are deterministic, and neither
+    depends on the BLAS thread count.
 
     An exactly symmetric P whose values are a writeable row-major float64
     array is borrowed while the solver runs: the Laplacian is written
@@ -121,7 +154,8 @@ def laplacian_eigenmaps(P, q: int) -> EigenmapsResult:
         S = A + A.T
         S /= 2.0
     n = S.shape[0]
-    n_components = components_from_support(S).n_components
+    partition = components_from_support(S)
+    n_components = partition.n_components
     if not (1 <= q <= n - n_components):
         raise ParameterError(
             f"q must lie in [1, n - R = {n - n_components}] "
@@ -130,20 +164,171 @@ def laplacian_eigenmaps(P, q: int) -> EigenmapsResult:
     if not np.isfinite(degrees).all():
         raise NumericalError("an affinity degree overflows a float")
     # ||L||_inf, the largest |L_ii| + sum_j |L_ij|, is twice the largest
-    # degree (less self-loops) and bounds lambda_max (Gershgorin).  The
-    # subset solve yields no lambda_max, so it is read from L's full rows
-    # before L's triangle is written.
+    # degree (less self-loops) and bounds lambda_max (Gershgorin).  Neither
+    # solver yields lambda_max, so it is read from L's full rows before
+    # L's triangle is written.
     norm = max(_laplacian_row_norms(S, degrees, rows) for rows in row_blocks(n))
+    null_tol = n * np.finfo(np.float64).eps * norm
     diagonal = S.diagonal().copy()
     _write_upper_laplacian(S, degrees)
     try:
-        w, V = _lowest_pairs(S, n_components + q)
+        pairs = _shift_invert_pairs(S, degrees, diagonal, partition, q, norm, null_tol)
+        if pairs is None:
+            # L again over what the factorization left, for the full solver.
+            _restore_upper(S, diagonal)
+            _write_upper_laplacian(S, degrees)
+            w, V = _lowest_pairs(S, n_components + q)
+            pairs = w[n_components:].copy(), V[:, n_components:].copy()
     finally:
         if borrowed:
             _restore_upper(S, diagonal)
-    null_tol = n * np.finfo(np.float64).eps * norm
-    return EigenmapsResult(V[:, n_components:].copy(), n_components,
-                           w[n_components:].copy(), null_tol)
+    return EigenmapsResult(pairs[1], n_components, pairs[0], null_tol)
+
+
+def _shift_invert_pairs(S, degrees, diagonal, partition, q, norm, null_tol):
+    """``(eigenvalues, eigenvectors)``: L's q lowest pairs past its null space, or None.
+
+    L = diag(degrees) - S sits in S's upper triangle, and S in its strict
+    lower one and ``diagonal``; ``norm`` is ||L||_inf.  The triangle is
+    factored in place as L + sigma I, sigma = ``SHIFT_RTOL`` * ``norm``,
+    and a block of ``q + GUARD_VECTORS`` vectors (at most n - R) from
+    ``SHIFT_INVERT_SEED`` is iterated.  Each step solves the block
+    against the factor, clears it of the R component indicators (L's
+    exact null space, whose share the solve grows by 1 / sigma),
+    orthonormalizes it, and rotates it by Rayleigh-Ritz on L itself: on
+    the inverse, the 1 / sigma of the null space would blur the small
+    eigenvalues.  It stops when every wanted Ritz pair's residual
+    |L v - theta v| is at most ``RESIDUAL_RTOL`` * ``norm`` and the block
+    is orthonormal to ``ORTHONORMAL_TOL``.  It returns None, the triangle
+    partly overwritten, when a pivot is not positive, when the block
+    loses a direction to Gram-Schmidt, when the largest residual stalls
+    (its last reduction, kept up for the rest of the budget, would not
+    reach the tolerance: a spectrum with no gap past the block), or
+    after ``SHIFT_INVERT_SOLVES`` solves; and, the triangle as it was,
+    where the Cholesky functions are missing.
+
+    Ritz values at or below ``null_tol`` are roundoff, and Rayleigh-Ritz
+    only sorts the roundoff there: on clustered data its Ritz vectors
+    each pick out a cluster or two and stack the rest at zero.  So the
+    leading converged Ritz vectors of that numerical null space are
+    replaced, by :func:`_spread_null_rows`, by the start block's
+    projection onto their span.
+    """
+    n = S.shape[0]
+    if not _cholesky_in_place(S, SHIFT_RTOL * norm):
+        return None
+    block = min(n - partition.n_components, q + GUARD_VECTORS)
+    start = np.random.default_rng(SHIFT_INVERT_SEED).standard_normal((block, n))
+    _clear_indicators(start, partition)
+    X = start.copy()
+    last = math.inf
+    with single_blas_thread():
+        for solves in range(1, SHIFT_INVERT_SOLVES + 1):
+            _cholesky_solve(S, X)
+            X *= norm  # entries of 1 to 1 / SHIFT_RTOL, whatever P's scale
+            _clear_indicators(X, partition)
+            if not _orthonormalize_rows(X):
+                return None
+            LX = _laplacian_rows(S, degrees, diagonal, X)
+            H = X @ LX.T
+            theta, Y = np.linalg.eigh((H + H.T) / 2.0)
+            X, LX = Y.T @ X, Y.T @ LX  # the Ritz vectors, ascending, and L times them
+            residual = _relative_residuals(X, LX, theta, norm)
+            worst = float(residual[:q].max())
+            gram = X @ X.T
+            gram[np.diag_indices(block)] -= 1.0
+            if worst <= RESIDUAL_RTOL and np.abs(gram).max() <= ORTHONORMAL_TOL:
+                null = np.logical_and.accumulate((theta <= null_tol) & (residual <= RESIDUAL_RTOL))
+                _spread_null_rows(X, LX, theta, start[:np.count_nonzero(null)], norm)
+                V = np.ascontiguousarray(X[:q].T)
+                V *= leading_signs(V)
+                return theta[:q].copy(), V
+            # Stalled: the last solve's reduction, kept up to the budget,
+            # would not reach the tolerance (nor would a NaN).
+            if not worst * (worst / last) ** (SHIFT_INVERT_SOLVES - solves) <= RESIDUAL_RTOL:
+                return None
+            last = worst
+    return None
+
+
+def _relative_residuals(X: np.ndarray, LX: np.ndarray, theta: np.ndarray, norm: float):
+    """|L x - theta x| / ``norm`` for each row x of X, given L x in ``LX``."""
+    R = (LX - theta[:, None] * X) / norm
+    return np.sqrt(np.einsum("ij,ij->i", R, R))
+
+
+def _spread_null_rows(X, LX, theta, start, norm) -> None:
+    """Turn X's leading k = len(start) rows, a numerical null space, toward ``start``.
+
+    X's rows are orthonormal Ritz vectors, ``LX`` holds L times them and
+    ``theta`` their Ritz values.  The first k rows of ``start`` are
+    projected onto the span of X's first k rows and orthonormalized in
+    order; those rows, their L products and Rayleigh quotients replace
+    X's first k, in place, if each still has a relative residual within
+    ``RESIDUAL_RTOL``.  Fewer than two rows are left as they are.
+    """
+    k = start.shape[0]
+    if k < 2:
+        return
+    F = (start @ X[:k].T) @ X[:k]
+    if not _orthonormalize_rows(F):
+        return
+    LF = (F @ X[:k].T) @ LX[:k]
+    rayleigh = np.einsum("ij,ij->i", F, LF)
+    if _relative_residuals(F, LF, rayleigh, norm).max() <= RESIDUAL_RTOL:
+        X[:k], LX[:k], theta[:k] = F, LF, rayleigh
+
+
+def _orthonormalize_rows(X: np.ndarray) -> bool:
+    """Make X's rows orthonormal in order, in place, by Gram-Schmidt applied twice.
+
+    False, X then partly overwritten, if a row has nothing left to
+    normalize once the rows before it are taken out.
+    """
+    for j, row in enumerate(X):
+        for _ in range(2):
+            row -= (X[:j] @ row) @ X[:j]
+        size = math.sqrt(row @ row)
+        if not 0.0 < size < math.inf:
+            return False
+        row /= size
+    return True
+
+
+def _clear_indicators(X: np.ndarray, partition) -> None:
+    """Subtract from each row of X its mean over every component, in place."""
+    sums = np.stack([np.bincount(partition.assignment, weights=row,
+                                 minlength=partition.n_components) for row in X])
+    X -= (sums / partition.sizes)[:, partition.assignment]
+
+
+def _laplacian_rows(S: np.ndarray, degrees: np.ndarray, diagonal: np.ndarray,
+                    X: np.ndarray) -> np.ndarray:
+    """X L for the rows of X, L = diag(degrees) - S, read from S's strict lower triangle.
+
+    S's diagonal is ``diagonal``; its upper triangle is not read.  S is
+    walked in squares of isqrt(``ROW_BLOCK_CELLS`` / 4) rows: a square's
+    rows left of its diagonal block act on X as themselves and as their
+    mirror images, and the block's strict lower triangle, copied into a
+    buffer of a quarter of the row-block budget, as itself and as its
+    transpose.
+    """
+    n = S.shape[0]
+    step = max(1, math.isqrt(linalg.ROW_BLOCK_CELLS // 4))
+    below = np.tri(step, k=-1, dtype=bool)
+    buffer = np.empty((step, step))
+    SX = X * diagonal
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        left = S[lo:hi, :lo]
+        SX[:, :lo] += X[:, lo:hi] @ left
+        SX[:, lo:hi] += X[:, :lo] @ left.T
+        square = buffer[:hi - lo, :hi - lo]
+        square.fill(0.0)
+        np.copyto(square, S[lo:hi, lo:hi], where=below[:hi - lo, :hi - lo])
+        SX[:, lo:hi] += X[:, lo:hi] @ square
+        SX[:, lo:hi] += X[:, lo:hi] @ square.T
+    return np.subtract(X * degrees, SX, out=SX)
 
 
 def _laplacian_row_norms(S: np.ndarray, degrees: np.ndarray, rows: slice) -> float:

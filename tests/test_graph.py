@@ -235,8 +235,8 @@ class TestComponentsFromEdges:
 
     @pytest.mark.parametrize("n", [400, 1000])
     def test_support_edges_stay_within_the_block_budget(self, n):
-        # An all-true support is the densest: every cell of a block is an
-        # edge.  The edges of all its blocks would take ~4.3 MB.
+        # An all-true support is the densest, and its first row, which
+        # covers every other node, ends the walk.
         support = np.ones((n, n), dtype=bool)
         tracemalloc.start()
         try:
@@ -246,6 +246,47 @@ class TestComponentsFromEdges:
             tracemalloc.stop()
         assert parts.n_components == 1
         assert peak <= 8 * linalg.ROW_BLOCK_CELLS, f"{peak / 1e6:.2f} MB"
+
+    @pytest.mark.parametrize("n", [400, 1000])
+    def test_dense_support_without_a_full_row_stays_within_the_block_budget(self, n):
+        # Without the pairs (2i, 2i + 1) no row covers every other node, so
+        # every other cell is an edge of its block: the edges of all the
+        # blocks would take ~4.3 MB at n = 1000.
+        support = np.ones((n, n), dtype=bool)
+        pairs = np.arange(0, n, 2)
+        support[pairs, pairs + 1] = support[pairs + 1, pairs] = False
+        tracemalloc.start()
+        try:
+            parts = components_from_support(support)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parts.n_components == 1
+        assert peak <= 8 * linalg.ROW_BLOCK_CELLS, f"{peak / 1e6:.2f} MB"
+
+    @pytest.mark.parametrize("block_cells", [1, 50, linalg.ROW_BLOCK_CELLS], indirect=True)
+    def test_a_full_row_gives_the_edge_walks_partition(self, block_cells):
+        # A full support, one full row (first, last, with or without a
+        # self-loop), two components, and two triangles bridged by 1e-90:
+        # the partition of the edges, label for label and in the same dtypes.
+        n = 30
+        full = np.ones((n, n))
+        one_row = np.zeros((n, n))
+        one_row[n - 1, :] = one_row[:, n - 1] = 1.0
+        first_row = np.zeros((n, n))
+        first_row[0, 1:] = first_row[1:, 0] = 1.0
+        two = np.zeros((n, n))
+        two[:10, :10] = two[10:, 10:] = 1.0
+        two[:, 10] = two[10, :] = 0.0  # node 10 alone: a third component
+        bridged = np.full((6, 6), 1e-90)
+        bridged[:3, :3] = bridged[3:, 3:] = 1.0
+        np.fill_diagonal(bridged, 0.0)
+        for A in (full, one_row, first_row, two, bridged):
+            want = components_from_edges(A.shape[0], *np.nonzero(A))
+            got = components_from_support(A)
+            for a, b in ((got.assignment, want.assignment), (got.sizes, want.sizes)):
+                assert a.dtype == b.dtype
+                npt.assert_array_equal(a, b)
 
     def test_edge_list_dense_round_trip(self):
         W = random_latent_graph(np.random.default_rng(44), 7)

@@ -1,3 +1,4 @@
+import ctypes
 import sys
 import threading
 import time
@@ -104,21 +105,28 @@ def random_graph_laplacian(rng, n, pairs=None):
 
 
 def needs_dsyevr():
-    if linalg._lapacke_dsyevr() is None:
+    if linalg._blas_function("LAPACKE_dsyevr") is None:
         pytest.skip("no loaded library exports LAPACKE dsyevr")
 
 
+def without_lapacke(patch):
+    """Make every LAPACKE and CBLAS lookup find nothing, as on a numpy without OpenBLAS."""
+    patch.setattr(linalg, "_blas_function", lambda name: None)
+
+
 def dsyevr_returning(info=None, iu_shift=0):
-    """A stand-in for the dsyevr lookup: the real solver, asked for iu - iu_shift
-    pairs, whose info is replaced by ``info`` if given."""
-    dsyevr, integer = linalg._lapacke_dsyevr()
+    """A stand-in for the symbol lookup: the real dsyevr, asked for iu -
+    iu_shift pairs, whose info is replaced by ``info`` if given; every
+    other name is looked up as before."""
+    lookup = linalg._blas_function
+    dsyevr, integer = lookup("LAPACKE_dsyevr")
 
     def patched(*args):
         args = list(args)
         args[10] -= iu_shift
         got = dsyevr(*args)
         return got if info is None else info
-    return lambda: (patched, integer)
+    return lambda name: (patched, integer) if name == "LAPACKE_dsyevr" else lookup(name)
 
 
 class TestSymEigLowest:
@@ -145,7 +153,7 @@ class TestSymEigLowest:
 
     def test_fallback_without_dsyevr_is_the_dense_slice(self, monkeypatch):
         L = random_graph_laplacian(np.random.default_rng(13), 25)
-        monkeypatch.setattr(linalg, "_lapacke_dsyevr", lambda: None)
+        without_lapacke(monkeypatch)
         w, V = sym_eig_lowest(L, 4)
         full_w, full_V = sym_eig(L)
         assert w.tobytes() == full_w[::-1][:4].tobytes()
@@ -159,7 +167,7 @@ class TestSymEigLowest:
             norm = np.abs(L).sum(axis=1).max()
             want_w, want_V = sym_eig_lowest(L.copy(), k)
             with monkeypatch.context() as patch:
-                patch.setattr(linalg, "_lapacke_dsyevr", lambda: None)
+                without_lapacke(patch)
                 w, V = sym_eig_lowest(L, k)
             npt.assert_allclose(w, want_w, rtol=0, atol=1e-12 * norm)
             npt.assert_allclose(V, want_V, rtol=0, atol=1e-10)
@@ -171,7 +179,7 @@ class TestSymEigLowest:
         lower = np.tril_indices(30, -1)
         for solver in ("dsyevr", None):
             if solver is None:
-                monkeypatch.setattr(linalg, "_lapacke_dsyevr", lambda: None)
+                without_lapacke(monkeypatch)
             else:
                 needs_dsyevr()
             want = sym_eig_lowest(L.copy(), 4)
@@ -231,10 +239,10 @@ class TestSymEigLowest:
         needs_dsyevr()
         L = random_graph_laplacian(np.random.default_rng(17), 10)
         failing, short = dsyevr_returning(info=3), dsyevr_returning(iu_shift=1)
-        monkeypatch.setattr(linalg, "_lapacke_dsyevr", failing)
+        monkeypatch.setattr(linalg, "_blas_function", failing)
         with pytest.raises(NumericalError, match="info=3"):
             sym_eig_lowest(L.copy(), 3)
-        monkeypatch.setattr(linalg, "_lapacke_dsyevr", short)
+        monkeypatch.setattr(linalg, "_blas_function", short)
         with pytest.raises(NumericalError, match="found 2 eigenpairs, not 3"):
             sym_eig_lowest(L, 3)
 
@@ -246,6 +254,80 @@ class TestSymEigLowest:
     def test_accepts_numpy_integer_k(self):
         w, _ = sym_eig_lowest(np.diag([3.0, 1.0, 2.0]), np.int64(2))
         npt.assert_allclose(w, [1.0, 2.0], atol=1e-15)
+
+
+def needs_cholesky():
+    if None in map(linalg._blas_function, linalg._CHOLESKY_FUNCTIONS):
+        pytest.skip("no loaded library exports the Cholesky functions")
+
+
+class TestBlasFunction:
+    def test_one_library_one_integer_width_from_the_suffix(self):
+        names = ("LAPACKE_dsyevr",) + linalg._CHOLESKY_FUNCTIONS
+        found = [linalg._blas_function(name) for name in names]
+        if None in found:
+            pytest.skip("no loaded library exports every LAPACKE and CBLAS function")
+        for name, (fn, integer) in zip(names, found):
+            assert fn.__name__.endswith(name) or fn.__name__.endswith(name + "64_")
+            wide = fn.__name__.endswith("64_")
+            assert integer is (ctypes.c_int64 if wide else ctypes.c_int)
+            assert linalg._blas_function(name)[0] is fn  # looked up once
+        assert len({integer for _, integer in found}) == 1
+
+    def test_a_name_no_library_exports_is_none(self, monkeypatch):
+        monkeypatch.setitem(linalg._SIGNATURES, "LAPACKE_dnone", (linalg._INT, ()))
+        assert linalg._blas_function("LAPACKE_dnone") is None
+
+
+class TestCholeskyInPlace:
+    @pytest.mark.parametrize("panel, update, solve", [(1, 1, 1), (7, 5, 3), (64, 256, 128),
+                                                      (1000, 1000, 1000)])
+    def test_factor_and_solve_of_the_upper_triangle(self, panel, update, solve, monkeypatch):
+        # Panels, update chunks and solve blocks narrower than, equal to
+        # and wider than n; the strict lower triangle holds other data and
+        # is left alone.
+        needs_cholesky()
+        monkeypatch.setattr(linalg, "CHOLESKY_PANEL", panel)
+        monkeypatch.setattr(linalg, "CHOLESKY_UPDATE_COLUMNS", update)
+        monkeypatch.setattr(linalg, "CHOLESKY_SOLVE_ROWS", solve)
+        rng = np.random.default_rng(panel)
+        for n in (1, 2, 63, 64, 65, 150):
+            G = rng.normal(size=(n, n))
+            A = G @ G.T / n + np.eye(n)
+            T = A.copy()
+            lower = np.tril_indices(n, -1)
+            T[lower] = rng.normal(size=lower[0].size)
+            scribbled = T[lower].copy()
+            assert linalg._cholesky_in_place(T, 0.25)
+            npt.assert_array_equal(T[lower], scribbled)
+            shifted = A + 0.25 * np.eye(n)
+            npt.assert_allclose(np.triu(T), np.linalg.cholesky(shifted).T, rtol=0, atol=1e-12)
+            B = rng.normal(size=(3, n))
+            X = B.copy()
+            linalg._cholesky_solve(T, X)
+            npt.assert_allclose(X, np.linalg.solve(shifted, B.T).T, rtol=0, atol=1e-12)
+
+    def test_non_positive_pivot_is_false(self):
+        needs_cholesky()
+        for A, shift in ((np.diag([1.0, 0.0, 2.0]), 0.0), (np.eye(3), -1.0),
+                         (np.array([[1.0, 2.0], [2.0, 1.0]]), 0.0)):
+            assert not linalg._cholesky_in_place(A.copy(), shift)
+
+    def test_rejects_what_lapack_cannot_take(self):
+        T = np.eye(4)
+        for bad in (np.eye(4)[:, ::-1], np.eye(4, dtype=np.float32), np.eye(4)[:3],
+                    np.asfortranarray(np.eye(4)[:, :3])):
+            with pytest.raises(ContractViolationError):
+                linalg._cholesky_in_place(bad, 0.0)
+        for bad in (np.ones((2, 3)), np.ones((4, 2)).T, np.ones((2, 4), dtype=np.float32)):
+            with pytest.raises(ContractViolationError):
+                linalg._cholesky_solve(T, bad)
+
+    def test_without_the_functions_leaves_the_matrix(self, monkeypatch):
+        without_lapacke(monkeypatch)
+        T = np.eye(4) * 2.0
+        assert not linalg._cholesky_in_place(T, 1.0)
+        npt.assert_array_equal(T, np.eye(4) * 2.0)
 
 
 class TestLeadingSigns:

@@ -5,9 +5,12 @@ import numpy.testing as npt
 import pytest
 
 from graphcoupling import linalg, spectral
+from graphcoupling.coupling import input_affinity
 from graphcoupling.errors import ContractViolationError, NumericalError, ParameterError
-from graphcoupling.graph import weighted_laplacian
-from graphcoupling.linalg import center_columns, pairwise_sq_dists, sym_eig
+from graphcoupling.graph import components_from_support, weighted_laplacian
+from graphcoupling.kernels import calibrated_kernel
+from graphcoupling.linalg import (center_columns, leading_signs, pairwise_sq_dists, sym_eig,
+                                 sym_eig_lowest)
 from graphcoupling.posterior import AffinityMatrix
 from graphcoupling.spectral import (
     PrecisionCouplingProblem,
@@ -187,7 +190,7 @@ class TestLaplacianEigenmaps:
         L = weighted_laplacian((A + A.T) / 2.0)
         w, V = sym_eig(L)
         want = V[:, 60 - 2 - 3:60 - 2][:, ::-1].copy()
-        monkeypatch.setattr(linalg, "_lapacke_dsyevr", lambda: None)
+        monkeypatch.setattr(linalg, "_blas_function", lambda name: None)
         result = laplacian_eigenmaps(A, 3)
         assert result.coords.tobytes() == want.tobytes()
         assert result.eigenvalues.tobytes() == w[60 - 2 - 3:60 - 2][::-1].tobytes()
@@ -282,9 +285,9 @@ class TestLaplacianEigenmaps:
         A[np.diag_indices(50)] = rng.random(50)
         frozen = A.copy()
         frozen.flags.writeable = False
-        for dsyevr in ("dsyevr", None):
-            if dsyevr is None:
-                monkeypatch.setattr(linalg, "_lapacke_dsyevr", lambda: None)
+        for lapacke in ("lapacke", None):
+            if lapacke is None:
+                monkeypatch.setattr(linalg, "_blas_function", lambda name: None)
             want = laplacian_eigenmaps(frozen, 3)
             for P in (A, AffinityMatrix(A, "B", "thresholded-bernoulli")):
                 got = laplacian_eigenmaps(P, 3)
@@ -298,19 +301,27 @@ class TestLaplacianEigenmaps:
         np.fill_diagonal(A, 1.0)
         before = A.tobytes()
 
-        def scribble(T, k):
+        def scribble(T, *args):
             T[np.triu_indices(T.shape[0])] = np.nan
             raise NumericalError("solver failed")
-        with monkeypatch.context() as patch:
-            patch.setattr(spectral, "_lowest_pairs", scribble)
-            with pytest.raises(NumericalError, match="solver failed"):
-                laplacian_eigenmaps(A, 2)
-        assert A.tobytes() == before
-        # The real solver overwrites the triangle, then reports info=3.
-        if linalg._lapacke_dsyevr() is not None:
-            dsyevr, integer = linalg._lapacke_dsyevr()
-            monkeypatch.setattr(linalg, "_lapacke_dsyevr",
-                                lambda: (lambda *args: dsyevr(*args) or 3, integer))
+        # A block solve of the shift-invert iteration, and the full solver
+        # after a non-positive pivot.
+        for name in ("_cholesky_solve", "_lowest_pairs"):
+            with monkeypatch.context() as patch:
+                patch.setattr(spectral, name, scribble)
+                if name == "_lowest_pairs":
+                    patch.setattr(spectral, "SHIFT_RTOL", -1.0)
+                with pytest.raises(NumericalError, match="solver failed"):
+                    laplacian_eigenmaps(A, 2)
+            assert A.tobytes() == before
+        # The real dsyevr overwrites the triangle, then reports info=3.
+        lookup = linalg._blas_function
+        if lookup("LAPACKE_dsyevr") is not None:
+            dsyevr, integer = lookup("LAPACKE_dsyevr")
+            monkeypatch.setattr(spectral, "SHIFT_RTOL", -1.0)
+            monkeypatch.setattr(linalg, "_blas_function",
+                                lambda name: (lambda *args: dsyevr(*args) or 3, integer)
+                                if name == "LAPACKE_dsyevr" else lookup(name))
             with pytest.raises(NumericalError, match="info=3"):
                 laplacian_eigenmaps(A, 2)
             assert A.tobytes() == before
@@ -326,6 +337,198 @@ class TestLaplacianEigenmaps:
     def test_rejects_negative_affinity(self):
         with pytest.raises(ParameterError):
             laplacian_eigenmaps([[0.0, -1.0], [-1.0, 0.0]], 1)
+
+
+def spiral(n, seed=0):
+    """n points along two turns of a spiral in the first two of 10 coordinates, 0.1 noise."""
+    rng = np.random.default_rng(seed)
+    t = np.sort(rng.uniform(0.0, 4.0 * np.pi, n))
+    X = 0.1 * rng.standard_normal((n, 10))
+    X[:, 0], X[:, 1] = t * np.cos(t), t * np.sin(t)
+    return X
+
+
+def clusters(n, seed=0):
+    """n points in 10 Gaussian clusters in 50 dimensions, the benchmark's layout."""
+    rng = np.random.default_rng(seed)
+    centres = rng.normal(0.0, 4.0, size=(10, 50))
+    return centres[np.arange(n) % 10] + rng.standard_normal((n, 50))
+
+
+def affinity(X, method="umap", perplexity=15.0):
+    return input_affinity(calibrated_kernel(X, perplexity), method).values
+
+
+def dsyevr_pairs(A, q):
+    """(eigenvalues, columns, ||L||_inf) of LAPACK's subset solve of A's Laplacian past R."""
+    S = (A + A.T) / 2.0
+    R = components_from_support(S).n_components
+    L = weighted_laplacian(S)
+    w, V = sym_eig_lowest(L, R + q)
+    return w[R:], V[:, R:], np.abs(L).sum(axis=1).max()
+
+
+@pytest.fixture
+def shift_invert(monkeypatch):
+    """Count the block solves, and fail a test whose eigenmaps fall back to the full solver."""
+    if None in map(linalg._blas_function, linalg._CHOLESKY_FUNCTIONS):
+        pytest.skip("no loaded library exports the Cholesky functions")
+    solves = []
+
+    def counted(T, B):
+        solves.append(B.shape)
+        linalg._cholesky_solve(T, B)
+
+    def no_fallback(T, k):
+        raise AssertionError("fell back to the full solver")
+    monkeypatch.setattr(spectral, "_cholesky_solve", counted)
+    monkeypatch.setattr(spectral, "_lowest_pairs", no_fallback)
+    return solves
+
+
+class TestShiftInvertEigenmaps:
+    def test_columns_agree_with_dsyevr_on_separated_spectra(self, shift_invert):
+        # A spiral's umap affinity (borrowed), its sne row affinity
+        # (symmetrized into a copy), and two spirals with no edge between
+        # them (R = 2); consecutive eigenvalues differ by 4e-4 ||L|| or more.
+        two = np.zeros((270, 270))
+        two[:160, :160] = affinity(spiral(160, seed=1))
+        two[160:, 160:] = affinity(spiral(110, seed=2))
+        for A in (affinity(spiral(300)), affinity(spiral(300), "sne"), two):
+            before = A.tobytes()
+            w, V, norm = dsyevr_pairs(A, 3)
+            result = laplacian_eigenmaps(A, 3)
+            assert A.tobytes() == before
+            npt.assert_allclose(result.eigenvalues, w, rtol=0, atol=1e-12 * norm)
+            npt.assert_allclose(result.coords, V, rtol=0, atol=1e-10)
+            assert not result.degenerate or result.n_components == 2
+        assert shift_invert
+
+    def test_subspace_agrees_with_dsyevr_on_clustered_data(self, shift_invert):
+        # Ten clusters make one component, but ten eigenvalues within
+        # roundoff of zero: dsyevr's first ten columns are arbitrary
+        # directions of that space, and so is the iteration's pair, which
+        # lies within it, orthogonal to the constant.
+        A = affinity(clusters(300))
+        w, V, norm = dsyevr_pairs(A, 10)
+        assert w[:9].max() <= 1e-12 * norm < 1e-4 * norm <= w[9]
+        _, near_null = sym_eig_lowest(weighted_laplacian(A), 10)
+        result = laplacian_eigenmaps(A, 2)
+        npt.assert_allclose(result.eigenvalues, w[:2], rtol=0, atol=1e-12 * norm)
+        C = result.coords
+        npt.assert_allclose(C - near_null @ (near_null.T @ C), 0.0, atol=1e-10)
+        npt.assert_allclose(C.T @ C, np.eye(2), atol=1e-12)
+        npt.assert_allclose(C.sum(axis=0), 0.0, atol=1e-12)
+        assert result.degenerate
+
+    def test_numerical_null_columns_follow_the_start_block(self, shift_invert):
+        # Rayleigh-Ritz only sorts roundoff within the clustered data's
+        # numerical null space, and its Ritz vectors there single out a
+        # cluster or two.  The columns are instead the start block's first
+        # rows projected onto that space and orthonormalized in order.
+        A = affinity(clusters(300))
+        _, near_null = sym_eig_lowest(weighted_laplacian(A), 10)
+        rng = np.random.default_rng(spectral.SHIFT_INVERT_SEED)
+        start = rng.standard_normal((2 + spectral.GUARD_VECTORS, 300))[:2]
+        F = (start - start.mean(axis=1, keepdims=True)) @ near_null @ near_null.T
+        F[1] -= (F[1] @ F[0]) / (F[0] @ F[0]) * F[0]
+        F /= np.linalg.norm(F, axis=1, keepdims=True)
+        result = laplacian_eigenmaps(A, 2)
+        npt.assert_allclose(result.coords, F.T * leading_signs(F.T), rtol=0, atol=1e-8)
+
+    def test_spread_keeps_the_ritz_rows_unless_it_passes(self):
+        # Fewer than two null rows, or rows whose residual would fail, stay.
+        rng = np.random.default_rng(3)
+        X = np.linalg.qr(rng.normal(size=(40, 4)))[0].T.copy()
+        L = np.diag(np.r_[np.zeros(3), np.ones(37)])
+        LX, theta = X @ L, np.einsum("ij,ij->i", X @ L, X)
+        start = rng.normal(size=(4, 40))
+        for k, norm in ((1, 1.0), (3, 1e-300)):
+            before = X.copy()
+            spectral._spread_null_rows(X, LX.copy(), theta.copy(), start[:k], norm)
+            assert X.tobytes() == before.tobytes()
+
+    def test_tiny_n_block_spans_the_complement(self, shift_invert):
+        # n - R <= q + GUARD_VECTORS: the block holds all of L past its null
+        # space, and one solve gives the exact pairs.  A path of 3 beside
+        # an edge has the nonzero spectrum 1, 2, 3.
+        path = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        beside = np.zeros((5, 5))
+        beside[:3, :3] = path
+        beside[3, 4] = beside[4, 3] = 2.0
+        for A, q, want in ((np.array([[0.0, 1.0], [1.0, 0.0]]), 1, [2.0]),
+                           (path, 2, [1.0, 3.0]), (beside, 3, [1.0, 3.0, 4.0])):
+            w, V, norm = dsyevr_pairs(A, q)
+            result = laplacian_eigenmaps(A, q)
+            npt.assert_allclose(result.eigenvalues, want, rtol=0, atol=1e-12 * norm)
+            npt.assert_allclose(result.coords, V, rtol=0, atol=1e-10)
+        assert len(shift_invert) == 3
+
+    def test_affinity_scale_does_not_matter(self, shift_invert):
+        # The solves are scaled by ||L||_inf and the residuals measured
+        # against it, so affinities near either end of the float range
+        # converge to dsyevr's pairs.
+        A = affinity(spiral(200))
+        for scale in (1e-300, 1e300):
+            w, V, norm = dsyevr_pairs(A * scale, 2)
+            result = laplacian_eigenmaps(A * scale, 2)
+            npt.assert_allclose(result.eigenvalues, w, rtol=0, atol=1e-12 * norm)
+            npt.assert_allclose(result.coords, V, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("force", ["budget", "pivot"])
+    def test_forced_fallback_gives_the_dsyevr_bytes(self, force, monkeypatch):
+        # One solve is too few for the spiral; a shift of -||L||_inf makes
+        # the first pivot negative.  Either way L is rebuilt over the
+        # factor, the full solver gives its bytes, and P its own.
+        if force == "budget":
+            monkeypatch.setattr(spectral, "SHIFT_INVERT_SOLVES", 1)
+        else:
+            monkeypatch.setattr(spectral, "SHIFT_RTOL", -1.0)
+        A = affinity(spiral(200))
+        before = A.tobytes()
+        w, V, _ = dsyevr_pairs(A, 2)
+        result = laplacian_eigenmaps(A, 2)
+        assert A.tobytes() == before
+        assert result.eigenvalues.tobytes() == w.tobytes()
+        assert result.coords.tobytes() == np.ascontiguousarray(V).tobytes()
+
+    def test_fallback_when_no_gap_follows_the_block(self, monkeypatch):
+        # A dense uniform affinity's spectrum clusters near its mean
+        # degree: the residuals stall, and the iteration stops well before
+        # its budget.
+        solves = []
+        monkeypatch.setattr(spectral, "_cholesky_solve",
+                            lambda T, B: solves.append(1) or linalg._cholesky_solve(T, B))
+        A = np.random.default_rng(8).random((200, 200))
+        np.fill_diagonal(A, 0.0)
+        w, V, _ = dsyevr_pairs(A, 2)
+        result = laplacian_eigenmaps(A, 2)
+        assert result.coords.tobytes() == np.ascontiguousarray(V).tobytes()
+        assert len(solves) < spectral.SHIFT_INVERT_SOLVES
+
+    def test_repeatable_at_any_blas_thread_count(self, shift_invert, blas_at_two_threads):
+        A = affinity(spiral(300))
+        with linalg.single_blas_thread():
+            once = laplacian_eigenmaps(A, 3)
+        assert set(blas_at_two_threads()) == {2}
+        for _ in range(2):
+            again = laplacian_eigenmaps(A, 3)
+            assert again.coords.tobytes() == once.coords.tobytes()
+            assert again.eigenvalues.tobytes() == once.eigenvalues.tobytes()
+        assert set(blas_at_two_threads()) == {2}
+
+    def test_borrowed_peak_in_n_by_n_arrays(self, shift_invert):
+        # The iteration holds blocks of n x (q + GUARD_VECTORS) and one
+        # square of a quarter row block, so a borrowed P keeps the bound of
+        # the full solver's path.
+        A = affinity(spiral(1000))
+        tracemalloc.start()
+        try:
+            laplacian_eigenmaps(A, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * A.nbytes, f"{peak / A.nbytes:.2f} n x n arrays"
 
 
 class TestPrecisionObjective:
