@@ -16,7 +16,7 @@ from .errors import (
     NumericalError,
     ParameterError,
 )
-from .linalg import SymEigResult, center_columns, leading_signs, pairwise_sq_dists, sym_eig
+from .linalg import center_columns, leading_signs, pairwise_sq_dists
 from .kernels import (
     GAUSSIAN,
     STUDENT,
@@ -69,7 +69,7 @@ __all__ = [
     "NeighborhoodScore", "NumericalError", "OptimizerConfig",
     "ParameterError", "Partition", "PosteriorSampler", "PrecisionCouplingProblem",
     "RunResult",
-    "RunSpec", "SNE", "STUDENT", "SymEigResult", "TSNE", "UMAP",
+    "RunSpec", "SNE", "STUDENT", "TSNE", "UMAP",
     "calibrated_kernel", "ccpca", "center_columns", "components_from_edges",
     "connected_components", "evaluate_embedding",
     "initial_embedding", "kernel_matrix", "laplacian",
@@ -77,6 +77,6 @@ __all__ = [
     "load_embedding", "log_kernel", "log_mrf_density", "minimize",
     "pairwise_sq_dists", "pca", "posterior_expectation",
     "precision_coupling_closed_form", "prepare_input", "render_svg_scatter",
-    "run", "save_embedding", "split_mean_centered", "sym_eig",
+    "run", "save_embedding", "split_mean_centered",
     "validate_latent_graph", "weighted_laplacian",
 ]

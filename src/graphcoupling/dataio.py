@@ -7,6 +7,7 @@ so a save/load round trip is lossless.
 
 import csv
 import io
+import itertools
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -27,11 +28,13 @@ class Dataset:
     feature_names: Optional[list] = None
 
 
-def _read_rows(path, delimiter: str) -> list:
+def _read_rows(path, delimiter: str, limit: int = None) -> list:
+    """The file's non-blank ``csv`` rows, only the first ``limit`` if given."""
     try:
         with open(path, "r", newline="", encoding="utf-8") as handle:
-            rows = [row for row in csv.reader(handle, delimiter=delimiter)
-                    if any(cell.strip() for cell in row)]
+            rows = list(itertools.islice(
+                (row for row in csv.reader(handle, delimiter=delimiter)
+                 if any(cell.strip() for cell in row)), limit))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
     if not rows:
@@ -117,9 +120,10 @@ def _parse_with_numpy(path, delimiter: str, header: bool, label) -> Optional[Dat
         label_idx: lambda cell: codes.setdefault(cell.strip(), len(codes))}
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # an empty body warns; the walk names it
+        # encoding=None: before numpy 2.0 the default hands the converter bytes.
         table = np.loadtxt(io.StringIO(rest if header else first + rest, newline=""),
                            dtype=np.float64, delimiter=delimiter, comments=None,
-                           converters=converters, ndmin=2)
+                           converters=converters, ndmin=2, encoding=None)
     if table.shape[1] != len(names):
         return None
     # A row-major copy, as the walk makes: the fit's products depend on the layout.
@@ -230,7 +234,6 @@ def load_embedding(path, delimiter: str = ",") -> Dataset:
 
     The trailing label column is picked up automatically when present.
     """
-    rows = _read_rows(path, delimiter)
-    names = [cell.strip() for cell in rows[0]]
+    names = [cell.strip() for cell in _read_rows(path, delimiter, limit=1)[0]]
     label = "label" if "label" in names else None
     return load_csv(path, delimiter=delimiter, header=True, label=label)

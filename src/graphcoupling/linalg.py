@@ -28,28 +28,23 @@ workers nor leaves a spinning BLAS thread behind.  A block calls only
 private helpers, so tools that wrap the package's public functions from
 outside see every call on the calling thread.
 
-:func:`sym_eig_lowest` computes only the eigenpairs asked for, with
-LAPACKE's ``dsyevr``.  LAPACKE and CBLAS functions come from the
-OpenBLAS that numpy has loaded, through one cached lookup,
-``_blas_function``, which finds them as :func:`single_blas_thread` finds
-the thread controls; no library beyond numpy's is needed.
-:func:`sym_eig_lowest` validates its input and hands it to the private
-``_lowest_pairs``, the one call of the solver, which reads and
-overwrites only the row-major upper triangle, so a caller may keep
+The private ``_lowest_pairs`` computes only the k smallest eigenpairs
+of a symmetric matrix, with LAPACKE's ``dsyevr``; Laplacian eigenmaps
+falls back on it.  LAPACKE and CBLAS functions come from the OpenBLAS
+that numpy has loaded, through one cached lookup, ``_blas_function``,
+which finds them as :func:`single_blas_thread` finds the thread
+controls; no library beyond numpy's is needed.  ``_lowest_pairs`` reads
+and overwrites only the row-major upper triangle, so a caller may keep
 other data in the strict lower one (Laplacian eigenmaps keeps the
 affinity there).  Where no loaded library exports ``dsyevr`` (a numpy
 built on Accelerate or MKL) it takes the pairs from numpy's dense
-``eigh`` of the same triangle, :func:`sym_eig`'s bits.  The private
-``_cholesky_in_place`` factors that triangle in place, in blocks that
-keep OpenBLAS's packing buffer small, and
-``_cholesky_solve`` solves a block of right-hand sides against the
-factor; Laplacian eigenmaps iterates on them.
+``eigh`` of the same triangle.  The private ``_cholesky_in_place``
+factors that triangle in place, in blocks that keep OpenBLAS's packing
+buffer small, and ``_cholesky_solve`` solves a block of right-hand
+sides against the factor; Laplacian eigenmaps iterates on them.
 
 Functions
 ---------
-sym_eig            full symmetric eigendecomposition, eigenvalues descending
-sym_eig_lowest     the k smallest eigenpairs of a symmetric matrix from
-                   LAPACK's subset solver, eigenvalues ascending
 leading_signs      the sign convention shared by eigenvectors and PCA scores
 center_columns     subtract the column mean from every column
 row_blocks         row slices of at most ``ROW_BLOCK_CELLS`` (or a given number
@@ -69,14 +64,10 @@ import ctypes
 import functools
 import os
 import threading
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContractViolationError, NumericalError, ParameterError
-
-#: Relative asymmetry tolerated by sym_eig before the input is rejected.
-SYMMETRY_RTOL = 1e-10
+from .errors import ContractViolationError, NumericalError
 
 #: Entries of a column whose magnitude lies within this relative distance
 #: of the column's largest tie for the sign rule of :func:`leading_signs`.
@@ -99,11 +90,6 @@ DIRECT_DIFFERENCE_COLS = 3
 #: heights can round a row differently: one-row products take another
 #: BLAS path, and OpenBLAS rounds some rows of tall ones by their height.
 GRAM_CHUNK_ROWS = 16
-
-
-class SymEigResult(NamedTuple):
-    eigenvalues: np.ndarray   # shape (m,): sym_eig's all n descending, sym_eig_lowest's k ascending
-    eigenvectors: np.ndarray  # shape (n, m), column j pairs with eigenvalues[j]
 
 
 def as_float_matrix(a, name: str = "array") -> np.ndarray:
@@ -133,34 +119,6 @@ def _all_finite(a: np.ndarray) -> bool:
     return bool(np.isfinite(a).all())
 
 
-def _symmetric_input(A):
-    """``(S, fresh)``: the validated square A as the eigensolvers take it.
-
-    S is (A + A^T) / 2, which for an exactly symmetric A is A itself,
-    uncopied; ``fresh`` says whether S is a new array.  The asymmetry is
-    that of :func:`_asymmetry`, which forms no n x n temporary.
-
-    Raises
-    ------
-    ContractViolationError
-        If ``A`` is not square or deviates from symmetry by more than
-        ``SYMMETRY_RTOL`` relative to its largest entry.
-    """
-    A = as_float_matrix(A, "A")
-    n, m = A.shape
-    if n != m:
-        raise ContractViolationError(f"A must be square, got shape {A.shape}")
-    if not n:
-        return A, False
-    scale = max(1.0, float(A.max()), -float(A.min()))
-    asymmetry = _asymmetry(A)
-    if asymmetry > SYMMETRY_RTOL * scale:
-        raise ContractViolationError("A is not symmetric within tolerance")
-    if asymmetry == 0.0:
-        return A, False
-    return (A + A.T) / 2.0, True
-
-
 def _asymmetry(A: np.ndarray) -> float:
     """max |A - A^T| of a validated square float matrix, one upper-triangle block at a time."""
     def block(rows):  # its difference is freed on return
@@ -169,64 +127,9 @@ def _asymmetry(A: np.ndarray) -> float:
     return max(map(block, row_blocks(A.shape[0], upper=True)), default=0.0)
 
 
-def sym_eig(A) -> SymEigResult:
-    """Eigendecomposition of a symmetric matrix.
-
-    Eigenvalues are returned in descending order.  Each eigenvector's
-    sign is fixed by :func:`leading_signs`, which makes repeated calls
-    bit-reproducible.  The solver gets (A + A^T) / 2, which for an
-    exactly symmetric A is A itself, uncopied.
-
-    Raises
-    ------
-    ContractViolationError
-        If ``A`` is not square or deviates from symmetry by more than
-        ``SYMMETRY_RTOL`` relative to its largest entry.
-    NumericalError
-        If the underlying eigensolver fails to converge.
-    """
-    S, _ = _symmetric_input(A)
-    try:
-        w, V = np.linalg.eigh(S)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition failed: {exc}") from None
-    # eigh returns ascending order; flip to descending.
-    V = V[:, ::-1]
-    V *= leading_signs(V)
-    return SymEigResult(w[::-1].copy(), V)
-
-
-def sym_eig_lowest(A, k: int) -> SymEigResult:
-    """The k smallest eigenpairs of a symmetric matrix, eigenvalues ascending.
-
-    The pairs of :func:`_lowest_pairs`, which solves in place.  The
-    solver gets (A + A^T) / 2, as :func:`sym_eig` does: an exactly
-    symmetric, row-major and writeable float64 A is handed over uncopied
-    and its upper triangle overwritten, so pass a copy to keep it.  Any
-    other A is copied first.  Where no loaded library exports
-    ``dsyevr``, the pairs are the last k of :func:`sym_eig`, reversed,
-    and A is left as it was.
-
-    Raises
-    ------
-    ContractViolationError
-        As :func:`sym_eig` does.
-    ParameterError
-        If ``k`` is not an integer in [1, n].
-    NumericalError
-        If the solver reports a failure or finds other than k pairs.
-    """
-    S, fresh = _symmetric_input(A)
-    n = S.shape[0]
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 1 <= k <= n:
-        raise ParameterError(f"k must be an integer in [1, n={n}], got {k!r}")
-    if not (fresh or S.flags.writeable):
-        S = S.copy()
-    return _lowest_pairs(S, int(k))
-
-
-def _lowest_pairs(T: np.ndarray, k: int) -> SymEigResult:
-    """The k smallest eigenpairs of the symmetric matrix in T's upper triangle.
+def _lowest_pairs(T: np.ndarray, k: int):
+    """``(eigenvalues, eigenvectors)``: the k smallest eigenpairs of the
+    symmetric matrix in T's upper triangle, eigenvalues ascending.
 
     T is a C-contiguous, writeable float64 n x n array with 1 <= k <= n.
     Only its row-major upper triangle and diagonal are read, which is the
@@ -236,12 +139,17 @@ def _lowest_pairs(T: np.ndarray, k: int) -> SymEigResult:
     computes only the eigenpairs 1..k, by bisection and inverse
     iteration (k < n) or by the MRRR algorithm (k = n); its workspace is
     its own, outside Python's allocator.  It runs under
-    :func:`single_blas_thread`, and each column is signed by
+    :func:`single_blas_thread`.  Where no loaded library exports
+    ``dsyevr``, numpy's ``eigh`` reads the lower triangle of T^T, which
+    is T's upper one, and T is left as it was.  Either way column j of
+    the n x k eigenvectors pairs with eigenvalue j and is signed by
     :func:`leading_signs`, so repeated calls give the same bytes
-    whatever thread count the caller set.  Where no loaded library
-    exports ``dsyevr``, numpy's ``eigh`` reads the lower triangle of
-    T^T, which is T's upper one, and T is left as it was: on a symmetric
-    T those are :func:`sym_eig`'s bits.
+    whatever thread count the caller set.
+
+    Raises
+    ------
+    NumericalError
+        If the solver reports a failure or finds other than k pairs.
     """
     n = T.shape[0]
     solver = _blas_function("LAPACKE_dsyevr")
@@ -251,24 +159,23 @@ def _lowest_pairs(T: np.ndarray, k: int) -> SymEigResult:
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"eigendecomposition failed: {exc}") from None
         V = V[:, :k].copy()
-        V *= leading_signs(V)
-        return SymEigResult(w[:k].copy(), V)
-    dsyevr, integer = solver
-    w = np.empty(n)
-    Z = np.empty((k, n))  # the n x k eigenvectors, column-major
-    support = np.empty(2 * k, dtype=np.dtype(integer))
-    found = integer()
-    with single_blas_thread():
-        info = dsyevr(_LAPACK_COL_MAJOR, b"V", b"I", b"L", n, T.ctypes.data, n,
-                      0.0, 0.0, 1, k, 0.0, ctypes.byref(found),
-                      w.ctypes.data, Z.ctypes.data, n, support.ctypes.data)
-    if info != 0:
-        raise NumericalError(f"eigendecomposition failed: dsyevr returned info={info}")
-    if found.value != k:
-        raise NumericalError(f"dsyevr found {found.value} eigenpairs, not {k}")
-    V = np.ascontiguousarray(Z.T)
+    else:
+        dsyevr, integer = solver
+        w = np.empty(n)
+        Z = np.empty((k, n))  # the n x k eigenvectors, column-major
+        support = np.empty(2 * k, dtype=np.dtype(integer))
+        found = integer()
+        with single_blas_thread():
+            info = dsyevr(_LAPACK_COL_MAJOR, b"V", b"I", b"L", n, T.ctypes.data, n,
+                          0.0, 0.0, 1, k, 0.0, ctypes.byref(found),
+                          w.ctypes.data, Z.ctypes.data, n, support.ctypes.data)
+        if info != 0:
+            raise NumericalError(f"eigendecomposition failed: dsyevr returned info={info}")
+        if found.value != k:
+            raise NumericalError(f"dsyevr found {found.value} eigenpairs, not {k}")
+        V = np.ascontiguousarray(Z.T)
     V *= leading_signs(V)
-    return SymEigResult(w[:k].copy(), V)
+    return w[:k].copy(), V
 
 
 #: Columns per panel of :func:`_cholesky_in_place`, columns per update

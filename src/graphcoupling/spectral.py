@@ -78,9 +78,10 @@ def _left_singular(X: np.ndarray, q: int):
 def pca(X, q: int) -> np.ndarray:
     """First q principal-component scores of the centered rows of X.
 
-    Column k is the centered data's k-th left singular vector, signed as
-    :func:`sym_eig` signs the centered Gram's eigenvectors, times the k-th
-    singular value.  Pairwise distances are preserved when q is the full rank.
+    Column k is the centered data's k-th left singular vector, the k-th
+    eigenvector of its Gram, signed by :func:`leading_signs` and times
+    the k-th singular value.  Pairwise distances are preserved when q is
+    the full rank.
     """
     X = as_float_matrix(X, "X")
     n, p = X.shape
@@ -407,12 +408,6 @@ class PrecisionCouplingProblem:
         loss = float((Z * BinvZ).sum()) - self.gamma * float(logdet)
         grad = 2.0 * BinvZ - 2.0 * self.gamma * np.linalg.solve(latent, Z.T).T
         return Evaluation(loss, loss, grad)
-
-    def loss(self, Z) -> float:
-        return self.evaluate(Z).loss
-
-    def grad(self, Z) -> np.ndarray:
-        return self.evaluate(Z).grad
 
 
 def precision_coupling_closed_form(X, q: int, gamma: float = 1.0) -> np.ndarray:

@@ -13,6 +13,8 @@ neighbor_indices         a stable argsort ranking, the oracle of the
 kary_agreement           ``evaluate_embedding`` at a single k
 symmetrize_row_affinity  ``symmetrized_in_place`` of a copy of a row affinity
 umap_threshold_prob      ``symmetrized_in_place`` of a copy of a bernoulli one
+sym_eig                  the full eigendecomposition of a symmetric matrix,
+                         the oracle of Laplacian eigenmaps' solvers
 """
 
 from dataclasses import replace
@@ -23,6 +25,7 @@ from graphcoupling.ccpca import CcpcaConfig
 from graphcoupling.errors import ContractViolationError
 from graphcoupling.evaluation import NeighborhoodScore, evaluate_embedding
 from graphcoupling.graph import Partition, connected_components
+from graphcoupling.linalg import as_float_matrix, leading_signs
 from graphcoupling.posterior import (
     BERNOULLI,
     ROW,
@@ -120,3 +123,23 @@ def umap_threshold_prob(P: AffinityMatrix) -> AffinityMatrix:
         raise ContractViolationError(
             f"expected an elementwise bernoulli affinity, got {P.normalization!r}")
     return symmetrized_in_place(replace(P, values=P.values.copy()))
+
+
+def sym_eig(A):
+    """``(eigenvalues, eigenvectors)`` of a symmetric matrix, eigenvalues descending.
+
+    numpy's ``eigh`` of (A + A^T) / 2, which for an exactly symmetric A
+    holds A's own values; column j pairs with eigenvalue j and is signed
+    by ``leading_signs``, so repeated calls give the same bytes.  An A
+    that is not square, holds a non-finite entry or deviates from
+    symmetry by more than 1e-10 of its largest magnitude (or of 1) is
+    rejected.
+    """
+    A = as_float_matrix(A, "A")
+    scale = max(1.0, float(np.abs(A).max(initial=0.0)))
+    if A.shape[0] != A.shape[1] or np.abs(A - A.T).max(initial=0.0) > 1e-10 * scale:
+        raise ContractViolationError("A must be square and symmetric within 1e-10")
+    w, V = np.linalg.eigh((A + A.T) / 2.0)
+    V = V[:, ::-1]
+    V *= leading_signs(V)
+    return w[::-1].copy(), V

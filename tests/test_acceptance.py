@@ -22,7 +22,7 @@ from graphcoupling.kernels import calibrated_kernel, kernel_matrix
 from graphcoupling.linalg import pairwise_sq_dists
 from graphcoupling.optim import OptimizerConfig, minimize
 from graphcoupling.pipeline import RunSpec, run
-from graphcoupling.posterior import posterior_expectation
+from graphcoupling.posterior import PosteriorSampler, posterior_expectation
 from graphcoupling.spectral import (
     PrecisionCouplingProblem,
     pca,
@@ -113,9 +113,12 @@ class TestAcceptance:
         for prior in ("B", "D", "E"):
             expect = posterior_expectation(K, prior).values
             rng = np.random.default_rng(15)
+            # The sampler takes no randomness: one per prior draws the
+            # stream of sample_posterior_graph(K, prior, rng).
+            sampler = PosteriorSampler(K, prior)
             total = np.zeros((5, 5))
             for _ in range(samples):
-                W = sample_posterior_graph(K, prior, rng)
+                W = sampler.draws([rng])[0].dense()
                 if prior == "D":
                     structure_ok &= bool((W.sum(axis=1) == 1).all())
                 elif prior == "E":

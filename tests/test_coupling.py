@@ -456,7 +456,7 @@ class TestExaggeration:
         rng = np.random.default_rng(20)
         prob = PrecisionCouplingProblem(rng.normal(size=(5, 3)))
         Z = rng.normal(size=(5, 2))
-        assert prob.evaluate(Z, 1.0).loss == prob.loss(Z)
+        assert prob.evaluate(Z, 1.0).loss == prob.evaluate(Z).loss
         with pytest.raises(ParameterError):
             prob.evaluate(Z, 12.0)
 

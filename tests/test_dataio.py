@@ -153,6 +153,20 @@ class TestNumpyParser:
         assert same_dataset(parsed, dataio._walk_rows(path, ",", True, "class"))
         assert same_dataset(load_csv(path, label="class"), parsed)
 
+    def test_label_names_are_strings_under_the_pre_2_loadtxt_default(self, tmp_path,
+                                                                     monkeypatch):
+        # Before numpy 2.0, loadtxt's default encoding hands converters bytes.
+        loadtxt = np.loadtxt
+
+        def pre_2_loadtxt(*args, **kwargs):
+            return loadtxt(*args, **{"encoding": "bytes", **kwargs})
+        monkeypatch.setattr(np, "loadtxt", pre_2_loadtxt)
+        path = write(tmp_path / "t.csv", "x,class\n1,c0\n2,c1\n3,c0\n")
+        parsed = numpy_parse(path, label="class")
+        assert parsed is not None
+        assert parsed.label_names == ["c0", "c1"]
+        assert same_dataset(parsed, dataio._walk_rows(path, ",", True, "class"))
+
     @pytest.mark.parametrize("text, header, label", [
         ("a,b\n1,2\n3,4,5\n", True, None),          # a row with an extra column
         ("a,b\n1,2,9\n3,4,5\n", True, None),        # every row one wider than the header
@@ -263,6 +277,15 @@ class TestEmbeddingRoundTrip:
     def test_rejects_non_2d(self, tmp_path):
         with pytest.raises(ParameterError):
             save_embedding(tmp_path / "e.csv", np.zeros(4))
+
+    def test_load_embedding_reads_the_header_row_alone_first(self, tmp_path):
+        path = write(tmp_path / "e.csv", "\n  \nz1,label\n0.5,a\n")
+        assert dataio._read_rows(path, ",", limit=1) == [["z1", "label"]]
+        assert load_embedding(path).label_names == ["a"]
+        with pytest.raises(DataError, match="contains no data"):
+            load_embedding(write(tmp_path / "blank.csv", "\n  \n"))
+        with pytest.raises(DataError, match="cannot read"):
+            load_embedding(tmp_path / "missing.csv")
 
     def test_load_embedding_without_label_column(self, tmp_path):
         path = write(tmp_path / "e.csv", "z1\n0.5\n1.5\n")

@@ -19,6 +19,9 @@ NOT_IN_THE_LIBRARY = [
     ("posterior", "symmetrize_row_affinity"),
     ("posterior", "umap_threshold_prob"),
     ("linalg", "block_sq_dists"),
+    ("linalg", "sym_eig"),
+    ("linalg", "sym_eig_lowest"),
+    ("linalg", "SymEigResult"),
 ]
 
 
