@@ -53,7 +53,7 @@ from .spectral import (
     pca,
     precision_coupling_closed_form,
 )
-from .ccpca import CcpcaConfig, ccpca
+from .ccpca import ccpca
 from .evaluation import NeighborhoodScore, evaluate_embedding
 from .pipeline import RunResult, RunSpec, initial_embedding, prepare_input, run
 from .dataio import Dataset, load_csv, load_embedding, save_embedding
@@ -62,7 +62,7 @@ from .svgplot import render_svg_scatter
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffinityMatrix", "CcpcaConfig", "ContractViolationError",
+    "AffinityMatrix", "ContractViolationError",
     "CouplingProblem", "DataError", "Dataset", "DegenerateRowError",
     "DivergenceError", "EdgeList", "EigenmapsResult", "Evaluation", "GAUSSIAN",
     "GraphCouplingError", "KernelMatrix", "LARGEVIS", "METHOD_KINDS", "MinimizeResult",

@@ -154,23 +154,34 @@ def components_from_support(adjacent: np.ndarray) -> Partition:
 
     The support is read one block of rows at a time, so a dense support
     never becomes an n^2 edge list.  A block's edges are int64 pairs, 16
-    bytes and more for each nonzero cell of the block, so this
-    walk takes an eighth of the row-block budget per block.  Each block's
-    edges are hooked onto the component roots of the blocks before it.
-    A block with a row whose support covers every other node ends the
-    walk: that row's node joins all of them into one component.
+    bytes and more for each nonzero cell of the block, so this walk takes
+    an eighth of the row-block budget per block.  Consecutive blocks' edges
+    fill one block's worth of edges before they are hooked, in one call,
+    onto the component roots of the edges before them: each call jumps
+    pointers over all n nodes, so a call per block would cost O(n^3) on a
+    sparse support.  A block with a row whose support covers every other
+    node ends the walk: that row's node joins all of them into one component.
     """
     n = adjacent.shape[0]
+    budget = linalg.ROW_BLOCK_CELLS // 8
     roots = np.arange(n, dtype=np.int64)
-    for block in row_blocks(n, cells=linalg.ROW_BLOCK_CELLS // 8):
+    # A block has at most max(budget, n) cells, and the support n^2.
+    rows, cols = np.empty((2, min(n * n, max(budget, n))), dtype=np.int64)
+    edges = 0
+    for block in row_blocks(n, cells=budget):
         support = adjacent[block] != 0
         own = np.arange(block.start, block.stop)
-        if (np.count_nonzero(support, axis=1) + ~support[own - block.start, own] == n).any():
+        degrees = np.count_nonzero(support, axis=1)
+        if (degrees + ~support[own - block.start, own] == n).any():
             return _partition_from_roots(np.zeros(n, dtype=np.int64))
-        rows, cols = np.nonzero(support)
-        rows += block.start
-        roots = _component_roots(n, rows, cols, roots)
-    return _partition_from_roots(roots)
+        stop = edges + int(degrees.sum())
+        if stop > rows.shape[0]:
+            roots = _component_roots(n, rows[:edges], cols[:edges], roots)
+            edges, stop = 0, stop - edges
+        rows[edges:stop], cols[edges:stop] = np.nonzero(support)
+        rows[edges:stop] += block.start
+        edges = stop
+    return _partition_from_roots(_component_roots(n, rows[:edges], cols[:edges], roots))
 
 
 def connected_components(W) -> Partition:

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .ccpca import CcpcaConfig, ccpca
+from .ccpca import ccpca
 from .coupling import CouplingProblem, check_method, input_affinity
 from .errors import ParameterError
 from .kernels import MAX_ENTROPY_EVALS, KernelMatrix, calibrated_kernel, check_kind
@@ -113,9 +113,7 @@ def initial_embedding(X, spec: RunSpec, kernel: Optional[KernelMatrix],
     elif spec.init == "pca":
         Z = pca(X, spec.q)
     elif spec.init == "ccpca":
-        cfg = CcpcaConfig(samples=spec.ccpca_samples, prior=spec.ccpca_prior,
-                          q=spec.q, seed=int(state[1]))
-        Z = ccpca(X, kernel, cfg)
+        Z = ccpca(X, kernel, spec.q, spec.ccpca_samples, spec.ccpca_prior, int(state[1]))
     affinity = input_affinity(kernel, spec.method) if fitting or spec.init == "le" else None
     if spec.init == "le":
         result = laplacian_eigenmaps(affinity, spec.q)
@@ -193,10 +191,16 @@ def run(X, spec: RunSpec = None) -> RunResult:
                 "momentum_early": float(opt.momentum_early),
                 "momentum_late": float(opt.momentum_late),
                 "momentum_switch": int(opt.momentum_switch),
+                "gain_min": float(opt.gain_min),
+                "gain_increase": float(opt.gain_increase),
+                "gain_decay": float(opt.gain_decay),
                 "early_exaggeration": bool(opt.early_exaggeration),
                 "exaggeration_factor": float(opt.exaggeration_factor),
                 "exaggeration_iters": int(opt.exaggeration_iters),
+                "grad_tol": float(opt.grad_tol),
+                "max_halvings": int(opt.max_halvings),
             },
+            "eval_ks": ks,
         },
         "input": {
             "rows": int(n),

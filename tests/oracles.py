@@ -4,8 +4,9 @@ The library computes each of these one row block or one edge list at a
 time; here they are the plain whole-matrix forms, or the single-case
 wrappers of a library function:
 
-averaged_projector       the n x n Monte-Carlo projector M, with
-                         ``ccpca(X, K, cfg) == pca(M @ X)`` to roundoff
+averaged_projector       the n x n Monte-Carlo projector M; ``ccpca`` of
+                         the same K, samples, prior and seed is
+                         ``pca(M @ X, q)`` to roundoff
 cc_projector             one sample's orthogonal component projector
 sample_posterior_graph   one posterior draw as a dense latent graph
 neighbor_indices         a stable argsort ranking, the oracle of the
@@ -21,7 +22,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from graphcoupling.ccpca import CcpcaConfig
 from graphcoupling.errors import ContractViolationError
 from graphcoupling.evaluation import NeighborhoodScore, evaluate_embedding
 from graphcoupling.graph import Partition, connected_components
@@ -59,21 +59,21 @@ def sample_posterior_graph(K, prior: str, rng: np.random.Generator) -> np.ndarra
     return PosteriorSampler(K, prior).draws([rng])[0].dense()
 
 
-def averaged_projector(K, config: CcpcaConfig = None) -> np.ndarray:
+def averaged_projector(K, samples: int, prior: str, seed: int) -> np.ndarray:
     """Monte-Carlo average of component projectors of posterior graphs.
 
-    The dense oracle of ``ccpca``: each sample goes through the
-    n x n latent graph and projector.  The average of orthogonal
-    projectors is symmetric and doubly stochastic.
+    The dense oracle of ``ccpca``: sample i is drawn from
+    ``np.random.default_rng([seed, i])``, as ``ccpca`` draws it, and goes
+    through the n x n latent graph and projector.  The average of
+    orthogonal projectors is symmetric and doubly stochastic.
     """
-    cfg = (config or CcpcaConfig()).validate()
     values = getattr(K, "values", K)
     n = np.asarray(values).shape[0]
     M = np.zeros((n, n), dtype=np.float64)
-    for index in range(cfg.samples):
-        W = sample_posterior_graph(K, cfg.prior, cfg.sample_rng(index))
+    for index in range(samples):
+        W = sample_posterior_graph(K, prior, np.random.default_rng([seed, index]))
         M += cc_projector(connected_components(W))
-    M /= float(cfg.samples)
+    M /= float(samples)
     return M
 
 

@@ -10,7 +10,8 @@ import time
 import numpy as np
 import yaml
 
-from graphcoupling.ccpca import CcpcaConfig, ccpca
+from graphcoupling import linalg
+from graphcoupling.ccpca import ccpca
 from graphcoupling.cli import main as cli_main
 from graphcoupling.coupling import CouplingProblem
 from graphcoupling.graph import (
@@ -106,24 +107,25 @@ class TestAcceptance:
         start = time.time()
         X = np.random.default_rng(3).normal(size=(5, 3))
         K = kernel_matrix(X, "gaussian")
-        samples = 100_000
+        samples, chunk = 100_000, 1000
         off = ~np.eye(5, dtype=bool)
         worst_z = 0.0
         structure_ok = True
         for prior in ("B", "D", "E"):
             expect = posterior_expectation(K, prior).values
             rng = np.random.default_rng(15)
-            # The sampler takes no randomness: one per prior draws the
-            # stream of sample_posterior_graph(K, prior, rng).
             sampler = PosteriorSampler(K, prior)
             total = np.zeros((5, 5))
-            for _ in range(samples):
-                W = sampler.draws([rng])[0].dense()
-                if prior == "D":
-                    structure_ok &= bool((W.sum(axis=1) == 1).all())
-                elif prior == "E":
-                    structure_ok &= W.sum() == 5
-                total += W
+            # A generator listed m times gives m exact, independent draws;
+            # one call per chunk keeps the per-call cost off every draw.
+            for _ in range(samples // chunk):
+                for edges in sampler.draws([rng] * chunk):
+                    W = edges.dense()
+                    if prior == "D":
+                        structure_ok &= bool((W.sum(axis=1) == 1).all())
+                    elif prior == "E":
+                        structure_ok &= W.sum() == 5
+                    total += W
             freq = total / samples
             # E draws 5 edges per sample from the global cell law, so the
             # per-cell count is binomial with 5 trials; B and D cells are
@@ -262,11 +264,10 @@ class TestAcceptance:
         zeros_ok = cross_mass == 0.0
         worst_rel = 0.0
         for seed in range(5):
-            config = CcpcaConfig(samples=100, prior="D", q=2, seed=seed)
-            M = averaged_projector(K, config)
+            M = averaged_projector(K, 100, "D", seed)
             zeros_ok &= bool((M[:15, 15:] == 0.0).all())
             zeros_ok &= bool((M[15:, :15] == 0.0).all())
-            Z = ccpca(X, K, config)
+            Z = ccpca(X, K, 2, 100, "D", seed)
             dist = float(np.linalg.norm(Z[:15].mean(axis=0) - Z[15:].mean(axis=0)))
             worst_rel = max(worst_rel, abs(dist - ref) / ref)
         elapsed = time.time() - start
@@ -356,7 +357,7 @@ class TestAcceptance:
                f"mean components {[round(m, 2) for m in means]}, adjacent "
                f"violations {violations} (tol 1), {elapsed:.1f}s (< 30s)")
 
-    def test_11_fit_determinism(self, tmp_path):
+    def test_11_fit_determinism(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(30, 3))
         X[15:, 0] += 8.0
@@ -364,8 +365,12 @@ class TestAcceptance:
         rows = [",".join(format(v, ".17g") for v in row) for row in X]
         data.write_text("a,b,c\n" + "\n".join(rows) + "\n", encoding="utf-8")
 
+        # --threads is only validated, so the block workers are set by
+        # patching usable_cores: the usable cores, then 1, then 4.
+        runs = (("run1", "1", linalg.usable_cores()), ("run2", "1", 1), ("run3", "4", 4))
         outputs = []
-        for name, threads in (("run1", "1"), ("run2", "1"), ("run3", "4")):
+        for name, threads, workers in runs:
+            monkeypatch.setattr(linalg, "usable_cores", lambda w=workers: w)
             out = tmp_path / name
             code = cli_main([
                 "fit", "--input", str(data), "--out-dir", str(out),
@@ -388,4 +393,5 @@ class TestAcceptance:
                same_bytes and same_manifest,
                f"embedding/figure bytes {'identical' if same_bytes else 'differ'} "
                f"and manifests {'identical' if same_manifest else 'differ'} "
-               f"across repeat runs and --threads 1 vs 4 (timings excluded)")
+               f"across runs at {', '.join(str(w) for *_, w in runs)} workers "
+               f"with --threads {', '.join(t for _, t, _ in runs)} (timings excluded)")

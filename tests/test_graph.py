@@ -5,7 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from graphcoupling import linalg
+from graphcoupling import graph, linalg
 from graphcoupling.errors import ContractViolationError
 from graphcoupling.graph import (
     EdgeList,
@@ -263,6 +263,36 @@ class TestComponentsFromEdges:
             tracemalloc.stop()
         assert parts.n_components == 1
         assert peak <= 8 * linalg.ROW_BLOCK_CELLS, f"{peak / 1e6:.2f} MB"
+
+    def test_sparse_support_is_hooked_in_few_calls(self, monkeypatch):
+        # Each hooking call jumps pointers over all n nodes, so a call per
+        # row block costs O(n^3) on a sparse support.  Gathered blocks fill
+        # the edge budget: every call but the last hooks more than half of
+        # it while no block holds half of it.
+        n = 1000
+        rng = np.random.default_rng(47)
+        S = np.zeros((n, n), dtype=bool)
+        S[np.repeat(np.arange(n), 10), rng.integers(0, n, size=10 * n)] = True
+        S |= S.T
+        np.fill_diagonal(S, False)
+        want = components_from_edges(n, *np.nonzero(S))
+        budget = linalg.ROW_BLOCK_CELLS // 8
+        blocks = list(linalg.row_blocks(n, cells=budget))
+        assert max(np.count_nonzero(S[block]) for block in blocks) < budget / 2
+        calls = []
+        hook = graph._component_roots
+
+        def counted(*args):
+            calls.append(args[1].shape[0])
+            return hook(*args)
+
+        monkeypatch.setattr(graph, "_component_roots", counted)
+        got = components_from_support(S)
+        npt.assert_array_equal(got.assignment, want.assignment)
+        npt.assert_array_equal(got.sizes, want.sizes)
+        assert sum(calls) == np.count_nonzero(S)
+        assert all(budget / 2 < edges <= budget for edges in calls[:-1])
+        assert len(calls) <= 2 * np.count_nonzero(S) / budget + 1 < len(blocks)
 
     @pytest.mark.parametrize("block_cells", [1, 50, linalg.ROW_BLOCK_CELLS], indirect=True)
     def test_a_full_row_gives_the_edge_walks_partition(self, block_cells):

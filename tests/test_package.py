@@ -12,6 +12,7 @@ from graphcoupling.posterior import PosteriorSampler
 #: keeps those the tests compare against.
 NOT_IN_THE_LIBRARY = [
     ("ccpca", "averaged_projector"),
+    ("ccpca", "CcpcaConfig"),
     ("graph", "cc_projector"),
     ("evaluation", "neighbor_indices"),
     ("evaluation", "kary_agreement"),

@@ -4,10 +4,12 @@ import threading
 import tracemalloc
 import types
 import weakref
+from dataclasses import fields
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+import yaml
 
 from graphcoupling import kernels, linalg, pipeline
 from graphcoupling.coupling import input_affinity
@@ -239,6 +241,35 @@ class TestRun:
         assert [s["k"] for s in m["results"]["scores"]] == [3, 8]
         npt.assert_allclose(m["results"]["initial_loss"], result.history[0])
         assert all(v >= 0.0 for v in m["timings"].values())
+
+    def test_manifest_records_every_setting(self):
+        # Every field away from its default: two runs that differ in any
+        # setting write different run records.
+        opt = OptimizerConfig(iterations=7, learning_rate=150.0, momentum_early=0.4,
+                              momentum_late=0.7, momentum_switch=3, gain_min=0.02,
+                              gain_increase=0.3, gain_decay=0.7, early_exaggeration=True,
+                              exaggeration_factor=4.0, exaggeration_iters=2,
+                              grad_tol=1e-6, max_halvings=20)
+        spec = RunSpec(method="tsne", init="ccpca", q=3, perplexity=8.0,
+                       latent_kernel=GAUSSIAN, classic_scale=True, ccpca_samples=3,
+                       ccpca_prior="B", seed=5, optimizer=opt, eval_ks=(8, 3))
+        record = run(blob_data(11, n=24), spec).manifest["run"]
+        # Plain Python types only: safe_dump refuses numpy scalars.
+        yaml.safe_dump(record)
+        ccpca_fields = {"ccpca_samples": "samples", "ccpca_prior": "prior"}
+        for f in fields(RunSpec):
+            value = getattr(spec, f.name)
+            if f.name in ccpca_fields:
+                assert record["ccpca"][ccpca_fields[f.name]] == value
+            elif f.name == "optimizer":
+                assert set(record["optimizer"]) == {g.name for g in fields(OptimizerConfig)}
+                for g in fields(OptimizerConfig):
+                    assert record["optimizer"][g.name] == getattr(opt, g.name), g.name
+            elif f.name == "eval_ks":
+                assert record["eval_ks"] == sorted(value)
+            else:
+                assert record[f.name] == value, f.name
+        assert set(record) == ({f.name for f in fields(RunSpec)} - set(ccpca_fields)) | {"ccpca"}
 
     @pytest.mark.parametrize("block_cells", [1, linalg.ROW_BLOCK_CELLS], indirect=True)
     @pytest.mark.parametrize("workers", [1, 3])
