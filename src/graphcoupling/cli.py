@@ -36,12 +36,12 @@ from .svgplot import render_svg_scatter
 OUT_DIR_ENV = "GRAPHCOUPLING_OUT_DIR"
 
 #: The :class:`RunSpec` field each option of ``fit`` and ``init`` sets;
-#: ``init`` reads its ``method`` as the initialization.
+#: ``init`` reads its ``method`` as the initialization, and has no
+#: ``--init``, ``--latent-kernel`` or ``--classic-scale``, so those stay unset.
 FIT_FIELDS = {"method": "method", "init": "init", "dim": "q", "perplexity": "perplexity",
               "latent_kernel": "latent_kernel", "classic_scale": "classic_scale",
               "samples": "ccpca_samples", "prior": "ccpca_prior", "seed": "seed"}
-INIT_FIELDS = {"method": "init", "dim": "q", "perplexity": "perplexity",
-               "samples": "ccpca_samples", "prior": "ccpca_prior", "seed": "seed"}
+INIT_FIELDS = {**FIT_FIELDS, "method": "init"}
 #: The :class:`OptimizerConfig` field each option of ``fit`` sets.
 OPTIMIZER_FIELDS = {"iterations": "iterations", "learning_rate": "learning_rate",
                     "exaggeration": "early_exaggeration"}
@@ -114,9 +114,13 @@ def _resolve(args, config, name, default=None):
 
 
 def _chosen(args, config, fields) -> dict:
-    """{field: value} of the options in ``fields`` set by flag or config."""
-    values = {name: _resolve(args, config, option) for option, name in fields.items()}
-    return {name: value for name, value in values.items() if value is not None}
+    """{field: value} of the options in ``fields`` set by flag or config.
+
+    An unset option never clears a field that another option, such as
+    ``init``'s ``method``, has set.
+    """
+    values = ((name, _resolve(args, config, option)) for option, name in fields.items())
+    return {name: value for name, value in values if value is not None}
 
 
 def _run_spec(args, config, fields, optimizer_fields=None) -> RunSpec:

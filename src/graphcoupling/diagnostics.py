@@ -14,6 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .coupling import METHOD_KINDS, CouplingProblem, input_affinity
+from .errors import ParameterError
 from .graph import connected_components, laplacian, log_mrf_density
 from .kernels import kernel_matrix
 from .posterior import PRIOR_KINDS, PosteriorSampler, posterior_expectation
@@ -148,7 +149,15 @@ def _gradient_check(rng) -> DiagnosticResult:
 
 
 def run_diagnostics(seed: int = 0, samples: int = 20000) -> list:
-    """Run every self-check; returns a list of :class:`DiagnosticResult`."""
+    """Run every self-check; returns a list of :class:`DiagnosticResult`.
+
+    Raises :class:`ParameterError` unless ``seed`` is nonnegative and
+    ``samples`` at least 1: a sampling check that draws nothing tests nothing.
+    """
+    if seed < 0:
+        raise ParameterError(f"seed must be nonnegative, got {seed}")
+    if samples < 1:
+        raise ParameterError(f"samples must be at least 1, got {samples}")
     rng = np.random.default_rng(seed)
     return [
         _trace_identity(rng),

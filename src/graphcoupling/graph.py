@@ -74,15 +74,14 @@ def validate_latent_graph(W) -> np.ndarray:
 
 
 def laplacian(W) -> np.ndarray:
-    """Graph Laplacian of the symmetrized graph W + W^T.
+    """Graph Laplacian of the symmetrized graph W + W^T, in float64.
 
-    Degrees and off-diagonal terms are accumulated in integer arithmetic,
-    so rows sum to zero exactly; the result is cast to float64 at the end.
+    W + W^T is summed in integers and handed to :func:`weighted_laplacian`.
+    Its entries and row sums are integers below 2**53 (a row sums to at
+    most 2 n**2), so every float sum is exact and rows sum to zero exactly.
     """
     A = validate_latent_graph(W)
-    B = A + A.T
-    L = np.diag(B.sum(axis=1)) - B
-    return L.astype(np.float64)
+    return weighted_laplacian(A + A.T)
 
 
 def weighted_laplacian(A) -> np.ndarray:

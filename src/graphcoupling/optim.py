@@ -40,12 +40,18 @@ class OptimizerConfig:
     max_halvings: int = 30
 
     def validate(self) -> "OptimizerConfig":
-        if self.iterations < 0:
-            raise ParameterError("iterations must be nonnegative")
-        for name in ("learning_rate", "exaggeration_factor"):
+        for name in ("iterations", "momentum_switch", "exaggeration_iters", "max_halvings"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ParameterError(f"{name} must be nonnegative, got {value}")
+        for name in ("learning_rate", "exaggeration_factor", "gain_min", "gain_decay"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0.0):
                 raise ParameterError(f"{name} must be positive and finite, got {value}")
+        for name in ("gain_increase", "grad_tol"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0.0):
+                raise ParameterError(f"{name} must be nonnegative and finite, got {value}")
         for name in ("momentum_early", "momentum_late"):
             m = getattr(self, name)
             if not (0.0 <= m < 1.0):

@@ -14,7 +14,7 @@ affinity P over K, let eigenmaps read P.
 """
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -59,6 +59,8 @@ class RunSpec:
             raise ParameterError(f"unknown init {self.init!r}, expected one of {INIT_KINDS}")
         if self.q < 1:
             raise ParameterError("q must be at least 1")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ParameterError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.ccpca_samples < 1:
             raise ParameterError("ccpca samples must be at least 1")
         check_prior(self.ccpca_prior)
@@ -129,6 +131,15 @@ def default_eval_ks(n: int) -> tuple:
     return tuple(ks)
 
 
+def _settings_record(settings, **resolved) -> dict:
+    """Dataclass ``settings``' fields, each cast to its declared type or read from ``resolved``.
+
+    ``resolved`` holds the Optional and dataclass fields, whose values the run works out.
+    """
+    return {f.name: resolved[f.name] if f.name in resolved else f.type(getattr(settings, f.name))
+            for f in fields(settings)}
+
+
 @single_blas_thread()
 def run(X, spec: RunSpec = None) -> RunResult:
     """Execute a full run and collect its manifest.
@@ -138,6 +149,12 @@ def run(X, spec: RunSpec = None) -> RunResult:
     is left spinning against them between walks.  So Laplacian eigenmaps'
     dense eigensolver runs on one thread, and its result no longer
     depends on the BLAS thread count.
+
+    The manifest's ``run`` block holds every field of ``spec`` and its
+    optimizer cast to its declared type, ``latent_kernel``,
+    ``early_exaggeration`` and ``eval_ks`` as the run resolved them, and
+    ``ccpca_samples`` and ``ccpca_prior`` under ``ccpca`` as ``samples``
+    and ``prior``.
     """
     spec = (spec or RunSpec()).validate()
     X = as_float_matrix(X, "X")
@@ -174,34 +191,12 @@ def run(X, spec: RunSpec = None) -> RunResult:
     scores = evaluate_embedding(X, result.Z, ks)
     evaluate_s = time.perf_counter() - t0
 
+    optimizer = _settings_record(opt, early_exaggeration=bool(opt.early_exaggeration))
+    record = _settings_record(spec, latent_kernel=latent_kernel, optimizer=optimizer, eval_ks=ks)
+    record["ccpca"] = {"samples": record.pop("ccpca_samples"),
+                       "prior": record.pop("ccpca_prior")}
     manifest = {
-        "run": {
-            "method": spec.method,
-            "init": spec.init,
-            "q": spec.q,
-            "perplexity": float(spec.perplexity),
-            "latent_kernel": latent_kernel,
-            "classic_scale": bool(spec.classic_scale),
-            "seed": int(spec.seed),
-            "ccpca": {"samples": int(spec.ccpca_samples),
-                      "prior": spec.ccpca_prior},
-            "optimizer": {
-                "iterations": int(opt.iterations),
-                "learning_rate": float(opt.learning_rate),
-                "momentum_early": float(opt.momentum_early),
-                "momentum_late": float(opt.momentum_late),
-                "momentum_switch": int(opt.momentum_switch),
-                "gain_min": float(opt.gain_min),
-                "gain_increase": float(opt.gain_increase),
-                "gain_decay": float(opt.gain_decay),
-                "early_exaggeration": bool(opt.early_exaggeration),
-                "exaggeration_factor": float(opt.exaggeration_factor),
-                "exaggeration_iters": int(opt.exaggeration_iters),
-                "grad_tol": float(opt.grad_tol),
-                "max_halvings": int(opt.max_halvings),
-            },
-            "eval_ks": ks,
-        },
+        "run": record,
         "input": {
             "rows": int(n),
             "cols": int(p),

@@ -353,6 +353,15 @@ class TestFit:
         assert "samples must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_exits_2_before_writing(self, blob_csv, tmp_path, capsys):
+        # np.random.SeedSequence would raise a bare ValueError deep in the run.
+        out = tmp_path / "out"
+        assert main(fit_args(blob_csv, out, ["--seed", "-1"])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be a nonnegative integer, got -1")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("line, message", [("prior = Q", "unknown prior"),
                                                ("latent_kernel = cauchy", "unknown kernel")])
     def test_bad_config_choice_exits_2(self, blob_csv, tmp_path, capsys, line, message):
@@ -366,12 +375,14 @@ class TestFit:
 
 
 class TestInit:
-    @pytest.mark.parametrize("extra", [["--samples", "0"], ["--prior", "B", "--samples", "-1"]])
-    def test_bad_ccpca_settings_exit_2_before_writing(self, blob_csv, tmp_path, extra):
+    @pytest.mark.parametrize("extra", [["--samples", "0"], ["--prior", "B", "--samples", "-1"],
+                                       ["--seed", "-1"]])
+    def test_bad_ccpca_settings_exit_2_before_writing(self, blob_csv, tmp_path, capsys, extra):
         out = tmp_path / "out"
         args = ["init", "--input", str(blob_csv), "--label", "cls",
                 "--out-dir", str(out), "--method", "pca"] + extra
         assert main(args) == 2
+        assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
     def test_bad_config_prior_exits_2(self, blob_csv, tmp_path, capsys):
@@ -683,3 +694,14 @@ class TestDiagnose:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) >= 5
         assert all(line.startswith("PASS") for line in lines)
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--seed", "-1", "seed must be nonnegative, got -1"),
+        ("--samples", "-3", "samples must be at least 1, got -3"),
+        # Zero draws would pass the sampling check having tested nothing.
+        ("--samples", "0", "samples must be at least 1, got 0")])
+    def test_bad_seed_or_samples_exit_2(self, capsys, option, value, message):
+        assert main(["diagnose", option, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""

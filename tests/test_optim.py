@@ -82,6 +82,18 @@ class TestConfig:
             with pytest.raises(ParameterError):
                 OptimizerConfig(exaggeration_factor=factor).validate()
 
+    @pytest.mark.parametrize("name, value", [
+        ("momentum_switch", -5), ("exaggeration_iters", -3), ("max_halvings", -1),
+        ("gain_min", 0.0), ("gain_min", -1.0), ("gain_min", np.inf),
+        ("gain_decay", -2.0), ("gain_decay", 0.0), ("gain_decay", np.nan),
+        ("gain_increase", -0.1), ("gain_increase", np.inf),
+        ("grad_tol", -1e-7), ("grad_tol", np.nan), ("grad_tol", np.inf)])
+    def test_rejects_each_bad_setting(self, name, value):
+        # A run would accept each of these; a negative exaggeration_iters
+        # would quietly turn early exaggeration off.
+        with pytest.raises(ParameterError, match=name):
+            OptimizerConfig(**{name: value}).validate()
+
 
 class TestQuadratic:
     def test_converges(self):

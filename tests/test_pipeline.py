@@ -4,7 +4,7 @@ import threading
 import tracemalloc
 import types
 import weakref
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import numpy.testing as npt
@@ -55,6 +55,12 @@ class TestRunSpec:
             RunSpec(init="umap").validate()
         with pytest.raises(ParameterError):
             RunSpec(q=0).validate()
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+    def test_rejects_seeds_that_are_not_nonnegative_integers(self, seed):
+        with pytest.raises(ParameterError, match="seed"):
+            RunSpec(seed=seed).validate()
+        assert RunSpec(seed=np.int64(3)).validate().seed == 3
 
 
 def start(X, spec):
@@ -270,6 +276,21 @@ class TestRun:
             else:
                 assert record[f.name] == value, f.name
         assert set(record) == ({f.name for f in fields(RunSpec)} - set(ccpca_fields)) | {"ccpca"}
+
+    def test_numpy_scalar_settings_are_written_as_plain_values(self):
+        # safe_dump raises RepresenterError on a numpy scalar anywhere in the manifest.
+        X = blob_data(12, n=24)
+        plain = RunSpec(q=2, perplexity=8.0, seed=4, init="ccpca", ccpca_samples=3,
+                        optimizer=replace(FAST_OPT, iterations=20, early_exaggeration=True))
+        numpy = replace(plain, q=np.int64(2), perplexity=np.float64(8.0), seed=np.int64(4),
+                        ccpca_samples=np.int32(3),
+                        optimizer=replace(plain.optimizer, iterations=np.int64(20),
+                                          early_exaggeration=np.bool_(True)))
+        manifests = [run(X, spec).manifest for spec in (numpy, plain)]
+        for manifest in manifests:
+            manifest.pop("timings")
+        yaml.safe_dump(manifests[0])
+        assert manifests[0] == manifests[1]
 
     @pytest.mark.parametrize("block_cells", [1, linalg.ROW_BLOCK_CELLS], indirect=True)
     @pytest.mark.parametrize("workers", [1, 3])
