@@ -206,6 +206,7 @@ def cmd_fit(args, config) -> int:
     base = _run_spec(args, config, FIT_FIELDS, OPTIMIZER_FIELDS).validate()
     if ks:
         base = replace(base, eval_ks=tuple(ks))
+    base.check_data(*dataset.X.shape)
     out = _out_dir(args, config)
     collected = {}
     for index in range(repeat):
@@ -244,7 +245,7 @@ def cmd_init(args, config) -> int:
         *others, last = SPECTRAL_INIT_KINDS
         raise ParameterError(f"unknown init method {spec.init!r}; "
                              f"use {', '.join(others)} or {last}")
-    spec.validate()
+    spec.validate().check_data(*X.shape, fitting=False)
     out = _out_dir(args, config)
     kernel = prepare_input(X, spec, fitting=False)
     Z, degenerate, _ = initial_embedding(X, spec, kernel, fitting=False)

@@ -148,9 +148,11 @@ class _Scratch(threading.local):
     """Each thread's three float buffers, reused across the tiles it runs.
 
     The calling thread allocates one set per worker of the walk, ``pool``,
-    and each thread takes one on first use.  Buffers that short-lived
-    worker threads allocated themselves would sit in their own allocator
-    arenas and add to the process's resident memory.
+    and each thread takes one on first use: a walk runs on its calling
+    thread and at most ``workers - 1`` threads of :func:`linalg.map_blocks`'
+    pool.  The sets are the pass's and are freed with it; buffers that
+    the pool threads allocated themselves would sit in their own
+    allocator arenas and add to the process's resident memory.
     """
 
     def __init__(self, pool):

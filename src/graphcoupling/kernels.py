@@ -70,6 +70,15 @@ def check_kind(kind: str) -> str:
     return kind
 
 
+def check_perplexity(perplexity: float, n: int) -> None:
+    """Raise :class:`ParameterError` unless ``n`` rows can be calibrated at ``perplexity``."""
+    if n < 2:
+        raise ParameterError("calibration needs at least two rows")
+    if not (1.0 <= perplexity <= n - 1):
+        raise ParameterError(
+            f"perplexity must lie in [1, {n - 1}] for n={n}, got {perplexity}")
+
+
 def log_kernel(D, kind: str, bandwidths=None) -> np.ndarray:
     """Elementwise log k(.) evaluated on squared distances.
 
@@ -140,7 +149,8 @@ def calibrated_kernel(X, perplexity: float) -> KernelMatrix:
     Raises
     ------
     ParameterError
-        If perplexity is outside [1, n - 1], before any distance is taken.
+        If perplexity is outside [1, n - 1] (:func:`check_perplexity`),
+        before any distance is taken.
     DegenerateRowError
         If some row is at distance zero from every other row, which
         makes its neighbor distribution independent of tau.  The first
@@ -148,11 +158,7 @@ def calibrated_kernel(X, perplexity: float) -> KernelMatrix:
     """
     X = as_float_matrix(X, "X")
     n = X.shape[0]
-    if n < 2:
-        raise ParameterError("calibration needs at least two rows")
-    if not (1.0 <= perplexity <= n - 1):
-        raise ParameterError(
-            f"perplexity must lie in [1, {n - 1}] for n={n}, got {perplexity}")
+    check_perplexity(perplexity, n)
     target = float(np.log2(perplexity))
     tau = np.empty(n, dtype=np.float64)
     evaluations = np.empty(n, dtype=np.int64)

@@ -16,17 +16,22 @@ columns ``[lo, n)``, and every block stays within the
 ``ROW_BLOCK_CELLS`` budget.
 A walk whose blocks are independent can run them on every usable core
 with :func:`map_blocks`, which keeps the results, and the exception
-raised, those of the serial walk.  It runs the blocks in rounds of one
-per worker, the calling thread taking each round's first, and hands a
-round's results over in block order, to a ``fold`` if given, before the
-next round starts: a walk that adds up per-block terms gets the serial
-sums at any core count, and at most one result per worker waits.  Its
-threads live for one call; importing the package starts none.  The
-blocks run under :func:`single_blas_thread`, which holds OpenBLAS at one
-thread: a BLAS call inside a block neither competes with the other
-workers nor leaves a spinning BLAS thread behind.  A block calls only
-private helpers, so tools that wrap the package's public functions from
-outside see every call on the calling thread.
+raised, those of the serial walk.  The calling thread runs the first
+block and then, with up to ``usable_cores() - 1`` threads of one pool
+that the whole process shares, takes the next block from a shared
+cursor; it hands the results over in block order, to a ``fold`` if
+given, on its own thread.  So a walk that adds up per-block terms gets
+the serial sums at any core count.  A sliding window keeps at most two
+blocks per worker started and not yet handed over.  The pool starts
+with the first walk on two or more workers, never at import, and lives
+until the process ends; each call's blocks have all ended when it
+returns.  A forked child starts a pool of its own, and callers on
+several threads at once share the pool without waiting on each other's
+tasks.  The blocks run under :func:`single_blas_thread`, which holds
+OpenBLAS at one thread: a BLAS call inside a block neither competes
+with the other workers nor leaves a spinning BLAS thread behind.  A
+block calls only private helpers, so tools that wrap the package's
+public functions from outside see every call on the calling thread.
 
 The private ``_lowest_pairs`` computes only the k smallest eigenpairs
 of a symmetric matrix, with LAPACKE's ``dsyevr``; Laplacian eigenmaps
@@ -55,8 +60,8 @@ pairwise_sq_dists  squared Euclidean distances between two slices of rows,
                    the numbers of every blocked walk
 usable_cores       the cores this process may run on
 single_blas_thread context manager holding every loaded OpenBLAS at one thread
-map_blocks         fn over independent blocks on the usable cores in rounds,
-                   results in block order, kept or folded
+map_blocks         fn over independent blocks on the usable cores, from a shared
+                   cursor on one persistent pool, results in block order, kept or folded
 """
 
 import contextlib
@@ -64,6 +69,7 @@ import ctypes
 import functools
 import os
 import threading
+from queue import SimpleQueue
 
 import numpy as np
 
@@ -611,17 +617,22 @@ def map_blocks(fn, blocks, fold=None):
     one output: the results are the list comprehension's, in block
     order, however the blocks were scheduled.  With ``fold`` the results
     are not kept: each is handed to ``fold`` on the calling thread, in
-    block order, and None is returned.  The blocks run in rounds of
-    ``workers = min(usable_cores(), len(blocks))``: the calling thread
-    runs a round's first block, ``workers - 1`` pool threads started for
-    this call run the rest, and the calling thread then hands the
-    round's results over in block order before the next round starts.
-    So at most ``workers`` blocks run or wait to be handed over, however
-    many blocks there are.  The exception raised is the serial walk's:
-    the results before the lowest failing block are handed over, its
-    exception is raised, and no round starts after it; an exception of
-    ``fold`` is raised as the serial walk would raise it.  The threads
-    are joined before this function returns.  Every block, also on a
+    block order, and None is returned.  The blocks run on ``workers =
+    min(usable_cores(), len(blocks))`` threads: the calling thread and
+    ``workers - 1`` tasks on the process's one pool of threads.  The
+    calling thread runs block 0, then every thread takes the next block
+    from a shared cursor, and the calling thread hands each result over
+    as soon as the results before it are in, running blocks itself while
+    it waits.  A block starts only if fewer than ``2 * workers`` blocks
+    have started and not been handed over, so at most ``workers`` blocks
+    run, and at most ``2 * workers`` run or wait, however many blocks
+    there are.  The exception raised is the serial walk's: the results
+    before the lowest failing block are handed over, its exception is
+    raised, and no block starts once a failure is seen; an exception of
+    ``fold`` is raised as the serial walk would raise it.  No block of a
+    call runs after it returns or raises.  It never waits for a pool
+    task that has not started, so callers on several threads at once
+    each finish, whatever the pool is busy with.  Every block, also on a
     single core, runs under :func:`single_blas_thread`, so a BLAS call
     inside one neither oversubscribes the cores nor depends on their
     number.
@@ -637,15 +648,142 @@ def map_blocks(fn, blocks, fold=None):
             for block in blocks:
                 fold(fn(block))
         else:
-            # Not at module level: it pulls in logging, ~3 ms on every import of the package.
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(workers - 1) as pool:
-                for lo in range(0, len(blocks), workers):
-                    rest = [pool.submit(fn, b) for b in blocks[lo + 1:lo + workers]]
-                    fold(fn(blocks[lo]))
-                    for future in rest:
-                        fold(future.result())
+            _Walk(fn, blocks, workers).run(fold)
     return results
+
+
+class _Walk:
+    """One :func:`map_blocks` call on several threads.
+
+    Its calling thread and its pool tasks share the cursor and the
+    results not yet handed over under ``cond``.
+    """
+
+    def __init__(self, fn, blocks, workers):
+        self.fn, self.blocks, self.workers = fn, blocks, workers
+        self.cond = threading.Condition(threading.Lock())
+        self.taken = 1          # the cursor, blocks started; the calling thread runs block 0
+        self.handed = 0         # results handed over
+        self.outcomes = {}      # block index -> (ok, result or exception), until handed over
+        self.stopped = False    # a block or fold failed, or the call is over: no block starts
+        self.running = 0        # pool tasks inside the walk
+
+    def run(self, fold):
+        """Run every block, handing each result to ``fold`` in block order."""
+        _pool_submit(self.serve, self.workers - 1)
+        try:
+            self._run(0)
+            for index in range(len(self.blocks)):
+                ok, result = self._outcome(index)
+                if not ok:
+                    raise result
+                fold(result)
+                with self.cond:
+                    self.handed += 1
+                    self.cond.notify_all()
+        finally:
+            with self.cond:
+                self.stopped = True
+                self.cond.notify_all()
+                while self.running:
+                    self.cond.wait()
+            # A task still queued holds the walk; let it hold nothing else.
+            self.fn = self.blocks = self.outcomes = None
+
+    def serve(self):
+        """A pool task: run blocks from the cursor until none may start."""
+        with self.cond:
+            if self.stopped:  # started after the walk ended, or after a failure
+                return
+            self.running += 1
+        try:
+            while True:
+                with self.cond:
+                    index = self._take()
+                    while index is None and not self._exhausted():
+                        self.cond.wait()
+                        index = self._take()
+                if index is None:
+                    return
+                self._run(index)
+        finally:
+            with self.cond:
+                self.running -= 1
+                self.cond.notify_all()
+
+    def _exhausted(self) -> bool:
+        """Under ``cond``: no block will start again."""
+        return self.stopped or self.taken == len(self.blocks)
+
+    def _take(self):
+        """Under ``cond``: the next block's index, moving the cursor; None if none may start."""
+        if self._exhausted() or self.taken >= self.handed + 2 * self.workers:
+            return None
+        self.taken += 1
+        return self.taken - 1
+
+    def _run(self, index):
+        try:
+            outcome = True, self.fn(self.blocks[index])
+        except BaseException as exc:  # raised on the calling thread, in block order
+            outcome = False, exc
+        with self.cond:
+            self.outcomes[index] = outcome
+            self.stopped = self.stopped or not outcome[0]
+            self.cond.notify_all()
+
+    def _outcome(self, index):
+        """Block ``index``'s (ok, result); the calling thread runs blocks while it waits.
+
+        Every block below the cursor runs on a thread that has started,
+        so the wait ends.
+        """
+        while True:
+            with self.cond:
+                if index in self.outcomes:
+                    return self.outcomes.pop(index)
+                mine = self._take()
+                if mine is None:
+                    self.cond.wait()
+                    continue
+            self._run(mine)
+
+
+# The process's one pool, shared by every walk with two or more workers:
+# daemon threads that each run the tasks of one queue, one at a time.  It
+# starts with the first such walk, grows to the most workers any walk has
+# asked for, less one, and a forked child, which has none of its
+# threads, starts its own.
+_pool_lock = threading.Lock()
+_pool_tasks = SimpleQueue()
+_pool_threads = []
+
+
+def _pool_submit(task, copies: int) -> None:
+    """Queue ``copies`` of ``task``, first growing the pool to at least ``copies`` threads."""
+    with _pool_lock:
+        while len(_pool_threads) < copies:
+            thread = threading.Thread(target=_pool_serve, args=(_pool_tasks,),
+                                      name=f"map_blocks-{len(_pool_threads)}", daemon=True)
+            thread.start()
+            _pool_threads.append(thread)
+        for _ in range(copies):
+            _pool_tasks.put(task)
+
+
+def _pool_serve(tasks) -> None:
+    """A pool thread: run the queue's tasks in turn; a None ends it."""
+    for task in iter(tasks.get, None):
+        task()
+
+
+def _pool_forget() -> None:
+    global _pool_lock, _pool_tasks, _pool_threads
+    _pool_lock, _pool_tasks, _pool_threads = threading.Lock(), SimpleQueue(), []
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_pool_forget)
 
 
 def _workers(blocks: int) -> int:

@@ -22,12 +22,13 @@ import numpy as np
 from .ccpca import ccpca
 from .coupling import CouplingProblem, check_method, input_affinity
 from .errors import ParameterError
-from .kernels import MAX_ENTROPY_EVALS, KernelMatrix, calibrated_kernel, check_kind
+from .kernels import (MAX_ENTROPY_EVALS, KernelMatrix, calibrated_kernel, check_kind,
+                      check_perplexity)
 from .linalg import as_float_matrix, single_blas_thread
 from .optim import MinimizeResult, OptimizerConfig, minimize
 from .evaluation import check_ks, evaluate_embedding
 from .posterior import check_prior
-from .spectral import laplacian_eigenmaps, pca
+from .spectral import check_pca_q, laplacian_eigenmaps, pca
 
 #: Initializations computed from the data alone; ``init`` writes any of them.
 SPECTRAL_INIT_KINDS = ("pca", "le", "ccpca")
@@ -69,6 +70,18 @@ class RunSpec:
         self.optimizer.validate()
         return self
 
+    def check_data(self, n: int, p: int, fitting: bool = True) -> None:
+        """Raise :class:`ParameterError` if n x p data cannot take this run.
+
+        Checks what the data's shape decides, before any work: the
+        perplexity if :func:`prepare_input` calibrates at the same
+        ``fitting``, and q for a pca or ccpca init, both PCA of n x p data.
+        """
+        if _calibrates(self, fitting):
+            check_perplexity(self.perplexity, n)
+        if self.init in ("pca", "ccpca"):
+            check_pca_q(self.q, n, p)
+
 
 @dataclass
 class RunResult:
@@ -84,9 +97,13 @@ def prepare_input(X, spec: RunSpec, fitting: bool = True) -> Optional[KernelMatr
     Every method shares this kernel: the edgewise route reuses its
     bandwidths rather than calibrating a separate connectivity target.
     """
-    if fitting or spec.init in ("le", "ccpca"):
+    if _calibrates(spec, fitting):
         return calibrated_kernel(X, spec.perplexity)
     return None
+
+
+def _calibrates(spec: RunSpec, fitting: bool) -> bool:
+    return fitting or spec.init in ("le", "ccpca")
 
 
 def rescale_init(Z: np.ndarray, n: int) -> np.ndarray:
@@ -159,6 +176,7 @@ def run(X, spec: RunSpec = None) -> RunResult:
     spec = (spec or RunSpec()).validate()
     X = as_float_matrix(X, "X")
     n, p = X.shape
+    spec.check_data(n, p)
     ks = check_ks(spec.eval_ks or default_eval_ks(n), n)
     total0 = time.perf_counter()
 

@@ -75,6 +75,12 @@ def _left_singular(X: np.ndarray, q: int):
     return U, s
 
 
+def check_pca_q(q: int, n: int, p: int) -> None:
+    """Raise :class:`ParameterError` unless :func:`pca` of n x p data can give q scores."""
+    if not (1 <= q <= min(n, p)):
+        raise ParameterError(f"q must lie in [1, min(n, p)={min(n, p)}], got {q}")
+
+
 def pca(X, q: int) -> np.ndarray:
     """First q principal-component scores of the centered rows of X.
 
@@ -84,9 +90,7 @@ def pca(X, q: int) -> np.ndarray:
     the full rank.
     """
     X = as_float_matrix(X, "X")
-    n, p = X.shape
-    if not (1 <= q <= min(n, p)):
-        raise ParameterError(f"q must lie in [1, min(n, p)={min(n, p)}], got {q}")
+    check_pca_q(q, *X.shape)
     U, s = _left_singular(center_columns(X), q)
     return U * s[:q]
 

@@ -57,9 +57,10 @@ def assert_same_fit_outputs(a, b):
 
 
 def test_import_starts_no_thread_and_no_executor():
-    # The fit's block walks start their threads per call; importing the
-    # entry point must not, nor load concurrent.futures or the logging it
-    # pulls in, which would add to every command's start-up.
+    # The fit's block walks start their pool of threads on the first walk
+    # with two or more workers; importing the entry point must not, nor
+    # load concurrent.futures or the logging it pulls in, which would add
+    # to every command's start-up.
     code = ("import sys, threading\n"
             "import graphcoupling.cli\n"
             "print(threading.active_count(), 'concurrent.futures' in sys.modules,\n"
@@ -362,6 +363,18 @@ class TestFit:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--perplexity", "50"], "perplexity must lie in [1, 29] for n=30, got 50.0"),
+        (["--dim", "40"], "q must lie in [1, min(n, p)=3], got 40"),
+    ], ids=["perplexity", "dim"])
+    def test_data_shape_errors_exit_2_before_writing(self, blob_csv, tmp_path, capsys,
+                                                     extra, message):
+        # The checks that need the data's shape run before the output directory is made.
+        out = tmp_path / "out"
+        assert main(fit_args(blob_csv, out, extra)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("line, message", [("prior = Q", "unknown prior"),
                                                ("latent_kernel = cauchy", "unknown kernel")])
     def test_bad_config_choice_exits_2(self, blob_csv, tmp_path, capsys, line, message):
@@ -384,6 +397,31 @@ class TestInit:
         assert main(args) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--method", "le", "--perplexity", "50"],
+         "perplexity must lie in [1, 29] for n=30, got 50.0"),
+        (["--method", "pca", "--dim", "40"], "q must lie in [1, min(n, p)=3], got 40"),
+        (["--method", "ccpca", "--dim", "40"],
+         "perplexity must lie in [1, 29] for n=30, got 30.0"),
+        (["--method", "ccpca", "--dim", "40", "--perplexity", "8"],
+         "q must lie in [1, min(n, p)=3], got 40"),
+    ], ids=["le-perplexity", "pca-dim", "ccpca-perplexity", "ccpca-dim"])
+    def test_data_shape_errors_exit_2_before_writing(self, blob_csv, tmp_path, capsys,
+                                                     extra, message):
+        out = tmp_path / "out"
+        args = ["init", "--input", str(blob_csv), "--label", "cls", "--out-dir", str(out)]
+        assert main(args + extra) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_pca_init_takes_no_perplexity_check(self, blob_csv, tmp_path):
+        # pca calibrates nothing, so a perplexity out of range for 30 rows is unused.
+        out = tmp_path / "out"
+        args = ["init", "--input", str(blob_csv), "--label", "cls", "--out-dir", str(out),
+                "--method", "pca", "--perplexity", "50"]
+        assert main(args) == 0
+        assert (out / "init.csv").is_file()
 
     def test_bad_config_prior_exits_2(self, blob_csv, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

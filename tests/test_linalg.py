@@ -1,8 +1,11 @@
 import ctypes
+import os
+import signal
 import sys
 import threading
 import time
 import tracemalloc
+from queue import SimpleQueue
 
 import numpy as np
 import numpy.testing as npt
@@ -540,11 +543,58 @@ class TestRowBlocks:
             assert b.stop == n or (rows + 1) * (n - b.start) > block_cells
 
 
-@pytest.fixture(params=[1, 3])
+@pytest.fixture(params=[1, 2, 3])
 def workers(request, monkeypatch):
-    """Run a test with ``request.param`` workers, more than the cores or one."""
+    """Run a test with ``request.param`` workers: one, two, or more than the cores."""
     monkeypatch.setattr(linalg, "usable_cores", lambda: request.param)
     return request.param
+
+
+@pytest.fixture
+def warm_pool(workers):
+    """The pool threads a walk at ``workers`` needs, started before the test looks at threads."""
+    map_blocks(lambda k: k, range(workers))
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """A pool with no thread yet for the test; its threads are ended after it."""
+    tasks, threads = SimpleQueue(), []
+    monkeypatch.setattr(linalg, "_pool_lock", threading.Lock())
+    monkeypatch.setattr(linalg, "_pool_tasks", tasks)
+    monkeypatch.setattr(linalg, "_pool_threads", threads)
+    yield threads
+    for _ in threads:
+        tasks.put(None)
+    for thread in threads:
+        thread.join(JOIN_TIMEOUT)
+        assert not thread.is_alive()
+
+
+#: Seconds a test waits for a walk before it counts the walk as deadlocked.
+JOIN_TIMEOUT = 60
+
+
+def finishes(target, *args):
+    """``target(*args)``, called on a new thread that must end within ``JOIN_TIMEOUT``.
+
+    A deadlocked walk fails the test instead of hanging it.
+    """
+    outcome = []
+
+    def body():
+        try:
+            outcome.append((True, target(*args)))
+        except BaseException as exc:  # re-raised on the test's thread
+            outcome.append((False, exc))
+    thread = threading.Thread(target=body, daemon=True)  # a deadlock must not hold the process
+    thread.start()
+    thread.join(JOIN_TIMEOUT)
+    assert not thread.is_alive(), f"{target.__name__} did not finish"
+    ok, value = outcome[0]
+    if not ok:
+        raise value
+    return value
 
 
 class TestMapBlocks:
@@ -612,7 +662,7 @@ class TestMapBlocks:
             # A caller that only waited would add a thread, and a malloc arena.
             assert threading.get_ident() in threads
 
-    def test_no_thread_outlives_the_walk(self, workers):
+    def test_no_thread_outlives_the_walk(self, workers, warm_pool):
         before = set(threading.enumerate())
         map_blocks(lambda k: k, range(10))
         with pytest.raises(ZeroDivisionError):
@@ -661,9 +711,11 @@ class TestMapBlocks:
             map_blocks(fn, range(30), fold)
         finally:
             sys.setswitchinterval(switch)
-        assert 1 <= max(pending) <= workers
+        # The window: up to 2 * workers blocks started and not handed over;
+        # fold is the slowest step, so the pool threads fill it.
+        assert max(pending) == (2 * workers if workers > 1 else 1)
 
-    def test_fold_gets_the_blocks_before_the_lowest_failure(self, workers):
+    def test_fold_gets_the_blocks_before_the_lowest_failure(self, workers, warm_pool):
         before = set(threading.enumerate())
         handed = []
 
@@ -679,7 +731,7 @@ class TestMapBlocks:
         assert handed == [0, 1]
         assert set(threading.enumerate()) == before
 
-    def test_fold_error_is_raised_and_threads_end(self, workers):
+    def test_fold_error_is_raised_and_threads_end(self, workers, warm_pool):
         before = set(threading.enumerate())
         handed = []
 
@@ -691,6 +743,159 @@ class TestMapBlocks:
             map_blocks(lambda k: k, range(20), fold)
         assert handed == [0, 1, 2]
         assert set(threading.enumerate()) == before
+
+    def test_a_second_walk_starts_no_thread(self, workers, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def counted(thread):
+            started.append(thread)
+            start(thread)
+        monkeypatch.setattr(threading.Thread, "start", counted)
+
+        def walks():
+            map_blocks(lambda k: k, range(10))
+            first = len(started)
+            assert map_blocks(lambda k: k, range(10)) == list(range(10))
+            return first, len(started)
+        first, second = finishes(walks)
+        assert second == first
+
+    def test_pool_threads_never_exceed_the_most_workers_less_one(self, fresh_pool, monkeypatch):
+        most = 1
+        for cores in (1, 2, 3, 2, 1, 3):
+            monkeypatch.setattr(linalg, "usable_cores", lambda: cores)
+            assert finishes(map_blocks, lambda k: k * k, range(9)) == [k * k for k in range(9)]
+            most = max(most, cores)
+            assert len(fresh_pool) == most - 1
+            assert all(thread.is_alive() for thread in fresh_pool)
+
+    def test_concurrent_callers_both_finish_in_block_order(self, workers, fresh_pool):
+        # With 2 workers the pool has one thread, which one walk's task can
+        # hold while the other's waits in the queue.
+        barrier = threading.Barrier(2)
+
+        def walk(offset):
+            barrier.wait(JOIN_TIMEOUT)
+
+            def fn(k):
+                time.sleep(0.001 * (k % 3))
+                return offset + k
+            return map_blocks(fn, range(40))
+        results = {}
+        callers = [threading.Thread(target=lambda o=o: results.update({o: walk(o)}), daemon=True)
+                   for o in (0, 100)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(JOIN_TIMEOUT)
+            assert not caller.is_alive()
+        assert results == {o: [o + k for k in range(40)] for o in (0, 100)}
+        assert len(fresh_pool) == workers - 1
+
+    def test_a_block_may_run_a_walk_of_its_own(self, workers, fresh_pool):
+        # An inner walk called on the one pool thread queues a task that
+        # cannot start before the walk ends; the walk must not wait for it.
+        def fn(k):
+            return map_blocks(lambda j: k * j, range(6))
+        assert finishes(map_blocks, fn, range(6)) == [[k * j for j in range(6)]
+                                                       for k in range(6)]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+    def test_forked_child_runs_a_walk_on_its_own_pool(self, workers, warm_pool):
+        pid = os.fork()
+        if pid == 0:  # the child: report through the exit code only
+            code = 1
+            try:
+                fresh = not linalg._pool_threads
+                done = map_blocks(lambda k: k * k, range(20)) == [k * k for k in range(20)]
+                code = 0 if fresh and done else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + JOIN_TIMEOUT
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child's walk did not finish")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_a_walk_works_after_a_failing_block_and_a_failing_fold(self, workers):
+        def failing_block():
+            with pytest.raises(ValueError, match="block 4"):
+                map_blocks(lambda k: k if k != 4 else int("block 4"), range(12))
+
+        def failing_fold():
+            def fold(result):
+                if result == 5:
+                    raise KeyError("fold 5")
+            with pytest.raises(KeyError, match="fold 5"):
+                map_blocks(lambda k: k, range(12), fold)
+        for fail in (failing_block, failing_fold):
+            finishes(fail)
+            assert finishes(map_blocks, lambda k: -k, range(12)) == [-k for k in range(12)]
+
+    def test_fold_runs_on_the_calling_thread_only(self, workers):
+        def walk():
+            folders = set()
+            map_blocks(lambda k: time.sleep(0.001 * (k % 2)),
+                       range(20), lambda _: folders.add(threading.get_ident()))
+            return folders, threading.get_ident()
+        folders, caller = finishes(walk)
+        assert folders == {caller}
+
+    def test_the_calling_thread_runs_block_0_and_folds_in_order(self, workers):
+        def walks():
+            # Many short walks, switching threads often: a pool thread that
+            # could take block 0 would take it in some of them, and a lost
+            # update to the cursor or the results would drop or repeat one.
+            caller, seen = threading.get_ident(), set()
+            for _ in range(200):
+                folded = []
+                map_blocks(lambda k: (k, threading.get_ident()), range(16), folded.append)
+                seen.add((folded[0][1] == caller, tuple(k for k, _ in folded)))
+            return seen
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert finishes(walks) == {(True, tuple(range(16)))}
+        finally:
+            sys.setswitchinterval(switch)
+
+    def test_no_block_runs_after_the_call_raises(self, workers):
+        events, second = [], threading.Event()
+
+        def fn(k):
+            if k == 0:
+                if workers > 1:
+                    second.wait(JOIN_TIMEOUT)  # until a pool thread runs block 1
+                return 0
+            second.set()
+            time.sleep(0.02)
+            events.append(k)
+            return k
+
+        def failing(k):
+            if fn(k) == 0:
+                raise ValueError("block 0")
+
+        def fold(result):
+            raise KeyError("fold 0")
+        for args, error in [((failing, range(8)), ValueError), ((fn, range(8), fold), KeyError)]:
+            events.clear()
+            second.clear()
+
+            def walk():
+                with pytest.raises(error):
+                    map_blocks(*args)
+                events.append("raised")
+            finishes(walk)
+            time.sleep(0.05)
+            assert events[-1] == "raised"
 
 
 class TestSingleBlasThread:
