@@ -33,20 +33,21 @@ with the other workers nor leaves a spinning BLAS thread behind.  A
 block calls only private helpers, so tools that wrap the package's
 public functions from outside see every call on the calling thread.
 
-The private ``_lowest_pairs`` computes only the k smallest eigenpairs
-of a symmetric matrix, with LAPACKE's ``dsyevr``; Laplacian eigenmaps
-falls back on it.  LAPACKE and CBLAS functions come from the OpenBLAS
-that numpy has loaded, through one cached lookup, ``_blas_function``,
-which finds them as :func:`single_blas_thread` finds the thread
-controls; no library beyond numpy's is needed.  ``_lowest_pairs`` reads
-and overwrites only the row-major upper triangle, so a caller may keep
-other data in the strict lower one (Laplacian eigenmaps keeps the
-affinity there).  Where no loaded library exports ``dsyevr`` (a numpy
-built on Accelerate or MKL) it takes the pairs from numpy's dense
-``eigh`` of the same triangle.  The private ``_cholesky_in_place``
-factors that triangle in place, in blocks that keep OpenBLAS's packing
-buffer small, and ``_cholesky_solve`` solves a block of right-hand
-sides against the factor; Laplacian eigenmaps iterates on them.
+The private ``_lowest_pairs`` computes only the k smallest eigenpairs of
+a symmetric matrix, with LAPACKE's ``dsyevr``; Laplacian eigenmaps falls
+back on it.  Every foreign function, LAPACKE, CBLAS and the OpenBLAS
+thread controls alike, comes from numpy's own library, read through
+numpy's linear-algebra module by one cached lookup, ``_blas_function``:
+the count that :func:`single_blas_thread` holds is that of the library
+every solver runs in.  ``_lowest_pairs`` reads and overwrites only the
+row-major upper triangle, so a caller may keep other data in the strict
+lower one (Laplacian eigenmaps keeps the affinity there).  Where numpy's
+library does not export ``dsyevr`` (a numpy built on Accelerate or MKL)
+it takes the pairs from numpy's dense ``eigh`` of the same triangle.
+The private ``_cholesky_in_place`` factors that triangle in place, in
+blocks that keep OpenBLAS's packing buffer small, and
+``_cholesky_solve`` solves a block of right-hand sides against the
+factor; Laplacian eigenmaps iterates on them.
 
 Functions
 ---------
@@ -59,7 +60,7 @@ gram_row_blocks    full-row slices near a cell budget, each a whole number of
 pairwise_sq_dists  squared Euclidean distances between two slices of rows,
                    the numbers of every blocked walk
 usable_cores       the cores this process may run on
-single_blas_thread context manager holding every loaded OpenBLAS at one thread
+single_blas_thread context manager holding numpy's OpenBLAS at one thread
 map_blocks         fn over independent blocks on the usable cores, from a shared
                    cursor on one persistent pool, results in block order, kept or folded
 """
@@ -144,13 +145,13 @@ def _lowest_pairs(T: np.ndarray, k: int):
     alone.  ``dsyevr`` reduces the matrix to tridiagonal form and
     computes only the eigenpairs 1..k, by bisection and inverse
     iteration (k < n) or by the MRRR algorithm (k = n); its workspace is
-    its own, outside Python's allocator.  It runs under
-    :func:`single_blas_thread`.  Where no loaded library exports
-    ``dsyevr``, numpy's ``eigh`` reads the lower triangle of T^T, which
-    is T's upper one, and T is left as it was.  Either way column j of
-    the n x k eigenvectors pairs with eigenvalue j and is signed by
-    :func:`leading_signs`, so repeated calls give the same bytes
-    whatever thread count the caller set.
+    its own, outside Python's allocator.  Where numpy's OpenBLAS does not
+    export ``dsyevr``, numpy's ``eigh`` reads the lower triangle of T^T,
+    which is T's upper one, and T is left as it was.  Either solver runs
+    under :func:`single_blas_thread`, and column j of the n x k
+    eigenvectors pairs with eigenvalue j and is signed by
+    :func:`leading_signs`, so repeated calls give the same bytes whatever
+    thread count the caller set.
 
     Raises
     ------
@@ -161,7 +162,8 @@ def _lowest_pairs(T: np.ndarray, k: int):
     solver = _blas_function("LAPACKE_dsyevr")
     if solver is None:
         try:
-            w, V = np.linalg.eigh(T.T)
+            with single_blas_thread():
+                w, V = np.linalg.eigh(T.T)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"eigendecomposition failed: {exc}") from None
         V = V[:, :k].copy()
@@ -169,16 +171,16 @@ def _lowest_pairs(T: np.ndarray, k: int):
         dsyevr, integer = solver
         w = np.empty(n)
         Z = np.empty((k, n))  # the n x k eigenvectors, column-major
-        support = np.empty(2 * k, dtype=np.dtype(integer))
-        found = integer()
+        support = np.empty(2 * k, dtype=integer)
+        found = np.zeros(1, dtype=integer)
         with single_blas_thread():
             info = dsyevr(_LAPACK_COL_MAJOR, b"V", b"I", b"L", n, T.ctypes.data, n,
-                          0.0, 0.0, 1, k, 0.0, ctypes.byref(found),
+                          0.0, 0.0, 1, k, 0.0, found.ctypes.data,
                           w.ctypes.data, Z.ctypes.data, n, support.ctypes.data)
         if info != 0:
             raise NumericalError(f"eigendecomposition failed: dsyevr returned info={info}")
-        if found.value != k:
-            raise NumericalError(f"dsyevr found {found.value} eigenpairs, not {k}")
+        if found[0] != k:
+            raise NumericalError(f"dsyevr found {found[0]} eigenpairs, not {k}")
         V = np.ascontiguousarray(Z.T)
     V *= leading_signs(V)
     return w[:k].copy(), V
@@ -196,12 +198,6 @@ CHOLESKY_UPDATE_COLUMNS = 256
 CHOLESKY_SOLVE_ROWS = 128
 
 _CHOLESKY_FUNCTIONS = ("LAPACKE_dpotrf", "cblas_dtrsm", "cblas_dsyrk", "cblas_dgemm")
-
-
-def _cholesky_functions():
-    """``(dpotrf, dtrsm, dsyrk, dgemm)`` of :func:`_blas_function`, or None if one is missing."""
-    functions = [_blas_function(name) for name in _CHOLESKY_FUNCTIONS]
-    return None if None in functions else [fn for fn, _ in functions]
 
 
 def _check_lapack_matrix(a: np.ndarray, name: str, width: int) -> None:
@@ -236,11 +232,11 @@ def _cholesky_in_place(T: np.ndarray, shift: float) -> bool:
     at a time, ``dsyrk`` on their diagonal block and ``dgemm`` below it,
     all under :func:`single_blas_thread`.  Returns True on success and
     False when a pivot is not positive, the triangle then partly
-    overwritten.  Where a loaded library lacks one of these functions it
+    overwritten.  Where numpy's library lacks one of these functions it
     returns False and leaves T as it was.
     """
     _check_lapack_matrix(T, "T", T.shape[0])
-    functions = _cholesky_functions()
+    functions = _blas_functions(_CHOLESKY_FUNCTIONS)
     if functions is None:
         return False
     potrf, trsm, syrk, gemm = functions
@@ -284,7 +280,7 @@ def _cholesky_solve(T: np.ndarray, B: np.ndarray) -> None:
     """
     n, m = T.shape[0], B.shape[0]
     _check_lapack_matrix(B, "B", n)
-    _, trsm, _, gemm = _cholesky_functions()
+    _, trsm, _, gemm = _blas_functions(_CHOLESKY_FUNCTIONS)
     cell = _col_major_cell(T)
     blocks = [(lo, min(lo + CHOLESKY_SOLVE_ROWS, n)) for lo in range(0, n, CHOLESKY_SOLVE_ROWS)]
 
@@ -438,92 +434,12 @@ def usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-#: (get, set) thread-count symbols of an OpenBLAS build, tried in order:
-#: the scipy-openblas build in numpy's wheels, then a plain OpenBLAS.
-_OPENBLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-
-# The thread count is a setting of each library, shared by the whole
-# process, so the state that guards it is the module's.
-_blas_lock = threading.Lock()
-_blas_controls = None   # [(get, set)], looked up by the first single_blas_thread
-_blas_depth = 0         # single_blas_thread blocks open in the process
-_blas_saved = []        # each OpenBLAS's thread count when the outermost opened
-
-
-class _PhdrInfo(ctypes.Structure):
-    """The leading fields of the C library's ``struct dl_phdr_info``."""
-    _fields_ = [("addr", ctypes.c_void_p), ("name", ctypes.c_char_p)]
-
-
-def _loaded_libraries() -> list:
-    """Paths of the shared libraries loaded in this process.
-
-    Empty where the C library cannot list them (no ``dl_iterate_phdr``).
-    """
-    if not hasattr(os, "RTLD_NOLOAD"):
-        return []
-    iterate = getattr(ctypes.CDLL(None), "dl_iterate_phdr", None)
-    if iterate is None:
-        return []
-    visitor = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.POINTER(_PhdrInfo), ctypes.c_size_t,
-                               ctypes.c_void_p)
-    iterate.argtypes, iterate.restype = (visitor, ctypes.c_void_p), ctypes.c_int
-    paths = []
-
-    @visitor
-    def visit(info, size, data):
-        if info.contents.name:
-            paths.append(os.fsdecode(info.contents.name))
-        return 0
-
-    iterate(visit, None)
-    return paths
-
-
-def _reopened_libraries():
-    """Each loaded shared library, reopened without loading anything new.
-
-    A symbol looked up in one is also found through the libraries it
-    links to.
-    """
-    for path in _loaded_libraries():
-        try:
-            yield ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
-        except OSError:
-            continue
-
-
-def _openblas_controls() -> list:
-    """``(get, set)`` thread-count functions of every OpenBLAS loaded in the process.
-
-    Each loaded library is asked for the symbols of
-    ``_OPENBLAS_THREAD_SYMBOLS``; a library that links to another finds
-    its symbols too, so functions are kept once, by address.
-    """
-    controls, seen = [], set()
-    for lib in _reopened_libraries():
-        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
-            if hasattr(lib, get_name) and hasattr(lib, set_name):
-                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
-                address = ctypes.cast(get, ctypes.c_void_p).value
-                if address not in seen:
-                    seen.add(address)
-                    get.restype, get.argtypes = ctypes.c_int, ()
-                    set_.restype, set_.argtypes = None, (ctypes.c_int,)
-                    controls.append((get, set_))
-                break
-    return controls
-
-
 #: Stands for the library's integer type in ``_SIGNATURES``: 64-bit in
 #: a build whose symbols end in ``64_``, else the C ``int``.
 _INT = "integer"
 
-#: LAPACKE and CBLAS functions the solvers call, by plain name: the
-#: return type and the argument types.
+#: LAPACKE, CBLAS and OpenBLAS functions the package calls, by plain
+#: name: the return type and the argument types.
 _SIGNATURES = {
     "LAPACKE_dsyevr": (_INT, (
         ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_char,  # layout, jobz, range, uplo
@@ -545,6 +461,8 @@ _SIGNATURES = {
         ctypes.c_int, ctypes.c_int, ctypes.c_int,                    # layout, uplo, trans
         _INT, _INT, ctypes.c_double, ctypes.c_void_p, _INT,          # n, k, alpha, a, lda
         ctypes.c_double, ctypes.c_void_p, _INT)),                    # beta, c, ldc
+    "openblas_get_num_threads": (ctypes.c_int, ()),
+    "openblas_set_num_threads": (None, (ctypes.c_int,)),
 }
 
 #: Column-major storage, for LAPACKE's matrix_layout and CBLAS's order.
@@ -557,57 +475,92 @@ _CBLAS_LEFT, _CBLAS_RIGHT = 141, 142
 
 
 @functools.lru_cache(maxsize=None)
-def _blas_function(name: str):
-    """``(function, integer type)`` for the LAPACKE or CBLAS ``name``, or None.
+def _blas_library():
+    """numpy's linear-algebra extension module, reopened without loading anything new.
 
-    The first loaded library that exports it gives it, under the name of
-    the scipy-openblas builds in numpy's wheels (64-bit, then 32-bit
-    integers) or else the plain name; a symbol ending in ``64_`` takes
-    64-bit integers.  Its types are those of ``_SIGNATURES``.  Looked up
-    on first use, not at import, and once per process.
+    It links the BLAS and LAPACK that numpy calls, and a symbol looked up
+    in it is also found in the libraries it links to.  None where the
+    module cannot be reopened: a platform without ``RTLD_NOLOAD``, or a
+    numpy without the module.
     """
+    try:
+        from numpy.linalg import _umath_linalg
+        return ctypes.CDLL(_umath_linalg.__file__, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+    except (ImportError, AttributeError, OSError):
+        return None
+
+
+@functools.lru_cache(maxsize=None)
+def _blas_function(name: str):
+    """``(function, integer type)`` for the ``_SIGNATURES`` entry ``name``, or None.
+
+    The package's only lookup of a foreign symbol.  :func:`_blas_library`
+    gives it, under the name of the scipy-openblas builds in numpy's
+    wheels (64-bit, then 32-bit integers) or else the plain name; a
+    symbol ending in ``64_`` takes 64-bit integers.  Its types are those
+    of ``_SIGNATURES``.  Looked up on first use, not at import, and once
+    per process.
+    """
+    lib = _blas_library()
+    if lib is None:
+        return None
     restype, argtypes = _SIGNATURES[name]
-    for lib in _reopened_libraries():
-        for symbol in (f"scipy_{name}64_", f"scipy_{name}", name):
-            if hasattr(lib, symbol):
-                fn = getattr(lib, symbol)
-                integer = ctypes.c_int64 if symbol.endswith("64_") else ctypes.c_int
-                fn.restype = integer if restype is _INT else restype
-                fn.argtypes = tuple(integer if t is _INT else t for t in argtypes)
-                return fn, integer
+    for symbol in (f"scipy_{name}64_", f"scipy_{name}", name):
+        if hasattr(lib, symbol):
+            fn = getattr(lib, symbol)
+            integer = ctypes.c_int64 if symbol.endswith("64_") else ctypes.c_int
+            fn.restype = integer if restype is _INT else restype
+            fn.argtypes = tuple(integer if t is _INT else t for t in argtypes)
+            return fn, integer
     return None
+
+
+def _blas_functions(names):
+    """The functions of :func:`_blas_function` for ``names``, in order, or None if one is missing."""
+    found = [_blas_function(name) for name in names]
+    return None if None in found else [fn for fn, _ in found]
+
+
+#: OpenBLAS's (get, set) thread-count functions.
+_THREAD_CONTROLS = ("openblas_get_num_threads", "openblas_set_num_threads")
+
+# The thread count is a setting of the library, shared by the whole
+# process, so the state that guards it is the module's.
+_blas_lock = threading.Lock()
+_blas_depth = 0     # single_blas_thread blocks open in the process
+_blas_saved = None  # the thread count when the outermost opened
 
 
 @contextlib.contextmanager
 def single_blas_thread():
-    """Hold every OpenBLAS of the process at one thread while the block runs.
+    """Hold numpy's OpenBLAS at one thread while the block runs.
 
     An OpenBLAS call that uses a second thread leaves it spinning on
     another core for tens of milliseconds, where it competes with the
-    package's own threads, and the eigensolvers' results depend on the
-    thread count.  The outermost of nested or concurrent holders sets
-    each OpenBLAS found to one thread, and the last to leave restores the
-    counts it found, also when the block raises.  The libraries are
-    looked up on first use, not at import; with no OpenBLAS loaded this
-    does nothing.
+    package's own threads, and the results of LAPACK's SVD and
+    eigensolvers depend on the thread count.  The outermost of nested or
+    concurrent holders sets the library that :func:`_blas_function` takes
+    every solver from to one thread, and the last to leave restores the
+    count it found, also when the block raises.  The controls are looked
+    up on first use, not at import; where they are not found this does
+    nothing.
     """
-    global _blas_controls, _blas_depth, _blas_saved
+    global _blas_depth, _blas_saved
+    controls = _blas_functions(_THREAD_CONTROLS)
     with _blas_lock:
-        if _blas_depth == 0:
-            if _blas_controls is None:
-                _blas_controls = _openblas_controls()
-            _blas_saved = [get() for get, _ in _blas_controls]
-            for _, set_ in _blas_controls:
-                set_(1)
+        if _blas_depth == 0 and controls:
+            get, set_ = controls
+            _blas_saved = get()
+            set_(1)
         _blas_depth += 1
     try:
         yield
     finally:
         with _blas_lock:
             _blas_depth -= 1
-            if _blas_depth == 0:
-                for (_, set_), count in zip(_blas_controls, _blas_saved):
-                    set_(count)
+            if _blas_depth == 0 and controls:
+                _, set_ = controls
+                set_(_blas_saved)
 
 
 def map_blocks(fn, blocks, fold=None):

@@ -65,9 +65,13 @@ SHIFT_INVERT_SEED = 0
 
 
 def _left_singular(X: np.ndarray, q: int):
-    """X's first q left singular vectors, signed by :func:`leading_signs`, and all s_i."""
+    """X's first q left singular vectors, signed by :func:`leading_signs`, and all s_i.
+
+    The SVD's bits depend on the BLAS thread count: it runs under :func:`single_blas_thread`.
+    """
     try:
-        U, s, _ = np.linalg.svd(X, full_matrices=q > min(X.shape))
+        with single_blas_thread():
+            U, s, _ = np.linalg.svd(X, full_matrices=q > min(X.shape))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"singular value decomposition failed: {exc}") from None
     U = U[:, :q]

@@ -17,20 +17,28 @@ def block_cells(request, monkeypatch):
 
 @pytest.fixture
 def blas_at_two_threads():
-    """Every loaded OpenBLAS at two threads for a test, put back after it.
+    """numpy's OpenBLAS, the library every solver comes from, at two
+    threads for a test, put back after it.
 
-    Yields a function that reads the thread count of each OpenBLAS.
+    Yields a function that reads its thread count.
     """
-    controls = linalg._openblas_controls()
-    if not controls:
-        pytest.skip("no OpenBLAS loaded")
+    controls = linalg._blas_functions(linalg._THREAD_CONTROLS)
+    if controls is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS")
+    get, set_ = controls
+    saved = get()
+    set_(2)
+    yield get
+    set_(saved)
 
-    def counts():
-        return [get() for get, _ in controls]
 
-    saved = counts()
-    for _, set_ in controls:
-        set_(2)
-    yield counts
-    for (_, set_), count in zip(controls, saved):
-        set_(count)
+@pytest.fixture
+def without_numpys_blas(monkeypatch):
+    """Yields a function that, called, makes numpy's linear-algebra module
+    fail to reopen for the rest of the test, as on a platform without
+    ``RTLD_NOLOAD``: every foreign lookup then finds nothing."""
+    def drop():
+        linalg._blas_function.cache_clear()
+        monkeypatch.setattr(linalg, "_blas_library", lambda: None)
+    yield drop
+    linalg._blas_function.cache_clear()

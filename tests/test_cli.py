@@ -56,6 +56,14 @@ def assert_same_fit_outputs(a, b):
     assert ma == mb
 
 
+def blas_env(threads: str) -> dict:
+    """The environment of a subprocess that runs this package on ``threads`` BLAS threads."""
+    src = str(Path(graphcoupling.__file__).parent.parent)
+    return dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                PYTHONPATH=os.pathsep.join(
+                    [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
 def test_import_starts_no_thread_and_no_executor():
     # The fit's block walks start their pool of threads on the first walk
     # with two or more workers; importing the entry point must not, nor
@@ -206,19 +214,14 @@ class TestFit:
         data = tmp_path / "data.csv"
         data.write_text("a,b,c,d,e\n" + "\n".join(
             ",".join(format(v, ".17g") for v in row) for row in X) + "\n")
-        src = str(Path(graphcoupling.__file__).parent.parent)
         outs = []
         for threads in ("1", "2"):
             out = tmp_path / f"blas{threads}"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(
-                           [src] + [p for p in os.environ.get("PYTHONPATH", "").split(
-                               os.pathsep) if p]))
             subprocess.run([sys.executable, "-m", "graphcoupling", "fit", "--input",
                             str(data), "--method", "umap", "--init", "le",
                             "--iterations", "1", "--perplexity", "10", "--seed", "0",
                             "--out-dir", str(out)],
-                           env=env, capture_output=True, timeout=120, check=True)
+                           env=blas_env(threads), capture_output=True, timeout=120, check=True)
             outs.append(out)
         assert_same_fit_outputs(*outs)
 
@@ -226,7 +229,18 @@ class TestFit:
                                                      monkeypatch):
         outs = [tmp_path / "found", tmp_path / "none"]
         assert main(fit_args(blob_csv, outs[0], ["--seed", "3"])) == 0
-        monkeypatch.setattr(linalg, "_blas_controls", [])
+        lookup = linalg._blas_function
+        monkeypatch.setattr(linalg, "_blas_function",
+                            lambda name: None if name in linalg._THREAD_CONTROLS else lookup(name))
+        assert main(fit_args(blob_csv, outs[1], ["--seed", "3"])) == 0
+        assert_same_fit_outputs(*outs)
+
+    def test_no_numpy_library_gives_the_same_bytes(self, blob_csv, tmp_path,
+                                                   without_numpys_blas):
+        # The bytes of test_no_openblas_found_gives_the_same_bytes.
+        outs = [tmp_path / "found", tmp_path / "none"]
+        assert main(fit_args(blob_csv, outs[0], ["--seed", "3"])) == 0
+        without_numpys_blas()
         assert main(fit_args(blob_csv, outs[1], ["--seed", "3"])) == 0
         assert_same_fit_outputs(*outs)
 
@@ -432,6 +446,29 @@ class TestInit:
         assert main(args) == 2
         assert "unknown prior" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("extra", [["--method", "pca"],
+                                       ["--method", "ccpca", "--samples", "5"]],
+                             ids=["pca", "ccpca"])
+    def test_blas_thread_count_never_changes_bytes(self, tmp_path, extra):
+        # On these data LAPACK's SVD gives other bits on two OpenBLAS
+        # threads than on one; init holds OpenBLAS at one thread, whatever
+        # the environment says.
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(600, 300))
+        X[300:, 0] += 8
+        data = tmp_path / "data.csv"
+        data.write_text(",".join(f"c{j}" for j in range(300)) + "\n" + "\n".join(
+            ",".join(format(v, ".17g") for v in row) for row in X) + "\n")
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}"
+            subprocess.run([sys.executable, "-m", "graphcoupling", "init", "--input",
+                            str(data), "--out-dir", str(out)] + extra,
+                           env=blas_env(threads), capture_output=True, timeout=120, check=True)
+            outs.append(out)
+        for name in ("init.csv", "init.svg"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_pca_init_writes_embedding(self, blob_csv, tmp_path, capsys):
         out = tmp_path / "init-out"

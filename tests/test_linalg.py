@@ -1,6 +1,7 @@
 import ctypes
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -114,9 +115,16 @@ def needs_dsyevr():
         pytest.skip("no loaded library exports LAPACKE dsyevr")
 
 
+def without(patch, names):
+    """Make the lookup of each of ``names`` find nothing; every other name is looked up as before."""
+    lookup = linalg._blas_function
+    patch.setattr(linalg, "_blas_function", lambda name: None if name in names else lookup(name))
+
+
 def without_lapacke(patch):
-    """Make every LAPACKE and CBLAS lookup find nothing, as on a numpy without OpenBLAS."""
-    patch.setattr(linalg, "_blas_function", lambda name: None)
+    """Make every LAPACKE and CBLAS lookup find nothing, as on an OpenBLAS
+    built without them; the thread controls are still found."""
+    without(patch, set(linalg._SIGNATURES) - set(linalg._THREAD_CONTROLS))
 
 
 def dsyevr_returning(info=None, iu_shift=0):
@@ -179,6 +187,20 @@ class TestSymEigLowest:
             npt.assert_allclose(w, want_w, rtol=0, atol=1e-12 * norm)
             npt.assert_allclose(V, want_V, rtol=0, atol=1e-10)
 
+    def test_fallback_runs_on_one_blas_thread(self, blas_at_two_threads, monkeypatch):
+        counts = blas_at_two_threads
+        without_lapacke(monkeypatch)
+        seen, eigh = [], np.linalg.eigh
+
+        def eigh_and_count(a):
+            seen.append(counts())
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh_and_count)
+        linalg._lowest_pairs(random_graph_laplacian(np.random.default_rng(15), 20), 3)
+        assert seen == [1]
+        assert counts() == 2
+
     def test_solver_reads_only_the_upper_triangle(self, monkeypatch):
         # Whatever the strict lower triangle holds, dsyevr and the fallback
         # solve the matrix of the upper one and leave the lower one alone.
@@ -204,10 +226,10 @@ class TestSymEigLowest:
         with linalg.single_blas_thread():
             once = linalg._lowest_pairs(L.copy(), 5)
         counts = blas_at_two_threads
-        assert set(counts()) == {2}
+        assert counts() == 2
         twice = linalg._lowest_pairs(L.copy(), 5)
         again = linalg._lowest_pairs(L.copy(), 5)
-        assert set(counts()) == {2}
+        assert counts() == 2
         for got in (twice, again):
             assert got[0].tobytes() == once[0].tobytes()
             assert got[1].tobytes() == once[1].tobytes()
@@ -231,10 +253,11 @@ def needs_cholesky():
 
 class TestBlasFunction:
     def test_one_library_one_integer_width_from_the_suffix(self):
-        names = ("LAPACKE_dsyevr",) + linalg._CHOLESKY_FUNCTIONS
+        # The solvers and the thread controls come from one build.
+        names = ("LAPACKE_dsyevr",) + linalg._CHOLESKY_FUNCTIONS + linalg._THREAD_CONTROLS
         found = [linalg._blas_function(name) for name in names]
         if None in found:
-            pytest.skip("no loaded library exports every LAPACKE and CBLAS function")
+            pytest.skip("numpy's library does not export every LAPACKE, CBLAS and OpenBLAS function")
         for name, (fn, integer) in zip(names, found):
             assert fn.__name__.endswith(name) or fn.__name__.endswith(name + "64_")
             wide = fn.__name__.endswith("64_")
@@ -903,16 +926,16 @@ class TestSingleBlasThread:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         if "openblas" not in str(blas.get("name", "")).lower():
             pytest.skip("numpy is not built with OpenBLAS")
-        assert linalg._openblas_controls()
+        assert linalg._blas_functions(linalg._THREAD_CONTROLS)
 
     def test_one_thread_inside_restored_after(self, blas_at_two_threads):
         counts = blas_at_two_threads
         before = counts()
         with linalg.single_blas_thread():
-            assert set(counts()) == {1}
+            assert counts() == 1
             with linalg.single_blas_thread():
-                assert set(counts()) == {1}
-            assert set(counts()) == {1}
+                assert counts() == 1
+            assert counts() == 1
         assert counts() == before
 
     def test_restored_after_a_raise(self, blas_at_two_threads):
@@ -926,14 +949,55 @@ class TestSingleBlasThread:
     def test_no_openblas_found_changes_nothing(self, blas_at_two_threads, monkeypatch):
         counts = blas_at_two_threads
         before = counts()
-        monkeypatch.setattr(linalg, "_blas_controls", [])
+        without(monkeypatch, linalg._THREAD_CONTROLS)
         with linalg.single_blas_thread():
             assert counts() == before
+
+    def test_no_library_finds_nothing_and_holds_nothing(self, blas_at_two_threads,
+                                                        without_numpys_blas):
+        counts = blas_at_two_threads
+        without_numpys_blas()
+        assert [linalg._blas_function(name) for name in linalg._SIGNATURES] == [
+            None] * len(linalg._SIGNATURES)
+        with linalg.single_blas_thread():
+            assert counts() == 2
+        assert counts() == 2
+
+    def test_holds_numpys_openblas_beside_scipys(self):
+        # scipy.linalg loads an OpenBLAS of its own; the solvers and the
+        # thread controls are still numpy's, and the hold sets numpy's count.
+        pytest.importorskip("scipy.linalg")
+        umath = pytest.importorskip("numpy.linalg._umath_linalg")
+        if not (hasattr(os, "RTLD_NOLOAD") and hasattr(
+                ctypes.CDLL(umath.__file__, mode=os.RTLD_NOLOAD | os.RTLD_LAZY),
+                "scipy_openblas_get_num_threads64_")):
+            pytest.skip("numpy's BLAS is not the scipy-openblas64 build")
+        code = ("import ctypes, os, scipy.linalg\n"
+                "from numpy.linalg import _umath_linalg\n"
+                "from graphcoupling import linalg\n"
+                "lib = ctypes.CDLL(_umath_linalg.__file__, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)\n"
+                "address = lambda fn: ctypes.cast(fn, ctypes.c_void_p).value\n"
+                "for name in linalg._SIGNATURES:\n"
+                "    fn = linalg._blas_function(name)[0]\n"
+                "    print(fn.__name__, address(fn) == address(getattr(lib, fn.__name__)))\n"
+                "get = lib.scipy_openblas_get_num_threads64_\n"
+                "before = get()\n"
+                "with linalg.single_blas_thread():\n"
+                "    inside = get()\n"
+                "print(before, inside, get())\n")
+        src = os.path.dirname(os.path.dirname(linalg.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60, check=True)
+        lines = done.stdout.splitlines()
+        assert lines[:-1] == [f"scipy_{name}64_ True" for name in linalg._SIGNATURES]
+        assert lines[-1] == "2 1 2"
 
     def test_one_thread_in_every_block(self, blas_at_two_threads, workers):
         counts = blas_at_two_threads
         before = counts()
-        assert all(set(c) == {1} for c in map_blocks(lambda k: counts(), range(6)))
+        assert all(c == 1 for c in map_blocks(lambda k: counts(), range(6)))
         assert counts() == before
 
     def test_restored_after_a_block_raises(self, blas_at_two_threads, workers):

@@ -90,3 +90,72 @@ def test_every_exp_is_floored_or_stores_exact_values():
     assert exact == set(EXACT_EXP_CALLS)
     floored = sorted((module, function) for module, function, _, floored in calls if floored)
     assert floored == [("coupling", "_normalizer_terms"), ("kernels", "_calibrate_rows")]
+
+
+#: The np.linalg calls and the calls of foreign functions that run outside
+#: single_blas_thread, by (module, enclosing function, called function),
+#: each with why its bits need no hold.
+UNHELD_BLAS_CALLS = {
+    ("spectral", "evaluate", "np.linalg.slogdet"):
+        "LU of the q x q latent Gram, q the embedding's dimension; OpenBLAS "
+        "factors fewer than 10^4 cells (q < 100) on one thread",
+    ("spectral", "evaluate", "np.linalg.solve"):
+        "the same q x q LU, and q right-hand sides",
+    ("linalg", "single_blas_thread", "get"): "the hold itself reads the thread count",
+    ("linalg", "single_blas_thread", "set_"): "the hold itself sets the thread count",
+}
+
+#: The functions whose results are foreign functions.
+BLAS_LOOKUPS = {"_blas_function", "_blas_functions"}
+
+
+def foreign_names(function):
+    """The names ``function`` binds to what :data:`BLAS_LOOKUPS` found, or to values made from it."""
+    names, grown = set(), True
+    while grown:
+        grown = False
+        for node in ast.walk(function):
+            if not isinstance(node, ast.Assign):
+                continue
+            read = {n.id for n in ast.walk(node.value) if isinstance(n, ast.Name)}
+            if read & (BLAS_LOOKUPS | names):
+                bound = {n.id for t in node.targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)}
+                grown = grown or not bound <= names
+                names |= bound
+    return names
+
+
+def blas_calls(node, module, function=None, foreign=frozenset(), held=False):
+    """(module, enclosing function, called function, held) of every np.linalg
+    call and every call of a foreign function under ``node``; ``held`` if it
+    sits in a ``with single_blas_thread()`` block or a function decorated with it."""
+    calls = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.FunctionDef):
+            decorated = "single_blas_thread()" in map(ast.unparse, child.decorator_list)
+            calls += blas_calls(child, module, child.name, foreign | foreign_names(child),
+                                decorated)
+            continue
+        holds = isinstance(child, ast.With) and "single_blas_thread()" in (
+            ast.unparse(item.context_expr) for item in child.items)
+        if isinstance(child, ast.Call):
+            callee = ast.unparse(child.func)
+            if callee.startswith("np.linalg.") or callee in foreign:
+                calls.append((module, function, callee, held))
+        calls += blas_calls(child, module, function, foreign, held or holds)
+    return calls
+
+
+def test_every_lapack_call_holds_one_blas_thread():
+    # LAPACK's SVD and eigensolvers give other bits on two OpenBLAS threads
+    # than on one, so each call holds one thread or is named above.
+    calls = []
+    for path in sorted(Path(graphcoupling.__file__).parent.glob("*.py")):
+        calls += blas_calls(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    unheld = {(module, function, callee) for module, function, callee, held in calls if not held}
+    assert unheld == set(UNHELD_BLAS_CALLS)
+    held = sorted({(module, function) for module, function, _, held in calls if held})
+    assert held == [("linalg", "_cholesky_in_place"), ("linalg", "_cholesky_solve"),
+                    ("linalg", "_lowest_pairs"), ("spectral", "_left_singular"),
+                    ("spectral", "_shift_invert_pairs")]
