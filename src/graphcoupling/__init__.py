@@ -32,7 +32,6 @@ from .graph import (
     connected_components,
     laplacian,
     log_mrf_density,
-    split_mean_centered,
     validate_latent_graph,
     weighted_laplacian,
 )
@@ -46,13 +45,7 @@ from .coupling import (
     CouplingProblem,
 )
 from .optim import Evaluation, MinimizeResult, OptimizerConfig, minimize
-from .spectral import (
-    EigenmapsResult,
-    PrecisionCouplingProblem,
-    laplacian_eigenmaps,
-    pca,
-    precision_coupling_closed_form,
-)
+from .spectral import EigenmapsResult, laplacian_eigenmaps, pca
 from .ccpca import ccpca
 from .evaluation import NeighborhoodScore, evaluate_embedding
 from .pipeline import RunResult, RunSpec, initial_embedding, prepare_input, run
@@ -67,8 +60,7 @@ __all__ = [
     "DivergenceError", "EdgeList", "EigenmapsResult", "Evaluation", "GAUSSIAN",
     "GraphCouplingError", "KernelMatrix", "LARGEVIS", "METHOD_KINDS", "MinimizeResult",
     "NeighborhoodScore", "NumericalError", "OptimizerConfig",
-    "ParameterError", "Partition", "PosteriorSampler", "PrecisionCouplingProblem",
-    "RunResult",
+    "ParameterError", "Partition", "PosteriorSampler", "RunResult",
     "RunSpec", "SNE", "STUDENT", "TSNE", "UMAP",
     "calibrated_kernel", "ccpca", "center_columns", "components_from_edges",
     "connected_components", "evaluate_embedding",
@@ -76,7 +68,7 @@ __all__ = [
     "laplacian_eigenmaps", "leading_signs", "load_csv",
     "load_embedding", "log_kernel", "log_mrf_density", "minimize",
     "pairwise_sq_dists", "pca", "posterior_expectation",
-    "precision_coupling_closed_form", "prepare_input", "render_svg_scatter",
-    "run", "save_embedding", "split_mean_centered",
+    "prepare_input", "render_svg_scatter",
+    "run", "save_embedding",
     "validate_latent_graph", "weighted_laplacian",
 ]

@@ -149,11 +149,19 @@ def _load_dataset(args, config):
 
 
 def _out_dir(args, config) -> str:
+    """The output directory, checked but not made, so a run that fails leaves none.
+
+    Its nearest existing ancestor, itself if it exists, must be a writable
+    directory; :func:`_save` makes the missing part before the first write.
+    """
     out = _resolve(args, config, "out_dir", os.environ.get(OUT_DIR_ENV, "."))
-    try:
-        os.makedirs(out, exist_ok=True)
-    except OSError as exc:
-        raise ParameterError(f"cannot write {out}: {exc}") from None
+    ancestor = os.path.abspath(out)
+    while not os.path.exists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if not os.path.isdir(ancestor):
+        raise ParameterError(f"cannot write {out}: {ancestor} is not a directory")
+    if not os.access(ancestor, os.W_OK | os.X_OK):
+        raise ParameterError(f"cannot write {out}: {ancestor} is not writable")
     return out
 
 
@@ -184,7 +192,14 @@ def _parse_k(tokens, n: int):
 
 
 def _save(out, stem, Z, dataset) -> dict:
-    """Write ``stem``.csv, and ``stem``.svg for a 2-D Z; returns the file names."""
+    """Write ``stem``.csv, and ``stem``.svg for a 2-D Z; returns the file names.
+
+    ``out`` and its missing parents are made here, when there is a result to write.
+    """
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise ParameterError(f"cannot write {out}: {exc}") from None
     names = {"embedding": f"{stem}.csv"}
     save_embedding(os.path.join(out, names["embedding"]), Z,
                    dataset.labels, dataset.label_names)

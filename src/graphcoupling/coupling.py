@@ -217,10 +217,6 @@ class CouplingProblem:
     def n(self) -> int:
         return self.P.shape[0]
 
-    def expected_graph(self) -> np.ndarray:
-        """Mean latent graph the coupling pulls toward; drives attraction."""
-        return self.P * self._edge_scale
-
     def _check_z(self, Z) -> np.ndarray:
         Z = as_float_matrix(Z, "Z")
         if Z.shape[0] != self.n:
@@ -423,10 +419,9 @@ class CouplingProblem:
     def attraction_repulsion(self, Z):
         """Split of the loss into attraction and repulsion.
 
-        Attraction is the expected-graph weighted sum of -log latent
-        kernel values; repulsion is everything else.  The two terms are
-        the exact float summands of :meth:`loss`, so their sum
-        reproduces it bit for bit.
+        Attraction is the P-weighted sum of -log latent kernel values;
+        repulsion is everything else.  The two terms are the exact float
+        summands of :meth:`loss`, so their sum reproduces it bit for bit.
         """
         return self._pass(Z, 1.0)[:2]
 

@@ -5,9 +5,9 @@ entries, and no entry exceeding n.  Directed multiplicities are allowed;
 undirected structure always goes through the symmetrization W + W^T.
 A sparse latent graph travels as an :class:`EdgeList`; connected
 components are found over edges, so no dense matrix is needed for them,
-and :func:`split_mean_centered` applies a partition's component
-projector without forming it (``tests/oracles.py`` keeps the dense
-``cc_projector``).
+and ``_component_means`` applies a partition's component projector
+without forming it (``tests/oracles.py`` keeps the dense ``cc_projector``
+and ``split_mean_centered``).
 """
 
 from dataclasses import dataclass
@@ -187,21 +187,6 @@ def connected_components(W) -> Partition:
     """Connected components of the positive support of W + W^T."""
     A = validate_latent_graph(W)
     return components_from_edges(A.shape[0], *np.nonzero(A))
-
-
-def split_mean_centered(X, partition: Partition):
-    """Split X into component-wise means and the centered remainder.
-
-    Returns ``(X_M, X_C)`` whose sum reconstructs X up to one unit of
-    roundoff per entry; row i of X_M repeats the mean of the component
-    containing i, so each component's rows of X_C sum to zero.
-    """
-    X = as_float_matrix(X, "X")
-    if X.shape[0] != partition.assignment.shape[0]:
-        raise ContractViolationError(
-            f"X has {X.shape[0]} rows but partition covers {partition.assignment.shape[0]}")
-    X_M = _component_means(X, partition)
-    return X_M, X - X_M
 
 
 def _component_means(X: np.ndarray, partition: Partition) -> np.ndarray:

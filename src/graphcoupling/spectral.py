@@ -1,4 +1,4 @@
-"""Spectral embeddings and the precision-coupled matrix-normal objective.
+"""Spectral embeddings: Laplacian eigenmaps and PCA.
 
 ``laplacian_eigenmaps`` embeds with the low-frequency eigenvectors of a
 weighted graph Laplacian, skipping the null space structurally (one
@@ -18,16 +18,10 @@ block) or the factor fails, L is written again and LAPACK's subset
 solver (:func:`linalg._lowest_pairs`, ``dsyevr``, O(n^3)) takes the
 R + q smallest pairs.
 
-The PCA side takes one thin SVD X = U diag(s) V^T and forms no n x n
-matrix: ``pca`` of the centered X, and the precision coupling, which
-scores a latent Z against (I + X X^T)^{-1} = I - U diag(s^2 / (1 + s^2)) U^T:
-
-    J(Z) = tr(Z^T (I + X X^T)^{-1} Z) - gamma * log det(I + Z Z^T)
-
-and takes (I + Z Z^T)^{-1} Z = Z (I + Z^T Z)^{-1} for its gradient.
-
-Its global minimizers have the spectrum max(0, gamma * (1 + s_i^2) - 1)
-on the u_i; at gamma = 1 the map reproduces PCA scores exactly.
+The PCA side takes one thin SVD of the centered X and forms no n x n
+matrix.  The same SVD gives the precision coupling its closed form, the
+paper's case of PCA as a graph coupling; ``tests/oracles.py`` keeps that
+model, against which acceptance criterion 6 checks the claim.
 """
 
 import math
@@ -36,12 +30,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linalg
-from .errors import ContractViolationError, NumericalError, ParameterError
+from .errors import NumericalError, ParameterError
 from .graph import components_from_support
 from .linalg import (_asymmetry, _cholesky_in_place, _cholesky_solve, _lowest_pairs,
                      as_float_matrix, center_columns, leading_signs, row_blocks,
                      single_blas_thread)
-from .optim import Evaluation
 from .posterior import AffinityMatrix
 
 #: The shift of L's Cholesky factorization, relative to ||L||_inf: far
@@ -386,57 +379,3 @@ def _restore_upper(S: np.ndarray, diagonal: np.ndarray) -> None:
         square = S[rows, rows]
         np.copyto(square, square.T, where=_upper_triangle(square.shape[0]))
     S.reshape(-1)[::S.shape[0] + 1] = diagonal
-
-
-class PrecisionCouplingProblem:
-    """The precision-coupling objective for the optimizer, from X's thin SVD."""
-
-    def __init__(self, X, gamma: float = 1.0):
-        X = as_float_matrix(X, "X")
-        if not (np.isfinite(gamma) and gamma > 0.0):
-            raise ParameterError(f"gamma must be positive and finite, got {gamma}")
-        self.gamma = float(gamma)
-        self.n = X.shape[0]
-        self._U, s = _left_singular(X, min(X.shape))
-        self._shrink = s * s / (1.0 + s * s)
-
-    def evaluate(self, Z, exaggeration: float = 1.0) -> Evaluation:
-        """Objective and gradient; there is no exaggerated form, so only factor 1 is taken."""
-        if exaggeration != 1.0:
-            raise ParameterError(
-                f"the precision coupling has no exaggerated form, got factor {exaggeration}")
-        Z = as_float_matrix(Z, "Z")
-        if Z.shape[0] != self.n:
-            raise ContractViolationError(f"Z has {Z.shape[0]} rows but X has {self.n}")
-        latent = np.eye(Z.shape[1]) + Z.T @ Z
-        sign, logdet = np.linalg.slogdet(latent)
-        if sign <= 0:
-            raise NumericalError("latent Gram determinant is not positive")
-        BinvZ = Z - self._U @ (self._shrink[:, None] * (self._U.T @ Z))
-        loss = float((Z * BinvZ).sum()) - self.gamma * float(logdet)
-        grad = 2.0 * BinvZ - 2.0 * self.gamma * np.linalg.solve(latent, Z.T).T
-        return Evaluation(loss, loss, grad)
-
-
-def precision_coupling_closed_form(X, q: int, gamma: float = 1.0) -> np.ndarray:
-    """A global minimizer of the precision-coupling objective.
-
-    Column i is sqrt(lambda_i) u_i, with X's left singular vectors u_i and
-    lambda_i = max(0, gamma * s_i^2 + (gamma - 1)), s_i = 0 past min(n, p).
-    Z Z^T is unique, and Z up to a right rotation, when lambda_q is 0 or
-    exceeds lambda_{q+1}.  Otherwise any orthonormal basis of the tied
-    eigenspace gives the same objective but another Z Z^T: within a tied
-    spectrum, and whenever q > rank(X) and gamma > 1, where every null
-    direction of X X^T carries gamma - 1 (numpy's SVD picks them here).
-    X X^T is uncentered; center X beforehand to compare against :func:`pca`.
-    """
-    X = as_float_matrix(X, "X")
-    n = X.shape[0]
-    if not (1 <= q <= n):
-        raise ParameterError(f"q must lie in [1, n={n}], got {q}")
-    if not (np.isfinite(gamma) and gamma > 0.0):
-        raise ParameterError(f"gamma must be positive and finite, got {gamma}")
-    U, s = _left_singular(X, q)
-    d = np.zeros(q)
-    d[:min(q, s.size)] = s[:q] ** 2
-    return U * np.sqrt(np.clip(gamma * d + (gamma - 1.0), 0.0, None))

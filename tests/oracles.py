@@ -16,16 +16,39 @@ symmetrize_row_affinity  ``symmetrized_in_place`` of a copy of a row affinity
 umap_threshold_prob      ``symmetrized_in_place`` of a copy of a bernoulli one
 sym_eig                  the full eigendecomposition of a symmetric matrix,
                          the oracle of Laplacian eigenmaps' solvers
+split_mean_centered      X split into its component means, as ``ccpca``
+                         adds them up, and the centered remainder
+expected_graph           the mean latent graph a ``CouplingProblem`` pulls
+                         toward, P times its per-direction edge scale
+
+and the model of the paper's closing claim, that PCA is a non-degenerate
+graph coupling (acceptance criterion 6), from X's thin SVD
+X = U diag(s) V^T:
+
+PrecisionCouplingProblem        J(Z) = tr(Z^T (I + X X^T)^{-1} Z)
+                                       - gamma * log det(I + Z Z^T),
+                                with (I + X X^T)^{-1} = I - U diag(s^2 / (1 + s^2)) U^T
+                                and the gradient through
+                                (I + Z Z^T)^{-1} Z = Z (I + Z^T Z)^{-1}
+precision_coupling_closed_form  a global minimizer of J: the spectrum
+                                max(0, gamma * (1 + s_i^2) - 1) on the u_i,
+                                PCA's scores at gamma = 1
+
+The pair runs its q x q ``slogdet`` and ``solve`` outside
+``single_blas_thread``, so from q of about 150 its bits may depend on the
+BLAS thread count.
 """
 
 from dataclasses import replace
 
 import numpy as np
 
-from graphcoupling.errors import ContractViolationError
+from graphcoupling.coupling import CouplingProblem
+from graphcoupling.errors import ContractViolationError, NumericalError, ParameterError
 from graphcoupling.evaluation import NeighborhoodScore, evaluate_embedding
-from graphcoupling.graph import Partition, connected_components
+from graphcoupling.graph import Partition, _component_means, connected_components
 from graphcoupling.linalg import as_float_matrix, leading_signs
+from graphcoupling.optim import Evaluation
 from graphcoupling.posterior import (
     BERNOULLI,
     ROW,
@@ -33,6 +56,7 @@ from graphcoupling.posterior import (
     PosteriorSampler,
     symmetrized_in_place,
 )
+from graphcoupling.spectral import _left_singular
 
 
 def cc_projector(partition: Partition) -> np.ndarray:
@@ -143,3 +167,77 @@ def sym_eig(A):
     V = V[:, ::-1]
     V *= leading_signs(V)
     return w[::-1].copy(), V
+
+
+def split_mean_centered(X, partition: Partition):
+    """Split X into component-wise means and the centered remainder.
+
+    Returns ``(X_M, X_C)`` whose sum reconstructs X up to one unit of
+    roundoff per entry; row i of X_M repeats the mean of the component
+    containing i, so each component's rows of X_C sum to zero.
+    """
+    X = as_float_matrix(X, "X")
+    if X.shape[0] != partition.assignment.shape[0]:
+        raise ContractViolationError(
+            f"X has {X.shape[0]} rows but partition covers {partition.assignment.shape[0]}")
+    X_M = _component_means(X, partition)
+    return X_M, X - X_M
+
+
+def expected_graph(problem: CouplingProblem) -> np.ndarray:
+    """Mean latent graph the coupling pulls toward; drives attraction."""
+    return problem.P * problem._edge_scale
+
+
+class PrecisionCouplingProblem:
+    """The precision-coupling objective for the optimizer, from X's thin SVD."""
+
+    def __init__(self, X, gamma: float = 1.0):
+        X = as_float_matrix(X, "X")
+        if not (np.isfinite(gamma) and gamma > 0.0):
+            raise ParameterError(f"gamma must be positive and finite, got {gamma}")
+        self.gamma = float(gamma)
+        self.n = X.shape[0]
+        self._U, s = _left_singular(X, min(X.shape))
+        self._shrink = s * s / (1.0 + s * s)
+
+    def evaluate(self, Z, exaggeration: float = 1.0) -> Evaluation:
+        """Objective and gradient; there is no exaggerated form, so only factor 1 is taken."""
+        if exaggeration != 1.0:
+            raise ParameterError(
+                f"the precision coupling has no exaggerated form, got factor {exaggeration}")
+        Z = as_float_matrix(Z, "Z")
+        if Z.shape[0] != self.n:
+            raise ContractViolationError(f"Z has {Z.shape[0]} rows but X has {self.n}")
+        latent = np.eye(Z.shape[1]) + Z.T @ Z
+        sign, logdet = np.linalg.slogdet(latent)
+        if sign <= 0:
+            raise NumericalError("latent Gram determinant is not positive")
+        BinvZ = Z - self._U @ (self._shrink[:, None] * (self._U.T @ Z))
+        loss = float((Z * BinvZ).sum()) - self.gamma * float(logdet)
+        grad = 2.0 * BinvZ - 2.0 * self.gamma * np.linalg.solve(latent, Z.T).T
+        return Evaluation(loss, loss, grad)
+
+
+def precision_coupling_closed_form(X, q: int, gamma: float = 1.0) -> np.ndarray:
+    """A global minimizer of the precision-coupling objective.
+
+    Column i is sqrt(lambda_i) u_i, with X's left singular vectors u_i and
+    lambda_i = max(0, gamma * s_i^2 + (gamma - 1)), s_i = 0 past min(n, p).
+    Z Z^T is unique, and Z up to a right rotation, when lambda_q is 0 or
+    exceeds lambda_{q+1}.  Otherwise any orthonormal basis of the tied
+    eigenspace gives the same objective but another Z Z^T: within a tied
+    spectrum, and whenever q > rank(X) and gamma > 1, where every null
+    direction of X X^T carries gamma - 1 (numpy's SVD picks them here).
+    X X^T is uncentered; center X beforehand to compare against :func:`pca`.
+    """
+    X = as_float_matrix(X, "X")
+    n = X.shape[0]
+    if not (1 <= q <= n):
+        raise ParameterError(f"q must lie in [1, n={n}], got {q}")
+    if not (np.isfinite(gamma) and gamma > 0.0):
+        raise ParameterError(f"gamma must be positive and finite, got {gamma}")
+    U, s = _left_singular(X, q)
+    d = np.zeros(q)
+    d[:min(q, s.size)] = s[:q] ** 2
+    return U * np.sqrt(np.clip(gamma * d + (gamma - 1.0), 0.0, None))

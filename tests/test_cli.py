@@ -401,6 +401,34 @@ class TestFit:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command, exit_code, message", [
+    (["fit", "--perplexity", "2"], 3, "row 0 is at distance zero from every other row"),
+    (["init", "--method", "le", "--perplexity", "2", "--dim", "9"], 2,
+     "q must lie in [1, n - R = 8] for n=10 with 2 components, got 9"),
+], ids=["fit-constant-rows", "init-le-dim"])
+def test_failed_run_leaves_no_out_dir(tmp_path, capsys, command, exit_code, message):
+    # Both fail inside the run, after every check that needs only the data's shape.
+    if command[0] == "fit":
+        X = np.ones((5, 2))
+    else:
+        X = np.repeat([[0.0, 0.0], [1000.0, 1000.0]], 5, axis=0)
+        X += np.random.default_rng(0).normal(size=X.shape)
+    data = tmp_path / "data.csv"
+    save_embedding(data, X)
+    out = tmp_path / "out"
+    assert main(command + ["--input", str(data), "--out-dir", str(out)]) == exit_code
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_out_dir_and_its_missing_parents_are_made(blob_csv, tmp_path):
+    out = tmp_path / "a" / "b"
+    args = ["init", "--input", str(blob_csv), "--label", "cls", "--out-dir", str(out),
+            "--method", "pca"]
+    assert main(args) == 0
+    assert sorted(path.name for path in out.iterdir()) == ["init.csv", "init.svg"]
+
+
 class TestInit:
     @pytest.mark.parametrize("extra", [["--samples", "0"], ["--prior", "B", "--samples", "-1"],
                                        ["--seed", "-1"]])

@@ -14,12 +14,11 @@ from graphcoupling.graph import (
     connected_components,
     laplacian,
     log_mrf_density,
-    split_mean_centered,
     validate_latent_graph,
     weighted_laplacian,
 )
 
-from oracles import cc_projector
+from oracles import cc_projector, split_mean_centered
 
 
 def random_latent_graph(rng, n):

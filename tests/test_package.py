@@ -1,10 +1,17 @@
 import ast
 import importlib
+import inspect
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import graphcoupling
+from graphcoupling import cli
+from graphcoupling.coupling import METHOD_KINDS, CouplingProblem
+from graphcoupling.dataio import save_embedding
+from graphcoupling.pipeline import INIT_KINDS, SPECTRAL_INIT_KINDS
 from graphcoupling.posterior import PosteriorSampler
 
 #: Dense oracles and single-case wrappers that no fit, init, score, plot
@@ -23,6 +30,9 @@ NOT_IN_THE_LIBRARY = [
     ("linalg", "sym_eig"),
     ("linalg", "sym_eig_lowest"),
     ("linalg", "SymEigResult"),
+    ("spectral", "PrecisionCouplingProblem"),
+    ("spectral", "precision_coupling_closed_form"),
+    ("graph", "split_mean_centered"),
 ]
 
 
@@ -40,6 +50,74 @@ def test_test_oracles_are_not_library_names(module, name):
     assert name not in graphcoupling.__all__
     assert not hasattr(graphcoupling, name)
     assert not hasattr(importlib.import_module(f"graphcoupling.{module}"), name)
+
+
+def test_coupling_has_no_expected_graph():
+    # tests/oracles.py keeps expected_graph(problem) = P times the edge scale.
+    assert not hasattr(CouplingProblem, "expected_graph")
+
+
+#: Exported functions, methods and properties that no command enters, each
+#: with why it stays in the library.
+NOT_ENTERED_BY_A_COMMAND = {
+    "CouplingProblem.loss": "the benchmark's tracer wraps it to count and time the losses",
+    "CouplingProblem.grad": "the benchmark's tracer wraps it to count and time the gradients",
+}
+
+
+def exported_code():
+    """{name: code object} of every function in ``__all__`` and of every public
+    method and property that the package defines on an exported class."""
+    code = {}
+    for name in graphcoupling.__all__:
+        value = getattr(graphcoupling, name)
+        if inspect.isfunction(value):
+            code[name] = value.__code__
+        elif inspect.isclass(value) and value.__module__.startswith("graphcoupling."):
+            for attr, member in vars(value).items():
+                member = getattr(member, "fget", member)
+                if not attr.startswith("_") and inspect.isfunction(member):
+                    code[f"{name}.{attr}"] = member.__code__
+    return code
+
+
+def command_runs(tmp_path):
+    """The argument lists of a fit of every method from every init, with the
+    classic scale and a gaussian latent kernel, an init of every spectral
+    method, and eval, plot and diagnose, on 60 rows in 3 clusters."""
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(60, 4)) + np.repeat(4.0 * np.eye(3, 4), 20, axis=0)
+    data = tmp_path / "data.csv"
+    save_embedding(data, X, labels=np.repeat([0, 1, 2], 20), label_names=["a", "b", "c"])
+    common = ["--input", str(data), "--label", "label", "--out-dir", str(tmp_path / "out")]
+    fit = ["fit", "--iterations", "3", "--samples", "3"] + common
+    runs = [fit + ["--method", method, "--init", init]
+            for method in METHOD_KINDS for init in INIT_KINDS]
+    runs += [fit + ["--method", "tsne", "--classic-scale"],
+             fit + ["--method", "umap", "--latent-kernel", "gaussian"]]
+    runs += [["init", "--method", method, "--samples", "3"] + common
+             for method in SPECTRAL_INIT_KINDS]
+    embedding = str(tmp_path / "out" / "embedding.csv")
+    runs += [["eval", "--input", str(data), "--label", "label", "--embedding", embedding],
+             ["plot", "--embedding", embedding, "--out", str(tmp_path / "plot.svg")],
+             ["diagnose", "--samples", "200"]]
+    return runs
+
+
+def test_every_exported_function_runs_in_a_command(tmp_path, capsys):
+    # Library code that only the tests call belongs in tests/oracles.py.
+    # sys.setprofile sees the calling thread only; each block walk runs its
+    # first block there.
+    runs = command_runs(tmp_path)
+    entered = set()
+    sys.setprofile(lambda frame, event, arg: entered.add(frame.f_code))
+    try:
+        codes = [cli.main(argv) for argv in runs]
+    finally:
+        sys.setprofile(None)
+    assert codes == [0] * len(runs), capsys.readouterr().err
+    unentered = {name for name, code in exported_code().items() if code not in entered}
+    assert unentered == set(NOT_ENTERED_BY_A_COMMAND)
 
 
 def test_sampler_draws_only_in_batches():
@@ -96,11 +174,6 @@ def test_every_exp_is_floored_or_stores_exact_values():
 #: single_blas_thread, by (module, enclosing function, called function),
 #: each with why its bits need no hold.
 UNHELD_BLAS_CALLS = {
-    ("spectral", "evaluate", "np.linalg.slogdet"):
-        "LU of the q x q latent Gram, q the embedding's dimension; OpenBLAS "
-        "factors fewer than 10^4 cells (q < 100) on one thread",
-    ("spectral", "evaluate", "np.linalg.solve"):
-        "the same q x q LU, and q right-hand sides",
     ("linalg", "single_blas_thread", "get"): "the hold itself reads the thread count",
     ("linalg", "single_blas_thread", "set_"): "the hold itself sets the thread count",
 }

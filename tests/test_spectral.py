@@ -11,14 +11,9 @@ from graphcoupling.graph import components_from_support, weighted_laplacian
 from graphcoupling.kernels import calibrated_kernel
 from graphcoupling.linalg import center_columns, leading_signs, pairwise_sq_dists
 from graphcoupling.posterior import AffinityMatrix
-from graphcoupling.spectral import (
-    PrecisionCouplingProblem,
-    laplacian_eigenmaps,
-    pca,
-    precision_coupling_closed_form,
-)
+from graphcoupling.spectral import laplacian_eigenmaps, pca
 
-from oracles import sym_eig
+from oracles import PrecisionCouplingProblem, precision_coupling_closed_form, sym_eig
 
 
 def gram_from_spectrum(d, seed=0):
