@@ -64,7 +64,7 @@ from .kernels import EXP_FLOOR, GAUSSIAN, STUDENT, check_kind
 # on worker threads.  pairwise_sq_dists keeps its name here for tools that
 # patch the package's functions where they are imported; the benchmark's
 # self-test checks that its tracer patches it in this module.
-from .linalg import _asymmetry, _sq_dists, _workers, as_float_matrix, map_blocks, row_blocks
+from .linalg import _is_symmetric, _sq_dists, _workers, as_float_matrix, map_blocks, row_blocks
 from .linalg import pairwise_sq_dists  # noqa: F401
 from .optim import Evaluation
 from .posterior import (
@@ -164,7 +164,7 @@ class _Scratch(threading.local):
 
 def _check_symmetric(P) -> None:
     """Raise unless P equals its transpose exactly; forms no n x n temporary."""
-    if _asymmetry(P) != 0.0:
+    if not _is_symmetric(P):
         raise ContractViolationError(
             "a symmetrized-row or thresholded-bernoulli affinity must be "
             "exactly symmetric")

@@ -2,7 +2,9 @@
 
 Numeric matrices come in and go out as delimited text.  Written floats
 use 17 significant digits, enough to reconstruct every float64 exactly,
-so a save/load round trip is lossless.
+so a save/load round trip is lossless.  A plain table is read line by
+line from the open file, so loading holds the parsed numbers and no
+copy of the text.
 """
 
 import csv
@@ -18,6 +20,9 @@ from .errors import DataError, ParameterError
 
 #: Shortest format that round-trips double precision exactly.
 FLOAT_FORMAT = ".17g"
+
+#: Bytes read at a time while :func:`load_csv` looks for quotes and NULs.
+SCAN_BYTES = 1 << 16
 
 
 @dataclass
@@ -97,33 +102,38 @@ def _parse_with_numpy(path, delimiter: str, header: bool, label) -> Optional[Dat
     It takes only text without a quote, a NUL or a leading blank row, and
     a delimiter of one character that is not whitespace: there a
     ``csv`` row is its line split at the delimiter, and the two parsers
-    cut the same lines into the same cells.  The label column goes
-    through a converter that assigns codes in order of first appearance.
-    Any row of another width, any cell that numpy cannot read (such as
-    ``1_0``, which ``float`` takes) and any non-finite value make the
-    parse fail or return None.
+    cut the same lines into the same cells.  Quotes and NULs are looked
+    for in ``SCAN_BYTES`` chunks of the raw file (in UTF-8 neither byte
+    occurs inside another character), then the open file goes to
+    ``np.loadtxt`` a line at a time, so no copy of the whole text is
+    made.  The label column goes through a converter that assigns codes
+    in order of first appearance.  Any row of another width, any cell
+    that numpy cannot read (such as ``1_0``, which ``float`` takes) and
+    any non-finite value make the parse fail or return None.
     """
     if len(delimiter) != 1 or delimiter.isspace() or delimiter == '"':
         return None
-    with open(path, "r", newline="", encoding="utf-8") as handle:
+    with open(path, "rb") as raw:
+        for chunk in iter(lambda: raw.read(SCAN_BYTES), b""):
+            if b'"' in chunk or b"\0" in chunk:
+                return None
+        raw.seek(0)
+        handle = io.TextIOWrapper(raw, encoding="utf-8", newline="")
         first = handle.readline()
-        rest = handle.read()
-    cells = first.rstrip("\r\n").split(delimiter)
-    if any(mark in part for part in (first, rest) for mark in ('"', "\0")):
-        return None
-    if not "".join(cells).strip():  # csv skips a blank row; the header would move
-        return None
-    names = [cell.strip() for cell in cells] if header else [f"c{j}" for j in range(len(cells))]
-    label_idx, feature_cols = _columns(path, names, header, label)
-    codes = {}
-    converters = None if label_idx is None else {
-        label_idx: lambda cell: codes.setdefault(cell.strip(), len(codes))}
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # an empty body warns; the walk names it
-        # encoding=None: before numpy 2.0 the default hands the converter bytes.
-        table = np.loadtxt(io.StringIO(rest if header else first + rest, newline=""),
-                           dtype=np.float64, delimiter=delimiter, comments=None,
-                           converters=converters, ndmin=2, encoding=None)
+        cells = first.rstrip("\r\n").split(delimiter)
+        if not "".join(cells).strip():  # csv skips a blank row; the header would move
+            return None
+        names = [cell.strip() for cell in cells] if header else [f"c{j}" for j in range(len(cells))]
+        label_idx, feature_cols = _columns(path, names, header, label)
+        codes = {}
+        converters = None if label_idx is None else {
+            label_idx: lambda cell: codes.setdefault(cell.strip(), len(codes))}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an empty body warns; the walk names it
+            # encoding=None: before numpy 2.0 the default hands the converter bytes.
+            table = np.loadtxt(handle if header else itertools.chain([first], handle),
+                               dtype=np.float64, delimiter=delimiter, comments=None,
+                               converters=converters, ndmin=2, encoding=None)
     if table.shape[1] != len(names):
         return None
     # A row-major copy, as the walk makes: the fit's products depend on the layout.

@@ -22,8 +22,13 @@ are the same bits under any block layout, and those of calibration and
 :func:`linalg.pairwise_sq_dists`; :func:`linalg.gram_row_blocks` makes
 the blocks whole chunks.  The counts are integers, so their sum, and
 every score, is the same under any blocking and at any core count.
-``tests/oracles.py`` ranks a whole distance matrix by a stable argsort
-(``neighbor_indices``), the oracle the tests compare those sets against.
+A fit does not form the input's distances a second time:
+``kernels.calibrated_kernel`` runs the same selection on the distance
+rows of its own blocks and keeps the sets packed, and
+:func:`evaluate_embedding` given them walks only the embedding's
+distances, with the same scores.  ``tests/oracles.py`` ranks a whole
+distance matrix by a stable argsort (``neighbor_indices``), the oracle
+the tests compare those sets against.
 """
 
 from typing import NamedTuple, Sequence
@@ -88,8 +93,13 @@ def check_ks(ks: Sequence[int], n: int) -> list:
     return ks
 
 
-def evaluate_embedding(X, Z, ks: Sequence[int]) -> list:
-    """Agreement scores at several neighborhood sizes, ascending in k."""
+def evaluate_embedding(X, Z, ks: Sequence[int], x_neighbors=None) -> list:
+    """Agreement scores at several neighborhood sizes, ascending in k.
+
+    ``x_neighbors`` may hold X's packed neighbor sets at ``check_ks(ks)``,
+    the ``neighbors`` of ``kernels.calibrated_kernel(X, perplexity, ks)``;
+    then only Z's distances are formed.
+    """
     X = as_float_matrix(X, "X")
     Z = as_float_matrix(Z, "Z")
     n = X.shape[0]
@@ -99,10 +109,20 @@ def evaluate_embedding(X, Z, ks: Sequence[int]) -> list:
     ks = check_ks(ks, n)
     if not ks:
         return []
-    x_dists, z_dists = _sq_dists(X), _sq_dists(Z)
+    if x_neighbors is None:
+        x_dists = _sq_dists(X)
+    elif np.shape(x_neighbors) != (len(ks), n, -(-n // 8)):
+        raise ContractViolationError(
+            f"x_neighbors must have shape {(len(ks), n, -(-n // 8))}, "
+            f"got {np.shape(x_neighbors)}")
+    z_dists = _sq_dists(Z)
 
     def count(rows):
-        in_x = _neighbor_sets(x_dists(rows), rows, ks)
+        if x_neighbors is None:
+            in_x = _neighbor_sets(x_dists(rows), rows, ks)
+        else:
+            in_x = [np.unpackbits(sets[rows], axis=1, count=n).view(bool)
+                    for sets in x_neighbors]
         in_z = _neighbor_sets(z_dists(rows), rows, ks)
         return [np.count_nonzero(mx & mz) for mx, mz in zip(in_x, in_z)]
 

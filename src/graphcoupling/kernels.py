@@ -12,7 +12,9 @@ bandwidths K is intentionally not symmetric.
 :func:`calibrated_kernel` builds every fit's input kernel and its
 bandwidths from the data.  Each row block writes its squared distances
 (the bits of :func:`linalg.pairwise_sq_dists`) into its own rows of the
-kernel, the only n x n array made, then its kernel rows over them.  The
+kernel, the only n x n array made, then its kernel rows over them.  A
+fit also has the block select the data's neighbor sets for R(K) from
+those distances, so its scoring forms no distance of X again.  The
 blocks are independent, so :func:`linalg.map_blocks` runs them on every
 usable core, and the result does not depend on the cores.
 
@@ -30,6 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractViolationError, DegenerateRowError, ParameterError
+from .evaluation import _neighbor_sets, check_ks
 from .linalg import _sq_dists, as_float_matrix, gram_row_blocks, map_blocks, pairwise_sq_dists
 
 GAUSSIAN = "gaussian"
@@ -54,7 +57,8 @@ class KernelMatrix:
     """A realized kernel matrix plus the settings that produced it.
 
     ``evaluations`` holds each row's entropy evaluations when the
-    bandwidths come from :func:`calibrated_kernel`.  ccPCA's draws read
+    bandwidths come from :func:`calibrated_kernel`, and ``neighbors`` the
+    data's k-nearest-neighbor sets it was asked for.  ccPCA's draws read
     ``values``, then :func:`coupling.input_affinity` consumes it.
     """
 
@@ -62,6 +66,7 @@ class KernelMatrix:
     kind: str
     bandwidths: Optional[np.ndarray] = None
     evaluations: Optional[np.ndarray] = None
+    neighbors: Optional[np.ndarray] = None
 
 
 def check_kind(kind: str) -> str:
@@ -125,7 +130,7 @@ def kernel_matrix(X, kind: str, bandwidths=None) -> KernelMatrix:
     return KernelMatrix(values, kind, tau)
 
 
-def calibrated_kernel(X, perplexity: float) -> KernelMatrix:
+def calibrated_kernel(X, perplexity: float, ks=()) -> KernelMatrix:
     """The Gaussian kernel over the rows of ``X`` at a target perplexity.
 
     For each row i, finds tau_i such that the Shannon entropy of the
@@ -146,11 +151,19 @@ def calibrated_kernel(X, perplexity: float) -> KernelMatrix:
     the final exp writes stored values, so unlike the entropy passes it
     takes no ``EXP_FLOOR``.
 
+    Each block also selects, from the distances it holds, every row's
+    k-nearest-neighbor set for each k of ``ks`` (ascending after
+    :func:`evaluation.check_ks`), the sets that
+    :func:`evaluation.evaluate_embedding` would form from X.  They come
+    in ``neighbors``, an array of shape ``(len(ks), n, ceil(n / 8))``:
+    row i of entry j is ``np.packbits`` of row i's set at the j-th k, so
+    they hold n^2 / 8 bytes per k.  Without ``ks`` it is None.
+
     Raises
     ------
     ParameterError
-        If perplexity is outside [1, n - 1] (:func:`check_perplexity`),
-        before any distance is taken.
+        If perplexity is outside [1, n - 1] (:func:`check_perplexity`)
+        or a k outside [1, n - 2], before any distance is taken.
     DegenerateRowError
         If some row is at distance zero from every other row, which
         makes its neighbor distribution independent of tau.  The first
@@ -159,9 +172,11 @@ def calibrated_kernel(X, perplexity: float) -> KernelMatrix:
     X = as_float_matrix(X, "X")
     n = X.shape[0]
     check_perplexity(perplexity, n)
+    ks = check_ks(ks, n)
     target = float(np.log2(perplexity))
     tau = np.empty(n, dtype=np.float64)
     evaluations = np.empty(n, dtype=np.int64)
+    neighbors = np.empty((len(ks), n, -(-n // 8)), dtype=np.uint8) if ks else None
     K = np.empty((n, n))
     dists = _sq_dists(X)
 
@@ -174,13 +189,17 @@ def calibrated_kernel(X, perplexity: float) -> KernelMatrix:
         if dead.size:
             raise DegenerateRowError(
                 f"row {rows[dead[0]]} is at distance zero from every other row")
+        if ks:
+            for j, chosen in enumerate(_neighbor_sets(D, block, ks)):
+                neighbors[j, block] = np.packbits(chosen, axis=1)
+            K[rows, rows] = 0.0  # the selection wrote -1 there
         t, evaluations[block] = _calibrate_rows(np.divide(d, -2.0, out=d), target)
         tau[block] = t
         np.exp(_log_kernel(D, GAUSSIAN, t, out=D), out=D)
         K[rows, rows] = 0.0
 
     map_blocks(solve, gram_row_blocks(n))
-    return KernelMatrix(K, GAUSSIAN, tau, evaluations)
+    return KernelMatrix(K, GAUSSIAN, tau, evaluations, neighbors)
 
 
 def _calibrate_rows(neg_half_d: np.ndarray, target: float):

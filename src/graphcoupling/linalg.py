@@ -126,12 +126,14 @@ def _all_finite(a: np.ndarray) -> bool:
     return bool(np.isfinite(a).all())
 
 
-def _asymmetry(A: np.ndarray) -> float:
-    """max |A - A^T| of a validated square float matrix, one upper-triangle block at a time."""
-    def block(rows):  # its difference is freed on return
-        diff = A[rows, rows.start:] - A[rows.start:, rows].T
-        return float(np.abs(diff, out=diff).max())
-    return max(map(block, row_blocks(A.shape[0], upper=True)), default=0.0)
+def _is_symmetric(A: np.ndarray) -> bool:
+    """Whether a square float matrix equals its transpose exactly.
+
+    Each upper-triangle block is compared with its mirror by ``!=``, which
+    forms only a boolean block, and the walk stops at the first difference.
+    """
+    return not any((A[rows, rows.start:] != A[rows.start:, rows].T).any()
+                   for rows in row_blocks(A.shape[0], upper=True))
 
 
 def _lowest_pairs(T: np.ndarray, k: int):

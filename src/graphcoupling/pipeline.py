@@ -10,7 +10,11 @@ the only manifest fields allowed to differ between repetitions.
 
 The input side is one n x n buffer that :func:`run` and ``init`` read in
 one order: calibrate the kernel K, let ccPCA draw from K, write the
-affinity P over K, let eigenmaps read P.
+affinity P over K, let eigenmaps read P.  The data's distances are
+formed once, by calibration, which also selects from them the data's
+neighbor sets for R(K); they stay, packed at n^2 / 8 bytes per K,
+after the buffer is gone, and scoring forms only the embedding's
+distances.
 """
 
 import time
@@ -91,14 +95,15 @@ class RunResult:
     manifest: dict
 
 
-def prepare_input(X, spec: RunSpec, fitting: bool = True) -> Optional[KernelMatrix]:
+def prepare_input(X, spec: RunSpec, fitting: bool = True, ks=()) -> Optional[KernelMatrix]:
     """A run's calibrated kernel; None if neither a fit (``fitting``) nor the init reads it.
 
     Every method shares this kernel: the edgewise route reuses its
     bandwidths rather than calibrating a separate connectivity target.
+    It also carries X's neighbor sets at ``ks``, which scoring reads.
     """
     if _calibrates(spec, fitting):
-        return calibrated_kernel(X, spec.perplexity)
+        return calibrated_kernel(X, spec.perplexity, ks)
     return None
 
 
@@ -181,9 +186,9 @@ def run(X, spec: RunSpec = None) -> RunResult:
     total0 = time.perf_counter()
 
     t0 = time.perf_counter()
-    kernel = prepare_input(X, spec)
+    kernel = prepare_input(X, spec, True, ks)
     prepare_s = time.perf_counter() - t0
-    evaluations = kernel.evaluations
+    evaluations, x_neighbors = kernel.evaluations, kernel.neighbors
 
     t0 = time.perf_counter()
     Z0, degenerate, affinity = initial_embedding(X, spec, kernel)
@@ -206,7 +211,7 @@ def run(X, spec: RunSpec = None) -> RunResult:
     del problem
 
     t0 = time.perf_counter()
-    scores = evaluate_embedding(X, result.Z, ks)
+    scores = evaluate_embedding(X, result.Z, ks, x_neighbors)
     evaluate_s = time.perf_counter() - t0
 
     optimizer = _settings_record(opt, early_exaggeration=bool(opt.early_exaggeration))

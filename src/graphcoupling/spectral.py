@@ -32,7 +32,7 @@ import numpy as np
 from . import linalg
 from .errors import NumericalError, ParameterError
 from .graph import components_from_support
-from .linalg import (_asymmetry, _cholesky_in_place, _cholesky_solve, _lowest_pairs,
+from .linalg import (_cholesky_in_place, _cholesky_solve, _is_symmetric, _lowest_pairs,
                      as_float_matrix, center_columns, leading_signs, row_blocks,
                      single_blas_thread)
 from .posterior import AffinityMatrix
@@ -149,7 +149,7 @@ def laplacian_eigenmaps(P, q: int) -> EigenmapsResult:
         raise ParameterError("affinity entries must be nonnegative")
     # The one n x n buffer: A itself if its upper triangle can be rebuilt
     # from its lower one, else (A + A^T) / 2.  A is row-major.
-    borrowed = A.flags.writeable and _asymmetry(A) == 0.0
+    borrowed = A.flags.writeable and _is_symmetric(A)
     if borrowed:
         S = A
     else:

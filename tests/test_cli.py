@@ -17,6 +17,7 @@ from graphcoupling.cli import OUT_DIR_ENV, build_parser, load_config, main
 from graphcoupling.coupling import METHOD_KINDS, input_affinity
 from graphcoupling.dataio import load_csv, load_embedding, save_embedding
 from graphcoupling.errors import ParameterError
+from graphcoupling.evaluation import evaluate_embedding
 from graphcoupling.kernels import KERNEL_KINDS, calibrated_kernel
 from graphcoupling.pipeline import (INIT_KINDS, SPECTRAL_INIT_KINDS, RunSpec,
                                     initial_embedding, prepare_input, run)
@@ -713,6 +714,40 @@ class TestEval:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[1:] == [f"{s['k']},{s['q']:.6f},{s['r']:.6f}" for s in scores]
         assert [s["k"] for s in scores] == [1, 7, 15, 28]
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_reproduces_the_fit_scores_exactly(self, tmp_path, monkeypatch, capsys, workers):
+        # The fit takes the data's neighbor sets from calibration's blocks,
+        # eval from its own scoring blocks: wide data (the Gram path) and a
+        # small block budget give the two walks many blocks of other heights.
+        monkeypatch.setattr(linalg, "usable_cores", lambda: workers)
+        monkeypatch.setattr(linalg, "ROW_BLOCK_CELLS", 20 * 120)
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(120, 8))
+        X[60:, 0] += 6.0
+        data = tmp_path / "d.csv"
+        data.write_text("\n".join(["a,b,c,d,e,f,g,h,cls"] + [
+            ",".join(format(v, ".17g") for v in row) + f",c{i % 2}"
+            for i, row in enumerate(X)]) + "\n", encoding="utf-8")
+        out = tmp_path / "fit"
+        assert main(["fit", "--input", str(data), "--label", "cls", "--out-dir", str(out),
+                     "--iterations", "30", "--perplexity", "10", "--seed", "2"]) == 0
+        scores = yaml.safe_load((out / "manifest.yaml").read_text())["results"]["scores"]
+        returned = []
+
+        def evaluate_and_keep(*args):
+            returned.extend(evaluate_embedding(*args))
+            return returned
+
+        monkeypatch.setattr(cli, "evaluate_embedding", evaluate_and_keep)
+        capsys.readouterr()
+        assert main(["eval", "--input", str(data), "--label", "cls",
+                     "--embedding", str(out / "embedding.csv"),
+                     "--k", "n/4", "--k", "n/2"]) == 0
+        assert [s["k"] for s in scores] == [30, 60]
+        assert [{"k": s.k, "q": s.q, "r": s.r} for s in returned] == scores
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[1:] == [f"{s['k']},{s['q']:.6f},{s['r']:.6f}" for s in scores]
 
     @pytest.mark.parametrize("k", ["0", "-3", "19", "9999"])  # 19 is n - 1
     def test_k_outside_its_range_exits_2(self, tmp_path, capsys, k):

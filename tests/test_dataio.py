@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -228,6 +230,62 @@ class TestNumpyParser:
         if parsed is not None:
             walked = dataio._walk_rows(str(path), delimiter, header, label)
             assert same_dataset(parsed, walked)
+
+
+class TestStreamedParse:
+    @pytest.mark.parametrize("late, values, message", [
+        ('"3",4,y\n', [3.0, 4.0], None),                 # a quoted cell
+        ('3,4,"y"\n', [3.0, 4.0], None),                 # a quoted label
+        ("3,4\0,y\n", None, "non-numeric value '4\\x00'"),  # a NUL
+    ])
+    def test_quote_or_nul_past_the_first_chunk_goes_to_the_walk(self, tmp_path, late,
+                                                                 values, message):
+        row = "1.25,2.5,x\n"
+        rows = dataio.SCAN_BYTES // len(row) + 1
+        path = write(tmp_path / "t.csv", "a,b,c\n" + row * rows + late)
+        assert numpy_parse(path, label="c") is None
+        got = outcome(load_csv, path, ",", True, "c")
+        want = outcome(dataio._walk_rows, path, ",", True, "c")
+        if message is None:
+            assert same_dataset(got, want)
+            npt.assert_array_equal(got.X[-1], values)
+            assert got.X.shape == (rows + 1, 2) and got.label_names == ["x", "y"]
+        else:
+            assert got == want
+            assert want[0] is DataError
+            assert want[1].endswith(f"line {rows + 2}, column 'b': {message}")
+
+    def test_crlf_reads_as_its_lf_twin(self, tmp_path):
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(40, 3)) * 10.0 ** rng.integers(-20, 20, size=(40, 3))
+        lines = ["x0,x1,x2,cls"] + [
+            ",".join(format(v, ".17g") for v in row) + f",c{i % 4}" for i, row in enumerate(X)]
+        parsed = {}
+        for end in ("\n", "\r\n"):
+            path = tmp_path / f"t{len(end)}.csv"
+            path.write_text(end.join(lines) + end, encoding="utf-8", newline="")
+            parsed[end] = numpy_parse(str(path), label="cls")
+            assert parsed[end] is not None
+        assert parsed["\n"].X.tobytes() == X.tobytes()
+        assert same_dataset(parsed["\r\n"], parsed["\n"])
+
+    def test_peak_memory_is_a_few_copies_of_x(self, tmp_path):
+        # The text is neither read whole nor copied; the peak is the parsed
+        # table, X without the label column, and the parser's buffers.
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(2000, 50))
+        lines = [",".join(f"x{j}" for j in range(50)) + ",class"] + [
+            ",".join(format(v, ".17g") for v in row) + f",c{i % 10}" for i, row in enumerate(X)]
+        path = write(tmp_path / "t.csv", "\n".join(lines) + "\n")
+        load_csv(write(tmp_path / "warm.csv", "a,class\n1,c0\n"), label="class")
+        tracemalloc.start()
+        try:
+            ds = load_csv(path, label="class")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.X.tobytes() == X.tobytes()
+        assert peak <= 3 * ds.X.nbytes, f"{peak / ds.X.nbytes:.2f} copies of X"
 
 
 class TestEmbeddingRoundTrip:

@@ -21,6 +21,8 @@ from graphcoupling.kernels import (
 )
 from graphcoupling.linalg import pairwise_sq_dists
 
+from oracles import neighbor_indices
+
 
 def row_entropy_bits(d_row, tau):
     """Independent reference entropy for the calibration tests."""
@@ -204,6 +206,34 @@ class TestCalibratedKernel:
             assert K.kind == GAUSSIAN
             assert K.values.tobytes() == oracle.values.tobytes()
             npt.assert_array_equal(K.bandwidths, oracle.bandwidths)
+
+    @pytest.mark.parametrize("block_cells", [1 << 12, 1 << 16], indirect=True)
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("scale", [1.0, 1e-3])  # small tau: no overflow in the kernel rows
+    def test_neighbor_sets_leave_calibration_bits(self, block_cells, workers, scale,
+                                                  monkeypatch):
+        # Grid points: duplicates and exact distance ties, on the Gram path.
+        monkeypatch.setattr(linalg, "usable_cores", lambda: workers)
+        rng = np.random.default_rng(7)
+        n = 203  # rows that do not fill their last packed byte
+        X = rng.integers(0, 4, size=(n, 5)) * scale
+        ks = [1, n // 4, n // 2, n - 2]
+        plain = calibrated_kernel(X, 20.0)
+        both = calibrated_kernel(X, 20.0, ks)
+        assert plain.neighbors is None
+        for field in ("values", "bandwidths", "evaluations"):
+            assert getattr(both, field).tobytes() == getattr(plain, field).tobytes()
+        assert both.neighbors.shape == (len(ks), n, 26)
+        D = pairwise_sq_dists(X)
+        for k, packed in zip(ks, both.neighbors):
+            oracle = np.zeros((n, n), dtype=bool)
+            oracle[np.arange(n)[:, None], neighbor_indices(D, k)] = True
+            npt.assert_array_equal(np.unpackbits(packed, axis=1, count=n).view(bool), oracle)
+
+    def test_bad_k_rejected_before_any_distance(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_sq_dists", None)
+        with pytest.raises(ParameterError, match="got 9"):
+            calibrated_kernel(np.arange(20.0).reshape(10, 2), 3.0, [2, 9])
 
 
 class TestCalibration:
