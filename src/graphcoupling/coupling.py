@@ -39,6 +39,20 @@ cores through :func:`linalg.map_blocks`, each in its worker's reused
 buffers, and their terms are added up in tile order, so the loss and the
 gradient are the same bits at any core count.
 
+A tile holds two buffers of its size: the distances become K or log K in
+place, the repulsive terms R are written over log K, and the pair
+weights G are formed last, over R.  tsne takes R's normalizer shares
+first and then writes G = P c over it (c is the exaggeration times the
+edge scale); sne, largevis and umap write G = P c - R, and P c takes a
+third buffer only where c != 1 and the tile keeps K beside R, since P
+times 1 is P bit for bit.  So a tsne tile, and a umap one at no
+exaggeration, touches 1.5 MB with the slice of P it reads, not 2 MB, at
+the default ``ROW_BLOCK_CELLS``.  A tile scans its distances for
+overflow only when one bound per pass cannot rule it out: four times the
+largest squared norm of the centred points below half the largest float
+(:func:`linalg._sq_dists_fit`).  An embedding whose distances overflow
+still scores the +inf sentinel.
+
 sne's row normalizers and the Gaussian-latent tsne normalizer sum
 exp(log K - peak), and each such sum holds the peak's own term, 1.  Their
 exp floors its argument at :data:`kernels.EXP_FLOOR`: numpy's vector exp
@@ -64,7 +78,15 @@ from .kernels import EXP_FLOOR, GAUSSIAN, STUDENT, check_kind
 # on worker threads.  pairwise_sq_dists keeps its name here for tools that
 # patch the package's functions where they are imported; the benchmark's
 # self-test checks that its tracer patches it in this module.
-from .linalg import _is_symmetric, _sq_dists, _workers, as_float_matrix, map_blocks, row_blocks
+from .linalg import (
+    _is_symmetric,
+    _sq_dists,
+    _sq_dists_fit,
+    _workers,
+    as_float_matrix,
+    map_blocks,
+    row_blocks,
+)
 from .linalg import pairwise_sq_dists  # noqa: F401
 from .optim import Evaluation
 from .posterior import (
@@ -145,7 +167,7 @@ class _OutOfRange(Exception):
 
 
 class _Scratch(threading.local):
-    """Each thread's three float buffers, reused across the tiles it runs.
+    """Each thread's float buffers, reused across the tiles it runs.
 
     The calling thread allocates one set per worker of the walk, ``pool``,
     and each thread takes one on first use: a walk runs on its calling
@@ -257,9 +279,16 @@ class CouplingProblem:
         tiles = list(row_blocks(n, upper))
         cells = max((rows.stop - rows.start) * (n - (rows.start if upper else 0))
                     for rows in tiles)
-        scratch = _Scratch([[np.empty(cells) for _ in range(3)]
+        # A third buffer holds P c where the tile keeps K beside R and c != 1.
+        scale = exaggeration * self._edge_scale
+        third = (student or not normalized) and self.method != TSNE and scale != 1.0
+        scratch = _Scratch([[np.empty(cells) for _ in range(3 if third else 2)]
                             for _ in range(_workers(len(tiles)))])
         dists = _sq_dists(Z)
+        # One bound for the pass in place of a scan of every tile's distances.
+        with np.errstate(over="ignore", invalid="ignore"):
+            Zc = Z - Z.mean(axis=0)
+            bounded = _sq_dists_fit(np.einsum("ij,ij->i", Zc, Zc).max())
         attraction = repulsion = 0.0
         grad = np.zeros_like(Z)
         # tsne: the global normalizer as a sum of exp(log K - peak), and the
@@ -268,7 +297,7 @@ class CouplingProblem:
         total, peak, push = 0.0, (0.0 if student else -math.inf), np.zeros_like(Z)
 
         def tile(rows):
-            return self._tile(dists, Z, rows, slice(rows.start if upper else 0, n),
+            return self._tile(dists, bounded, Z, rows, slice(rows.start if upper else 0, n),
                               exaggeration, scratch)
 
         def add(terms):
@@ -316,7 +345,7 @@ class CouplingProblem:
         grad *= (2.0 if student else 1.0) * mirror
         return attraction, repulsion, objective, grad
 
-    def _tile(self, dists, Z, rows, cols, exaggeration, scratch):
+    def _tile(self, dists, bounded, Z, rows, cols, exaggeration, scratch):
         """The terms of the pairs ``rows`` x ``cols`` for :meth:`_pass`.
 
         Returns ``(rows, cols, attraction, repulsion, gradient shares,
@@ -324,21 +353,34 @@ class CouplingProblem:
         repulsion, both unscaled, the (row, column) shares of
         :func:`_pair_shares`, and for tsne ``(peak, total, push shares)``
         of the normalizer terms exp(log K - peak), else None.  Raises
-        :class:`_OutOfRange` if a squared distance overflowed.  The tile
-        gets its squared distances D from ``dists``, then K and log K; a
-        masked pair has zero weight and log K = -inf.  The pair weights
-        G = dObjective/dD fold in the kernel derivative: -K^2 per unit of
-        squared distance for the Student kernel, -K/2 for the Gaussian.
-        Its tile-sized temporaries live in the running thread's ``scratch``
-        buffers, and it calls only private helpers, so it may run on any
-        thread.
+        :class:`_OutOfRange` if a squared distance overflowed; the tile
+        scans its distances for that only when the pass's bound,
+        ``bounded``, cannot rule it out.  The tile gets its squared
+        distances D from ``dists``, then K and log K; a masked pair has
+        zero weight and log K = -inf.  The pair weights G = dObjective/dD
+        fold in the kernel derivative: -K^2 per unit of squared distance
+        for the Student kernel, -K/2 for the Gaussian.
+
+        Its tile-sized temporaries live in the running thread's
+        ``scratch`` buffers: D, then K for the Student kernel, in the
+        first, and the distances' work, then log K, in the second (the
+        Gaussian K of largevis and umap takes the second while log K
+        stays in the first).  The repulsive terms R are written over
+        log K, and G is formed last, over R: tsne takes R's normalizer
+        shares first and then writes G = P c over it, c = exaggeration
+        times the edge scale; sne, largevis and umap write G = P c - R,
+        where P c needs a buffer of its own (the third, or the second if
+        it holds no K) unless c = 1, where P c is P.  The Student kernel
+        then multiplies G by K, which is 0 on the masked pairs, so only
+        the Gaussian G is masked.  It calls only private helpers, so it
+        may run on any thread.
         """
         student = self.latent_kernel == STUDENT
         normalized = self.method in (SNE, TSNE)
         shape = (rows.stop - rows.start, cols.stop - cols.start)
         # log K's buffer is free until D is complete.
         D = dists(rows, cols, out=scratch.take(0, shape), work=scratch.take(1, shape))
-        if not math.isfinite(D.max()):
+        if not (bounded or math.isfinite(D.max())):
             raise _OutOfRange
         # The tile's diagonal square and the pairs masked in it: j <= i
         # in the upper triangle, the self-pairs in full rows.
@@ -348,6 +390,7 @@ class CouplingProblem:
         # Only sne and the Gaussian kernel read log K past the attraction;
         # the others sum log1p(D) = -log K and negate the sum, which is exact.
         signed = student and self.method != SNE
+        K = None
         if student:
             logK = np.log1p(D, out=scratch.take(1, shape))
             if not signed:
@@ -370,23 +413,12 @@ class CouplingProblem:
         if not (student or normalized):
             # K is stored and read cell by cell, so its exp takes no floor.
             K = np.exp(logK, out=scratch.take(1, shape))
-        G = np.multiply(P, exaggeration * self._edge_scale, out=scratch.take(2, shape))
-        np.copyto(G[:, square], 0.0, where=masked)
+        scale = exaggeration * self._edge_scale
         # The repulsive terms R take log K's buffer: log K is either read
         # for the last time to form them, or no longer read at all.
         R = logK
         repulsion, tsne = 0.0, None
-        if self.method == SNE:
-            # Each row's normalizer is complete within the tile; the
-            # shift by its peak keeps exp from underflowing to 0 / 0.
-            top = logK.max(axis=1, keepdims=True)
-            _normalizer_terms(logK, top, R, square, masked)
-            row_total = R.sum(axis=1, keepdims=True)
-            weight = self._row_mass[rows] * self._edge_scale
-            repulsion = float((weight * (top + np.log(row_total))).sum())
-            R *= weight * (exaggeration / row_total)
-            G -= R
-        elif self.method == TSNE:
+        if self.method == TSNE:
             top = 0.0 if student else float(logK.max())
             if top > -math.inf:   # else every pair is masked and adds nothing
                 if student:
@@ -395,14 +427,30 @@ class CouplingProblem:
                 else:
                     tile_total = float(_normalizer_terms(logK, top, R, square, masked).sum())
                 tsne = (top, tile_total, _pair_shares(R, Z, rows, cols))
+            G = np.multiply(P, scale, out=R)
         else:
-            # Both edgewise methods reduce to the same ordered-pair form:
-            # the (1 - P)-weighted and P-weighted log(1 + K) terms merge.
-            repulsion = float(np.log1p(K, out=R).sum())
-            np.divide(K, np.add(1.0, K, out=R), out=R)
-            G -= R
+            if self.method == SNE:
+                # Each row's normalizer is complete within the tile; the
+                # shift by its peak keeps exp from underflowing to 0 / 0.
+                top = logK.max(axis=1, keepdims=True)
+                _normalizer_terms(logK, top, R, square, masked)
+                row_total = R.sum(axis=1, keepdims=True)
+                weight = self._row_mass[rows] * self._edge_scale
+                repulsion = float((weight * (top + np.log(row_total))).sum())
+                R *= weight * (exaggeration / row_total)
+            else:
+                # Both edgewise methods reduce to the same ordered-pair form:
+                # the (1 - P)-weighted and P-weighted log(1 + K) terms merge.
+                repulsion = float(np.log1p(K, out=R).sum())
+                np.divide(K, np.add(1.0, K, out=R), out=R)
+            # P times 1 is P, bit for bit.
+            weighted = P if scale == 1.0 else np.multiply(
+                P, scale, out=scratch.take(1 if K is None else 2, shape))
+            G = np.subtract(weighted, R, out=R)
         if student:
             G *= K
+        else:
+            np.copyto(G[:, square], 0.0, where=masked)
         return rows, cols, attraction, repulsion, _pair_shares(G, Z, rows, cols), tsne
 
     def evaluate(self, Z, exaggeration: float = 1.0) -> Evaluation:

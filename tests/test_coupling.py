@@ -632,6 +632,66 @@ class TestBlockedPass:
             if block_cells == 1:
                 assert squares == 0
 
+    @pytest.mark.parametrize("method", METHOD_KINDS)
+    def test_coordinates_under_the_bound_skip_the_scan(self, monkeypatch, method):
+        # Points at (±3e153, ±3e153) have centred squared norms of 1.8e307,
+        # and 4 x 1.8e307 lies just under half the largest float: their
+        # distances and the loss are finite and no tile scans them.  The
+        # scanning path must give the same bits.
+        bounds = []
+
+        def recorded(sq_norm):
+            bounds.append(linalg._sq_dists_fit(sq_norm))
+            return bounds[-1]
+
+        def scanning(sq_norm):
+            return False
+
+        Z = np.random.default_rng(29).normal(size=(self.N, 2))
+        Z[4], Z[19] = 3e153, -3e153
+        for latent in (GAUSSIAN, STUDENT):
+            prob = calibrated_problem(method, latent, self.N, 21)
+            for factor in (1.0, 12.0):
+                for cores in (1, 2):
+                    monkeypatch.setattr(linalg, "usable_cores", lambda c=cores: c)
+                    runs = []
+                    for bound in (recorded, scanning):
+                        monkeypatch.setattr(coupling, "_sq_dists_fit", bound)
+                        ev = prob.evaluate(Z, factor)
+                        assert math.isfinite(ev.loss)
+                        runs.append(np.array([ev.loss, ev.objective]).tobytes()
+                                    + ev.grad.tobytes())
+                    case = f"{latent} factor={factor} cores={cores}"
+                    assert bounds.pop() is True, case
+                    assert runs[0] == runs[1], case
+
+    @pytest.mark.parametrize("method", [TSNE, UMAP, LARGEVIS])
+    def test_tile_buffers_per_worker(self, monkeypatch, method):
+        # tsne forms G over its repulsive terms R once their normalizer
+        # shares are taken, and umap at factor 1 writes G = P - R over R:
+        # two tile buffers.  largevis's edge scale 1/2 makes P c a third.
+        n = 600
+        rng = np.random.default_rng(23)
+        P = rng.random((n, n))
+        P = (P + P.T) / n
+        np.fill_diagonal(P, 0.0)
+        Z = rng.normal(size=(n, 2))
+        cells = max((b.stop - b.start) * (n - b.start) for b in linalg.row_blocks(n, upper=True))
+        buffers = 3 if method == LARGEVIS else 2
+        for latent in (GAUSSIAN, STUDENT):
+            prob = CouplingProblem(method, tagged_affinity(method, P), latent)
+            for workers in (1, 2):
+                monkeypatch.setattr(linalg, "usable_cores", lambda w=workers: w)
+                tracemalloc.start()
+                try:
+                    prob.evaluate(Z, 1.0)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                held = peak / (8 * cells)
+                case = f"{latent}, {workers} workers: {held:.2f} tile buffers"
+                assert buffers * workers <= held < buffers * workers + 0.5, case
+
     def test_no_n_by_n_temporary(self):
         n = 2000
         rng = np.random.default_rng(23)

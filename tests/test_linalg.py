@@ -13,6 +13,7 @@ import numpy.testing as npt
 import pytest
 
 from graphcoupling import evaluation, kernels, linalg
+from graphcoupling.coupling import METHOD_KINDS, CouplingProblem, input_affinity
 from graphcoupling.errors import ContractViolationError, NumericalError
 from graphcoupling.evaluation import evaluate_embedding
 from graphcoupling.graph import weighted_laplacian
@@ -531,6 +532,17 @@ class TestPairwiseSqDists:
         with pytest.raises(ContractViolationError):
             pairwise_sq_dists([[0.0, np.nan], [1.0, 2.0]], slice(0, 1))
 
+    def test_gram_nan_mask_only_where_the_bound_fails(self, monkeypatch):
+        # Under the bound no inf - inf can arise, so skipping the mask that
+        # turns its NaN into +inf changes no bit.
+        X = 3e152 * np.random.default_rng(8).normal(size=(40, 5))
+        sq = ((X - X.mean(axis=0)) ** 2).sum(axis=1)
+        assert linalg._sq_dists_fit(sq.max())
+        bounded = pairwise_sq_dists(X)
+        monkeypatch.setattr(linalg, "_sq_dists_fit", lambda sq_norm: False)
+        assert pairwise_sq_dists(X).tobytes() == bounded.tobytes()
+        assert np.isfinite(bounded).all()
+
     def test_overflow_is_infinite(self):
         for cols in (2, 5):
             X = np.zeros((3, cols))
@@ -1006,3 +1018,121 @@ class TestSingleBlasThread:
         with pytest.raises(ZeroDivisionError):
             map_blocks(lambda k: 1 // 0 if k == 3 else k, range(8))
         assert counts() == before
+
+
+class TestShortBuffer:
+    @pytest.fixture
+    def callers_size(self):
+        """A buffer size of the caller's own, neither numpy's nor the package's."""
+        saved = np.setbufsize(4096)
+        yield 4096
+        np.setbufsize(saved)
+
+    def test_every_block_sees_the_package_size(self, workers):
+        # The first blocks wait for each other, so each runs on its own thread.
+        first = threading.Barrier(workers, timeout=JOIN_TIMEOUT)
+
+        def fn(k):
+            if k < workers:
+                first.wait()
+            return np.getbufsize(), threading.get_ident()
+        seen = map_blocks(fn, range(4 * workers))
+        assert {size for size, _ in seen} == {linalg.BLOCK_BUFSIZE}
+        assert len({thread for _, thread in seen}) == workers
+        folded = []
+        map_blocks(lambda k: np.getbufsize(), range(2 * workers), folded.append)
+        assert folded == [linalg.BLOCK_BUFSIZE] * (2 * workers)
+
+    def test_the_size_is_read_at_call_time(self, workers, monkeypatch):
+        monkeypatch.setattr(linalg, "BLOCK_BUFSIZE", 8192)
+        assert set(map_blocks(lambda k: np.getbufsize(), range(3 * workers))) == {8192}
+
+    def test_callers_size_restored_after(self, workers, callers_size):
+        assert map_blocks(lambda k: k, range(8)) == list(range(8))
+        assert np.getbufsize() == callers_size
+        with pytest.raises(ZeroDivisionError):
+            map_blocks(lambda k: 1 // 0 if k == 3 else k, range(8))
+        assert np.getbufsize() == callers_size
+
+    def test_restored_when_a_fold_raises(self, workers, callers_size):
+        def fold(result):
+            if result == 2:
+                raise KeyError("fold")
+        with pytest.raises(KeyError):
+            map_blocks(lambda k: k, range(8), fold)
+        assert np.getbufsize() == callers_size
+
+    def test_pool_threads_put_their_size_back(self, fresh_pool, monkeypatch):
+        monkeypatch.setattr(linalg, "usable_cores", lambda: 2)
+        first = threading.Barrier(2, timeout=JOIN_TIMEOUT)
+
+        def fn(k):
+            if k < 2:
+                first.wait()
+            return np.getbufsize(), threading.get_ident()
+        seen = map_blocks(fn, range(8))
+        assert len({thread for _, thread in seen}) == 2
+        assert {size for size, _ in seen} == {linalg.BLOCK_BUFSIZE}
+        # The pool thread's next task, outside any walk, sees numpy's default.
+        sizes = SimpleQueue()
+        linalg._pool_submit(lambda: sizes.put(np.getbufsize()), 1)
+        assert sizes.get(timeout=JOIN_TIMEOUT) == 8192
+        assert len(fresh_pool) == 1
+
+
+def walked_bits(fn, workers=(1, 2)):
+    """The bytes of ``fn()`` at the package's buffer size and at numpy's default
+    8192, at each number of ``workers``."""
+    bits = []
+    for size in (linalg.BLOCK_BUFSIZE, 8192):
+        for count in workers:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(linalg, "BLOCK_BUFSIZE", size)
+                patch.setattr(linalg, "usable_cores", lambda w=count: w)
+                bits.append(fn())
+    return bits
+
+
+class TestBufferSizeChangesNoBits:
+    """Values formed under the short buffer are numpy's default bits.
+
+    Rows shorter and longer than 256 and than 8192 elements: the tiles and
+    blocks of n = 300 have rows of 300 columns and fewer (the last rows of
+    an upper triangle) and hold up to 2^16 cells, which the whole-tile
+    sums reduce at once; the scores walk rows of 8200.
+    """
+
+    @pytest.mark.parametrize("method", METHOD_KINDS)
+    def test_coupling_evaluate(self, method):
+        n = 300
+        X = np.random.default_rng(40).normal(size=(n, 5))
+        Z = np.random.default_rng(41).normal(size=(n, 2))
+        for latent in ("gaussian", "student"):
+            for classic in (False, True) if method in ("tsne", "largevis") else (False,):
+                prob = CouplingProblem(method, input_affinity(calibrated_kernel(X, 20.0), method),
+                                       latent, classic_scale=classic)
+                for factor in (1.0, 12.0):
+                    def evaluate():
+                        ev = prob.evaluate(Z, factor)
+                        return ev.loss, ev.objective, ev.grad.tobytes()
+                    bits = walked_bits(evaluate)
+                    case = f"{latent} classic={classic} factor={factor}"
+                    assert all(b == bits[0] for b in bits[1:]), case
+
+    @pytest.mark.parametrize("cols", [2, 6])
+    def test_calibrated_kernel_with_neighbor_sets(self, cols):
+        X = np.random.default_rng(42).normal(size=(300, cols))
+
+        def calibrate():
+            K = calibrated_kernel(X, 30.0, ks=(5, 150))
+            return (K.values.tobytes(), K.bandwidths.tobytes(), K.evaluations.tobytes(),
+                    K.neighbors.tobytes())
+        bits = walked_bits(calibrate)
+        assert all(b == bits[0] for b in bits[1:])
+
+    def test_evaluate_embedding(self):
+        n = 8200
+        rng = np.random.default_rng(43)
+        X, Z = rng.normal(size=(n, 4)), rng.normal(size=(n, 2))
+        bits = walked_bits(lambda: evaluate_embedding(X, Z, [10, 4100]), workers=(2,))
+        assert all(b == bits[0] for b in bits[1:])

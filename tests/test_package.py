@@ -232,3 +232,25 @@ def test_every_lapack_call_holds_one_blas_thread():
     assert held == [("linalg", "_cholesky_in_place"), ("linalg", "_cholesky_solve"),
                     ("linalg", "_lowest_pairs"), ("spectral", "_left_singular"),
                     ("spectral", "_shift_invert_pairs")]
+
+
+def setbufsize_calls(node, module, function=None):
+    """(module, enclosing function) of every ``setbufsize`` call under ``node``."""
+    calls = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.FunctionDef):
+            calls += setbufsize_calls(child, module, child.name)
+            continue
+        if isinstance(child, ast.Call) and ast.unparse(child.func).split(".")[-1] == "setbufsize":
+            calls.append((module, function))
+        calls += setbufsize_calls(child, module, function)
+    return calls
+
+
+def test_only_the_block_buffer_hold_sets_numpys_buffer():
+    # map_blocks runs its blocks under linalg._short_buffer, which puts the
+    # thread's size back; a setbufsize anywhere else would leak into the caller.
+    calls = []
+    for path in sorted(Path(graphcoupling.__file__).parent.glob("*.py")):
+        calls += setbufsize_calls(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert calls == [("linalg", "_short_buffer")] * 2
