@@ -39,19 +39,20 @@ cores through :func:`linalg.map_blocks`, each in its worker's reused
 buffers, and their terms are added up in tile order, so the loss and the
 gradient are the same bits at any core count.
 
-A tile holds two buffers of its size: the distances become K or log K in
-place, the repulsive terms R are written over log K, and the pair
-weights G are formed last, over R.  tsne takes R's normalizer shares
-first and then writes G = P c over it (c is the exaggeration times the
-edge scale); sne, largevis and umap write G = P c - R, and P c takes a
-third buffer only where c != 1 and the tile keeps K beside R, since P
-times 1 is P bit for bit.  So a tsne tile, and a umap one at no
-exaggeration, touches 1.5 MB with the slice of P it reads, not 2 MB, at
-the default ``ROW_BLOCK_CELLS``.  A tile scans its distances for
-overflow only when one bound per pass cannot rule it out: four times the
-largest squared norm of the centred points below half the largest float
-(:func:`linalg._sq_dists_fit`).  An embedding whose distances overflow
-still scores the +inf sentinel.
+A tile holds two buffers of its size for every method: the distances
+become K or log K in place, the repulsive terms R are written over
+log K, and the pair weights G are formed last, over R, in P's own units.
+tsne takes R's normalizer shares first and then copies P over it; sne
+writes G = P - R, and largevis and umap do so once R is divided by
+c = exaggeration times the edge scale, where c != 1.  The pass applies
+every scale once, to the summed terms: c, the kernel factor and the
+mirror to the gradient, tsne's normalizer to its push, and the
+exaggeration to the objective.  So a tile touches 1.5 MB with the slice
+of P it reads at the default ``ROW_BLOCK_CELLS``.  A tile scans its
+distances for overflow only when one bound per pass cannot rule it out:
+four times the largest squared norm of the centred points below half
+the largest float (:func:`linalg._sq_dists_fit`).  An embedding whose
+distances overflow still scores the +inf sentinel.
 
 sne's row normalizers and the Gaussian-latent tsne normalizer sum
 exp(log K - peak), and each such sum holds the peak's own term, 1.  Their
@@ -64,7 +65,8 @@ read cell by cell, so its exp stays exact.
 
 Losses are reported in nats.  A loss of +inf is a sentinel for an
 embedding that the method cannot score (collapsed latent mass), not an
-error; its gradient is None.
+error.  An objective that is not finite reads +inf, and its gradient is
+None.
 """
 
 import math
@@ -250,22 +252,30 @@ class CouplingProblem:
         """(attraction, repulsion, objective, gradient) from one walk over tiles.
 
         The split is of the plain loss; the objective and its gradient
-        (None if infinite) are at ``exaggeration``.  For tsne, largevis
-        and umap both P and the latent kernel are symmetric, so the pair
-        {i, j} carries the same terms in both orders and is visited once:
-        the tiles are the upper-triangle :func:`linalg.row_blocks`, rows
-        [lo, hi) against columns [lo, n), whose pairs j <= i in the
-        diagonal square are masked, and the factor 2 of the mirrored pair
-        multiplies the sums at the end.  sne's row normalizer needs
-        complete rows, so its tiles are full rows with only the
-        self-pairs masked.  The tiles run on the usable cores through
-        :func:`linalg.map_blocks` (see :meth:`_tile`), and their terms
-        and gradient shares are added up here in tile order, so every sum
-        is the serial walk's at any core count.  The tsne normalizer is
-        complete only after the last tile, so its repulsive pair weights
-        are summed unscaled and divided by it at the end; with the
-        Gaussian kernel each tile's sums are relative to its own peak log
-        K and are brought to the running peak as they are added.
+        (None if the objective is not finite, which then reads +inf) are
+        at ``exaggeration``.  For tsne, largevis and umap both P and the
+        latent kernel are symmetric, so the pair {i, j} carries the same
+        terms in both orders and is visited once: the tiles are the
+        upper-triangle :func:`linalg.row_blocks`, rows [lo, hi) against
+        columns [lo, n), whose pairs j <= i in the diagonal square are
+        masked.  sne's row normalizer needs complete rows, so its tiles
+        are full rows with only the self-pairs masked.  The tiles run on
+        the usable cores through :func:`linalg.map_blocks` (see
+        :meth:`_tile`), and their terms and gradient shares are added up
+        here in tile order, so every sum is the serial walk's at any core
+        count.  The tsne normalizer is complete only after the last tile,
+        so its repulsive pair weights are summed unscaled and divided by
+        it at the end; with the Gaussian kernel each tile's sums are
+        relative to its own peak log K and are brought to the running
+        peak as they are added.
+
+        The tiles weigh their pairs in P's own units, and every scale is
+        applied here once, to the sums: the factor 2 of the mirrored
+        pair, the edge scale and the kernel factor, c = exaggeration
+        times the edge scale to the gradient, tsne's normalizer to its
+        push, and the exaggeration to the objective, which is exactly
+        ``exaggeration * loss`` for sne and tsne and scales only the
+        attraction for largevis and umap.
         """
         if not (math.isfinite(exaggeration) and exaggeration > 0.0):
             raise ParameterError(f"exaggeration must be positive, got {exaggeration}")
@@ -274,21 +284,21 @@ class CouplingProblem:
         normalized = self.method in (SNE, TSNE)
         if normalized and n < 2:
             return 0.0, math.inf, math.inf, None  # a lone point has no normalizer
+        if not n:
+            return 0.0, 0.0, 0.0, np.zeros_like(Z)  # no pairs, as for a lone point
         student = self.latent_kernel == STUDENT
         upper = self._upper
         tiles = list(row_blocks(n, upper))
         cells = max((rows.stop - rows.start) * (n - (rows.start if upper else 0))
                     for rows in tiles)
-        # A third buffer holds P c where the tile keeps K beside R and c != 1.
-        scale = exaggeration * self._edge_scale
-        third = (student or not normalized) and self.method != TSNE and scale != 1.0
-        scratch = _Scratch([[np.empty(cells) for _ in range(3 if third else 2)]
+        scratch = _Scratch([[np.empty(cells), np.empty(cells)]
                             for _ in range(_workers(len(tiles)))])
         dists = _sq_dists(Z)
         # One bound for the pass in place of a scan of every tile's distances.
         with np.errstate(over="ignore", invalid="ignore"):
             Zc = Z - Z.mean(axis=0)
             bounded = _sq_dists_fit(np.einsum("ij,ij->i", Zc, Zc).max())
+        scale = exaggeration * self._edge_scale
         attraction = repulsion = 0.0
         grad = np.zeros_like(Z)
         # tsne: the global normalizer as a sum of exp(log K - peak), and the
@@ -298,7 +308,7 @@ class CouplingProblem:
 
         def tile(rows):
             return self._tile(dists, bounded, Z, rows, slice(rows.start if upper else 0, n),
-                              exaggeration, scratch)
+                              scale, scratch)
 
         def add(terms):
             nonlocal attraction, repulsion, total, peak, push
@@ -315,9 +325,9 @@ class CouplingProblem:
                 total, peak = total * shrink, top
                 push *= shrink
             elif top < peak:
-                scale = math.exp(top - peak)
+                rescale = math.exp(top - peak)
                 tile_total, row_push, col_push = (
-                    tile_total * scale, row_push * scale, col_push * scale)
+                    tile_total * rescale, row_push * rescale, col_push * rescale)
             total += tile_total
             push[rows] += row_push
             push[cols] += col_push
@@ -332,20 +342,23 @@ class CouplingProblem:
         mirror = 2.0 if upper else 1.0
         attraction *= self._edge_scale * mirror
         repulsion *= mirror
+        # The tiles weigh pairs in P's own units; c brings them to the objective's.
+        grad *= scale
         if self.method == TSNE:
             total *= mirror
             weight = self._mass * self._edge_scale
             repulsion = weight * (peak + math.log(total))
             grad -= push * (exaggeration * weight / total)
-        if not math.isfinite(repulsion):
-            return attraction, math.inf, math.inf, None
-        objective = exaggeration * attraction + (
-            exaggeration * repulsion if normalized else repulsion)
+        repulsion = repulsion if math.isfinite(repulsion) else math.inf
+        objective = (exaggeration * (attraction + repulsion) if normalized
+                     else exaggeration * attraction + repulsion)
+        if not math.isfinite(objective):
+            return attraction, repulsion, math.inf, None
         # dD/dz_i is 2 (z_i - z_j); the Gaussian's factor 1/2 cancels it.
         grad *= (2.0 if student else 1.0) * mirror
         return attraction, repulsion, objective, grad
 
-    def _tile(self, dists, bounded, Z, rows, cols, exaggeration, scratch):
+    def _tile(self, dists, bounded, Z, rows, cols, scale, scratch):
         """The terms of the pairs ``rows`` x ``cols`` for :meth:`_pass`.
 
         Returns ``(rows, cols, attraction, repulsion, gradient shares,
@@ -357,23 +370,24 @@ class CouplingProblem:
         scans its distances for that only when the pass's bound,
         ``bounded``, cannot rule it out.  The tile gets its squared
         distances D from ``dists``, then K and log K; a masked pair has
-        zero weight and log K = -inf.  The pair weights G = dObjective/dD
-        fold in the kernel derivative: -K^2 per unit of squared distance
-        for the Student kernel, -K/2 for the Gaussian.
+        zero weight and log K = -inf.  The pair weights G are
+        dObjective/dD in P's own units, which the pass multiplies by
+        ``scale`` (c, the exaggeration times the edge scale); they fold
+        in the kernel derivative: -K^2 per unit of squared distance for
+        the Student kernel, -K/2 for the Gaussian.
 
-        Its tile-sized temporaries live in the running thread's
+        Its tile-sized temporaries live in the running thread's two
         ``scratch`` buffers: D, then K for the Student kernel, in the
         first, and the distances' work, then log K, in the second (the
         Gaussian K of largevis and umap takes the second while log K
         stays in the first).  The repulsive terms R are written over
         log K, and G is formed last, over R: tsne takes R's normalizer
-        shares first and then writes G = P c over it, c = exaggeration
-        times the edge scale; sne, largevis and umap write G = P c - R,
-        where P c needs a buffer of its own (the third, or the second if
-        it holds no K) unless c = 1, where P c is P.  The Student kernel
-        then multiplies G by K, which is 0 on the masked pairs, so only
-        the Gaussian G is masked.  It calls only private helpers, so it
-        may run on any thread.
+        shares first and then copies P over it; sne writes G = P - R,
+        R = w K / s with the row's mass w and normalizer s, and largevis
+        and umap write G = P - R / c, R = K / (1 + K).  The Student
+        kernel then multiplies G by K, which is 0 on the masked pairs, so
+        only the Gaussian G is masked.  It calls only private helpers, so
+        it may run on any thread.
         """
         student = self.latent_kernel == STUDENT
         normalized = self.method in (SNE, TSNE)
@@ -413,7 +427,6 @@ class CouplingProblem:
         if not (student or normalized):
             # K is stored and read cell by cell, so its exp takes no floor.
             K = np.exp(logK, out=scratch.take(1, shape))
-        scale = exaggeration * self._edge_scale
         # The repulsive terms R take log K's buffer: log K is either read
         # for the last time to form them, or no longer read at all.
         R = logK
@@ -427,31 +440,32 @@ class CouplingProblem:
                 else:
                     tile_total = float(_normalizer_terms(logK, top, R, square, masked).sum())
                 tsne = (top, tile_total, _pair_shares(R, Z, rows, cols))
-            G = np.multiply(P, scale, out=R)
+            np.copyto(R, P)
         else:
             if self.method == SNE:
                 # Each row's normalizer is complete within the tile; the
                 # shift by its peak keeps exp from underflowing to 0 / 0.
+                # sne's edge scale is 1, so its weights are P's row sums.
                 top = logK.max(axis=1, keepdims=True)
                 _normalizer_terms(logK, top, R, square, masked)
                 row_total = R.sum(axis=1, keepdims=True)
-                weight = self._row_mass[rows] * self._edge_scale
+                weight = self._row_mass[rows]
                 repulsion = float((weight * (top + np.log(row_total))).sum())
-                R *= weight * (exaggeration / row_total)
+                R *= weight * (1.0 / row_total)
             else:
                 # Both edgewise methods reduce to the same ordered-pair form:
                 # the (1 - P)-weighted and P-weighted log(1 + K) terms merge.
                 repulsion = float(np.log1p(K, out=R).sum())
                 np.divide(K, np.add(1.0, K, out=R), out=R)
-            # P times 1 is P, bit for bit.
-            weighted = P if scale == 1.0 else np.multiply(
-                P, scale, out=scratch.take(1 if K is None else 2, shape))
-            G = np.subtract(weighted, R, out=R)
+                if scale != 1.0:
+                    R /= scale
+            np.subtract(P, R, out=R)
+        # R now holds the pair weights G.
         if student:
-            G *= K
+            R *= K
         else:
-            np.copyto(G[:, square], 0.0, where=masked)
-        return rows, cols, attraction, repulsion, _pair_shares(G, Z, rows, cols), tsne
+            np.copyto(R[:, square], 0.0, where=masked)
+        return rows, cols, attraction, repulsion, _pair_shares(R, Z, rows, cols), tsne
 
     def evaluate(self, Z, exaggeration: float = 1.0) -> Evaluation:
         """Loss, objective at ``exaggeration`` and its gradient, in one pass."""

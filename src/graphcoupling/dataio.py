@@ -163,7 +163,7 @@ def _walk_rows(path, delimiter: str, header: bool, label) -> Dataset:
     label_idx, feature_cols = _columns(path, names, header, label)
 
     X = np.empty((len(body), len(feature_cols)), dtype=np.float64)
-    raw_labels = []
+    codes, labels = {}, []
     for i, row in enumerate(body):
         if len(row) != width:
             raise DataError(
@@ -183,26 +183,14 @@ def _walk_rows(path, delimiter: str, header: bool, label) -> Dataset:
                         f"non-numeric value {cell!r}") from None
             raise
         if label_idx is not None:
-            raw_labels.append(row[label_idx].strip())
+            labels.append(codes.setdefault(row[label_idx].strip(), len(codes)))
     bad = np.argwhere(~np.isfinite(X))
     if bad.size:
         i, j = bad[0][0], feature_cols[bad[0][1]]
         raise DataError(f"{path} line {first_line + i}, column {names[j]!r}: "
                         f"non-finite value {body[i][j].strip()!r}")
-
-    labels = None
-    label_names = None
-    if label_idx is not None:
-        label_names = []
-        seen = {}
-        codes = np.empty(len(raw_labels), dtype=np.int64)
-        for i, value in enumerate(raw_labels):
-            if value not in seen:
-                seen[value] = len(label_names)
-                label_names.append(value)
-            codes[i] = seen[value]
-        labels = codes
-    return Dataset(X, labels, label_names,
+    labels = None if label_idx is None else np.array(labels, dtype=np.int64)
+    return Dataset(X, labels, None if label_idx is None else list(codes),
                    [names[j] for j in feature_cols])
 
 

@@ -109,9 +109,14 @@ def log_kernel(D, kind: str, bandwidths=None) -> np.ndarray:
 
 
 def _log_kernel(S, kind: str, tau=None, out=None) -> np.ndarray:
-    """:func:`log_kernel` of checked distances and bandwidths, in ``out`` if given."""
+    """:func:`log_kernel` of checked distances and bandwidths, in ``out`` if given.
+
+    A distance over tau^2 past the largest float is +inf, so its kernel
+    value is exactly 0, the limit it stands for.
+    """
     if tau is not None:
-        S = out = np.divide(S, (tau * tau)[:, None], out=out)
+        with np.errstate(over="ignore"):
+            S = out = np.divide(S, (tau * tau)[:, None], out=out)
     if kind == GAUSSIAN:
         return np.divide(S, -2.0, out=out)
     L = np.log1p(S, out=out)
@@ -166,7 +171,9 @@ def calibrated_kernel(X, perplexity: float, ks=()) -> KernelMatrix:
         or a k outside [1, n - 2], before any distance is taken.
     DegenerateRowError
         If some row is at distance zero from every other row, which
-        makes its neighbor distribution independent of tau.  The first
+        makes its neighbor distribution independent of tau, or at a
+        squared distance that overflows to +inf from every other row,
+        which leaves it no finite distance to calibrate on.  The first
         such row is named, as in a serial walk.
     """
     X = as_float_matrix(X, "X")
@@ -189,11 +196,18 @@ def calibrated_kernel(X, perplexity: float, ks=()) -> KernelMatrix:
         if dead.size:
             raise DegenerateRowError(
                 f"row {rows[dead[0]]} is at distance zero from every other row")
+        # Each row's -d/2 less its peak; a row with no finite distance has
+        # no peak to shift by.
+        peak = np.divide(d, -2.0, out=d).max(axis=1)
+        far = np.flatnonzero(peak == -np.inf)
+        if far.size:
+            raise DegenerateRowError(
+                f"row {rows[far[0]]} is at an overflowing distance from every other row")
         if ks:
             for j, chosen in enumerate(_neighbor_sets(D, block, ks)):
                 neighbors[j, block] = np.packbits(chosen, axis=1)
             K[rows, rows] = 0.0  # the selection wrote -1 there
-        t, evaluations[block] = _calibrate_rows(np.divide(d, -2.0, out=d), target)
+        t, evaluations[block] = _calibrate_rows(np.subtract(d, peak[:, None], out=d), target)
         tau[block] = t
         np.exp(_log_kernel(D, GAUSSIAN, t, out=D), out=D)
         K[rows, rows] = 0.0
@@ -202,14 +216,14 @@ def calibrated_kernel(X, perplexity: float, ks=()) -> KernelMatrix:
     return KernelMatrix(K, GAUSSIAN, tau, evaluations, neighbors)
 
 
-def _calibrate_rows(neg_half_d: np.ndarray, target: float):
+def _calibrate_rows(shifted: np.ndarray, target: float):
     """The bandwidth rule of :func:`calibrated_kernel` on a block of rows.
 
     Returns each row's tau and its number of entropy evaluations.  With
     the shifted logits l = (-d/2 - peak) / tau^2, where peak is the row's
-    largest -d/2, the entropy in nats is H = log sum e^l - E_p[l] and
-    dH / d log tau = 2 Var_p(l), so one exp pass gives both the entropy
-    and its slope.  The exp takes its argument floored at ``EXP_FLOOR``,
+    largest -d/2 and ``shifted`` holds -d/2 - peak, the entropy in nats
+    is H = log sum e^l - E_p[l] and dH / d log tau = 2 Var_p(l), so one
+    exp pass gives both the entropy and its slope.  The exp takes its argument floored at ``EXP_FLOOR``,
     which keeps numpy on its fast path and every bit of the result: the
     row's largest l is 0, so s >= 1 absorbs a floored lane's e^-700.  The
     sums of e l and e l^2 absorb it too, unless all their other terms are
@@ -225,14 +239,13 @@ def _calibrate_rows(neg_half_d: np.ndarray, target: float):
     infinite, else (lo + hi) / 2: rows far from their scale double or
     halve until the target is bracketed.
 
-    Works in ``neg_half_d``, which it shifts and reorders, and two
-    buffers of its shape.  The rows still running are kept in the
-    leading rows: when some finish, the rest move up in order.
+    Works in ``shifted``, which it reorders, and two buffers of its
+    shape.  The rows still running are kept in the leading rows: when
+    some finish, the rest move up in order.
     """
-    rows = neg_half_d.shape[0]
+    rows = shifted.shape[0]
     tau, evaluations = np.empty(rows), np.empty(rows, dtype=np.int64)
     live = np.arange(rows)
-    shifted = np.subtract(neg_half_d, neg_half_d.max(axis=1)[:, None], out=neg_half_d)
     logits, w = np.empty_like(shifted), np.empty_like(shifted)
     t, lo, hi = np.ones(rows), np.zeros(rows), np.full(rows, np.inf)
     ln2 = np.log(2.0)

@@ -10,6 +10,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import graphcoupling
 from graphcoupling import cli, linalg, pipeline
@@ -843,3 +845,56 @@ class TestDiagnose:
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
+
+
+@st.composite
+def tiny_fits(draw):
+    """(X, fit options): 2 to 4 rows of 1 to 3 columns, with duplicated or
+    constant rows, two clusters 1e6 apart, scales of 1e154 or 1e-160 and
+    offsets of 1e12, under every method, 0 to 5 iterations, dimensions
+    1 to 3, and at most one perplexity or learning rate out of range."""
+    n = draw(st.integers(2, 4))
+    p = draw(st.integers(1, 3))
+    X = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).normal(size=(n, p))
+    shape = draw(st.sampled_from(["normal", "duplicated", "constant", "clusters"]))
+    if shape == "duplicated":
+        X[-1] = X[0]
+    elif shape == "constant":
+        X[:] = X[0]
+    elif shape == "clusters":
+        X[n // 2:, 0] += 1e6
+    X = X * draw(st.sampled_from([1.0, 1e154, 1e-160])) + draw(st.sampled_from([0.0, 1e12]))
+    broken = draw(st.sampled_from([None, None, None, "--perplexity", "--learning-rate"]))
+    perplexity = ["nan", "inf"] if broken == "--perplexity" else ["1", str(n - 1)]
+    options = ["--method", draw(st.sampled_from(METHOD_KINDS)),
+               "--iterations", str(draw(st.sampled_from([0, 2, 3, 4, 5]))),
+               "--perplexity", draw(st.sampled_from(perplexity))]
+    if broken == "--learning-rate":
+        options += [broken, draw(st.sampled_from(["0", "-5", "nan"]))]
+    dim = draw(st.sampled_from([None, "1", "3"]))
+    return X, options + ([] if dim is None else ["--dim", dim])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(tiny_fits())
+def test_fit_exits_with_a_code_and_writes_only_on_success(tmp_path_factory, case):
+    # Every fit ends in an exit code, not an exception; it makes its
+    # output directory only when it succeeds, and a seed fixes its bytes.
+    X, options = case
+    tmp = tmp_path_factory.mktemp("fit")
+    data = tmp / "data.csv"
+    save_embedding(data, X)
+    codes = []
+    for out in (tmp / "a", tmp / "b"):
+        codes.append(main(["fit", "--input", str(data), "--out-dir", str(out), "--seed", "3"]
+                          + options))
+        assert codes[-1] in (0, 2, 3, 4), options
+        assert out.exists() == (codes[-1] == 0), options
+    assert codes[0] == codes[1], options
+    if codes[0] == 0:
+        assert sorted(path.name for path in (tmp / "a").iterdir()) == sorted(
+            path.name for path in (tmp / "b").iterdir())
+        for path in (tmp / "a").iterdir():
+            if path.name != "manifest.yaml":
+                assert path.read_bytes() == (tmp / "b" / path.name).read_bytes(), options

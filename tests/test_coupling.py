@@ -440,6 +440,26 @@ class TestExaggeration:
         npt.assert_allclose(boosted.objective, 12.0 * plain.loss, rtol=1e-12)
         npt.assert_allclose(boosted.grad, 12.0 * plain.grad, rtol=1e-12)
 
+    @pytest.mark.parametrize("method", [SNE, TSNE])
+    def test_normalized_objective_is_exaggeration_times_loss(self, method):
+        # The tiles weigh pairs in P's own units and the pass applies the
+        # factor once: to the loss, bit for bit, and to the summed gradient.
+        rng = np.random.default_rng(17)
+        X = rng.normal(size=(12, 3))
+        Z = rng.normal(size=(12, 2))
+        affinity = _affinity(kernel_matrix(X, "gaussian"), method)
+        for latent in (GAUSSIAN, STUDENT):
+            for classic in ((False, True) if method == TSNE else (False,)):
+                prob = CouplingProblem(method, affinity, latent, classic_scale=classic)
+                plain = prob.evaluate(Z)
+                for factor in (2.0, 12.0):
+                    ev = prob.evaluate(Z, factor)
+                    case = f"{latent} classic={classic} factor={factor}"
+                    assert ev.loss == plain.loss, case
+                    assert ev.objective == factor * ev.loss, case
+                    want = factor * plain.grad
+                    assert np.abs(ev.grad - want).max() <= 1e-14 * np.abs(want).max(), case
+
     @pytest.mark.parametrize("method", [LARGEVIS, UMAP])
     def test_edgewise_methods_scale_attraction_only(self, method):
         prob, Z = exaggeration_case(method)
@@ -479,6 +499,25 @@ class TestNonFinite:
         assert att + rep == prob.loss(Z)
         assert prob.evaluate(Z, 12.0).objective == np.inf
         assert prob.grad(Z) is None
+
+    @pytest.mark.parametrize("method", METHOD_KINDS)
+    def test_finite_objective_comes_with_finite_gradient(self, method):
+        # Points at (±3e153, ±3e153) keep every distance and the loss
+        # finite, but the Gaussian loss lies near the largest float, so the
+        # exaggerated objective passes it: it reads +inf with no gradient.
+        Z = np.random.default_rng(29).normal(size=(30, 2))
+        Z[4], Z[19] = 3e153, -3e153
+        for latent in (GAUSSIAN, STUDENT):
+            prob = calibrated_problem(method, latent, 30, 21)
+            for factor in (1.0, 12.0):
+                ev = prob.evaluate(Z, factor)
+                case = f"{latent} factor={factor}"
+                assert math.isfinite(ev.loss), case
+                if math.isfinite(ev.objective):
+                    assert np.isfinite(ev.grad).all(), case
+                else:
+                    assert (ev.objective, ev.grad) == (math.inf, None), case
+                    assert (latent, factor) == (GAUSSIAN, 12.0), case
 
     def test_nan_embedding_raises(self):
         prob = CouplingProblem(TSNE, uniform_affinity(TSNE, 4))
@@ -604,6 +643,19 @@ class TestBlockedPass:
         else:
             npt.assert_array_equal(got[3], want[3])
 
+    @pytest.mark.parametrize("method", [LARGEVIS, UMAP])
+    def test_no_pair_sums_match_dense_oracle(self, method, block_cells):
+        # No points and a lone point have no pairs: zero sums and a zero
+        # gradient, with no tile buffers to take.
+        for n in (0, 1):
+            prob = CouplingProblem(method, tagged_affinity(method, np.zeros((n, n))))
+            for factor in (1.0, 12.0):
+                got = prob._pass(np.zeros((n, 2)), factor)
+                want = dense_pass(prob, np.zeros((n, 2)), factor)
+                assert got[:3] == want[:3] == (0.0, 0.0, 0.0), (n, factor)
+                assert got[3].shape == (n, 2)
+                npt.assert_array_equal(got[3], want[3])
+
     @pytest.mark.parametrize("method", METHOD_KINDS)
     def test_visits_each_pair_once(self, monkeypatch, method, block_cells):
         # The symmetric methods read the upper triangle: n(n + 1) / 2 cells
@@ -637,7 +689,8 @@ class TestBlockedPass:
         # Points at (±3e153, ±3e153) have centred squared norms of 1.8e307,
         # and 4 x 1.8e307 lies just under half the largest float: their
         # distances and the loss are finite and no tile scans them.  The
-        # scanning path must give the same bits.
+        # scanning path must give the same bits, and the same None for an
+        # objective past the largest float.
         bounds = []
 
         def recorded(sq_norm):
@@ -659,17 +712,17 @@ class TestBlockedPass:
                         monkeypatch.setattr(coupling, "_sq_dists_fit", bound)
                         ev = prob.evaluate(Z, factor)
                         assert math.isfinite(ev.loss)
-                        runs.append(np.array([ev.loss, ev.objective]).tobytes()
-                                    + ev.grad.tobytes())
+                        runs.append((ev.loss, ev.objective,
+                                     None if ev.grad is None else ev.grad.tobytes()))
                     case = f"{latent} factor={factor} cores={cores}"
                     assert bounds.pop() is True, case
                     assert runs[0] == runs[1], case
 
     @pytest.mark.parametrize("method", [TSNE, UMAP, LARGEVIS])
     def test_tile_buffers_per_worker(self, monkeypatch, method):
-        # tsne forms G over its repulsive terms R once their normalizer
-        # shares are taken, and umap at factor 1 writes G = P - R over R:
-        # two tile buffers.  largevis's edge scale 1/2 makes P c a third.
+        # Every tile forms its pair weights G over its repulsive terms R,
+        # in P's own units: two tile buffers, also at largevis's edge
+        # scale 1/2, which the pass applies to the summed gradient.
         n = 600
         rng = np.random.default_rng(23)
         P = rng.random((n, n))
@@ -677,20 +730,19 @@ class TestBlockedPass:
         np.fill_diagonal(P, 0.0)
         Z = rng.normal(size=(n, 2))
         cells = max((b.stop - b.start) * (n - b.start) for b in linalg.row_blocks(n, upper=True))
-        buffers = 3 if method == LARGEVIS else 2
         for latent in (GAUSSIAN, STUDENT):
             prob = CouplingProblem(method, tagged_affinity(method, P), latent)
-            for workers in (1, 2):
+            for factor, workers in ((1.0, 1), (1.0, 2), (12.0, 2)):
                 monkeypatch.setattr(linalg, "usable_cores", lambda w=workers: w)
                 tracemalloc.start()
                 try:
-                    prob.evaluate(Z, 1.0)
+                    prob.evaluate(Z, factor)
                     peak = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
                 held = peak / (8 * cells)
-                case = f"{latent}, {workers} workers: {held:.2f} tile buffers"
-                assert buffers * workers <= held < buffers * workers + 0.5, case
+                case = f"{latent}, factor {factor}, {workers} workers: {held:.2f} tile buffers"
+                assert 2 * workers <= held < 2 * workers + 0.5, case
 
     def test_no_n_by_n_temporary(self):
         n = 2000

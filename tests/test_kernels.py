@@ -389,6 +389,30 @@ class TestCalibration:
         with pytest.raises(DegenerateRowError, match="row 0 "):
             calibrated_kernel(np.full((40, 2), 3.0), 5.0)
 
+    @pytest.mark.parametrize("block_cells", [1, linalg.ROW_BLOCK_CELLS], indirect=True)
+    def test_row_far_from_all_others_is_named(self, block_cells):
+        # Row 2's squared distances to the others overflow to +inf and
+        # leave it nothing to calibrate on; rows 0 and 1 are 1 apart.
+        X = np.zeros((3, 2))
+        X[1, 0] = 1.0
+        X[2, 0] = 3e154
+        with pytest.raises(DegenerateRowError, match="row 2 is at an overflowing distance"):
+            calibrated_kernel(X, 1.5)
+        # With every pair that far, in the Gram path too, the first row is named.
+        X = np.zeros((3, 40))
+        X[:, 0] = [0.0, 3e154, 6e154]
+        with pytest.raises(DegenerateRowError, match="row 0 is at an overflowing distance"):
+            calibrated_kernel(X, 1.5)
+
+    def test_distance_over_tau_squared_past_the_largest_float_is_zero(self):
+        # Row 2's two neighbours are tied, so it cannot reach perplexity 1:
+        # its tau halves to 2^-128, its distances of 1e240 over tau^2
+        # overflow, and its kernel values are exactly 0, with no warning.
+        K = calibrated_kernel(np.array([[0.0], [0.0], [1e120]]), 1.0)
+        assert K.bandwidths[2] == 2.0 ** -MAX_ENTROPY_EVALS
+        npt.assert_array_equal(K.values[2], 0.0)
+        assert K.values[0, 1] == K.values[1, 0] == 1.0
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_kernel_is_the_one_n_by_n_array(self, workers, monkeypatch):
         # Each block writes its distances into its own rows of K, so the

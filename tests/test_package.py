@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import graphcoupling
-from graphcoupling import cli
+from graphcoupling import cli, coupling
 from graphcoupling.coupling import METHOD_KINDS, CouplingProblem
 from graphcoupling.dataio import save_embedding
 from graphcoupling.pipeline import INIT_KINDS, SPECTRAL_INIT_KINDS
@@ -254,3 +254,23 @@ def test_only_the_block_buffer_hold_sets_numpys_buffer():
     for path in sorted(Path(graphcoupling.__file__).parent.glob("*.py")):
         calls += setbufsize_calls(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     assert calls == [("linalg", "_short_buffer")] * 2
+
+
+#: Calls that allocate an array, which a tile takes from its thread's
+#: ``_Scratch`` buffers instead.
+ALLOCATIONS = {"np.empty", "np.empty_like", "np.zeros", "np.zeros_like"}
+
+
+def test_tiles_take_no_scale_and_allocate_no_buffer():
+    # CouplingProblem._pass applies every scale of the objective once, to
+    # the summed terms, so a tile weighs its pairs in P's own units.
+    tree = ast.parse(Path(coupling.__file__).read_text(encoding="utf-8"))
+    tile = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "_tile")
+    names = {node.id for node in ast.walk(tile) if isinstance(node, ast.Name)}
+    names |= {arg.arg for arg in tile.args.args}
+    assert "exaggeration" not in names
+    attributes = {ast.unparse(node) for node in ast.walk(tile) if isinstance(node, ast.Attribute)}
+    assert "self._edge_scale" not in attributes
+    calls = {ast.unparse(node.func) for node in ast.walk(tile) if isinstance(node, ast.Call)}
+    assert not calls & ALLOCATIONS
