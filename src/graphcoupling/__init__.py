@@ -22,20 +22,18 @@ from .kernels import (
     STUDENT,
     KernelMatrix,
     calibrated_kernel,
-    kernel_matrix,
     log_kernel,
 )
 from .graph import (
     EdgeList,
     Partition,
     components_from_edges,
-    connected_components,
     laplacian,
     log_mrf_density,
     validate_latent_graph,
     weighted_laplacian,
 )
-from .posterior import AffinityMatrix, PosteriorSampler, posterior_expectation
+from .posterior import AffinityMatrix, PosteriorSampler
 from .coupling import (
     LARGEVIS,
     METHOD_KINDS,
@@ -63,11 +61,10 @@ __all__ = [
     "ParameterError", "Partition", "PosteriorSampler", "RunResult",
     "RunSpec", "SNE", "STUDENT", "TSNE", "UMAP",
     "calibrated_kernel", "ccpca", "center_columns", "components_from_edges",
-    "connected_components", "evaluate_embedding",
-    "initial_embedding", "kernel_matrix", "laplacian",
+    "evaluate_embedding", "initial_embedding", "laplacian",
     "laplacian_eigenmaps", "leading_signs", "load_csv",
     "load_embedding", "log_kernel", "log_mrf_density", "minimize",
-    "pairwise_sq_dists", "pca", "posterior_expectation",
+    "pairwise_sq_dists", "pca",
     "prepare_input", "render_svg_scatter",
     "run", "save_embedding",
     "validate_latent_graph", "weighted_laplacian",

@@ -106,17 +106,24 @@ def _parse_with_numpy(path, delimiter: str, header: bool, label) -> Optional[Dat
     for in ``SCAN_BYTES`` chunks of the raw file (in UTF-8 neither byte
     occurs inside another character), then the open file goes to
     ``np.loadtxt`` a line at a time, so no copy of the whole text is
-    made.  The label column goes through a converter that assigns codes
-    in order of first appearance.  Any row of another width, any cell
-    that numpy cannot read (such as ``1_0``, which ``float`` takes) and
-    any non-finite value make the parse fail or return None.
+    made.  numpy parses only the feature columns into X, allocated once
+    for the line endings the scan counted, from a generator that checks
+    each line's field count (``usecols`` lets a longer row through) and
+    codes its label in order of first appearance.  Any row of another
+    width, any cell that numpy cannot read (such as ``1_0``, which
+    ``float`` takes) and any non-finite value make the parse fail or
+    return None.
     """
     if len(delimiter) != 1 or delimiter.isspace() or delimiter == '"':
         return None
     with open(path, "rb") as raw:
+        endings = 0  # one more where a chunk splits a \r\n
         for chunk in iter(lambda: raw.read(SCAN_BYTES), b""):
             if b'"' in chunk or b"\0" in chunk:
                 return None
+            endings += chunk.count(b"\n")
+            if b"\r" in chunk:  # \r ends a line too, unless \n follows it
+                endings += chunk.count(b"\r") - chunk.count(b"\r\n")
         raw.seek(0)
         handle = io.TextIOWrapper(raw, encoding="utf-8", newline="")
         first = handle.readline()
@@ -125,24 +132,28 @@ def _parse_with_numpy(path, delimiter: str, header: bool, label) -> Optional[Dat
             return None
         names = [cell.strip() for cell in cells] if header else [f"c{j}" for j in range(len(cells))]
         label_idx, feature_cols = _columns(path, names, header, label)
-        codes = {}
-        converters = None if label_idx is None else {
-            label_idx: lambda cell: codes.setdefault(cell.strip(), len(codes))}
+        codes, labels, width = {}, [], len(names)
+
+        def lines():
+            for line in handle if header else itertools.chain([first], handle):
+                if line in ("\n", "\r\n", "\r"):  # an empty line, which csv and numpy skip
+                    continue
+                if line.count(delimiter) != width - 1:
+                    raise ValueError("a row of another width")
+                if label_idx is not None:  # its field, split off from the nearer end
+                    cell = (line.split(delimiter, label_idx + 1)[label_idx] if 2 * label_idx < width
+                            else line.rsplit(delimiter, width - label_idx)[1])
+                    labels.append(codes.setdefault(cell.strip(), len(codes)))
+                yield line
+
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # an empty body warns; the walk names it
-            # encoding=None: before numpy 2.0 the default hands the converter bytes.
-            table = np.loadtxt(handle if header else itertools.chain([first], handle),
-                               dtype=np.float64, delimiter=delimiter, comments=None,
-                               converters=converters, ndmin=2, encoding=None)
-    if table.shape[1] != len(names):
-        return None
-    # A row-major copy, as the walk makes: the fit's products depend on the layout.
-    X = table if label_idx is None else np.delete(table, label_idx, axis=1)
+            X = np.loadtxt(lines(), dtype=np.float64, delimiter=delimiter, comments=None,
+                           usecols=feature_cols, ndmin=2, max_rows=endings + 1)
     if not np.isfinite(X).all():
         return None
-    labels = None if label_idx is None else table[:, label_idx].astype(np.int64)
-    return Dataset(X, labels, None if label_idx is None else list(codes),
-                   [names[j] for j in feature_cols])
+    return Dataset(X, None if label_idx is None else np.array(labels, dtype=np.int64),
+                   None if label_idx is None else list(codes), [names[j] for j in feature_cols])
 
 
 def _walk_rows(path, delimiter: str, header: bool, label) -> Dataset:

@@ -6,6 +6,9 @@ component shift invariance, posterior sampling frequencies against
 their closed-form expectations, the loss decomposition identity, and
 finite-difference agreement of the analytic gradients.  They run on
 small random instances so the whole battery stays under a few seconds.
+The last three run a fit's path in its order: :func:`kernels.calibrated_kernel`,
+draws from it, then :func:`coupling.input_affinity` over it; shift invariance
+takes its components from :func:`graph.components_from_edges`, as ccPCA does.
 """
 
 import math
@@ -13,13 +16,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coupling import METHOD_KINDS, CouplingProblem, input_affinity
+from .coupling import METHOD_KINDS, SNE, TSNE, UMAP, CouplingProblem, input_affinity
 from .errors import ParameterError
-from .graph import connected_components, laplacian, log_mrf_density
-from .kernels import kernel_matrix
-from .posterior import PRIOR_KINDS, PosteriorSampler, posterior_expectation
+from .graph import components_from_edges, laplacian, log_mrf_density
+from .kernels import calibrated_kernel
+from .posterior import PRIOR_KINDS, PosteriorSampler, _expectation_in_place
 
 
+#: Perplexity of the fit-path checks' kernels, small enough for their few rows.
+PERPLEXITY = 2.0
 #: Two-sided level of the sampling-frequency check: the normal tail beyond
 #: 5 standard errors, about 5.7e-7.
 FREQUENCY_LEVEL = math.erfc(5.0 / math.sqrt(2.0))
@@ -58,7 +63,7 @@ def _shift_invariance(rng) -> DiagnosticResult:
         W = _random_graph(rng, n)
         kind = "gaussian" if trial % 2 == 0 else "student"
         base = log_mrf_density(X, W, kind)
-        parts = connected_components(W)
+        parts = components_from_edges(n, *np.nonzero(W))
         shifted = X + rng.uniform(-3.0, 3.0, size=(parts.n_components, 2))[parts.assignment]
         worst = max(worst, abs(log_mrf_density(shifted, W, kind) - base))
     return DiagnosticResult("component-shift-invariance", worst <= 1e-9,
@@ -89,28 +94,31 @@ def binomial_tail(counts, trials: int, p) -> np.ndarray:
 
 
 def _posterior_frequencies(rng, samples: int) -> DiagnosticResult:
-    """Each cell's edge count over ``samples`` draws against its exact law.
+    """Each cell's edge count over ``samples`` draws against the P a fit writes.
 
-    A B or D cell is one Bernoulli(p) indicator per draw, and an E draw
-    puts n edges on the cells by one multinomial(n, p), so a cell's count
-    is Binomial(samples, p), or Binomial(n samples, p) under E.  The check
-    fails when a count lies in a tail of probability below
-    ``FREQUENCY_LEVEL / 2``.  Unlike a normal z-score, the exact tail
-    does not flag a rare cell (p near 0) that a correct sampler hit once.
+    A D draw hits cell (i, j) with sne's P_ij; a B draw, joined over both
+    directions, hits the pair {i, j} with umap's OR P; an E draw puts n
+    edges by one multinomial(n, p), p the E expectation that no method
+    uses.  So a count is Binomial(samples, p), or Binomial(n samples, p)
+    under E, and the check fails when one lies in a tail of probability
+    below ``FREQUENCY_LEVEL / 2``.  Unlike a normal z-score, the exact
+    tail does not flag a rare cell (p near 0) that a correct sampler hit once.
     """
     n = 5
-    X = rng.normal(size=(n, 2))
-    K = kernel_matrix(X, "gaussian")
-    worst = 1.0
+    K = calibrated_kernel(rng.normal(size=(n, 3)), PERPLEXITY)
     off = ~np.eye(n, dtype=bool)
+    counts = {prior: np.zeros((n, n), dtype=np.int64) for prior in PRIOR_KINDS}
     for prior in PRIOR_KINDS:
-        p = posterior_expectation(K, prior).values
-        counts = np.zeros((n, n), dtype=np.int64)
         sub = np.random.default_rng(rng.integers(2 ** 32))
         for edges in PosteriorSampler(K, prior).draws([sub] * samples):
-            counts += edges.dense()
-        trials = n * samples if prior == "E" else samples
-        worst = min(worst, float(binomial_tail(counts[off], trials, p[off]).min()))
+            W = edges.dense()
+            counts[prior] += (W + W.T > 0) if prior == "B" else W
+    # The draws read K, and sne's P is then written over it.
+    laws = [("B", input_affinity(K.values.copy(), UMAP), np.triu(off), samples),
+            ("E", _expectation_in_place(K.values.copy(), "E"), off, n * samples),
+            ("D", input_affinity(K, SNE), off, samples)]
+    worst = min(float(binomial_tail(counts[prior][cells], trials, P.values[cells]).min())
+                for prior, P, cells, trials in laws)
     return DiagnosticResult("posterior-sampling-frequencies", worst >= FREQUENCY_LEVEL / 2.0,
                             f"smallest binomial tail {worst:.2e} over B/D/E "
                             f"(fails below {FREQUENCY_LEVEL / 2.0:.2e})")
@@ -118,12 +126,12 @@ def _posterior_frequencies(rng, samples: int) -> DiagnosticResult:
 
 def _decomposition_identity(rng) -> DiagnosticResult:
     n = 8
-    X = rng.normal(size=(n, 3))
+    K = calibrated_kernel(rng.normal(size=(n, 3)), PERPLEXITY)
     Z = rng.normal(size=(n, 2))
     exact = True
     for method in METHOD_KINDS:
-        # input_affinity consumes its kernel, so each method gets its own.
-        problem = CouplingProblem(method, input_affinity(kernel_matrix(X, "gaussian"), method))
+        # input_affinity consumes its kernel, so each method gets a copy.
+        problem = CouplingProblem(method, input_affinity(K.values.copy(), method))
         att, rep = problem.attraction_repulsion(Z)
         exact = exact and (att + rep == problem.evaluate(Z).loss)
     return DiagnosticResult("loss-decomposition-identity", exact,
@@ -132,18 +140,17 @@ def _decomposition_identity(rng) -> DiagnosticResult:
 
 def _gradient_check(rng) -> DiagnosticResult:
     n = 6
-    X = rng.normal(size=(n, 3))
-    problem = CouplingProblem("tsne", input_affinity(kernel_matrix(X, "gaussian"), "tsne"))
+    K = calibrated_kernel(rng.normal(size=(n, 3)), PERPLEXITY)
+    problem = CouplingProblem(TSNE, input_affinity(K, TSNE))
     Z = rng.normal(size=(n, 2))
     g = problem.evaluate(Z).grad
     eps = 1e-6
     worst = 0.0
-    for i in range(n):
-        for j in range(2):
-            Zp = Z.copy(); Zp[i, j] += eps
-            Zm = Z.copy(); Zm[i, j] -= eps
-            fd = (problem.evaluate(Zp).loss - problem.evaluate(Zm).loss) / (2 * eps)
-            worst = max(worst, abs(fd - g[i, j]) / (1.0 + abs(fd)))
+    for i, j in np.ndindex(Z.shape):
+        step = np.zeros_like(Z)
+        step[i, j] = eps
+        fd = (problem.evaluate(Z + step).loss - problem.evaluate(Z - step).loss) / (2 * eps)
+        worst = max(worst, abs(fd - g[i, j]) / (1.0 + abs(fd)))
     return DiagnosticResult("analytic-gradient", worst <= 1e-5,
                             f"max relative error vs finite differences {worst:.3e}")
 

@@ -183,12 +183,6 @@ def components_from_support(adjacent: np.ndarray) -> Partition:
     return _partition_from_roots(_component_roots(n, rows[:edges], cols[:edges], roots))
 
 
-def connected_components(W) -> Partition:
-    """Connected components of the positive support of W + W^T."""
-    A = validate_latent_graph(W)
-    return components_from_edges(A.shape[0], *np.nonzero(A))
-
-
 def _component_means(X: np.ndarray, partition: Partition) -> np.ndarray:
     """Row i of the result is the mean of the rows of the validated X in i's component.
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ContractViolationError, DegenerateRowError, ParameterError
 from .evaluation import _neighbor_sets, check_ks
-from .linalg import _sq_dists, as_float_matrix, gram_row_blocks, map_blocks, pairwise_sq_dists
+from .linalg import _sq_dists, as_float_matrix, gram_row_blocks, map_blocks
 
 GAUSSIAN = "gaussian"
 STUDENT = "student"
@@ -43,6 +43,10 @@ KERNEL_KINDS = (GAUSSIAN, STUDENT)
 ENTROPY_TOL = 1e-5
 #: Calibration evaluates each row's entropy at most this many times.
 MAX_ENTROPY_EVALS = 128
+#: A row above its target with Var_p(l) at most this stops as capped: its
+#: weights sit on nearest ties whose entropy is above the target, or Var_p(l),
+#: which grows as tau^-4 while they stay put, would reach order 1 only at the cap.
+COLLAPSED_VAR = 2.0 ** -512
 #: Floor on the argument of every ``np.exp`` whose values only feed a sum
 #: that holds exp(0) = 1.  numpy's vector exp runs at about a nanosecond
 #: per element until an argument falls below about -708, where one such
@@ -89,9 +93,8 @@ def log_kernel(D, kind: str, bandwidths=None) -> np.ndarray:
 
     ``D`` may be a block of rows of a distance matrix, with ``bandwidths``
     for those rows.  A row's distance to itself comes out as log k(0) = 0;
-    callers that want the zero-diagonal convention of
-    :func:`kernel_matrix` must mask it themselves.  Stable for large
-    distances: no intermediate exponentials are formed.
+    callers that want a kernel's zero diagonal must mask it themselves.
+    Stable for large distances: no intermediate exponentials are formed.
     """
     check_kind(kind)
     S = as_float_matrix(D, "D")
@@ -123,18 +126,6 @@ def _log_kernel(S, kind: str, tau=None, out=None) -> np.ndarray:
     return np.negative(L, out=L)
 
 
-def kernel_matrix(X, kind: str, bandwidths=None) -> KernelMatrix:
-    """Kernel matrix K_ij = k((X_i - X_j) / tau_i) over the rows of ``X``.
-
-    The values are stored, so their exp takes no ``EXP_FLOOR``: a value
-    below e^-700 is kept as it is, not raised to the floor.
-    """
-    values = np.exp(log_kernel(pairwise_sq_dists(X), kind, bandwidths))
-    np.fill_diagonal(values, 0.0)
-    tau = None if bandwidths is None else np.asarray(bandwidths, dtype=np.float64).copy()
-    return KernelMatrix(values, kind, tau)
-
-
 def calibrated_kernel(X, perplexity: float, ks=()) -> KernelMatrix:
     """The Gaussian kernel over the rows of ``X`` at a target perplexity.
 
@@ -145,14 +136,16 @@ def calibrated_kernel(X, perplexity: float, ks=()) -> KernelMatrix:
     ``ENTROPY_TOL`` bits.  Every row follows the safeguarded Newton rule
     of :func:`_calibrate_rows` from tau = 1; a row still outside the
     tolerance after ``MAX_ENTROPY_EVALS`` evaluations gets the rule's
-    next tau.  Rows are solved together, one :func:`linalg.gram_row_blocks`
-    block at a time: the block writes its rows of D into its rows of the
-    kernel, the only n x n array made, and its kernel rows over them as
-    soon as its tau are known.  The blocks run on the
-    usable cores through :func:`linalg.map_blocks`; neither the blocking
-    nor the number of cores changes a bit of the result.  The result,
+    next tau, and a row that cannot reach its target keeps the tau at
+    which that shows; both count as capped.  Rows are solved together,
+    one :func:`linalg.gram_row_blocks` block at a time: the block writes
+    its rows of D into its rows of the kernel, the only n x n array
+    made, and its kernel rows over them as soon as its tau are known.
+    The blocks run on the usable cores through :func:`linalg.map_blocks`;
+    neither the blocking nor the number of cores changes a bit of the result.  The result,
     with tau in ``bandwidths`` and each row's entropy evaluations in
-    ``evaluations``, has the values of ``kernel_matrix(X, GAUSSIAN, tau)``:
+    ``evaluations``, has the values of ``kernel_matrix(X, GAUSSIAN, tau)``
+    in ``tests/oracles.py``, exp(-D / 2 tau_i^2) with a zero diagonal:
     the final exp writes stored values, so unlike the entropy passes it
     takes no ``EXP_FLOOR``.
 
@@ -228,7 +221,7 @@ def _calibrate_rows(shifted: np.ndarray, target: float):
     row's largest l is 0, so s >= 1 absorbs a floored lane's e^-700.  The
     sums of e l and e l^2 absorb it too, unless all their other terms are
     as tiny; then the row's entropy and variance lie within 1e-280 of 0,
-    and it stops, or doubles tau, the same either way.
+    and each test below goes the same way.
 
     Every row starts at tau = 1 with the bracket lo = 0, hi = inf.  A row
     within ``ENTROPY_TOL`` bits of the target stops at that tau;
@@ -237,7 +230,9 @@ def _calibrate_rows(shifted: np.ndarray, target: float):
     clipped to [tau / 2, 2 tau].  Where that step is not finite or falls
     outside the open bracket (lo, hi), the next tau is 2 lo while hi is
     infinite, else (lo + hi) / 2: rows far from their scale double or
-    halve until the target is bracketed.
+    halve until the target is bracketed.  A row above its target whose
+    Var_p(l) is at most ``COLLAPSED_VAR`` cannot come down to it: it
+    stops at that tau, with ``MAX_ENTROPY_EVALS`` evaluations, as capped.
 
     Works in ``shifted``, which it reorders, and two buffers of its
     shape.  The rows still running are kept in the leading rows: when
@@ -259,10 +254,11 @@ def _calibrate_rows(shifted: np.ndarray, target: float):
         mean = np.multiply(e, l, out=e).sum(axis=1) / s
         var = np.multiply(e, l, out=e).sum(axis=1) / s - mean * mean
         h = (np.log(s) - mean) / ln2
-        done = np.abs(h - target) <= ENTROPY_TOL
+        capped = (h > target) & (var <= COLLAPSED_VAR)
+        done = (np.abs(h - target) <= ENTROPY_TOL) | capped
         if done.any():
             tau[live[done]] = t[done]
-            evaluations[live[done]] = count
+            evaluations[live[done]] = np.where(capped[done], MAX_ENTROPY_EVALS, count)
             keep = ~done
             for to, row in enumerate(np.flatnonzero(keep)):
                 if to != row:

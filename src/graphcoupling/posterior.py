@@ -10,14 +10,14 @@ single letter:
 In the large-graph limit every posterior is driven by the kernel K of
 the data, with uniform prior weights.  Expectations are packaged as
 :class:`AffinityMatrix` values tagged with how they are normalized.
-:func:`posterior_expectation` runs on a copy of K the arithmetic that
-:func:`coupling.input_affinity` writes over K, consuming it.
-Exact posterior samples are drawn by a :class:`PosteriorSampler`,
-which validates the kernel once and returns each latent graph as an
-edge list (``tests/oracles.py`` keeps the dense draw,
-``sample_posterior_graph``).  It builds no table for any prior:
+:func:`coupling.input_affinity` writes a method's expectation over K,
+consuming it.  Exact posterior samples are drawn by a
+:class:`PosteriorSampler`, which validates the kernel once and returns
+each latent graph as an edge list.  It builds no table for any prior:
 :meth:`PosteriorSampler.draws` reads K one row block at a time for any
 number of generators, so K must not change while the sampler is in use.
+``tests/oracles.py`` keeps the copy forms, ``posterior_expectation``
+and the dense draw ``sample_posterior_graph``.
 """
 
 from dataclasses import dataclass, replace
@@ -87,21 +87,14 @@ def _edge_probabilities(G: np.ndarray, out=None) -> np.ndarray:
     return np.divide(G, P, out=P if out is None else out)
 
 
-def posterior_expectation(K, prior: str) -> AffinityMatrix:
-    """Expected latent graph under the limiting posterior of a prior family.
-
-    B: independent edges with P_ij = K / (1 + K).
-    D: each row is one draw over its off-diagonal cells, so the
-       expectation is K row-normalized.
-    E: n edges in total, so the per-draw cell distribution is K
-       globally normalized; entries sum to 1.
-    """
-    check_prior(prior)
-    return _expectation_in_place(_checked_kernel(K).copy(), prior)
-
-
 def _expectation_in_place(G: np.ndarray, prior: str) -> AffinityMatrix:
-    """:func:`posterior_expectation` written over the checked kernel G.
+    """The limiting posterior's expected latent graph, written over the checked kernel G.
+
+    B: independent edges with P_ij = G / (1 + G).
+    D: each row is one draw over its off-diagonal cells, so the
+       expectation is G row-normalized.
+    E: n edges in total, so the per-draw cell distribution is G
+       globally normalized; entries sum to 1.
 
     A prior that rejects G raises before G is written; B's only
     temporary is one :func:`linalg.row_blocks` block's 1 + G.
@@ -125,14 +118,14 @@ def _expectation_in_place(G: np.ndarray, prior: str) -> AffinityMatrix:
 class PosteriorSampler:
     """Exact sampler of the limiting posterior of one prior and kernel.
 
-    Construction validates K as :func:`posterior_expectation` does and
-    keeps K's own array and, for D and E, its row sums.  Each
-    :meth:`draws` walks K's :func:`linalg.row_blocks` once for every
-    generator, forming a block's edge probabilities (B) or row CDF (D
-    and E) with :func:`posterior_expectation`'s arithmetic.  E's
-    multinomial of n edges over K's cells factors exactly into one of
-    the row totals over the row masses (row sums over their total), then
-    that many draws from each row's CDF; D draws once per row.
+    Construction validates K as ``posterior_expectation`` in
+    ``tests/oracles.py`` does and keeps K's own array and, for D and E,
+    its row sums.  Each :meth:`draws` walks K's :func:`linalg.row_blocks`
+    once for every generator, forming a block's edge probabilities (B) or
+    row CDF (D and E) with that function's arithmetic.  E's multinomial
+    of n edges over K's cells factors exactly into one of the row totals
+    over the row masses (row sums over their total), then that many
+    draws from each row's CDF; D draws once per row.
     """
 
     def __init__(self, K, prior: str):

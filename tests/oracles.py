@@ -4,6 +4,12 @@ The library computes each of these one row block or one edge list at a
 time; here they are the plain whole-matrix forms, or the single-case
 wrappers of a library function:
 
+kernel_matrix            the kernel at given bandwidths, exp of ``log_kernel``
+                         over all of ``pairwise_sq_dists``; ``calibrated_kernel``
+                         has its values at the calibrated ones
+posterior_expectation    ``_expectation_in_place`` on a validated copy of K,
+                         the arithmetic ``input_affinity`` writes over K
+connected_components     ``components_from_edges`` of a dense latent graph
 averaged_projector       the n x n Monte-Carlo projector M; ``ccpca`` of
                          the same K, samples, prior and seed is
                          ``pca(M @ X, q)`` to roundoff
@@ -46,17 +52,57 @@ import numpy as np
 from graphcoupling.coupling import CouplingProblem
 from graphcoupling.errors import ContractViolationError, NumericalError, ParameterError
 from graphcoupling.evaluation import NeighborhoodScore, evaluate_embedding
-from graphcoupling.graph import Partition, _component_means, connected_components
-from graphcoupling.linalg import as_float_matrix, leading_signs
+from graphcoupling.graph import (
+    Partition,
+    _component_means,
+    components_from_edges,
+    validate_latent_graph,
+)
+from graphcoupling.kernels import KernelMatrix, log_kernel
+from graphcoupling.linalg import as_float_matrix, leading_signs, pairwise_sq_dists
 from graphcoupling.optim import Evaluation
 from graphcoupling.posterior import (
     BERNOULLI,
     ROW,
     AffinityMatrix,
     PosteriorSampler,
+    _checked_kernel,
+    _expectation_in_place,
+    check_prior,
     symmetrized_in_place,
 )
 from graphcoupling.spectral import _left_singular
+
+
+def kernel_matrix(X, kind: str, bandwidths=None) -> KernelMatrix:
+    """Kernel matrix K_ij = k((X_i - X_j) / tau_i) over the rows of ``X``.
+
+    The values are stored, so their exp takes no ``EXP_FLOOR``: a value
+    below e^-700 is kept as it is, not raised to the floor.
+    """
+    values = np.exp(log_kernel(pairwise_sq_dists(X), kind, bandwidths))
+    np.fill_diagonal(values, 0.0)
+    tau = None if bandwidths is None else np.asarray(bandwidths, dtype=np.float64).copy()
+    return KernelMatrix(values, kind, tau)
+
+
+def posterior_expectation(K, prior: str) -> AffinityMatrix:
+    """Expected latent graph under the limiting posterior of a prior family.
+
+    B: independent edges with P_ij = K / (1 + K).
+    D: each row is one draw over its off-diagonal cells, so the
+       expectation is K row-normalized.
+    E: n edges in total, so the per-draw cell distribution is K
+       globally normalized; entries sum to 1.
+    """
+    check_prior(prior)
+    return _expectation_in_place(_checked_kernel(K).copy(), prior)
+
+
+def connected_components(W) -> Partition:
+    """Connected components of the positive support of W + W^T."""
+    A = validate_latent_graph(W)
+    return components_from_edges(A.shape[0], *np.nonzero(A))
 
 
 def cc_projector(partition: Partition) -> np.ndarray:

@@ -14,24 +14,23 @@ from graphcoupling import linalg
 from graphcoupling.ccpca import ccpca
 from graphcoupling.cli import main as cli_main
 from graphcoupling.coupling import CouplingProblem
-from graphcoupling.graph import (
-    connected_components,
-    log_mrf_density,
-    weighted_laplacian,
-)
-from graphcoupling.kernels import calibrated_kernel, kernel_matrix
+from graphcoupling.graph import log_mrf_density, weighted_laplacian
+from graphcoupling.kernels import calibrated_kernel
 from graphcoupling.linalg import pairwise_sq_dists
 from graphcoupling.optim import OptimizerConfig, minimize
 from graphcoupling.pipeline import RunSpec, run
-from graphcoupling.posterior import PosteriorSampler, posterior_expectation
+from graphcoupling.posterior import PosteriorSampler
 from graphcoupling.spectral import pca
 
 from oracles import (
     PrecisionCouplingProblem,
     averaged_projector,
+    connected_components,
     expected_graph,
     kary_agreement,
+    kernel_matrix,
     neighbor_indices,
+    posterior_expectation,
     precision_coupling_closed_form,
     sample_posterior_graph,
     symmetrize_row_affinity,

@@ -11,10 +11,10 @@ from graphcoupling.kernels import (
     GAUSSIAN,
     MAX_ENTROPY_EVALS,
     calibrated_kernel,
-    kernel_matrix,
 )
 from graphcoupling.linalg import pairwise_sq_dists
 
+from oracles import kernel_matrix
 from test_kernels import off_diagonal_rows, row_entropy_bits
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,

@@ -7,12 +7,17 @@ import pytest
 
 from graphcoupling.ccpca import ccpca
 from graphcoupling.errors import ContractViolationError, ParameterError
-from graphcoupling.graph import components_from_edges, connected_components
+from graphcoupling.graph import components_from_edges
 from graphcoupling.kernels import calibrated_kernel
 from graphcoupling.posterior import PosteriorSampler
 from graphcoupling.spectral import pca
 
-from oracles import averaged_projector, cc_projector, sample_posterior_graph
+from oracles import (
+    averaged_projector,
+    cc_projector,
+    connected_components,
+    sample_posterior_graph,
+)
 
 
 def gaussian_kernel(X, perplexity):

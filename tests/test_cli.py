@@ -544,7 +544,7 @@ class TestInit:
         # init builds fit's symmetrized affinity; eigenmaps symmetrizes its
         # input, so this is a rescaling of the row affinity's Laplacian
         from graphcoupling.spectral import laplacian_eigenmaps
-        from graphcoupling.posterior import posterior_expectation
+        from oracles import posterior_expectation
 
         out = tmp_path / "le"
         args = ["init", "--input", str(blob_csv), "--label", "cls",
@@ -873,6 +873,18 @@ def tiny_fits(draw):
         options += [broken, draw(st.sampled_from(["0", "-5", "nan"]))]
     dim = draw(st.sampled_from([None, "1", "3"]))
     return X, options + ([] if dim is None else ["--dim", dim])
+
+
+def test_fit_exits_0_where_ties_put_rows_below_their_entropy_floor(tmp_path):
+    # Rows 0-4 cannot reach perplexity 1.5; they stop as capped while their
+    # kernel rows still hold their nearest ties, so the D prior takes them.
+    data = tmp_path / "ties.csv"
+    save_embedding(data, np.array([[0.0], [0.0], [0.0], [1.0], [2.5], [4.0]]))
+    out = tmp_path / "out"
+    assert main(["fit", "--input", str(data), "--perplexity", "1.5", "--init", "random",
+                 "--out-dir", str(out)]) == 0
+    manifest = yaml.safe_load((out / "manifest.yaml").read_text())
+    assert manifest["input"]["calibration"]["capped_rows"] == 5
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,

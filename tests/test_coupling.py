@@ -22,15 +22,16 @@ from graphcoupling.kernels import (
     GAUSSIAN,
     STUDENT,
     calibrated_kernel,
-    kernel_matrix,
     log_kernel,
 )
 from graphcoupling.linalg import pairwise_sq_dists
-from graphcoupling.posterior import AffinityMatrix, posterior_expectation
+from graphcoupling.posterior import AffinityMatrix
 
 from oracles import (
     PrecisionCouplingProblem,
     expected_graph,
+    kernel_matrix,
+    posterior_expectation,
     symmetrize_row_affinity,
     umap_threshold_prob,
 )

@@ -53,7 +53,7 @@ CALIBRATION_CASES = {
     "perplexity-n-1": (clustered(40, seed=7), 39.0),
     "scaled-up": (np.random.default_rng(8).normal(size=(80, 3)) * 1e3, 10.0),
     # Ties put rows 0-4's targets below their entropy floor: they halve tau
-    # to 2.9e-39 and stop at the cap.
+    # until Var_p(l) collapses and stop as capped.
     "capped-ties": (np.array([[0.0], [0.0], [0.0], [1.0], [2.5], [4.0]]), 1.5),
 }
 

@@ -11,14 +11,13 @@ from graphcoupling.graph import (
     EdgeList,
     components_from_edges,
     components_from_support,
-    connected_components,
     laplacian,
     log_mrf_density,
     validate_latent_graph,
     weighted_laplacian,
 )
 
-from oracles import cc_projector, split_mean_centered
+from oracles import cc_projector, connected_components, split_mean_centered
 
 
 def random_latent_graph(rng, n):

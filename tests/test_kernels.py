@@ -6,6 +6,7 @@ import numpy.testing as npt
 import pytest
 
 from graphcoupling import kernels, linalg
+from graphcoupling.coupling import input_affinity
 from graphcoupling.errors import (
     ContractViolationError,
     DegenerateRowError,
@@ -16,12 +17,11 @@ from graphcoupling.kernels import (
     MAX_ENTROPY_EVALS,
     GAUSSIAN,
     calibrated_kernel,
-    kernel_matrix,
     log_kernel,
 )
 from graphcoupling.linalg import pairwise_sq_dists
 
-from oracles import neighbor_indices
+from oracles import kernel_matrix, neighbor_indices
 
 
 def row_entropy_bits(d_row, tau):
@@ -405,13 +405,42 @@ class TestCalibration:
             calibrated_kernel(X, 1.5)
 
     def test_distance_over_tau_squared_past_the_largest_float_is_zero(self):
-        # Row 2's two neighbours are tied, so it cannot reach perplexity 1:
-        # its tau halves to 2^-128, its distances of 1e240 over tau^2
-        # overflow, and its kernel values are exactly 0, with no warning.
-        K = calibrated_kernel(np.array([[0.0], [0.0], [1e120]]), 1.0)
-        assert K.bandwidths[2] == 2.0 ** -MAX_ENTROPY_EVALS
-        npt.assert_array_equal(K.values[2], 0.0)
+        # Rows 0-3 cannot reach perplexity 1.5 (see the test below) and stop
+        # at tau = 2^-5, where row 6's distance of 2.5e305 over tau^2
+        # overflows; their kernel values there are exactly 0, with no
+        # warning.  Row 6 is tied with every other row and stops at tau = 1.
+        X = np.array([[0.0], [0.0], [0.0], [1.0], [2.5], [4.0], [5e152]])
+        K = calibrated_kernel(X, 1.5)
+        npt.assert_array_equal(K.bandwidths[:4], 2.0 ** -5)
+        assert K.bandwidths[6] == 1.0
+        assert 2.5e305 * 2.0 ** 10 == np.inf
+        npt.assert_array_equal(K.values[:4, 6], 0.0)
+        npt.assert_array_equal(K.values[6], 0.0)
         assert K.values[0, 1] == K.values[1, 0] == 1.0
+
+    def test_a_row_below_its_entropy_floor_stops_on_its_nearest_ties(self):
+        # Rows 0-2 are duplicates, and rows 3 and 4 have three and two
+        # nearest neighbours at one distance: their entropy cannot fall
+        # below log2 of that count, above the target log2(1.5).  Each stops
+        # as capped once Var_p(l) has collapsed, while its kernel row still
+        # holds its ties, so sne's P puts the row's mass on them.
+        X = np.array([[0.0], [0.0], [0.0], [1.0], [2.5], [4.0]])
+        K = calibrated_kernel(X, 1.5)
+        npt.assert_array_equal(K.evaluations[:5], MAX_ENTROPY_EVALS)
+        assert K.evaluations[5] < MAX_ENTROPY_EVALS
+        P = input_affinity(K, "sne").values
+        npt.assert_allclose(P[3], [1 / 3, 1 / 3, 1 / 3, 0, 0, 0], atol=1e-200)
+        npt.assert_allclose(P[4], [0, 0, 0, 0.5, 0, 0.5], atol=1e-200)
+        for i in range(3):
+            npt.assert_allclose(P[i, :3], np.where(np.arange(3) == i, 0.0, 0.5))
+
+    def test_a_row_tied_with_every_other_stops_at_the_first_pass(self):
+        # Row 0's entropy is log2(n - 1) at every tau and its Var_p(l) is 0;
+        # rows 1 and 2 reach the target.
+        K = calibrated_kernel(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), 1.5)
+        assert K.bandwidths[0] == 1.0
+        assert K.evaluations[0] == MAX_ENTROPY_EVALS
+        assert (K.evaluations[1:] < MAX_ENTROPY_EVALS).all()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_kernel_is_the_one_n_by_n_array(self, workers, monkeypatch):

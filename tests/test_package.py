@@ -33,6 +33,9 @@ NOT_IN_THE_LIBRARY = [
     ("spectral", "PrecisionCouplingProblem"),
     ("spectral", "precision_coupling_closed_form"),
     ("graph", "split_mean_centered"),
+    ("kernels", "kernel_matrix"),
+    ("posterior", "posterior_expectation"),
+    ("graph", "connected_components"),
 ]
 
 
@@ -128,8 +131,6 @@ def test_sampler_draws_only_in_batches():
 #: The np.exp calls that take no EXP_FLOOR, by (module, enclosing
 #: function, argument), each with why its values must stay exact.
 EXACT_EXP_CALLS = {
-    ("kernels", "kernel_matrix", "log_kernel(pairwise_sq_dists(X), kind, bandwidths)"):
-        "stores the kernel's values",
     ("kernels", "solve", "_log_kernel(D, GAUSSIAN, t, out=D)"):
         "stores the calibrated kernel's values",
     ("kernels", "_calibrate_rows", "(target - h) * ln2 / (2.0 * var)"):

@@ -15,7 +15,7 @@ from graphcoupling import kernels, linalg, pipeline
 from graphcoupling.coupling import input_affinity
 from graphcoupling.errors import ParameterError
 from graphcoupling.evaluation import evaluate_embedding
-from graphcoupling.kernels import GAUSSIAN, calibrated_kernel, kernel_matrix
+from graphcoupling.kernels import GAUSSIAN, calibrated_kernel
 from graphcoupling.optim import OptimizerConfig, minimize
 from graphcoupling.pipeline import (
     INIT_SCALE,
@@ -26,9 +26,8 @@ from graphcoupling.pipeline import (
     rescale_init,
     run,
 )
-from graphcoupling.posterior import posterior_expectation
 from graphcoupling.spectral import pca
-from oracles import umap_threshold_prob
+from oracles import kernel_matrix, posterior_expectation, umap_threshold_prob
 
 FAST_OPT = OptimizerConfig(iterations=60, momentum_switch=30,
                            exaggeration_iters=30)

@@ -15,16 +15,20 @@ from graphcoupling.errors import (
 )
 from graphcoupling.diagnostics import FREQUENCY_LEVEL, binomial_tail
 from graphcoupling.graph import validate_latent_graph
-from graphcoupling.kernels import kernel_matrix
 from graphcoupling.posterior import (
     PRIOR_KINDS,
     AffinityMatrix,
     PosteriorSampler,
-    posterior_expectation,
     symmetrized_in_place,
 )
 
-from oracles import sample_posterior_graph, symmetrize_row_affinity, umap_threshold_prob
+from oracles import (
+    kernel_matrix,
+    posterior_expectation,
+    sample_posterior_graph,
+    symmetrize_row_affinity,
+    umap_threshold_prob,
+)
 
 
 #: Both build a prior's normalization of K, so both must reject the same
